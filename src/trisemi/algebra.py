@@ -9,10 +9,10 @@ by the frequency triple (lam, mu, t).
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     AxisMismatch,
@@ -139,9 +139,7 @@ def normalize_word(word: Sequence) -> Monomial:
     for letter in word:
         if isinstance(letter, M):
             scaled = letter.freq.scale_exp(dil)
-            pe = PhaseExponent.product(scaled, shift)
-            if not pe.is_zero():
-                coeff = coeff * Scalar.phase(-pe)
+            coeff = coeff.rotate(PhaseExponent.product(scaled, -shift))
             mod = mod + scaled
         elif isinstance(letter, D):
             shift = shift + letter.freq.scale_exp(-dil)
@@ -254,7 +252,7 @@ class Element:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Element):
             return NotImplemented
-        if set(self.terms) != set(other.terms):
+        if self.terms.keys() != other.terms.keys():
             return False
         return all(c == other.terms[k] for k, c in self.terms.items())
 
@@ -279,13 +277,11 @@ def mul(x: Element, y: Element) -> Element:
     """Product in the algebra, one exact phase per monomial pair."""
     out: dict[Key, Scalar] = {}
     for (lam1, mu1, t1), c1 in x.terms.items():
+        neg_mu1, neg_t1 = -mu1, -t1
         for (lam2, mu2, t2), c2 in y.terms.items():
             scaled = lam2.scale_exp(t1)
-            c = c1 * c2
-            pe = PhaseExponent.product(scaled, mu1)
-            if not pe.is_zero():
-                c = c * Scalar.phase(-pe)
-            key = (lam1 + scaled, mu1 + mu2.scale_exp(-t1), t1 + t2)
+            c = (c1 * c2).rotate(PhaseExponent.product(scaled, neg_mu1))
+            key = (lam1 + scaled, mu1 + mu2.scale_exp(neg_t1), t1 + t2)
             prev = out.get(key)
             total = c if prev is None else prev + c
             if total.is_zero():
@@ -298,14 +294,20 @@ def mul(x: Element, y: Element) -> Element:
 
 
 def adjoint(x: Element) -> Element:
-    """Involution: reverse each monomial and conjugate its coefficient."""
+    """Involution: reverse each monomial and conjugate its coefficient.
+
+    (c M(lam) D(mu) V(t))* = conj(c) V(-t) D(-mu) M(-lam), whose normal
+    form is conj(c) e^{i <e^-t (-lam), e^t mu>} M(-e^-t lam) D(-e^t mu) V(-t):
+    the word rewritten in place, without building its letters.
+    """
     out: dict[Key, Scalar] = {}
     for (lam, mu, t), c in x.terms.items():
-        word = [Sc(c.conj()), V(-t), D(-mu), M(-lam)]
-        mono = normalize_word(word)
-        key = mono.key()
+        back = mu.scale_exp(t)
+        mod = (-lam).scale_exp(-t)
+        coeff = c.conj().rotate(PhaseExponent.product(mod, back))
+        key = (mod, -back, -t)
         prev = out.get(key)
-        total = mono.coeff if prev is None else prev + mono.coeff
+        total = coeff if prev is None else prev + coeff
         if total.is_zero():
             out.pop(key, None)
         else:

@@ -20,9 +20,8 @@ from .exactnum import (
     AtomTable,
     DilationIndex,
     Frequency,
-    FrequencyAtom,
     Scalar,
-    UNIT_SYMBOL,
+    _dil_as_frequency,
     _frac,
 )
 
@@ -45,17 +44,6 @@ def normalize_grading(grading) -> str:
     if key not in _GRADING_ALIASES:
         raise ValueError(f"unknown grading {grading!r}")
     return _GRADING_ALIASES[key]
-
-
-def _dil_as_frequency(t: DilationIndex) -> Frequency:
-    # linear embedding so dilation indices share the elimination code
-    pairs = []
-    for sym, q in t.pairs:
-        if sym == UNIT_SYMBOL:
-            pairs.append((FrequencyAtom.one(), q))
-        else:
-            pairs.append((FrequencyAtom(sym), q))
-    return Frequency(pairs)
 
 
 def _grading_raw(key, grading: str):

@@ -22,9 +22,8 @@ from .exactnum import (
     BohrCharacter,
     DilationIndex,
     Frequency,
-    FrequencyAtom,
     Scalar,
-    UNIT_SYMBOL,
+    _dil_as_frequency,
     _frac,
     freq_sign,
     scalar_numeric,
@@ -32,16 +31,6 @@ from .exactnum import (
 )
 
 GROUP_MODES = ("Z", "R")
-
-
-def _dil_as_frequency(t: DilationIndex) -> Frequency:
-    pairs = []
-    for sym, q in t.pairs:
-        if sym == UNIT_SYMBOL:
-            pairs.append((FrequencyAtom.one(), q))
-        else:
-            pairs.append((FrequencyAtom(sym), q))
-    return Frequency(pairs)
 
 
 # ---------------------------------------------------------------- AP points

@@ -19,9 +19,10 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Mapping
+from operator import itemgetter, not_
 
 from .errors import (
     AtomCollisionWarning,
@@ -60,6 +61,48 @@ def _merged(items: Iterable[tuple]) -> dict:
     return acc
 
 
+def _merge_sorted(xs: tuple, ys: tuple, key, is_zero) -> tuple:
+    """Sum of two canonical item tuples in one pass.
+
+    Both inputs are sorted by ``key`` with no repeated and no zero
+    entries, and so is the result: the merge step of merge sort, with
+    entries of equal key added and dropped when they cancel.
+    """
+    out = []
+    i = j = 0
+    nx, ny = len(xs), len(ys)
+    while i < nx and j < ny:
+        x, y = xs[i], ys[j]
+        kx, ky = key(x), key(y)
+        if kx == ky:
+            total = x[1] + y[1]
+            if not is_zero(total):
+                out.append((x[0], total))
+            i += 1
+            j += 1
+        elif kx < ky:
+            out.append(x)
+            i += 1
+        else:
+            out.append(y)
+            j += 1
+    out.extend(xs[i:])
+    out.extend(ys[j:])
+    return tuple(out)
+
+
+# Sort keys of (key, coefficient) items in canonical order.
+_SYM_ORDER = itemgetter(0)
+
+
+def _key_order(kv):
+    return kv[0]._key
+
+
+def _exp_order(kv):
+    return kv[0].key()
+
+
 class DilationIndex:
     """Exact rational combination of dilation symbols.
 
@@ -72,8 +115,17 @@ class DilationIndex:
     def __init__(self, pairs: Mapping[str, object] | Iterable[tuple] = ()):
         items = pairs.items() if isinstance(pairs, Mapping) else pairs
         acc = _merged((sym, _frac(q)) for sym, q in items)
-        self.pairs = tuple(sorted(acc.items()))
-        self._hash = hash(self.pairs)
+        self.pairs = tuple(sorted(acc.items(), key=_SYM_ORDER))
+        self._hash = None
+
+    @classmethod
+    def _canonical(cls, pairs: tuple) -> "DilationIndex":
+        """Trusted constructor for pairs that are already merged, sorted
+        and free of zero coefficients."""
+        obj = object.__new__(cls)
+        obj.pairs = pairs
+        obj._hash = None
+        return obj
 
     @classmethod
     def zero(cls) -> "DilationIndex":
@@ -95,10 +147,10 @@ class DilationIndex:
             return other
         if not other.pairs:
             return self
-        return DilationIndex(self.pairs + other.pairs)
+        return DilationIndex._canonical(_merge_sorted(self.pairs, other.pairs, _SYM_ORDER, not_))
 
     def __neg__(self) -> "DilationIndex":
-        return DilationIndex(tuple((s, -q) for s, q in self.pairs))
+        return DilationIndex._canonical(tuple((s, -q) for s, q in self.pairs))
 
     def __sub__(self, other: "DilationIndex") -> "DilationIndex":
         return self + (-other)
@@ -107,6 +159,8 @@ class DilationIndex:
         return isinstance(other, DilationIndex) and self.pairs == other.pairs
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash(self.pairs)
         return self._hash
 
     def key(self):
@@ -149,12 +203,13 @@ class FrequencyAtom:
     """One basis direction of the frequency module: a named positive real
     scaled by e^(dilation index)."""
 
-    __slots__ = ("base", "exp", "_hash")
+    __slots__ = ("base", "exp", "_key", "_hash")
 
     def __init__(self, base: str, exp: DilationIndex | None = None):
         self.base = base
         self.exp = _DIL_ZERO if exp is None else exp
-        self._hash = hash((base, self.exp.pairs))
+        self._key = (base, self.exp.pairs)
+        self._hash = None
 
     @classmethod
     def one(cls) -> "FrequencyAtom":
@@ -166,16 +221,14 @@ class FrequencyAtom:
         return FrequencyAtom(self.base, self.exp + t)
 
     def key(self):
-        return (self.base, self.exp.pairs)
+        return self._key
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FrequencyAtom)
-            and self.base == other.base
-            and self.exp.pairs == other.exp.pairs
-        )
+        return isinstance(other, FrequencyAtom) and self._key == other._key
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash(self._key)
         return self._hash
 
     def numeric(self, table: "AtomTable") -> float:
@@ -198,8 +251,17 @@ class Frequency:
     def __init__(self, pairs: Mapping[FrequencyAtom, object] | Iterable[tuple] = ()):
         items = pairs.items() if isinstance(pairs, Mapping) else pairs
         acc = _merged((atom, _frac(q)) for atom, q in items)
-        self.pairs = tuple(sorted(acc.items(), key=lambda kv: kv[0].key()))
-        self._hash = hash(self.pairs)
+        self.pairs = tuple(sorted(acc.items(), key=_key_order))
+        self._hash = None
+
+    @classmethod
+    def _canonical(cls, pairs: tuple) -> "Frequency":
+        """Trusted constructor for pairs that are already merged, sorted
+        and free of zero coefficients."""
+        obj = object.__new__(cls)
+        obj.pairs = pairs
+        obj._hash = None
+        return obj
 
     @classmethod
     def zero(cls) -> "Frequency":
@@ -222,10 +284,10 @@ class Frequency:
             return other
         if not other.pairs:
             return self
-        return Frequency(self.pairs + other.pairs)
+        return Frequency._canonical(_merge_sorted(self.pairs, other.pairs, _key_order, not_))
 
     def __neg__(self) -> "Frequency":
-        return Frequency(tuple((a, -q) for a, q in self.pairs))
+        return Frequency._canonical(tuple((a, -q) for a, q in self.pairs))
 
     def __sub__(self, other: "Frequency") -> "Frequency":
         return self + (-other)
@@ -234,18 +296,25 @@ class Frequency:
         q = _frac(q)
         if not q:
             return _FREQ_ZERO
-        return Frequency(tuple((a, c * q) for a, c in self.pairs))
+        return Frequency._canonical(tuple((a, c * q) for a, c in self.pairs))
 
     def scale_exp(self, t: DilationIndex) -> "Frequency":
         """Multiply by e^t, realized exactly as an exponent shift on atoms."""
         if t.is_zero():
             return self
-        return Frequency(tuple((a.scaled(t), q) for a, q in self.pairs))
+        # The shift maps distinct atoms to distinct atoms, but it can
+        # change their order.
+        scaled = [(a.scaled(t), q) for a, q in self.pairs]
+        if len(scaled) > 1:
+            scaled.sort(key=_key_order)
+        return Frequency._canonical(tuple(scaled))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Frequency) and self.pairs == other.pairs
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash(self.pairs)
         return self._hash
 
     def key(self):
@@ -280,6 +349,19 @@ class Frequency:
 _FREQ_ZERO = Frequency()
 
 
+def _dil_as_frequency(t: DilationIndex) -> Frequency:
+    """The linear embedding of dilation indices into frequencies (UNIT to
+    the atom ONE, any other symbol to the atom of that name), so dilation
+    indices share the code written for frequencies."""
+    pairs = []
+    for sym, q in t.pairs:
+        if sym == UNIT_SYMBOL:
+            pairs.append((FrequencyAtom.one(), q))
+        else:
+            pairs.append((FrequencyAtom(sym), q))
+    return Frequency(pairs)
+
+
 class PhaseMonomial:
     """Multiplicative monomial of at most two atom bases times e^(exp).
 
@@ -289,14 +371,15 @@ class PhaseMonomial:
     exponent has value 1 and carries the plain rational part of a phase.
     """
 
-    __slots__ = ("bases", "exp", "_hash")
+    __slots__ = ("bases", "exp", "_key", "_hash")
 
     def __init__(self, bases: tuple[str, ...] = (), exp: DilationIndex | None = None):
         if len(bases) > 2:
             raise ValueError("phase monomial degree above two")
         self.bases = tuple(sorted(bases))
         self.exp = _DIL_ZERO if exp is None else exp
-        self._hash = hash((self.bases, self.exp.pairs))
+        self._key = (self.bases, self.exp.pairs)
+        self._hash = None
 
     @classmethod
     def empty(cls) -> "PhaseMonomial":
@@ -309,20 +392,35 @@ class PhaseMonomial:
 
     @classmethod
     def product(cls, a: FrequencyAtom, b: FrequencyAtom) -> "PhaseMonomial":
-        bases = tuple(x for x in (a.base, b.base) if x != ONE_ATOM)
-        return cls(bases, a.exp + b.exp)
+        x, y = a.base, b.base
+        if x == ONE_ATOM:
+            bases = () if y == ONE_ATOM else (y,)
+        elif y == ONE_ATOM:
+            bases = (x,)
+        else:
+            bases = (x, y) if x <= y else (y, x)
+        return cls._canonical(bases, a.exp + b.exp)
+
+    @classmethod
+    def _canonical(cls, bases: tuple[str, ...], exp: DilationIndex) -> "PhaseMonomial":
+        """Trusted constructor for bases that are already sorted, free of
+        ONE and at most two long."""
+        obj = object.__new__(cls)
+        obj.bases = bases
+        obj.exp = exp
+        obj._key = (bases, exp.pairs)
+        obj._hash = None
+        return obj
 
     def key(self):
-        return (self.bases, self.exp.pairs)
+        return self._key
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PhaseMonomial)
-            and self.bases == other.bases
-            and self.exp.pairs == other.exp.pairs
-        )
+        return isinstance(other, PhaseMonomial) and self._key == other._key
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash(self._key)
         return self._hash
 
     def numeric(self, table: "AtomTable") -> float:
@@ -344,13 +442,24 @@ class PhaseExponent:
     """Rational combination of phase monomials, the additive group of
     admissible phase angles."""
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("terms", "_key", "_hash")
 
     def __init__(self, terms: Mapping[PhaseMonomial, object] | Iterable[tuple] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
         acc = _merged((m, _frac(q)) for m, q in items)
-        self.terms = tuple(sorted(acc.items(), key=lambda kv: kv[0].key()))
-        self._hash = hash(self.terms)
+        self.terms = tuple(sorted(acc.items(), key=_key_order))
+        self._key = None
+        self._hash = None
+
+    @classmethod
+    def _canonical(cls, terms: tuple) -> "PhaseExponent":
+        """Trusted constructor for terms that are already merged, sorted
+        and free of zero coefficients."""
+        obj = object.__new__(cls)
+        obj.terms = terms
+        obj._key = None
+        obj._hash = None
+        return obj
 
     @classmethod
     def zero(cls) -> "PhaseExponent":
@@ -364,6 +473,9 @@ class PhaseExponent:
     def product(cls, f: Frequency, g: Frequency) -> "PhaseExponent":
         """The bilinear pairing of two frequencies, exponent of the
         commutation phase."""
+        if len(f.pairs) == 1 and len(g.pairs) == 1:
+            (a, qa), (b, qb) = f.pairs[0], g.pairs[0]
+            return cls._canonical(((PhaseMonomial.product(a, b), qa * qb),))
         pairs = []
         for a, qa in f.pairs:
             for b, qb in g.pairs:
@@ -378,10 +490,10 @@ class PhaseExponent:
             return other
         if not other.terms:
             return self
-        return PhaseExponent(self.terms + other.terms)
+        return PhaseExponent._canonical(_merge_sorted(self.terms, other.terms, _key_order, not_))
 
     def __neg__(self) -> "PhaseExponent":
-        return PhaseExponent(tuple((m, -q) for m, q in self.terms))
+        return PhaseExponent._canonical(tuple((m, -q) for m, q in self.terms))
 
     def __sub__(self, other: "PhaseExponent") -> "PhaseExponent":
         return self + (-other)
@@ -390,10 +502,14 @@ class PhaseExponent:
         return isinstance(other, PhaseExponent) and self.terms == other.terms
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash(self.terms)
         return self._hash
 
     def key(self):
-        return tuple((m.key(), q) for m, q in self.terms)
+        if self._key is None:
+            self._key = tuple((m._key, q) for m, q in self.terms)
+        return self._key
 
     def leading_sign(self) -> int:
         """Sign of the coefficient at the smallest monomial, a group
@@ -417,53 +533,97 @@ _EXP_ZERO = PhaseExponent()
 
 
 class QI:
-    """Gaussian rational re + im*i."""
+    """Gaussian rational re + im*i.
 
-    __slots__ = ("re", "im", "_hash")
+    Stored as integers (a + b*i)/d in lowest terms (d > 0 and
+    gcd(a, b, d) = 1), so amplitude arithmetic is integer arithmetic;
+    ``re`` and ``im`` read back as Fractions.
+    """
+
+    __slots__ = ("_a", "_b", "_d", "_hash")
 
     def __init__(self, re=0, im=0):
-        self.re = _frac(re)
-        self.im = _frac(im)
-        self._hash = hash((self.re, self.im))
+        re, im = _frac(re), _frac(im)
+        d = math.lcm(re.denominator, im.denominator)
+        self._a = re.numerator * (d // re.denominator)
+        self._b = im.numerator * (d // im.denominator)
+        self._d = d
+        self._hash = None
+
+    @classmethod
+    def _canonical(cls, a: int, b: int, d: int) -> "QI":
+        """Trusted constructor for (a + b*i)/d already in lowest terms."""
+        obj = object.__new__(cls)
+        obj._a = a
+        obj._b = b
+        obj._d = d
+        obj._hash = None
+        return obj
+
+    @classmethod
+    def _reduced(cls, a: int, b: int, d: int) -> "QI":
+        """(a + b*i)/d for d > 0, brought to lowest terms."""
+        g = math.gcd(a, b, d)
+        if g != 1:
+            a, b, d = a // g, b // g, d // g
+        return cls._canonical(a, b, d)
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, QI) and self.re == other.re and self.im == other.im
+        return (
+            isinstance(other, QI)
+            and self._a == other._a
+            and self._b == other._b
+            and self._d == other._d
+        )
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash((self._a, self._b, self._d))
         return self._hash
 
     def is_zero(self) -> bool:
-        return not self.re and not self.im
+        return not self._a and not self._b
 
     def __add__(self, other: "QI") -> "QI":
-        return QI(self.re + other.re, self.im + other.im)
-
-    def __neg__(self) -> "QI":
-        return QI(-self.re, -self.im)
-
-    def __sub__(self, other: "QI") -> "QI":
-        return QI(self.re - other.re, self.im - other.im)
-
-    def __mul__(self, other: "QI") -> "QI":
-        return QI(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
+        d1, d2 = self._d, other._d
+        if d1 == d2:
+            return QI._reduced(self._a + other._a, self._b + other._b, d1)
+        return QI._reduced(
+            self._a * d2 + other._a * d1, self._b * d2 + other._b * d1, d1 * d2
         )
 
+    def __neg__(self) -> "QI":
+        return QI._canonical(-self._a, -self._b, self._d)
+
+    def __sub__(self, other: "QI") -> "QI":
+        return self + (-other)
+
+    def __mul__(self, other: "QI") -> "QI":
+        a, b, c, e = self._a, self._b, other._a, other._b
+        return QI._reduced(a * c - b * e, a * e + b * c, self._d * other._d)
+
     def conj(self) -> "QI":
-        return QI(self.re, -self.im)
+        return QI._canonical(self._a, -self._b, self._d)
 
     def abs2(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
+        return Fraction(self._a * self._a + self._b * self._b, self._d * self._d)
 
     def inverse(self) -> "QI":
-        n = self.abs2()
+        n = self._a * self._a + self._b * self._b
         if not n:
             raise DivisionByZero("inverse of zero amplitude")
-        return QI(self.re / n, -self.im / n)
+        return QI._reduced(self._d * self._a, -self._d * self._b, n)
 
     def to_complex(self) -> complex:
-        return complex(self.re) + 1j * complex(self.im)
+        return complex(self._a / self._d) + 1j * complex(self._b / self._d)
 
     def __repr__(self) -> str:
         return f"QI({self.re}, {self.im})"
@@ -489,8 +649,25 @@ class PhaseSum:
                 acc.pop(pe, None)
             else:
                 acc[pe] = total
-        self.terms = tuple(sorted(acc.items(), key=lambda kv: kv[0].key()))
-        self._hash = hash(self.terms)
+        self.terms = tuple(sorted(acc.items(), key=_exp_order))
+        self._hash = None
+
+    @classmethod
+    def _canonical(cls, terms: tuple) -> "PhaseSum":
+        """Trusted constructor for terms that are already merged, sorted
+        and free of zero amplitudes."""
+        obj = object.__new__(cls)
+        obj.terms = terms
+        obj._hash = None
+        return obj
+
+    @classmethod
+    def _distinct(cls, terms: list) -> "PhaseSum":
+        """Constructor for terms with pairwise distinct exponents and
+        nonzero amplitudes that may be out of order."""
+        if len(terms) > 1:
+            terms.sort(key=_exp_order)
+        return cls._canonical(tuple(terms))
 
     @classmethod
     def zero(cls) -> "PhaseSum":
@@ -520,39 +697,44 @@ class PhaseSum:
             return other
         if not other.terms:
             return self
-        return PhaseSum(self.terms + other.terms)
+        return PhaseSum._canonical(_merge_sorted(self.terms, other.terms, _exp_order, QI.is_zero))
 
     def __neg__(self) -> "PhaseSum":
-        return PhaseSum(tuple((pe, -amp) for pe, amp in self.terms))
+        return PhaseSum._canonical(tuple((pe, -amp) for pe, amp in self.terms))
 
     def __sub__(self, other: "PhaseSum") -> "PhaseSum":
         return self + (-other)
 
     def __mul__(self, other: "PhaseSum") -> "PhaseSum":
-        out = []
-        for pe1, a1 in self.terms:
-            for pe2, a2 in other.terms:
-                out.append((pe1 + pe2, a1 * a2))
+        out = [
+            (pe1 + pe2, a1 * a2) for pe1, a1 in self.terms for pe2, a2 in other.terms
+        ]
+        if len(self.terms) == 1 or len(other.terms) == 1:
+            # One factor is a single phase: the exponents stay distinct and
+            # the amplitudes nonzero, so only the order can change.
+            return PhaseSum._distinct(out)
         return PhaseSum(out)
 
     def scale(self, amp: QI) -> "PhaseSum":
         if amp.is_zero():
             return _PS_ZERO
-        return PhaseSum(tuple((pe, a * amp) for pe, a in self.terms))
+        return PhaseSum._canonical(tuple((pe, a * amp) for pe, a in self.terms))
 
     def shift(self, pe: PhaseExponent) -> "PhaseSum":
         """Multiply by the unimodular phase e^{i*pe}."""
         if pe.is_zero():
             return self
-        return PhaseSum(tuple((p + pe, a) for p, a in self.terms))
+        return PhaseSum._distinct([(p + pe, a) for p, a in self.terms])
 
     def conj(self) -> "PhaseSum":
-        return PhaseSum(tuple((-pe, a.conj()) for pe, a in self.terms))
+        return PhaseSum._distinct([(-pe, a.conj()) for pe, a in self.terms])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PhaseSum) and self.terms == other.terms
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash(self.terms)
         return self._hash
 
     def least_term(self) -> tuple[PhaseExponent, QI]:
@@ -609,6 +791,15 @@ class Scalar:
         self.den = den.shift(-pe).scale(inv)
 
     @classmethod
+    def _canonical(cls, num: PhaseSum, den: PhaseSum) -> "Scalar":
+        """Trusted constructor: ``den`` is already in canonical form, and
+        is ``_PS_ONE`` itself for denominator 1 and for a zero ``num``."""
+        obj = object.__new__(cls)
+        obj.num = num
+        obj.den = den
+        return obj
+
+    @classmethod
     def zero(cls) -> "Scalar":
         return _SC_ZERO
 
@@ -648,19 +839,29 @@ class Scalar:
 
     def __add__(self, other: "Scalar") -> "Scalar":
         if self.den is _PS_ONE and other.den is _PS_ONE:
-            return Scalar(self.num + other.num)
+            return Scalar._canonical(self.num + other.num, _PS_ONE)
         return Scalar(self.num * other.den + other.num * self.den, self.den * other.den)
 
     def __neg__(self) -> "Scalar":
-        return Scalar(-self.num, self.den)
+        return Scalar._canonical(-self.num, self.den)
 
     def __sub__(self, other: "Scalar") -> "Scalar":
         return self + (-other)
 
     def __mul__(self, other: "Scalar") -> "Scalar":
         if self.den is _PS_ONE and other.den is _PS_ONE:
-            return Scalar(self.num * other.num)
+            return Scalar._canonical(self.num * other.num, _PS_ONE)
         return Scalar(self.num * other.num, self.den * other.den)
+
+    def rotate(self, pe: PhaseExponent) -> "Scalar":
+        """This scalar times the unimodular phase e^{i*pe}.
+
+        Only the numerator's exponents move; the denominator, and with it
+        the canonical form, is unchanged.
+        """
+        if pe.is_zero():
+            return self
+        return Scalar._canonical(self.num.shift(pe), self.den)
 
     def inverse(self) -> "Scalar":
         if self.num.is_zero():
@@ -671,11 +872,15 @@ class Scalar:
         return self * other.inverse()
 
     def conj(self) -> "Scalar":
+        if self.den is _PS_ONE:
+            return Scalar._canonical(self.num.conj(), _PS_ONE)
         return Scalar(self.num.conj(), self.den.conj())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Scalar):
             return NotImplemented
+        if self.den is _PS_ONE and other.den is _PS_ONE:
+            return self.num == other.num
         if self.num == other.num and self.den == other.den:
             return True
         return self.num * other.den == other.num * self.den

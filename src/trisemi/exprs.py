@@ -262,7 +262,11 @@ class _Parser:
         q = Fraction(tok.text)
         if self.peek().kind == "/" and self.peek(1).kind == "num":
             self.advance()
-            q /= Fraction(self.expect("num").text)
+            den = self.expect("num")
+            d = Fraction(den.text)
+            if not d:
+                raise ParseError("zero denominator", (den.pos, den.pos + len(den.text)))
+            q /= d
         return -q if neg else q
 
     # dilation index -------------------------------------------------

@@ -91,6 +91,17 @@ def test_error_record_and_exit_code(capsys):
     assert 0 <= lo <= hi <= len("M(1") + 1
 
 
+@pytest.mark.parametrize("text", ["M(1/0)", "V(1/0)", "exp(i*1/0)", "M(s2@{1/0})"])
+def test_zero_denominator_exits_2_with_a_parse_record(capsys, text):
+    assert run(["--json", "normalize", text]) == 2
+    out, err = out_of(capsys)
+    assert out == ""
+    record = json.loads(err)["error"]
+    assert record["code"] == "parse"
+    lo, hi = record["span"]
+    assert text[lo:hi] == "0"
+
+
 def test_ideal_test_outside_ambient_is_an_error(capsys):
     assert run(["ideal-test", "--ideal", "cp", "V(1)"]) == 2
     _, err = out_of(capsys)

@@ -2,22 +2,29 @@
 
 import cmath
 import math
+import random
 import warnings
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
+from helpers import random_dilation, random_fraction, random_frequency, random_scalar
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trisemi import (
+    QI,
     AtomCollisionWarning,
     AtomTable,
     BohrCharacter,
     DilationIndex,
+    Element,
     Frequency,
     FrequencyAtom,
     IndeterminateSign,
     PhaseExponent,
+    PhaseMonomial,
+    PhaseSum,
     Scalar,
     dilation_sign,
     freq_scale_exp,
@@ -172,3 +179,171 @@ def test_bohr_character_commutes_with_dilation_scaling():
     f = Frequency.atom("s2", Fraction(1, 2)) + Frequency.rational(3)
     for t in (DilationIndex.unit(1), DilationIndex.single("h", Fraction(-3, 2))):
         assert chi.angle(freq_scale_exp(f, t)) == chi.angle(f)
+
+
+# ------------------------------------------- fast paths and lazy hashes
+
+
+def _items(x):
+    if isinstance(x, QI):
+        return (x.re, x.im)
+    return x.pairs if hasattr(x, "pairs") else x.terms
+
+
+def _assert_same(fast, general):
+    """A fast-path result is the general constructor's canonical form:
+    the same items tuple, equal, and with the same hash."""
+    assert type(fast) is type(general)
+    assert _items(fast) == _items(general)
+    assert fast == general
+    assert hash(fast) == hash(general)
+
+
+def _random_shifted_frequency(rng):
+    """A sum of e^t-scaled frequencies: one base can carry several
+    exponents, so an exponent shift can reorder the atoms."""
+    total = Frequency.zero()
+    for _ in range(rng.randint(1, 3)):
+        total = total + random_frequency(rng).scale_exp(random_dilation(rng))
+    return total
+
+
+def _random_exponent(rng):
+    return PhaseExponent.product(_random_shifted_frequency(rng), random_frequency(rng))
+
+
+def _random_phase_sum(rng, max_terms=3):
+    total = PhaseSum.zero()
+    for _ in range(rng.randint(1, max_terms)):
+        total = total + random_scalar(rng).num.shift(_random_exponent(rng))
+    return total
+
+
+def _random_qi(rng):
+    return QI(random_fraction(rng, 40, 30), random_fraction(rng, 40, 30))
+
+
+def test_fast_paths_match_the_general_constructors():
+    rng = random.Random(3001)
+    for _ in range(300):
+        t, u = random_dilation(rng), random_dilation(rng)
+        _assert_same(-t, DilationIndex([(s, -q) for s, q in t.pairs]))
+        _assert_same(t + u, DilationIndex(t.pairs + u.pairs))
+
+        f, g = random_frequency(rng), _random_shifted_frequency(rng)
+        q = random_fraction(rng)
+        _assert_same(-f, Frequency([(a, -c) for a, c in f.pairs]))
+        if q:
+            _assert_same(f.scale(q), Frequency([(a, c * q) for a, c in f.pairs]))
+        _assert_same(f + g, Frequency(f.pairs + g.pairs))
+        _assert_same(g.scale_exp(t), Frequency([(a.scaled(t), c) for a, c in g.pairs]))
+        assert all(type(c) is Fraction for _, c in (f + g).pairs + f.scale(q).pairs)
+
+        pe = PhaseExponent.product(f, g)
+        general = [(PhaseMonomial(tuple(b for b in (a.base, b.base) if b != "ONE"), a.exp + b.exp), qa * qb)
+                   for a, qa in f.pairs for b, qb in g.pairs]
+        _assert_same(pe, PhaseExponent(general))
+        _assert_same(-pe, PhaseExponent([(m, -c) for m, c in pe.terms]))
+        pe2 = _random_exponent(rng)
+        _assert_same(pe + pe2, PhaseExponent(pe.terms + pe2.terms))
+
+        a, b = random_scalar(rng).num, random_scalar(rng).num
+        assert len(a.terms) == len(b.terms) == 1
+        _assert_same(a * b, PhaseSum([(p + r, x * y) for p, x in a.terms for r, y in b.terms]))
+        _assert_same(a.shift(pe), PhaseSum([(p + pe, x) for p, x in a.terms]))
+
+        s, w = _random_phase_sum(rng), _random_phase_sum(rng)
+        amp = _random_qi(rng)
+        _assert_same(-s, PhaseSum([(p, -x) for p, x in s.terms]))
+        if not amp.is_zero():
+            _assert_same(s.scale(amp), PhaseSum([(p, x * amp) for p, x in s.terms]))
+        _assert_same(s.shift(pe), PhaseSum([(p + pe, x) for p, x in s.terms]))
+        _assert_same(s.conj(), PhaseSum([(-p, x.conj()) for p, x in s.terms]))
+        _assert_same(s + w, PhaseSum(s.terms + w.terms))
+        for left, right in ((s, a), (a, s), (s, w)):
+            _assert_same(left * right, PhaseSum([(p + r, x * y) for p, x in left.terms for r, y in right.terms]))
+
+
+def test_qi_ops_match_fraction_arithmetic():
+    rng = random.Random(3002)
+    for _ in range(400):
+        x, y = _random_qi(rng), _random_qi(rng)
+        xr, xi, yr, yi = x.re, x.im, y.re, y.im
+        assert type(xr) is Fraction and type(xi) is Fraction
+        _assert_same(x + y, QI(xr + yr, xi + yi))
+        _assert_same(x - y, QI(xr - yr, xi - yi))
+        _assert_same(-x, QI(-xr, -xi))
+        _assert_same(x * y, QI(xr * yr - xi * yi, xr * yi + xi * yr))
+        _assert_same(x.conj(), QI(xr, -xi))
+        assert x.abs2() == xr * xr + xi * xi
+        assert x.is_zero() == (not xr and not xi)
+        assert x.to_complex() == complex(xr) + 1j * complex(xi)
+        if not x.is_zero():
+            n = xr * xr + xi * xi
+            _assert_same(x.inverse(), QI(xr / n, -xi / n))
+    _assert_same(QI(Fraction(2, 4), 0.5), QI(Fraction(1, 2), Fraction(1, 2)))
+    _assert_same(QI(3, -6) * QI(Fraction(1, 3)), QI(1, -2))
+    _assert_same(QI(Fraction(1, 2)) + QI(Fraction(1, 2)), QI(1))
+
+
+def test_scalar_fast_paths_match_the_general_constructor():
+    rng = random.Random(3003)
+    one = Scalar.one()
+    for _ in range(200):
+        c, d = random_scalar(rng), random_scalar(rng)
+        angle = Fraction(rng.randint(1, 5), rng.randint(1, 3))
+        fraction = c / (one + Scalar.rational_angle(angle))  # two-term denominator
+        assert len(fraction.den.terms) == 2
+        pe = _random_exponent(rng)
+        for x in (c, fraction):
+            fast, general = x.rotate(pe), x * Scalar.phase(pe)
+            _assert_same(fast.num, general.num)
+            _assert_same(fast.den, general.den)
+            assert fast.den is x.den
+            _assert_same((-x).num, Scalar(-x.num, x.den).num)
+            _assert_same(x.conj().num, Scalar(x.num.conj(), x.den.conj()).num)
+            _assert_same(x.conj().den, Scalar(x.num.conj(), x.den.conj()).den)
+        _assert_same((c * d).num, Scalar(c.num * d.num, c.den * d.den).num)
+        _assert_same((c + d).num, Scalar(c.num + d.num).num)
+        assert (c * d).den is PhaseSum.one()
+        assert (c == d) == (c.num * d.den == d.num * c.den)
+    assert (Scalar.one() - Scalar.one()).den is PhaseSum.one()
+
+
+def test_equal_objects_hash_equal():
+    rng = random.Random(3004)
+    for _ in range(200):
+        t, u = random_dilation(rng), random_dilation(rng)
+        f, g = random_frequency(rng), random_frequency(rng)
+        pairs = [
+            (t + u, u + t),
+            ((t + u) - u, t),
+            (f + g, g + f),
+            ((f + g) - g, f),
+            (f.scale_exp(t).scale_exp(u), f.scale_exp(u + t)),
+            (phase_product(f, g), phase_product(g, f)),
+            (phase_product(f + g, g), phase_product(f, g) + phase_product(g, g)),
+        ]
+        a, b = random_scalar(rng).num, random_scalar(rng).num
+        pairs += [(a * b, b * a), ((a + b) - b, a)]
+        x, y = _random_qi(rng), _random_qi(rng)
+        pairs += [(x * y, y * x), ((x + y) - y, x), (x.conj().conj(), x)]
+        for left, right in pairs:
+            assert left == right
+            assert hash(left) == hash(right)
+
+
+def test_constructors_accept_any_mapping():
+    proxy = MappingProxyType
+    atom = FrequencyAtom("s2")
+    mono = PhaseMonomial(("s2",))
+    pe = PhaseExponent.rational(1)
+    key = (Frequency.rational(1), Frequency.zero(), DilationIndex.zero())
+    assert DilationIndex(proxy({"h": 1, "UNIT": Fraction(1, 2)})) == DilationIndex(
+        [("UNIT", Fraction(1, 2)), ("h", 1)]
+    )
+    assert Frequency(proxy({atom: 2})) == Frequency.atom("s2", 2)
+    assert PhaseExponent(proxy({mono: Fraction(1, 3)})) == PhaseExponent([(mono, Fraction(1, 3))])
+    assert PhaseSum(proxy({pe: QI(1)})) == PhaseSum.phase(pe)
+    assert Element(proxy({key: Scalar.one()})) == Element.m(1)
+    assert BohrCharacter(proxy({"s2": Fraction(1, 3)})) == BohrCharacter([("s2", Fraction(1, 3))])

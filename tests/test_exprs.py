@@ -77,6 +77,15 @@ def test_parse_errors_carry_spans():
         parse_frequency("1 + ")
 
 
+@pytest.mark.parametrize("text", ["M(1/0)", "V(1/0)", "exp(i*1/0)", "M(s2@{1/0})", "D(3/0.0)"])
+def test_zero_denominator_is_a_parse_error(text):
+    with pytest.raises(ParseError) as info:
+        parse_element(text)
+    start, end = info.value.span
+    assert text[start:end] in ("0", "0.0")
+    assert text[start - 1] == "/"
+
+
 def test_thousand_random_round_trips():
     rng = random.Random(2024)
     for _ in range(1000):
