@@ -22,8 +22,9 @@ from .errors import (
     GroupModeError,
     IllegalFlip,
     IndeterminateSign,
-    NonIntegerLattice,
+    InvalidParameter,
     InvalidScale,
+    NonIntegerLattice,
     NotAnalytic,
     NotFound,
     NotInAmbient,

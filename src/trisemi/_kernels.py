@@ -1,234 +1,98 @@
-"""Numeric hot loops, in two interchangeable implementations.
+"""Numeric kernels of the analysis layer, one numpy function per formula.
 
-Every kernel exists as a pure numpy version (``*_numpy``) and, when
-numba is importable, a compiled version (``*_numba``) built from the
-same scalar loop.  The active set is chosen at import time: numba when
-available, numpy when it is not or when ``TRISEMI_NO_NUMBA`` is set to
-a truthy value.  Both versions stay importable so the benchmark can
-compare them directly.
+The Fejér and trapezoid kernels are closed-form ratios of sines, O(1) per
+point, evaluated on the half-angle reduced modulo pi: there the ratio is
+accurate and its removable singularity has an exact limit.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_TRUTHY = {"1", "true", "yes", "on"}
-
-
-def _numba_disabled() -> bool:
-    return os.environ.get("TRISEMI_NO_NUMBA", "").strip().lower() in _TRUTHY
-
-
-try:
-    from numba import njit
-
-    NUMBA_AVAILABLE = True
-except Exception:  # pragma: no cover - exercised only without numba
-    njit = None
-    NUMBA_AVAILABLE = False
-
-
-# ------------------------------------------------------------ scalar loops
-# Written once, njit-compatible; the numba variants compile these directly.
-
-
-def _recurrence_devs_loop(freqs, m_max):
-    out = np.empty(m_max, dtype=np.float64)
-    for m in range(1, m_max + 1):
-        worst = 0.0
-        for j in range(freqs.shape[0]):
-            d = 2.0 * abs(np.sin(0.5 * freqs[j] * m))
-            if d > worst:
-                worst = d
-        out[m - 1] = worst
-    return out
-
-
-def _successive_minima_loop(devs, eps):
-    # indices (0-based) where devs[i] < eps and devs[i] < all earlier devs
-    flags = np.zeros(devs.shape[0], dtype=np.bool_)
-    best = np.inf
-    for i in range(devs.shape[0]):
-        if devs[i] < eps and devs[i] < best:
-            flags[i] = True
-        if devs[i] < best:
-            best = devs[i]
-    return flags
-
-
-def _packet_inner_matrix_loop(amp1, a1, b1, c1, amp2, a2, b2, c2):
-    n = amp1.shape[0]
-    m = amp2.shape[0]
-    out = np.empty((n, m), dtype=np.complex128)
-    for i in range(n):
-        for j in range(m):
-            aa = np.conj(a2[j])
-            bb = np.conj(b2[j])
-            p = a1[i] + aa
-            q = 2.0 * a1[i] * b1[i] + 2.0 * aa * bb + 1j * (c1[i] - np.conj(c2[j]))
-            r = -(a1[i] * b1[i] * b1[i] + aa * bb * bb)
-            out[i, j] = (
-                amp1[i]
-                * np.conj(amp2[j])
-                * np.sqrt(np.pi / p)
-                * np.exp(q * q / (4.0 * p) + r)
-            )
-    return out
-
-
-def _phase_mean_weights_loop(deltas, T, steps):
-    # (1/2T) * trapezoid of exp(i t delta) over [-T, T] with `steps` panels
-    h = 2.0 * T / steps
-    out = np.empty(deltas.shape[0], dtype=np.complex128)
-    for k in range(deltas.shape[0]):
-        acc = 0.0 + 0.0j
-        for j in range(steps + 1):
-            t = -T + h * j
-            w = 0.5 if (j == 0 or j == steps) else 1.0
-            acc += w * np.exp(1j * t * deltas[k])
-        out[k] = acc * h / (2.0 * T)
-    return out
-
-
-def _bf_kernel_values_loop(ts, betas, fac):
-    # K(t) = prod_j [1 + 2 sum_{v=1}^{N-1} (1 - v/N) cos(t v beta_j / fac)]
-    big = fac * fac
-    out = np.empty(ts.shape[0], dtype=np.float64)
-    for i in range(ts.shape[0]):
-        total = 1.0
-        for j in range(betas.shape[0]):
-            acc = 1.0
-            base = ts[i] * betas[j] / fac
-            for v in range(1, big):
-                acc += 2.0 * (1.0 - v / big) * np.cos(base * v)
-            total *= acc
-        out[i] = total
-    return out
-
-
-# ------------------------------------------------------------ numpy forms
-
-
-def recurrence_devs_numpy(freqs, m_max):
-    freqs = np.asarray(freqs, dtype=np.float64)
-    if freqs.size == 0:
-        return np.zeros(m_max, dtype=np.float64)
-    out = np.empty(m_max, dtype=np.float64)
-    chunk = 1 << 16
-    start = 0
-    while start < m_max:
-        stop = min(start + chunk, m_max)
-        ms = np.arange(start + 1, stop + 1, dtype=np.float64)
-        devs = 2.0 * np.abs(np.sin(0.5 * np.outer(ms, freqs)))
-        out[start:stop] = devs.max(axis=1)
-        start = stop
-    return out
-
-
-def successive_minima_numpy(devs, eps):
-    devs = np.asarray(devs, dtype=np.float64)
-    if devs.size == 0:
-        return np.zeros(0, dtype=np.bool_)
-    prior = np.concatenate(([np.inf], np.minimum.accumulate(devs)[:-1]))
-    return (devs < eps) & (devs < prior)
-
-
-def packet_inner_matrix_numpy(amp1, a1, b1, c1, amp2, a2, b2, c2):
-    a1 = np.asarray(a1, dtype=np.complex128)[:, None]
-    b1 = np.asarray(b1, dtype=np.complex128)[:, None]
-    c1 = np.asarray(c1, dtype=np.complex128)[:, None]
-    amp1 = np.asarray(amp1, dtype=np.complex128)[:, None]
-    aa = np.conj(np.asarray(a2, dtype=np.complex128))[None, :]
-    bb = np.conj(np.asarray(b2, dtype=np.complex128))[None, :]
-    cc = np.conj(np.asarray(c2, dtype=np.complex128))[None, :]
-    amp2 = np.conj(np.asarray(amp2, dtype=np.complex128))[None, :]
-    p = a1 + aa
-    q = 2.0 * a1 * b1 + 2.0 * aa * bb + 1j * (c1 - cc)
-    r = -(a1 * b1 * b1 + aa * bb * bb)
-    return amp1 * amp2 * np.sqrt(np.pi / p) * np.exp(q * q / (4.0 * p) + r)
-
-
-def phase_mean_weights_numpy(deltas, T, steps):
-    deltas = np.asarray(deltas, dtype=np.float64)
-    t = np.linspace(-T, T, steps + 1)
-    w = np.ones(steps + 1)
-    w[0] = w[-1] = 0.5
-    h = 2.0 * T / steps
-    phases = np.exp(1j * np.outer(deltas, t))
-    return (phases @ w) * h / (2.0 * T)
-
-
-def bf_kernel_values_numpy(ts, betas, fac):
-    ts = np.asarray(ts, dtype=np.float64)
-    betas = np.asarray(betas, dtype=np.float64)
-    big = fac * fac
-    nus = np.arange(1, big, dtype=np.float64)
-    weights = 2.0 * (1.0 - nus / big)
-    out = np.ones_like(ts)
-    for beta in betas:
-        angles = np.outer(ts, nus * (beta / fac))
-        out = out * (1.0 + np.cos(angles) @ weights)
-    return out
-
-
-# ------------------------------------------------------------- dispatch
-
-if NUMBA_AVAILABLE:
-    recurrence_devs_numba = njit(cache=True)(_recurrence_devs_loop)
-    successive_minima_numba = njit(cache=True)(_successive_minima_loop)
-    packet_inner_matrix_numba = njit(cache=True)(_packet_inner_matrix_loop)
-    phase_mean_weights_numba = njit(cache=True)(_phase_mean_weights_loop)
-    bf_kernel_values_numba = njit(cache=True)(_bf_kernel_values_loop)
-else:  # pragma: no cover - exercised only without numba
-    recurrence_devs_numba = None
-    successive_minima_numba = None
-    packet_inner_matrix_numba = None
-    phase_mean_weights_numba = None
-    bf_kernel_values_numba = None
-
-_USE_NUMBA = NUMBA_AVAILABLE and not _numba_disabled()
+_CHUNK = 1 << 16
 
 
 def active_backend() -> str:
-    return "numba" if _USE_NUMBA else "numpy"
+    return "numpy"
 
 
-def _asfloat(x):
-    return np.ascontiguousarray(np.asarray(x, dtype=np.float64))
-
-
-def _ascomplex(x):
-    return np.ascontiguousarray(np.asarray(x, dtype=np.complex128))
+def _reduce_half(half):
+    """(r, k) with half = r + pi k, k an integer and |r| <= pi/2."""
+    k = np.round(half / np.pi)
+    return half - np.pi * k, k
 
 
 def recurrence_devs(freqs, m_max):
-    if _USE_NUMBA:
-        return recurrence_devs_numba(_asfloat(freqs), int(m_max))
-    return recurrence_devs_numpy(freqs, int(m_max))
+    """max_j |e^{i f_j m} - 1| = 2 max_j |sin(f_j m / 2)| for m = 1..m_max."""
+    freqs = np.asarray(freqs, dtype=np.float64).ravel()
+    out = np.zeros(int(m_max), dtype=np.float64)
+    buf = np.empty(min(_CHUNK, out.size), dtype=np.float64)
+    for start in range(0, out.size, _CHUNK):
+        view = out[start : start + _CHUNK]
+        ms = np.arange(start + 1, start + view.size + 1, dtype=np.float64)
+        dev = buf[: view.size]
+        for f in freqs:
+            # one reused buffer: fresh chunk temporaries cost more than sin
+            np.multiply(ms, f, out=dev)
+            dev *= 0.5
+            np.abs(np.sin(dev, out=dev), out=dev)
+            np.maximum(view, dev, out=view)
+    out *= 2.0
+    return out
 
 
 def successive_minima(devs, eps):
-    if _USE_NUMBA:
-        return successive_minima_numba(_asfloat(devs), float(eps))
-    return successive_minima_numpy(devs, float(eps))
+    """Flags of the entries below eps and below every earlier entry; an
+    entry below eps beats every earlier one at or above eps, so only the
+    entries below eps need the running minimum."""
+    devs = np.asarray(devs, dtype=np.float64)
+    hits = np.flatnonzero(devs < eps)
+    vals = devs[hits]
+    prior = np.concatenate(([np.inf], np.minimum.accumulate(vals)[:-1]))
+    flags = np.zeros(devs.shape, dtype=np.bool_)
+    flags[hits[vals < prior]] = True
+    return flags
 
 
-def packet_inner_matrix(amp1, a1, b1, c1, amp2, a2, b2, c2):
-    args = (amp1, a1, b1, c1, amp2, a2, b2, c2)
-    if _USE_NUMBA:
-        return packet_inner_matrix_numba(*(_ascomplex(v) for v in args))
-    return packet_inner_matrix_numpy(*args)
+def gaussian_inner(amp1, a1, b1, c1, amp2, a2, b2, c2):
+    """Integral of amp1 e^{-a1 (x-b1)^2 + i c1 x} times the conjugate of
+    amp2 e^{-a2 (x-b2)^2 + i c2 x}, broadcasting over the arguments."""
+    aa = np.conj(a2)
+    bb = np.conj(b2)
+    p = a1 + aa
+    q = 2.0 * a1 * b1 + 2.0 * aa * bb + 1j * (c1 - np.conj(c2))
+    r = -(a1 * b1 * b1 + aa * bb * bb)
+    return amp1 * np.conj(amp2) * np.sqrt(np.pi / p) * np.exp(q * q / (4.0 * p) + r)
 
 
 def phase_mean_weights(deltas, T, steps):
-    if _USE_NUMBA:
-        return phase_mean_weights_numba(_asfloat(deltas), float(T), int(steps))
-    return phase_mean_weights_numpy(deltas, float(T), int(steps))
+    """(1/2T) times the trapezoid rule for the integral of e^{i t delta}
+    over [-T, T] with `steps` panels of width h = 2T/steps.
+
+    The sum is (h/2T) sin(T delta) cot(h delta/2).  With h delta/2 =
+    r + pi k this is (-1)^{steps k} sin(steps r) cos(r) / (steps sin r),
+    and (-1)^{steps k} at r = 0.
+    """
+    r, k = _reduce_half(np.asarray(deltas, dtype=np.float64) * (T / steps))
+    sign = np.where((steps % 2 == 1) & (np.fmod(k, 2.0) != 0.0), -1.0, 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.sin(steps * r) * np.cos(r) / (steps * np.sin(r))
+    return sign * np.where(r == 0.0, 1.0, ratio)
 
 
 def bf_kernel_values(ts, betas, fac):
-    if _USE_NUMBA:
-        return bf_kernel_values_numba(_asfloat(ts), _asfloat(betas), int(fac))
-    return bf_kernel_values_numpy(ts, betas, int(fac))
+    """prod_j F_N(t beta_j / fac) with N = fac^2 and the Fejér kernel
+    F_N(x) = sum_{|v|<N} (1 - |v|/N) e^{ivx} = (1/N) (sin(N x/2) / sin(x/2))^2.
+
+    With x/2 = r + pi k the square cancels the sign, so F_N(x) =
+    (1/N) (sin(N r) / sin r)^2, and N at r = 0.
+    """
+    ts = np.asarray(ts, dtype=np.float64)
+    big = fac * fac
+    out = np.ones_like(ts)
+    for beta in np.asarray(betas, dtype=np.float64):
+        r, _ = _reduce_half(0.5 * (ts * (beta / fac)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.sin(big * r) / np.sin(r)
+        out *= np.where(r == 0.0, float(big), ratio * ratio / big)
+    return out

@@ -15,7 +15,13 @@ import numpy as np
 
 from . import _kernels
 from .algebra import Axis, Element, as_dilation, as_frequency
-from .errors import AxisMismatch, BasisTooShort, NonIntegerLattice, NotFound
+from .errors import (
+    AxisMismatch,
+    BasisTooShort,
+    InvalidParameter,
+    NonIntegerLattice,
+    NotFound,
+)
 from .exactnum import (
     AtomTable,
     DilationIndex,
@@ -42,7 +48,7 @@ def normalize_grading(grading) -> str:
         grading = grading.value
     key = str(grading).strip().lower()
     if key not in _GRADING_ALIASES:
-        raise ValueError(f"unknown grading {grading!r}")
+        raise InvalidParameter(f"unknown grading {grading!r}")
     return _GRADING_ALIASES[key]
 
 
@@ -154,7 +160,7 @@ class BFSpec:
 
     def __post_init__(self):
         if self.m < 1:
-            raise ValueError("section order m must be at least 1")
+            raise InvalidParameter("section order m must be at least 1")
         object.__setattr__(self, "grading", normalize_grading(self.grading))
 
 
@@ -290,9 +296,9 @@ def cesaro_mean(
     grading = normalize_grading(grading)
     table = table or AtomTable.default()
     if T <= 0:
-        raise ValueError("averaging length T must be positive")
+        raise InvalidParameter("averaging length T must be positive")
     if steps < 2:
-        raise ValueError("need at least two quadrature panels")
+        raise InvalidParameter("need at least two quadrature panels")
     if grading in ("translation", "multiplication"):
         s = as_frequency(s)
         if any(not key[2].is_zero() for key in x.terms):
@@ -323,7 +329,7 @@ def cesaro_mean(
     weights = _kernels.phase_mean_weights(np.array(deltas), float(T), int(steps))
     out: dict = {}
     for (stripped, coeff), w in zip(entries, weights):
-        scaled = coeff * Scalar.gaussian(_frac(w.real), _frac(w.imag))
+        scaled = coeff * Scalar.from_rational(_frac(float(w)))
         if stripped in out:
             out[stripped] = out[stripped] + scaled
         else:
@@ -344,7 +350,7 @@ def bf_kernel_many(
     basis: RationalBasis, m: int, ts, table: AtomTable | None = None
 ):
     if m < 1:
-        raise ValueError("kernel order m must be at least 1")
+        raise InvalidParameter("kernel order m must be at least 1")
     if m > len(basis):
         raise BasisTooShort(
             f"kernel order {m} exceeds basis length {len(basis)}"
@@ -360,10 +366,10 @@ def bf_kernel_many(
 def recurrence_search(freqs, eps: float, limit: int) -> int:
     """Smallest integer M in [1, limit] with |e^{i f M} - 1| < eps for all f."""
     if eps <= 0:
-        raise ValueError("tolerance must be positive")
+        raise InvalidParameter("tolerance must be positive")
     limit = int(limit)
     if limit < 1:
-        raise ValueError("scan limit must be at least 1")
+        raise InvalidParameter("scan limit must be at least 1")
     devs = _kernels.recurrence_devs(np.asarray(list(freqs), dtype=float), limit)
     hits = np.nonzero(devs < eps)[0]
     if hits.size == 0:
@@ -377,10 +383,10 @@ def recurrence_search(freqs, eps: float, limit: int) -> int:
 def recurrence_schedule(freqs, eps: float, limit: int) -> list[int]:
     """Recurrence times with strictly improving deviation, in scan order."""
     if eps <= 0:
-        raise ValueError("tolerance must be positive")
+        raise InvalidParameter("tolerance must be positive")
     limit = int(limit)
     if limit < 1:
-        raise ValueError("scan limit must be at least 1")
+        raise InvalidParameter("scan limit must be at least 1")
     devs = _kernels.recurrence_devs(np.asarray(list(freqs), dtype=float), limit)
     flags = _kernels.successive_minima(devs, eps)
     ms = (np.nonzero(flags)[0] + 1).tolist()

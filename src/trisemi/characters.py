@@ -16,7 +16,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import AlgebraId, Element, support_predicate
-from .errors import GroupModeError, NotAnalytic, NotInDomain, UntrustedCharacterWarning
+from .errors import (
+    GroupModeError,
+    InvalidParameter,
+    NotAnalytic,
+    NotInDomain,
+    UntrustedCharacterWarning,
+)
 from .exactnum import (
     AtomTable,
     BohrCharacter,
@@ -52,7 +58,7 @@ class APPoint:
     def __post_init__(self):
         object.__setattr__(self, "decay", _frac(self.decay))
         if self.decay < 0:
-            raise ValueError("decay rate must be nonnegative")
+            raise InvalidParameter("decay rate must be nonnegative")
 
     @classmethod
     def finite(cls, char: BohrCharacter | None = None, decay=0) -> "APPoint":
@@ -107,7 +113,7 @@ class DiscPoint:
 
     def __post_init__(self):
         if abs(self.w) > 1 + 1e-12:
-            raise ValueError("disc point must have modulus at most 1")
+            raise InvalidParameter("disc point must have modulus at most 1")
 
     def value(self, t: DilationIndex) -> complex:
         n = t.integer_unit()

@@ -14,6 +14,12 @@ class EngineError(Exception):
     code = "engine"
 
 
+class InvalidParameter(EngineError, ValueError):
+    """A numeric or named parameter outside its allowed range or set."""
+
+    code = "invalid-parameter"
+
+
 class IndeterminateSign(EngineError):
     """A numeric frequency value fell inside the sign guard band."""
 

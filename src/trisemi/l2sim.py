@@ -33,7 +33,12 @@ from .algebra import (
     compress,
     mul,
 )
-from .errors import AxisMismatch, DivergentPacket, ScheduleTooShort
+from .errors import (
+    AxisMismatch,
+    DivergentPacket,
+    InvalidParameter,
+    ScheduleTooShort,
+)
 from .exactnum import (
     AtomTable,
     DilationIndex,
@@ -103,23 +108,6 @@ class GaussianPacket:
         return GaussianPacket(amp, 1 / (4 * self.a), -self.c, self.b)
 
 
-def packet_inner_single(f: GaussianPacket, g: GaussianPacket) -> complex:
-    """Closed form of the integral of f times conjugate g."""
-    aa = complex(g.a).conjugate()
-    bb = complex(g.b).conjugate()
-    p = f.a + aa
-    if not complex(p).real > 0:
-        raise DivergentPacket("combined width has nonpositive real part")
-    q = 2 * f.a * f.b + 2 * aa * bb + 1j * (f.c - complex(g.c).conjugate())
-    r = -(f.a * f.b * f.b + aa * bb * bb)
-    return (
-        f.amp
-        * complex(g.amp).conjugate()
-        * cmath.sqrt(cmath.pi / p)
-        * cmath.exp(q * q / (4 * p) + r)
-    )
-
-
 class PacketSum:
     """Finite linear combination of Gaussian packets."""
 
@@ -175,9 +163,9 @@ class PacketSum:
     def inner(self, other: "PacketSum") -> complex:
         if not self.packets or not other.packets:
             return 0j
-        left = self._arrays()
-        right = other._arrays()
-        return complex(_kernels.packet_inner_matrix(*left, *right).sum())
+        left = (v[:, None] for v in self._arrays())
+        right = (v[None, :] for v in other._arrays())
+        return complex(_kernels.gaussian_inner(*left, *right).sum())
 
     def norm_sq(self) -> float:
         return max(self.inner(self).real, 0.0)
@@ -249,20 +237,11 @@ def relation_residual(kind: str, params, f: PacketSum) -> float:
         lhs = f.translate(mu).dilate(t)
         rhs = f.dilate(t).translate(math.exp(-t) * mu)
     else:
-        raise ValueError(f"unknown relation {kind!r}")
+        raise InvalidParameter(f"unknown relation {kind!r}")
     return (lhs - rhs).norm()
 
 
 # ------------------------------------------------------------- norm bounds
-
-
-def _inner_elementwise(amp1, a1, b1, c1, amp2, a2, b2, c2):
-    aa = np.conj(a2)
-    bb = np.conj(b2)
-    p = a1 + aa
-    q = 2.0 * a1 * b1 + 2.0 * aa * bb + 1j * (c1 - np.conj(c2))
-    r = -(a1 * b1 * b1 + aa * bb * bb)
-    return np.conj(amp2) * amp1 * np.sqrt(np.pi / p) * np.exp(q * q / (4.0 * p) + r)
 
 
 def sample_widths_centers(rng, trials: int):
@@ -287,7 +266,7 @@ def norm_lower_bound(
     periodic multipliers toward their sup norm.
     """
     if trials < 1:
-        raise ValueError("need at least one trial")
+        raise InvalidParameter("need at least one trial")
     table = table or AtomTable.default()
     rng = np.random.default_rng(seed)
     a, b, c = sample_widths_centers(rng, trials)
@@ -319,11 +298,11 @@ def norm_lower_bound(
         tc = tc + lam_n
         rows.append((tamp, ta, tb, tc))
 
-    base_sq = _inner_elementwise(amp, a, b, c, amp, a, b, c).real
+    base_sq = _kernels.gaussian_inner(amp, a, b, c, amp, a, b, c).real
     image_sq = np.zeros_like(base_sq)
     for r1 in rows:
         for r2 in rows:
-            image_sq = image_sq + _inner_elementwise(*r1, *r2).real
+            image_sq = image_sq + _kernels.gaussian_inner(*r1, *r2).real
     ratios = np.sqrt(np.maximum(image_sq, 0.0) / base_sq)
     return float(ratios.max()) if len(rows) else 0.0
 
@@ -398,7 +377,7 @@ def lr_apply(
                 moved = xi.translate(mu_eff).modulate(lam_eff).scale(z)
                 out.add_component(target, moved)
         return out
-    raise ValueError(f"unknown grading {grading!r}")
+    raise InvalidParameter(f"unknown grading {grading!r}")
 
 
 def column_norms(

@@ -102,6 +102,25 @@ def test_zero_denominator_exits_2_with_a_parse_record(capsys, text):
     assert text[lo:hi] == "0"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cesaro", "--index", "0", "--T", "-1", "D(1)"],
+        ["bf", "--m", "0", "D(1)"],
+        ["gauge", "--grading", "foo", "--theta", "1", "D(1)"],
+        ["recurrence", "--freqs", "1", "--eps", "0.05", "--limit", "0"],
+        ["sim-norm-bound", "--trials", "0", "D(1)"],
+        ["char-eval", "--family", "d3", "--w", "2", "D(1)"],
+        ["char-eval", "--family", "d1", "--y", "-1", "M(1)"],
+    ],
+)
+def test_invalid_parameter_exits_2_with_a_record(capsys, argv):
+    assert run(["--json", *argv]) == 2
+    out, err = out_of(capsys)
+    assert out == ""
+    assert json.loads(err)["error"]["code"] == "invalid-parameter"
+
+
 def test_ideal_test_outside_ambient_is_an_error(capsys):
     assert run(["ideal-test", "--ideal", "cp", "V(1)"]) == 2
     _, err = out_of(capsys)
