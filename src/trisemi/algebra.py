@@ -29,6 +29,7 @@ from .exactnum import (
     Frequency,
     PhaseExponent,
     Scalar,
+    _merged,
     dilation_sign,
     freq_sign,
 )
@@ -159,15 +160,14 @@ class Element:
 
     def __init__(self, terms: Mapping[Key, Scalar] | Iterable[tuple] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[Key, Scalar] = {}
-        for key, c in items:
-            prev = acc.get(key)
-            total = c if prev is None else prev + c
-            if total.is_zero():
-                acc.pop(key, None)
-            else:
-                acc[key] = total
-        self.terms = acc
+        self.terms = _merged(items, Scalar.is_zero)
+
+    @classmethod
+    def _canonical(cls, terms: dict) -> "Element":
+        """Trusted constructor for a dict with no zero coefficient."""
+        obj = object.__new__(cls)
+        obj.terms = terms
+        return obj
 
     @classmethod
     def zero(cls) -> "Element":
@@ -220,22 +220,11 @@ class Element:
             return other
         if not other.terms:
             return self
-        merged = dict(self.terms)
-        for key, c in other.terms.items():
-            prev = merged.get(key)
-            total = c if prev is None else prev + c
-            if total.is_zero():
-                merged.pop(key, None)
-            else:
-                merged[key] = total
-        out = Element.__new__(Element)
-        out.terms = merged
-        return out
+        merged = _merged(other.terms.items(), Scalar.is_zero, dict(self.terms))
+        return Element._canonical(merged)
 
     def __neg__(self) -> "Element":
-        out = Element.__new__(Element)
-        out.terms = {k: -c for k, c in self.terms.items()}
-        return out
+        return Element._canonical({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other: "Element") -> "Element":
         return self + (-other)
@@ -275,22 +264,15 @@ class Element:
 
 def mul(x: Element, y: Element) -> Element:
     """Product in the algebra, one exact phase per monomial pair."""
-    out: dict[Key, Scalar] = {}
+    items = []
     for (lam1, mu1, t1), c1 in x.terms.items():
         neg_mu1, neg_t1 = -mu1, -t1
         for (lam2, mu2, t2), c2 in y.terms.items():
             scaled = lam2.scale_exp(t1)
             c = (c1 * c2).rotate(PhaseExponent.product(scaled, neg_mu1))
             key = (lam1 + scaled, mu1 + mu2.scale_exp(neg_t1), t1 + t2)
-            prev = out.get(key)
-            total = c if prev is None else prev + c
-            if total.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = total
-    result = Element.__new__(Element)
-    result.terms = out
-    return result
+            items.append((key, c))
+    return Element(items)
 
 
 def adjoint(x: Element) -> Element:
@@ -300,21 +282,13 @@ def adjoint(x: Element) -> Element:
     form is conj(c) e^{i <e^-t (-lam), e^t mu>} M(-e^-t lam) D(-e^t mu) V(-t):
     the word rewritten in place, without building its letters.
     """
-    out: dict[Key, Scalar] = {}
+    items = []
     for (lam, mu, t), c in x.terms.items():
         back = mu.scale_exp(t)
         mod = (-lam).scale_exp(-t)
         coeff = c.conj().rotate(PhaseExponent.product(mod, back))
-        key = (mod, -back, -t)
-        prev = out.get(key)
-        total = coeff if prev is None else prev + coeff
-        if total.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = total
-    result = Element.__new__(Element)
-    result.terms = out
-    return result
+        items.append(((mod, -back, -t), coeff))
+    return Element(items)
 
 
 class Axis(Enum):
@@ -477,7 +451,7 @@ def _dil_exact_numeric(t: DilationIndex, table: AtomTable | None) -> Fraction:
         return t.exact_numeric(table)
     if not t.unit_only():
         raise ValueError("atom table required for non UNIT dilation symbols")
-    return sum((q for _s, q in t.pairs), Fraction(0))
+    return sum((q for _s, q in t.terms), Fraction(0))
 
 
 def apply_automorphism(

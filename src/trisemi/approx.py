@@ -87,7 +87,7 @@ class RationalBasis:
         rows: list[tuple[object, dict, list[Fraction]]] = []
         coords: dict = {}
         for f in freqs:
-            vec = {atom: q for atom, q in f.pairs}
+            vec = {atom: q for atom, q in f.terms}
             reduced, combo = self._reduce(vec, rows, len(basis))
             if reduced:
                 pivot = min(reduced, key=lambda a: a.key())
@@ -136,7 +136,7 @@ class RationalBasis:
         hit = self.coords.get(f.key())
         if hit is not None:
             return hit
-        vec = {atom: q for atom, q in f.pairs}
+        vec = {atom: q for atom, q in f.terms}
         rem, combo = self._reduce(vec, self._rows, len(self.basis))
         if rem:
             return None
@@ -198,6 +198,18 @@ def _section_weight(coords, fac: int, strict: bool) -> Fraction:
     return weight
 
 
+def _section_setup(x: Element, spec: BFSpec) -> tuple[RationalBasis, int]:
+    """The support basis of x along the spec's grading, checked to fit the
+    section order, and the lattice factor m!."""
+    basis = support_basis(x, spec.grading)
+    if len(basis) > spec.m:
+        raise BasisTooShort(
+            f"support spans {len(basis)} independent directions, "
+            f"section order is {spec.m}"
+        )
+    return basis, math.factorial(spec.m)
+
+
 def bochner_fejer(x: Element, spec: BFSpec, strict: bool = False) -> Element:
     """Weighted section of x along the grading of the given spec.
 
@@ -206,13 +218,7 @@ def bochner_fejer(x: Element, spec: BFSpec, strict: bool = False) -> Element:
     points whose coordinates miss the order-m lattice are dropped, or
     rejected when strict is set.
     """
-    basis = support_basis(x, spec.grading)
-    if len(basis) > spec.m:
-        raise BasisTooShort(
-            f"support spans {len(basis)} independent directions, "
-            f"section order is {spec.m}"
-        )
-    fac = math.factorial(spec.m)
+    basis, fac = _section_setup(x, spec)
     out: dict = {}
     for key, coeff in x.terms.items():
         coords = basis.coords_of(_grading_vector(key, spec.grading))
@@ -224,13 +230,7 @@ def bochner_fejer(x: Element, spec: BFSpec, strict: bool = False) -> Element:
 
 def section_weights(x: Element, spec: BFSpec) -> dict:
     """Surviving weight per support index, as exact fractions."""
-    basis = support_basis(x, spec.grading)
-    if len(basis) > spec.m:
-        raise BasisTooShort(
-            f"support spans {len(basis)} independent directions, "
-            f"section order is {spec.m}"
-        )
-    fac = math.factorial(spec.m)
+    basis, fac = _section_setup(x, spec)
     out = {}
     for key, _ in x.sorted_terms():
         raw = _grading_raw(key, spec.grading)
@@ -327,14 +327,10 @@ def cesaro_mean(
     if not entries:
         return Element.zero()
     weights = _kernels.phase_mean_weights(np.array(deltas), float(T), int(steps))
-    out: dict = {}
-    for (stripped, coeff), w in zip(entries, weights):
-        scaled = coeff * Scalar.from_rational(_frac(float(w)))
-        if stripped in out:
-            out[stripped] = out[stripped] + scaled
-        else:
-            out[stripped] = scaled
-    return Element(out)
+    return Element(
+        (stripped, coeff * Scalar.from_rational(_frac(float(w))))
+        for (stripped, coeff), w in zip(entries, weights)
+    )
 
 
 # ---------------------------------------------------------- summation kernel
@@ -363,36 +359,36 @@ def bf_kernel_many(
 # --------------------------------------------------------------- recurrence
 
 
-def recurrence_search(freqs, eps: float, limit: int) -> int:
-    """Smallest integer M in [1, limit] with |e^{i f M} - 1| < eps for all f."""
+def _recurrence_devs(freqs, eps: float, limit: int) -> np.ndarray:
+    """Deviations max_f |e^{i f M} - 1| for M = 1..limit, after the
+    parameter checks shared by the recurrence searches."""
     if eps <= 0:
         raise InvalidParameter("tolerance must be positive")
     limit = int(limit)
     if limit < 1:
         raise InvalidParameter("scan limit must be at least 1")
-    devs = _kernels.recurrence_devs(np.asarray(list(freqs), dtype=float), limit)
-    hits = np.nonzero(devs < eps)[0]
+    return _kernels.recurrence_devs(np.asarray(list(freqs), dtype=float), limit)
+
+
+def _no_recurrence(eps: float, limit: int) -> NotFound:
+    return NotFound(
+        f"no recurrence time up to {int(limit)} at tolerance {eps}; "
+        "raise the limit or loosen the tolerance"
+    )
+
+
+def recurrence_search(freqs, eps: float, limit: int) -> int:
+    """Smallest integer M in [1, limit] with |e^{i f M} - 1| < eps for all f."""
+    hits = np.nonzero(_recurrence_devs(freqs, eps, limit) < eps)[0]
     if hits.size == 0:
-        raise NotFound(
-            f"no recurrence time up to {limit} at tolerance {eps}; "
-            "raise the limit or loosen the tolerance"
-        )
+        raise _no_recurrence(eps, limit)
     return int(hits[0]) + 1
 
 
 def recurrence_schedule(freqs, eps: float, limit: int) -> list[int]:
     """Recurrence times with strictly improving deviation, in scan order."""
-    if eps <= 0:
-        raise InvalidParameter("tolerance must be positive")
-    limit = int(limit)
-    if limit < 1:
-        raise InvalidParameter("scan limit must be at least 1")
-    devs = _kernels.recurrence_devs(np.asarray(list(freqs), dtype=float), limit)
-    flags = _kernels.successive_minima(devs, eps)
+    flags = _kernels.successive_minima(_recurrence_devs(freqs, eps, limit), eps)
     ms = (np.nonzero(flags)[0] + 1).tolist()
     if not ms:
-        raise NotFound(
-            f"no recurrence time up to {limit} at tolerance {eps}; "
-            "raise the limit or loosen the tolerance"
-        )
+        raise _no_recurrence(eps, limit)
     return [int(m) for m in ms]

@@ -325,7 +325,7 @@ def arens_automorphism(
     map is a homomorphism with exact rational angles.
     """
     table = table or AtomTable.default()
-    out: dict = {}
+    items = []
     for (lam, mu, t), coeff in f.sorted_terms():
         if not mu.is_zero() or not t.is_zero():
             raise NotInDomain(
@@ -333,8 +333,5 @@ def arens_automorphism(
             )
         if freq_sign(lam, table, guard) < 0:
             raise NotAnalytic(f"negative frequency {lam!r}")
-        angle = c.angle(lam)
-        key = (lam.scale_exp(k), mu, t)
-        scaled = coeff * Scalar.rational_angle(angle)
-        out[key] = out[key] + scaled if key in out else scaled
-    return Element(out)
+        items.append(((lam.scale_exp(k), mu, t), coeff * Scalar.rational_angle(c.angle(lam))))
+    return Element(items)

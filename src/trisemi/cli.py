@@ -37,7 +37,7 @@ from .characters import (
 )
 from .config import GROUP_R, RunConfig, load_config
 from .errors import EngineError, ParseError, UntrustedCharacterWarning
-from .exactnum import BohrCharacter, FrequencyAtom, scalar_numeric
+from .exactnum import BohrCharacter, DilationIndex, FrequencyAtom, scalar_numeric
 from .exprs import (
     dil_text,
     element_text,
@@ -211,7 +211,7 @@ def _cmd_bf(args, cfg):
     report = approx.bf_report(x, args.grading, args.m, cfg.table)
     rows = []
     for entry in report:
-        weights = {freq_text(idx) if hasattr(idx, "pairs") else dil_text(idx): _rat(w)
+        weights = {dil_text(idx) if isinstance(idx, DilationIndex) else freq_text(idx): _rat(w)
                    for idx, w in entry["weights"].items()}
         rows.append({"m": entry["m"], "weights": weights, "l1_error": entry["l1_error"]})
     return {"grading": approx.normalize_grading(args.grading), "rows": rows}

@@ -31,7 +31,8 @@ class DivisionByZero(EngineError):
 
 
 class NumericOverflow(EngineError):
-    """Numeric evaluation of a scalar hit a vanishing denominator."""
+    """Numeric evaluation overflowed a double or hit a vanishing
+    denominator."""
 
     code = "numeric-overflow"
 

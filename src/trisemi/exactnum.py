@@ -49,12 +49,16 @@ def _frac(x) -> Fraction:
     raise TypeError(f"not an exact rational: {x!r}")
 
 
-def _merged(items: Iterable[tuple]) -> dict:
-    acc: dict = {}
+def _merged(items: Iterable[tuple], is_zero=not_, acc: dict | None = None) -> dict:
+    """Accumulate (key, coefficient) items into ``acc`` (a new dict when
+    None): entries of equal key are added in order, and a key whose sum
+    is zero is dropped."""
+    if acc is None:
+        acc = {}
     for key, q in items:
         prev = acc.get(key)
         total = q if prev is None else prev + q
-        if total:
+        if not is_zero(total):
             acc[key] = total
         elif prev is not None:
             del acc[key]
@@ -103,33 +107,145 @@ def _exp_order(kv):
     return kv[0].key()
 
 
-class DilationIndex:
+class _Sum:
+    """Finite formal sum in canonical form.
+
+    ``terms`` is a tuple of (key, coefficient) items sorted by ``_order``,
+    with distinct keys and no zero coefficient, so equal sums have equal
+    ``terms``.  A subclass sets the item sort order, the coefficient
+    coercion (None when coefficients arrive in their final type), the zero
+    test of a coefficient and its ``_zero`` instance, and adds its maths.
+    These four are plain class attributes, read through the class so that
+    functions among them stay unbound.
+    """
+
+    __slots__ = ("terms", "_key", "_hash")
+
+    _order = _key_order
+    _coerce = _frac
+    _coeff_is_zero = not_
+    _zero: "_Sum"
+
+    def __init__(self, terms: Mapping | Iterable[tuple] = ()):
+        cls = type(self)
+        items = terms.items() if isinstance(terms, Mapping) else terms
+        if cls._coerce is not None:
+            items = [(k, cls._coerce(q)) for k, q in items]
+        acc = _merged(items, cls._coeff_is_zero)
+        self.terms = tuple(sorted(acc.items(), key=cls._order))
+        self._key = None
+        self._hash = None
+
+    @classmethod
+    def _canonical(cls, terms: tuple):
+        """Trusted constructor for terms that are already merged, sorted
+        and free of zero coefficients."""
+        obj = object.__new__(cls)
+        obj.terms = terms
+        obj._key = None
+        obj._hash = None
+        return obj
+
+    @classmethod
+    def _distinct(cls, terms: list):
+        """Constructor for terms with pairwise distinct keys and nonzero
+        coefficients that may be out of order."""
+        if len(terms) > 1:
+            terms.sort(key=cls._order)
+        return cls._canonical(tuple(terms))
+
+    @classmethod
+    def zero(cls):
+        return cls._zero
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __add__(self, other):
+        xs, ys = self.terms, other.terms
+        if not xs:
+            return other
+        if not ys:
+            return self
+        cls = type(self)
+        return cls._canonical(_merge_sorted(xs, ys, cls._order, cls._coeff_is_zero))
+
+    def __neg__(self):
+        return type(self)._canonical(tuple([(k, -q) for k, q in self.terms]))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        """Every coefficient times c."""
+        cls = type(self)
+        if cls._coerce is not None:
+            c = cls._coerce(c)
+        if cls._coeff_is_zero(c):
+            return cls._zero
+        return cls._canonical(tuple([(k, q * c) for k, q in self.terms]))
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.terms == other.terms
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = self._hash = hash(self.terms)
+        return h
+
+    def key(self):
+        """The terms with each key replaced by its sort key: a plain tuple
+        that orders sums of one kind."""
+        k = self._key
+        if k is None:
+            order = type(self)._order
+            k = self._key = tuple([(order(kv), kv[1]) for kv in self.terms])
+        return k
+
+    def numeric(self, table: "AtomTable") -> float:
+        return sum(float(q) * k.numeric(table) for k, q in self.terms)
+
+    def __repr__(self) -> str:
+        body = " + ".join(f"{q}*{k}" for k, q in self.terms) or "0"
+        return f"{type(self).__name__}({body})"
+
+
+class _Keyed:
+    """Value compared and hashed by its precomputed sort key ``_key``."""
+
+    __slots__ = ("_key", "_hash")
+
+    def key(self):
+        return self._key
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self._key == other._key
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = self._hash = hash(self._key)
+        return h
+
+
+def _exp(x: float) -> float:
+    """math.exp, with overflow raised as NumericOverflow."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        raise NumericOverflow(f"e^{x:.6g} overflows a double") from None
+
+
+class DilationIndex(_Sum):
     """Exact rational combination of dilation symbols.
 
     With only integer multiples of UNIT present the dilation group is the
     integers; otherwise it is a dense subgroup of the reals.
     """
 
-    __slots__ = ("pairs", "_hash")
-
-    def __init__(self, pairs: Mapping[str, object] | Iterable[tuple] = ()):
-        items = pairs.items() if isinstance(pairs, Mapping) else pairs
-        acc = _merged((sym, _frac(q)) for sym, q in items)
-        self.pairs = tuple(sorted(acc.items(), key=_SYM_ORDER))
-        self._hash = None
-
-    @classmethod
-    def _canonical(cls, pairs: tuple) -> "DilationIndex":
-        """Trusted constructor for pairs that are already merged, sorted
-        and free of zero coefficients."""
-        obj = object.__new__(cls)
-        obj.pairs = pairs
-        obj._hash = None
-        return obj
-
-    @classmethod
-    def zero(cls) -> "DilationIndex":
-        return _DIL_ZERO
+    __slots__ = ()
+    _order = _SYM_ORDER
 
     @classmethod
     def unit(cls, q=1) -> "DilationIndex":
@@ -139,42 +255,15 @@ class DilationIndex:
     def single(cls, sym: str, q=1) -> "DilationIndex":
         return cls(((sym, q),))
 
-    def is_zero(self) -> bool:
-        return not self.pairs
-
-    def __add__(self, other: "DilationIndex") -> "DilationIndex":
-        if not self.pairs:
-            return other
-        if not other.pairs:
-            return self
-        return DilationIndex._canonical(_merge_sorted(self.pairs, other.pairs, _SYM_ORDER, not_))
-
-    def __neg__(self) -> "DilationIndex":
-        return DilationIndex._canonical(tuple((s, -q) for s, q in self.pairs))
-
-    def __sub__(self, other: "DilationIndex") -> "DilationIndex":
-        return self + (-other)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, DilationIndex) and self.pairs == other.pairs
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(self.pairs)
-        return self._hash
-
-    def key(self):
-        return self.pairs
-
     def unit_only(self) -> bool:
-        return all(sym == UNIT_SYMBOL for sym, _ in self.pairs)
+        return all(sym == UNIT_SYMBOL for sym, _ in self.terms)
 
     def integer_unit(self) -> int | None:
         """The index as a plain integer, or None when symbols intrude."""
-        if not self.pairs:
+        if not self.terms:
             return 0
-        if len(self.pairs) == 1:
-            sym, q = self.pairs[0]
+        if len(self.terms) == 1:
+            sym, q = self.terms[0]
             if sym == UNIT_SYMBOL and q.denominator == 1:
                 return int(q)
         return None
@@ -185,30 +274,24 @@ class DilationIndex:
     def exact_numeric(self, table: "AtomTable") -> Fraction:
         # Dilation symbol values are doubles, hence exact rationals.
         total = _ZERO
-        for sym, q in self.pairs:
+        for sym, q in self.terms:
             total += q * _frac(table.dilation_value(sym))
         return total
 
-    def __repr__(self) -> str:
-        if not self.pairs:
-            return "DilationIndex(0)"
-        body = " + ".join(f"{q}*{s}" for s, q in self.pairs)
-        return f"DilationIndex({body})"
+
+_DIL_ZERO = DilationIndex._zero = DilationIndex()
 
 
-_DIL_ZERO = DilationIndex()
-
-
-class FrequencyAtom:
+class FrequencyAtom(_Keyed):
     """One basis direction of the frequency module: a named positive real
     scaled by e^(dilation index)."""
 
-    __slots__ = ("base", "exp", "_key", "_hash")
+    __slots__ = ("base", "exp")
 
     def __init__(self, base: str, exp: DilationIndex | None = None):
         self.base = base
         self.exp = _DIL_ZERO if exp is None else exp
-        self._key = (base, self.exp.pairs)
+        self._key = (base, self.exp.terms)
         self._hash = None
 
     @classmethod
@@ -220,22 +303,11 @@ class FrequencyAtom:
             return self
         return FrequencyAtom(self.base, self.exp + t)
 
-    def key(self):
-        return self._key
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FrequencyAtom) and self._key == other._key
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(self._key)
-        return self._hash
-
     def numeric(self, table: "AtomTable") -> float:
         v = table.atom_value(self.base)
         if self.exp.is_zero():
             return v
-        return v * math.exp(self.exp.numeric(table))
+        return v * _exp(self.exp.numeric(table))
 
     def __repr__(self) -> str:
         if self.exp.is_zero():
@@ -243,29 +315,10 @@ class FrequencyAtom:
         return f"FrequencyAtom({self.base}@{self.exp!r})"
 
 
-class Frequency:
+class Frequency(_Sum):
     """Exact rational combination of frequency atoms."""
 
-    __slots__ = ("pairs", "_hash")
-
-    def __init__(self, pairs: Mapping[FrequencyAtom, object] | Iterable[tuple] = ()):
-        items = pairs.items() if isinstance(pairs, Mapping) else pairs
-        acc = _merged((atom, _frac(q)) for atom, q in items)
-        self.pairs = tuple(sorted(acc.items(), key=_key_order))
-        self._hash = None
-
-    @classmethod
-    def _canonical(cls, pairs: tuple) -> "Frequency":
-        """Trusted constructor for pairs that are already merged, sorted
-        and free of zero coefficients."""
-        obj = object.__new__(cls)
-        obj.pairs = pairs
-        obj._hash = None
-        return obj
-
-    @classmethod
-    def zero(cls) -> "Frequency":
-        return _FREQ_ZERO
+    __slots__ = ()
 
     @classmethod
     def atom(cls, base: str, coeff=1, exp: DilationIndex | None = None) -> "Frequency":
@@ -276,93 +329,47 @@ class Frequency:
         """A rational multiple of the unit atom ONE."""
         return cls(((FrequencyAtom(ONE_ATOM), q),))
 
-    def is_zero(self) -> bool:
-        return not self.pairs
-
-    def __add__(self, other: "Frequency") -> "Frequency":
-        if not self.pairs:
-            return other
-        if not other.pairs:
-            return self
-        return Frequency._canonical(_merge_sorted(self.pairs, other.pairs, _key_order, not_))
-
-    def __neg__(self) -> "Frequency":
-        return Frequency._canonical(tuple((a, -q) for a, q in self.pairs))
-
-    def __sub__(self, other: "Frequency") -> "Frequency":
-        return self + (-other)
-
-    def scale(self, q) -> "Frequency":
-        q = _frac(q)
-        if not q:
-            return _FREQ_ZERO
-        return Frequency._canonical(tuple((a, c * q) for a, c in self.pairs))
-
     def scale_exp(self, t: DilationIndex) -> "Frequency":
         """Multiply by e^t, realized exactly as an exponent shift on atoms."""
         if t.is_zero():
             return self
         # The shift maps distinct atoms to distinct atoms, but it can
         # change their order.
-        scaled = [(a.scaled(t), q) for a, q in self.pairs]
+        scaled = [(a.scaled(t), q) for a, q in self.terms]
         if len(scaled) > 1:
             scaled.sort(key=_key_order)
         return Frequency._canonical(tuple(scaled))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Frequency) and self.pairs == other.pairs
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(self.pairs)
-        return self._hash
-
-    def key(self):
-        return tuple((a.key(), q) for a, q in self.pairs)
-
-    def numeric(self, table: "AtomTable") -> float:
-        return sum(float(q) * a.numeric(table) for a, q in self.pairs)
 
     def exact_numeric(self, table: "AtomTable") -> Fraction | None:
         """Exact rational value, or None when an atom carries a nonzero
         exponent (e^t is not rational for rational t != 0)."""
         total = _ZERO
-        for a, q in self.pairs:
+        for a, q in self.terms:
             if not a.exp.is_zero():
                 return None
             total += q * _frac(table.atom_value(a.base))
         return total
 
     def coefficient(self, atom: FrequencyAtom) -> Fraction:
-        for a, q in self.pairs:
+        for a, q in self.terms:
             if a == atom:
                 return q
         return _ZERO
 
-    def __repr__(self) -> str:
-        if not self.pairs:
-            return "Frequency(0)"
-        body = " + ".join(f"{q}*{a!r}" for a, q in self.pairs)
-        return f"Frequency({body})"
 
-
-_FREQ_ZERO = Frequency()
+_FREQ_ZERO = Frequency._zero = Frequency()
 
 
 def _dil_as_frequency(t: DilationIndex) -> Frequency:
     """The linear embedding of dilation indices into frequencies (UNIT to
     the atom ONE, any other symbol to the atom of that name), so dilation
     indices share the code written for frequencies."""
-    pairs = []
-    for sym, q in t.pairs:
-        if sym == UNIT_SYMBOL:
-            pairs.append((FrequencyAtom.one(), q))
-        else:
-            pairs.append((FrequencyAtom(sym), q))
-    return Frequency(pairs)
+    return Frequency(
+        [(FrequencyAtom(ONE_ATOM if sym == UNIT_SYMBOL else sym), q) for sym, q in t.terms]
+    )
 
 
-class PhaseMonomial:
+class PhaseMonomial(_Keyed):
     """Multiplicative monomial of at most two atom bases times e^(exp).
 
     Bases equal to ONE are absorbed (their value is 1) and exponents of the
@@ -371,14 +378,14 @@ class PhaseMonomial:
     exponent has value 1 and carries the plain rational part of a phase.
     """
 
-    __slots__ = ("bases", "exp", "_key", "_hash")
+    __slots__ = ("bases", "exp")
 
     def __init__(self, bases: tuple[str, ...] = (), exp: DilationIndex | None = None):
         if len(bases) > 2:
             raise ValueError("phase monomial degree above two")
         self.bases = tuple(sorted(bases))
         self.exp = _DIL_ZERO if exp is None else exp
-        self._key = (self.bases, self.exp.pairs)
+        self._key = (self.bases, self.exp.terms)
         self._hash = None
 
     @classmethod
@@ -408,27 +415,16 @@ class PhaseMonomial:
         obj = object.__new__(cls)
         obj.bases = bases
         obj.exp = exp
-        obj._key = (bases, exp.pairs)
+        obj._key = (bases, exp.terms)
         obj._hash = None
         return obj
-
-    def key(self):
-        return self._key
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PhaseMonomial) and self._key == other._key
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(self._key)
-        return self._hash
 
     def numeric(self, table: "AtomTable") -> float:
         v = 1.0
         for b in self.bases:
             v *= table.atom_value(b)
         if not self.exp.is_zero():
-            v *= math.exp(self.exp.numeric(table))
+            v *= _exp(self.exp.numeric(table))
         return v
 
     def __repr__(self) -> str:
@@ -438,32 +434,11 @@ class PhaseMonomial:
 _MONO_EMPTY = PhaseMonomial()
 
 
-class PhaseExponent:
+class PhaseExponent(_Sum):
     """Rational combination of phase monomials, the additive group of
     admissible phase angles."""
 
-    __slots__ = ("terms", "_key", "_hash")
-
-    def __init__(self, terms: Mapping[PhaseMonomial, object] | Iterable[tuple] = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        acc = _merged((m, _frac(q)) for m, q in items)
-        self.terms = tuple(sorted(acc.items(), key=_key_order))
-        self._key = None
-        self._hash = None
-
-    @classmethod
-    def _canonical(cls, terms: tuple) -> "PhaseExponent":
-        """Trusted constructor for terms that are already merged, sorted
-        and free of zero coefficients."""
-        obj = object.__new__(cls)
-        obj.terms = terms
-        obj._key = None
-        obj._hash = None
-        return obj
-
-    @classmethod
-    def zero(cls) -> "PhaseExponent":
-        return _EXP_ZERO
+    __slots__ = ()
 
     @classmethod
     def rational(cls, q) -> "PhaseExponent":
@@ -473,43 +448,12 @@ class PhaseExponent:
     def product(cls, f: Frequency, g: Frequency) -> "PhaseExponent":
         """The bilinear pairing of two frequencies, exponent of the
         commutation phase."""
-        if len(f.pairs) == 1 and len(g.pairs) == 1:
-            (a, qa), (b, qb) = f.pairs[0], g.pairs[0]
+        if len(f.terms) == 1 and len(g.terms) == 1:
+            (a, qa), (b, qb) = f.terms[0], g.terms[0]
             return cls._canonical(((PhaseMonomial.product(a, b), qa * qb),))
-        pairs = []
-        for a, qa in f.pairs:
-            for b, qb in g.pairs:
-                pairs.append((PhaseMonomial.product(a, b), qa * qb))
-        return cls(pairs)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "PhaseExponent") -> "PhaseExponent":
-        if not self.terms:
-            return other
-        if not other.terms:
-            return self
-        return PhaseExponent._canonical(_merge_sorted(self.terms, other.terms, _key_order, not_))
-
-    def __neg__(self) -> "PhaseExponent":
-        return PhaseExponent._canonical(tuple((m, -q) for m, q in self.terms))
-
-    def __sub__(self, other: "PhaseExponent") -> "PhaseExponent":
-        return self + (-other)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PhaseExponent) and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(self.terms)
-        return self._hash
-
-    def key(self):
-        if self._key is None:
-            self._key = tuple((m._key, q) for m, q in self.terms)
-        return self._key
+        return cls(
+            [(PhaseMonomial.product(a, b), qa * qb) for a, qa in f.terms for b, qb in g.terms]
+        )
 
     def leading_sign(self) -> int:
         """Sign of the coefficient at the smallest monomial, a group
@@ -519,17 +463,8 @@ class PhaseExponent:
         q = self.terms[0][1]
         return 1 if q > 0 else -1
 
-    def numeric(self, table: "AtomTable") -> float:
-        return sum(float(q) * m.numeric(table) for m, q in self.terms)
 
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "PhaseExponent(0)"
-        body = " + ".join(f"{q}*{m!r}" for m, q in self.terms)
-        return f"PhaseExponent({body})"
-
-
-_EXP_ZERO = PhaseExponent()
+_EXP_ZERO = PhaseExponent._zero = PhaseExponent()
 
 
 class QI:
@@ -633,45 +568,14 @@ QI_ZERO = QI()
 QI_ONE = QI(1)
 
 
-class PhaseSum:
+class PhaseSum(_Sum):
     """Finite sum of Gaussian rational amplitudes times unimodular phases,
     the exact coefficient ring."""
 
-    __slots__ = ("terms", "_hash")
-
-    def __init__(self, terms: Mapping[PhaseExponent, QI] | Iterable[tuple] = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[PhaseExponent, QI] = {}
-        for pe, amp in items:
-            prev = acc.get(pe)
-            total = amp if prev is None else prev + amp
-            if total.is_zero():
-                acc.pop(pe, None)
-            else:
-                acc[pe] = total
-        self.terms = tuple(sorted(acc.items(), key=_exp_order))
-        self._hash = None
-
-    @classmethod
-    def _canonical(cls, terms: tuple) -> "PhaseSum":
-        """Trusted constructor for terms that are already merged, sorted
-        and free of zero amplitudes."""
-        obj = object.__new__(cls)
-        obj.terms = terms
-        obj._hash = None
-        return obj
-
-    @classmethod
-    def _distinct(cls, terms: list) -> "PhaseSum":
-        """Constructor for terms with pairwise distinct exponents and
-        nonzero amplitudes that may be out of order."""
-        if len(terms) > 1:
-            terms.sort(key=_exp_order)
-        return cls._canonical(tuple(terms))
-
-    @classmethod
-    def zero(cls) -> "PhaseSum":
-        return _PS_ZERO
+    __slots__ = ()
+    _order = _exp_order
+    _coerce = None
+    _coeff_is_zero = QI.is_zero
 
     @classmethod
     def one(cls) -> "PhaseSum":
@@ -689,22 +593,6 @@ class PhaseSum:
     def phase(cls, pe: PhaseExponent) -> "PhaseSum":
         return cls(((pe, QI_ONE),))
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "PhaseSum") -> "PhaseSum":
-        if not self.terms:
-            return other
-        if not other.terms:
-            return self
-        return PhaseSum._canonical(_merge_sorted(self.terms, other.terms, _exp_order, QI.is_zero))
-
-    def __neg__(self) -> "PhaseSum":
-        return PhaseSum._canonical(tuple((pe, -amp) for pe, amp in self.terms))
-
-    def __sub__(self, other: "PhaseSum") -> "PhaseSum":
-        return self + (-other)
-
     def __mul__(self, other: "PhaseSum") -> "PhaseSum":
         out = [
             (pe1 + pe2, a1 * a2) for pe1, a1 in self.terms for pe2, a2 in other.terms
@@ -715,11 +603,6 @@ class PhaseSum:
             return PhaseSum._distinct(out)
         return PhaseSum(out)
 
-    def scale(self, amp: QI) -> "PhaseSum":
-        if amp.is_zero():
-            return _PS_ZERO
-        return PhaseSum._canonical(tuple((pe, a * amp) for pe, a in self.terms))
-
     def shift(self, pe: PhaseExponent) -> "PhaseSum":
         """Multiply by the unimodular phase e^{i*pe}."""
         if pe.is_zero():
@@ -728,14 +611,6 @@ class PhaseSum:
 
     def conj(self) -> "PhaseSum":
         return PhaseSum._distinct([(-pe, a.conj()) for pe, a in self.terms])
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PhaseSum) and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(self.terms)
-        return self._hash
 
     def least_term(self) -> tuple[PhaseExponent, QI]:
         """Term at the smallest exponent in the group linear order."""
@@ -751,11 +626,8 @@ class PhaseSum:
             total += amp.to_complex() * cmath.exp(1j * pe.numeric(table))
         return total
 
-    def __repr__(self) -> str:
-        return f"PhaseSum({list(self.terms)!r})"
 
-
-_PS_ZERO = PhaseSum()
+_PS_ZERO = PhaseSum._zero = PhaseSum()
 _PS_ONE = PhaseSum.rational(1)
 
 
@@ -1015,7 +887,7 @@ class BohrCharacter:
     def angle(self, f: Frequency) -> Fraction:
         lookup = dict(self.angles)
         total = _ZERO
-        for atom, q in f.pairs:
+        for atom, q in f.terms:
             a = lookup.get(atom.base)
             if a is not None:
                 total += q * a

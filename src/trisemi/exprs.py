@@ -48,7 +48,7 @@ def dil_text(t: DilationIndex) -> str:
     if t.is_zero():
         return "0"
     parts = []
-    for sym, q in t.pairs:
+    for sym, q in t.terms:
         if sym == UNIT_SYMBOL:
             parts.append((_frac_abs(q), q < 0))
         elif abs(q) == 1:
@@ -68,7 +68,7 @@ def freq_text(f: Frequency) -> str:
     if f.is_zero():
         return "0"
     parts = []
-    for atom, q in f.pairs:
+    for atom, q in f.terms:
         if atom.base == ONE_ATOM and atom.exp.is_zero():
             parts.append((_frac_abs(q), q < 0))
         elif abs(q) == 1:
@@ -175,6 +175,11 @@ def element_text(x: Element) -> str:
 
 _SYMBOLS = "+-*/(){}@,"
 
+# Deepest nesting of parentheses (adj(...) included) that the parser
+# accepts.  Each level costs five stack frames, so this stays far below
+# the interpreter's default recursion limit of 1000.
+MAX_NESTING = 100
+
 
 class _Token:
     __slots__ = ("kind", "text", "pos")
@@ -227,6 +232,7 @@ class _Parser:
         self.text = text
         self.toks = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self, ahead: int = 0) -> _Token:
         j = min(self.i + ahead, len(self.toks) - 1)
@@ -278,8 +284,6 @@ class _Parser:
             sign = 1
             tok = self.peek()
             if tok.kind in "+-":
-                if first and tok.kind == "+":
-                    pass
                 self.advance()
                 sign = -1 if tok.kind == "-" else 1
             elif not first:
@@ -345,23 +349,16 @@ class _Parser:
 
     def _phase_term(self) -> PhaseExponent:
         if self.peek().kind == "num":
-            q = self.rational()
-            atoms = []
-            while self.peek().kind == "*" and self.peek(1).kind == "name":
-                self.advance()
-                atoms.append(self._atomref())
-                if len(atoms) > 2:
-                    raise self.fail("phase monomials have degree at most two")
+            q, atoms = self.rational(), []
         elif self.peek().kind == "name":
-            q = Fraction(1)
-            atoms = [self._atomref()]
-            while self.peek().kind == "*" and self.peek(1).kind == "name":
-                self.advance()
-                atoms.append(self._atomref())
-                if len(atoms) > 2:
-                    raise self.fail("phase monomials have degree at most two")
+            q, atoms = Fraction(1), [self._atomref()]
         else:
             raise self.fail("expected a phase term")
+        while self.peek().kind == "*" and self.peek(1).kind == "name":
+            self.advance()
+            atoms.append(self._atomref())
+            if len(atoms) > 2:
+                raise self.fail("phase monomials have degree at most two")
         if not atoms:
             mono = PhaseMonomial.empty()
         elif len(atoms) == 1:
@@ -435,21 +432,30 @@ class _Parser:
         return value
 
     def _unary(self) -> Element:
-        if self.peek().kind == "-":
-            self.advance()
-            return -self._unary()
-        if self.peek().kind == "+":
-            self.advance()
-            return self._unary()
-        return self._primary()
+        neg = False
+        while self.peek().kind in "+-":
+            neg ^= self.advance().kind == "-"
+        value = self._primary()
+        return -value if neg else value
+
+    def _group(self, paren: _Token) -> Element:
+        """The element between the opening parenthesis ``paren`` and its
+        closing one, at most MAX_NESTING levels deep."""
+        if self.depth == MAX_NESTING:
+            raise ParseError(
+                f"parentheses nested deeper than {MAX_NESTING} levels",
+                (paren.pos, paren.pos + 1),
+            )
+        self.depth += 1
+        inner = self.element()
+        self.depth -= 1
+        self.expect(")")
+        return inner
 
     def _primary(self) -> Element:
         tok = self.peek()
         if tok.kind == "(":
-            self.advance()
-            inner = self.element()
-            self.expect(")")
-            return inner
+            return self._group(self.advance())
         if tok.kind == "num":
             return Element.scalar(Scalar.from_rational(Fraction(self.advance().text)))
         if tok.kind == "name":
@@ -471,10 +477,7 @@ class _Parser:
                 return Element.v(t)
             if name == "adj":
                 self.advance()
-                self.expect("(")
-                inner = self.element()
-                self.expect(")")
-                return adjoint(inner)
+                return adjoint(self._group(self.expect("(")))
             if name == "exp":
                 self.advance()
                 return self._exp_call()

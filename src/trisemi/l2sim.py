@@ -44,6 +44,7 @@ from .exactnum import (
     DilationIndex,
     Frequency,
     Scalar,
+    _exp,
     _frac,
     scalar_numeric,
 )
@@ -93,9 +94,9 @@ class GaussianPacket:
 
     def dilate(self, t: float) -> "GaussianPacket":
         """Apply the unitary dilation by e^t."""
-        g = math.exp(t)
+        g = _exp(t)
         return GaussianPacket(
-            self.amp * math.exp(0.5 * t), self.a * g * g, self.b / g, self.c * g
+            self.amp * _exp(0.5 * t), self.a * g * g, self.b / g, self.c * g
         )
 
     def fourier(self) -> "GaussianPacket":
@@ -231,11 +232,11 @@ def relation_residual(kind: str, params, f: PacketSum) -> float:
     elif kind == "dilM":
         t, lam = params
         lhs = f.modulate(lam).dilate(t)
-        rhs = f.dilate(t).modulate(math.exp(t) * lam)
+        rhs = f.dilate(t).modulate(_exp(t) * lam)
     elif kind == "dilD":
         t, mu = params
         lhs = f.translate(mu).dilate(t)
-        rhs = f.dilate(t).translate(math.exp(-t) * mu)
+        rhs = f.dilate(t).translate(_exp(-t) * mu)
     else:
         raise InvalidParameter(f"unknown relation {kind!r}")
     return (lhs - rhs).norm()
@@ -288,11 +289,11 @@ def norm_lower_bound(
     # transformed packet parameter arrays, one row per term
     rows = []
     for z, lam_n, mu_n, t_n in terms:
-        g = math.exp(t_n)
+        g = _exp(t_n)
         ta = a * g * g
         tb = b / g
         tc = c * g
-        tamp = amp * z * math.exp(0.5 * t_n)
+        tamp = amp * z * _exp(0.5 * t_n)
         tamp = tamp * np.exp(-1j * tc * mu_n)
         tb = tb + mu_n
         tc = tc + lam_n
@@ -372,8 +373,8 @@ def lr_apply(
             for u, xi in v.components.items():
                 target = t + u
                 w = target.numeric(table)
-                lam_eff = lam_n * math.exp(-w)
-                mu_eff = mu_n * math.exp(w)
+                lam_eff = lam_n * _exp(-w)
+                mu_eff = mu_n * _exp(w)
                 moved = xi.translate(mu_eff).modulate(lam_eff).scale(z)
                 out.add_component(target, moved)
         return out
@@ -402,12 +403,11 @@ def column_norms(
         for s in support:
             fiber = coeff_map(x, Axis.TRANSLATION, s)
             s_n = s.numeric(table)
-            twisted: dict = {}
+            twisted = []
             for (lam, _, _), coeff in fiber.terms.items():
                 angle = _frac(lam.numeric(table) * s_n)
                 key = (lam, Frequency.zero(), DilationIndex.zero())
-                scaled = coeff * Scalar.rational_angle(angle)
-                twisted[key] = twisted[key] + scaled if key in twisted else scaled
+                twisted.append((key, coeff * Scalar.rational_angle(angle)))
             rhs += apply_element(Element(twisted), xi, table).norm_sq()
     else:
         support = {t for _, _, t in x.terms}
@@ -417,8 +417,8 @@ def column_norms(
             moved = []
             for (lam, mu, _), coeff in fiber.terms.items():
                 z = scalar_numeric(coeff, table)
-                lam_eff = lam.numeric(table) * math.exp(-s_n)
-                mu_eff = mu.numeric(table) * math.exp(s_n)
+                lam_eff = lam.numeric(table) * _exp(-s_n)
+                mu_eff = mu.numeric(table) * _exp(s_n)
                 for p in xi.packets:
                     moved.append(p.translate(mu_eff).modulate(lam_eff).scale(z))
             rhs += PacketSum(moved).norm_sq()
@@ -469,15 +469,14 @@ def wot_limit(x: Element, mode) -> Element:
     mode = CompressionMode.parse(mode) if isinstance(mode, str) else mode
     if mode is CompressionMode.TRANSLATION:
         return coeff_map(x, Axis.DILATION, DilationIndex.zero())
-    out: dict = {}
+    items = []
     for (lam, mu, t), coeff in x.terms.items():
         if mode is CompressionMode.DILATION_IN and not mu.is_zero():
             continue
         if mode is CompressionMode.DILATION_OUT and not lam.is_zero():
             continue
-        key = (Frequency.zero(), Frequency.zero(), t)
-        out[key] = out[key] + coeff if key in out else coeff
-    return Element(out)
+        items.append(((Frequency.zero(), Frequency.zero(), t), coeff))
+    return Element(items)
 
 
 def wot_compression_demo(

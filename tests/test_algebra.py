@@ -231,3 +231,30 @@ def test_compress_modes():
     v_in = compress(x, "dilation-in", 1)
     v_out = compress(x, "dilation_out", 1)
     assert not v_in.is_zero() and not v_out.is_zero()
+
+
+def _no_zero_coefficients(x: Element) -> bool:
+    return not any(c.is_zero() for c in x.terms.values())
+
+
+def test_cancellation_leaves_no_zero_coefficient_keys():
+    rng = random.Random(4105)
+    for _ in range(60):
+        x, y = random_element(rng), random_element(rng)
+        assert (x + (-x)).terms == {}
+        xy = mul(x, y)
+        assert (xy - xy).terms == {}
+        # x cancels inside the sum, y survives
+        partial = x + y - x
+        assert partial == y and _no_zero_coefficients(partial)
+        assert adjoint(x - x).terms == {}
+        back = adjoint(partial)
+        assert back == adjoint(y) and _no_zero_coefficients(back)
+        merged = Element([*x.terms.items(), *(-x).terms.items(), *y.terms.items()])
+        assert merged == y and _no_zero_coefficients(merged)
+    # two monomial products land on M(3) and cancel there
+    lam = Element.m(1) + Element.m(2)
+    prod = mul(lam, Element.m(2) - Element.m(1))
+    assert prod == Element.m(4) - Element.m(2)
+    assert (Frequency.rational(3), Frequency.zero(), DilationIndex.zero()) not in prod.terms
+    assert _no_zero_coefficients(prod)

@@ -71,6 +71,14 @@ def test_bf_table_shows_exact_weights(capsys):
     assert "5/6" in out
 
 
+def test_bf_dilation_grading_keys_weights_by_dilation_text(capsys):
+    assert run(["--json", "bf", "--m", "2", "--grading", "dilation", "V(1) + V(2)"]) == 0
+    out, _ = out_of(capsys)
+    payload = json.loads(out)
+    assert payload["grading"] == "dilation"
+    assert [set(row["weights"]) for row in payload["rows"]] == [{"1", "2"}]
+
+
 def test_recurrence_example(capsys):
     argv = ["--json", "recurrence", "--freqs", "1", "--eps", "0.05", "--limit", "100000"]
     assert run(argv) == 0
@@ -119,6 +127,47 @@ def test_invalid_parameter_exits_2_with_a_record(capsys, argv):
     out, err = out_of(capsys)
     assert out == ""
     assert json.loads(err)["error"]["code"] == "invalid-parameter"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["normalize", "D(1)*V(1000)*M(1)"],
+        ["sim-norm-bound", "V(1000)"],
+    ],
+)
+def test_numeric_overflow_exits_2_with_a_record(capsys, argv):
+    assert run(["--json", *argv]) == 2
+    out, err = out_of(capsys)
+    assert out == ""
+    assert json.loads(err)["error"]["code"] == "numeric-overflow"
+
+
+@pytest.mark.parametrize("opener", ["(", "adj("])
+def test_deep_nesting_exits_2_with_the_span_of_the_first_paren_past_the_bound(
+    capsys, opener
+):
+    from trisemi.exprs import MAX_NESTING
+
+    text = opener * 3000 + "M(1)" + ")" * 3000
+    assert run(["--json", "normalize", text]) == 2
+    out, err = out_of(capsys)
+    assert out == ""
+    record = json.loads(err)["error"]
+    assert record["code"] == "parse"
+    lo, hi = record["span"]
+    assert (lo, hi) == (len(opener) * (MAX_NESTING + 1) - 1, len(opener) * (MAX_NESTING + 1))
+    assert text[lo:hi] == "("
+
+
+def test_nesting_up_to_the_bound_and_long_sign_runs_parse(capsys):
+    from trisemi.exprs import MAX_NESTING
+
+    text = "(" * MAX_NESTING + "D(1)*M(1)" + ")" * MAX_NESTING
+    assert run(["normalize", text]) == 0
+    assert out_of(capsys)[0].strip() == "exp(-i*1) * M(1) * D(1)"
+    assert run(["normalize", "--", "-" * 3001 + "M(1)"]) == 0
+    assert out_of(capsys)[0].strip() == "-1 * M(1)"
 
 
 def test_ideal_test_outside_ambient_is_an_error(capsys):

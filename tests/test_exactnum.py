@@ -88,7 +88,7 @@ def test_scalar_equality_by_cross_multiplication():
 def test_frequency_module_arithmetic():
     f = Frequency.rational(Fraction(3, 2)) + Frequency.atom("s2", Fraction(-1, 3))
     g = f + f
-    coeffs = {atom.base: q for atom, q in g.pairs}
+    coeffs = {atom.base: q for atom, q in g.terms}
     assert coeffs == {"ONE": Fraction(3), "s2": Fraction(-2, 3)}
     assert (f - f).is_zero()
 
@@ -97,7 +97,7 @@ def test_frequency_scale_exp_shifts_atom_exponents():
     f = Frequency.rational(1)
     t = DilationIndex.unit(1)
     shifted = freq_scale_exp(f, t)
-    (atom, q), = shifted.pairs
+    (atom, q), = shifted.terms
     assert q == 1
     assert atom.base == "ONE"
     assert atom.exp == t
@@ -187,7 +187,7 @@ def test_bohr_character_commutes_with_dilation_scaling():
 def _items(x):
     if isinstance(x, QI):
         return (x.re, x.im)
-    return x.pairs if hasattr(x, "pairs") else x.terms
+    return x.terms
 
 
 def _assert_same(fast, general):
@@ -227,21 +227,21 @@ def test_fast_paths_match_the_general_constructors():
     rng = random.Random(3001)
     for _ in range(300):
         t, u = random_dilation(rng), random_dilation(rng)
-        _assert_same(-t, DilationIndex([(s, -q) for s, q in t.pairs]))
-        _assert_same(t + u, DilationIndex(t.pairs + u.pairs))
+        _assert_same(-t, DilationIndex([(s, -q) for s, q in t.terms]))
+        _assert_same(t + u, DilationIndex(t.terms + u.terms))
 
         f, g = random_frequency(rng), _random_shifted_frequency(rng)
         q = random_fraction(rng)
-        _assert_same(-f, Frequency([(a, -c) for a, c in f.pairs]))
+        _assert_same(-f, Frequency([(a, -c) for a, c in f.terms]))
         if q:
-            _assert_same(f.scale(q), Frequency([(a, c * q) for a, c in f.pairs]))
-        _assert_same(f + g, Frequency(f.pairs + g.pairs))
-        _assert_same(g.scale_exp(t), Frequency([(a.scaled(t), c) for a, c in g.pairs]))
-        assert all(type(c) is Fraction for _, c in (f + g).pairs + f.scale(q).pairs)
+            _assert_same(f.scale(q), Frequency([(a, c * q) for a, c in f.terms]))
+        _assert_same(f + g, Frequency(f.terms + g.terms))
+        _assert_same(g.scale_exp(t), Frequency([(a.scaled(t), c) for a, c in g.terms]))
+        assert all(type(c) is Fraction for _, c in (f + g).terms + f.scale(q).terms)
 
         pe = PhaseExponent.product(f, g)
         general = [(PhaseMonomial(tuple(b for b in (a.base, b.base) if b != "ONE"), a.exp + b.exp), qa * qb)
-                   for a, qa in f.pairs for b, qb in g.pairs]
+                   for a, qa in f.terms for b, qb in g.terms]
         _assert_same(pe, PhaseExponent(general))
         _assert_same(-pe, PhaseExponent([(m, -c) for m, c in pe.terms]))
         pe2 = _random_exponent(rng)
@@ -347,3 +347,56 @@ def test_constructors_accept_any_mapping():
     assert PhaseSum(proxy({pe: QI(1)})) == PhaseSum.phase(pe)
     assert Element(proxy({key: Scalar.one()})) == Element.m(1)
     assert BohrCharacter(proxy({"s2": Fraction(1, 3)})) == BohrCharacter([("s2", Fraction(1, 3))])
+
+
+# ------------------------------------------------ the shared canonical sum
+
+_SUM_KINDS = (DilationIndex, Frequency, PhaseExponent, PhaseSum)
+
+
+def _sample_sum(cls, rng):
+    if cls is DilationIndex:
+        return random_dilation(rng) + random_dilation(rng)
+    if cls is Frequency:
+        return _random_shifted_frequency(rng)
+    if cls is PhaseExponent:
+        return _random_exponent(rng) + _random_exponent(rng)
+    return _random_phase_sum(rng)
+
+
+def _scrambled(rng, x, spare):
+    """The items of x with each coefficient split into two summands, plus
+    a cancelling pair for each item of spare, shuffled."""
+    items = []
+    for key, q in x.terms:
+        part = random_fraction(rng) if isinstance(q, Fraction) else _random_qi(rng)
+        items += [(key, part), (key, q - part)]
+    for key, q in spare:
+        items += [(key, q), (key, -q)]
+    rng.shuffle(items)
+    return items
+
+
+def _assert_canonical(x):
+    order = [type(x)._order(item) for item in x.terms]
+    assert all(a < b for a, b in zip(order, order[1:]))
+    assert not any(type(x)._coeff_is_zero(q) for _, q in x.terms)
+
+
+@pytest.mark.parametrize("cls", _SUM_KINDS, ids=lambda c: c.__name__)
+def test_general_constructor_canonicalizes_scrambled_items(cls):
+    rng = random.Random(3005)
+    for _ in range(150):
+        x = _sample_sum(cls, rng)
+        spare = _sample_sum(cls, rng).terms
+        _assert_canonical(x)
+        _assert_same(cls(_scrambled(rng, x, spare)), x)
+        _assert_same(cls(_scrambled(rng, cls.zero(), spare)), cls.zero())
+        _assert_same(x - x, cls.zero())
+
+
+def test_sums_share_one_canonical_core():
+    shared = {"__init__", "_canonical", "is_zero", "__add__", "__neg__", "__sub__",
+              "__eq__", "__hash__"}
+    for cls in _SUM_KINDS:
+        assert not shared & set(vars(cls)), cls.__name__
