@@ -10,7 +10,7 @@ by the frequency triple (lam, mu, t).
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
@@ -18,7 +18,6 @@ from .errors import (
     AxisMismatch,
     EmptyElement,
     IllegalFlip,
-    IndeterminateSign,
     InvalidScale,
 )
 from .exactnum import (

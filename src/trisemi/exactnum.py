@@ -631,45 +631,208 @@ _PS_ZERO = PhaseSum._zero = PhaseSum()
 _PS_ONE = PhaseSum.rational(1)
 
 
+def _unit_split(ps: PhaseSum) -> tuple[PhaseExponent, QI, PhaseSum | None]:
+    """Write a nonzero phase sum as amp * e^{i*pe} * factor, with
+    amp * e^{i*pe} its least term and factor its canonical form (least
+    term exactly 1), or None when the sum is that one term."""
+    if len(ps.terms) == 1:
+        pe, amp = ps.terms[0]
+        return pe, amp, None
+    pe, amp = ps.least_term()
+    return pe, amp, ps.shift(-pe).scale(amp.inverse())
+
+
+def _exp_coefficient(pe: PhaseExponent, mono: PhaseMonomial) -> Fraction:
+    for m, q in pe.terms:
+        if m == mono:
+            return q
+    return _ZERO
+
+
+def _qi_pow(x: QI, k: int) -> QI:
+    """x**k for k >= 0, by repeated squaring."""
+    out = QI_ONE
+    while k:
+        if k & 1:
+            out = out * x
+        k >>= 1
+        if k:
+            x = x * x
+    return out
+
+
+def _divide_binomial(num: PhaseSum, factor: PhaseSum) -> PhaseSum | None:
+    """num / factor for a binomial factor 1 + a*e^{i*theta}, or None when
+    the factor does not divide num exactly or the quotient would have
+    more terms than num.
+
+    The exponents of num fall into cosets of Z*theta.  Within one coset
+    num is e^{i*rep} p(u), a Laurent polynomial p in u = e^{i*theta}, and
+    1 + a*u divides num iff it divides every such p, that is iff
+    p(-1/a) = 0.  One synthetic division pass per coset, q_n = c_n -
+    a*q_{n-1} from the lowest power up, gives the quotient and, as its
+    last value q_hi = p(-1/a) * (-a)^hi, the remainder.  Across a gap in
+    p a nonzero carry adds one quotient term per power, so the length
+    bound also bounds the work on sparse numerators.
+    """
+    (theta, a), = factor.terms[1:]
+    lead, c0 = theta.terms[0]
+    powers = [(_exp_coefficient(pe, lead) // c0, c, pe) for pe, c in num.terms]
+    powers.sort(key=itemgetter(0))
+    limit = len(num.terms)
+    # A cheap first test: p(-1/a) summed over all cosets must vanish.
+    # Horner's scheme from the lowest power up yields (-a)^hi p(-1/a); it
+    # is skipped across a gap longer than the numerator, where the powers
+    # of -a would be the larger part of the work.
+    r, total, at = -a, QI_ZERO, powers[0][0]
+    for n, c, _ in powers:
+        if n - at > limit:
+            break
+        total = total * _qi_pow(r, n - at) + c
+        at = n
+    else:
+        if not total.is_zero():
+            return None
+    cosets: dict = {}
+    for n, c, pe in powers:
+        cosets.setdefault(pe - theta.scale(n) if n else pe, []).append((n, c, pe))
+    out = []
+    for rep, poly in cosets.items():
+        if len(poly) == 1:
+            return None
+        carry, at = QI_ZERO, None
+        for n, c, pe in poly:
+            if not carry.is_zero():
+                for m in range(at + 1, n):
+                    carry = -(a * carry)
+                    out.append((rep + theta.scale(m), carry))
+                    if len(out) > limit:
+                        return None
+                carry = c - a * carry
+            else:
+                carry = c
+            if not carry.is_zero():
+                out.append((pe, carry))
+                if len(out) > limit:
+                    return None
+            at = n
+        if not carry.is_zero():
+            return None
+    return PhaseSum._distinct(out)
+
+
+def _factor_order(item: tuple) -> tuple:
+    """Sort key of a (factor, multiplicity) item: the factor's exponents
+    and amplitudes as plain integers and keys, a total order."""
+    return tuple([(pe.key(), a._a, a._b, a._d) for pe, a in item[0].terms])
+
+
+def _cofactors(xs: tuple, ys: tuple) -> tuple[tuple, tuple, tuple]:
+    """The least common multiple of two factor multisets, and what each
+    lacks of it."""
+    mx, my = dict(xs), dict(ys)
+    lcm = dict(mx)
+    for f, m in ys:
+        if m > lcm.get(f, 0):
+            lcm[f] = m
+    lacks_x = tuple([(f, m - mx.get(f, 0)) for f, m in lcm.items() if m > mx.get(f, 0)])
+    lacks_y = tuple([(f, m - my.get(f, 0)) for f, m in lcm.items() if m > my.get(f, 0)])
+    return tuple(sorted(lcm.items(), key=_factor_order)), lacks_x, lacks_y
+
+
+def _expand(num: PhaseSum, factors: tuple) -> PhaseSum:
+    """num times each factor to its multiplicity, multiplied out; one
+    factor times the ``_PS_ONE`` object is that factor itself."""
+    for f, m in factors:
+        for _ in range(m):
+            num = f if num is _PS_ONE else num * f
+    return num
+
+
+def _reduced(num: PhaseSum, factors: tuple) -> tuple[PhaseSum, tuple]:
+    """Cancel from nonzero num each factor as often as it divides: a
+    binomial by exact division, an opaque factor only when num is a unit
+    times it."""
+    kept = []
+    for f, m in factors:
+        if len(f.terms) == 2:
+            while m:
+                q = _divide_binomial(num, f)
+                if q is None:
+                    break
+                num, m = q, m - 1
+        elif len(num.terms) == len(f.terms):
+            pe, amp, g = _unit_split(num)
+            if g == f:
+                num, m = PhaseSum._canonical(((pe, amp),)), m - 1
+        if m:
+            kept.append((f, m))
+    return num, tuple(kept)
+
+
 class Scalar:
     """Element of the fraction field over the phase ring.
 
-    Canonical form: the denominator's least term (group linear order on
-    exponents) is exactly 1, and one term denominators are divided out, so
-    generic coefficients keep denominator 1.  Equality is decided by cross
+    A scalar is ``num`` over the product of ``factors``, a tuple of
+    (factor, multiplicity) pairs sorted by factor, and the denominator is
+    never multiplied out.  Canonical form:
+
+    - every factor is a phase sum of two or more terms whose least term
+      (group linear order on exponents) is exactly 1; one term
+      denominators are units and are divided into the numerator, so
+      generic coefficients have no factors at all;
+    - a binomial factor 1 + a*e^{i*theta} is cancelled from the
+      numerator as often as it divides it exactly, after every product,
+      sum and construction, as long as the quotient is no longer than the
+      numerator;
+    - a factor of three or more terms is opaque: it cancels only against
+      a numerator that is a unit times that same factor.
+
+    Sums bring both numerators over the least common multiple of the two
+    factor multisets.  Reduction is with respect to a scalar's own
+    factors only: 1 - e^{i*theta} over 1 - e^{2i*theta} stays as it is,
+    since the factor 1 - e^{2i*theta} is kept whole, not split into
+    (1 - e^{i*theta})(1 + e^{i*theta}).  ``den`` is the product of the
+    factors, multiplied out on demand.  Equality is decided by cross
     multiplication; Scalar is deliberately unhashable.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "factors")
 
     def __init__(self, num: PhaseSum, den: PhaseSum | None = None):
-        den = _PS_ONE if den is None else den
+        if den is None or den is _PS_ONE:
+            self.num, self.factors = (num if num.terms else _PS_ZERO), ()
+            return
         if den.is_zero():
             raise DivisionByZero("scalar with zero denominator")
-        if num.is_zero():
-            self.num, self.den = _PS_ZERO, _PS_ONE
-            return
-        if den is _PS_ONE or den == _PS_ONE:
-            self.num, self.den = num, _PS_ONE
-            return
-        if len(den.terms) == 1:
-            pe, amp = den.terms[0]
-            self.num = num.shift(-pe).scale(amp.inverse())
-            self.den = _PS_ONE
-            return
-        pe, amp = den.least_term()
-        inv = amp.inverse()
-        self.num = num.shift(-pe).scale(inv)
-        self.den = den.shift(-pe).scale(inv)
+        pe, amp, factor = _unit_split(den)
+        num = num.shift(-pe).scale(amp.inverse()) if num.terms else _PS_ZERO
+        if factor is None or not num.terms:
+            self.num, self.factors = num, ()
+        else:
+            self.num, self.factors = _reduced(num, ((factor, 1),))
 
     @classmethod
-    def _canonical(cls, num: PhaseSum, den: PhaseSum) -> "Scalar":
-        """Trusted constructor: ``den`` is already in canonical form, and
-        is ``_PS_ONE`` itself for denominator 1 and for a zero ``num``."""
+    def _canonical(cls, num: PhaseSum, factors: tuple) -> "Scalar":
+        """Trusted constructor: ``num`` is reduced with respect to the
+        canonical, sorted ``factors``, which are empty for a zero ``num``."""
         obj = object.__new__(cls)
         obj.num = num
-        obj.den = den
+        obj.factors = factors
         return obj
+
+    @classmethod
+    def _reduce(cls, num: PhaseSum, factors: tuple) -> "Scalar":
+        """num over canonical, sorted factors, with the factors that
+        divide num cancelled."""
+        if not num.terms:
+            return _SC_ZERO
+        return cls._canonical(*_reduced(num, factors))
+
+    @property
+    def den(self) -> PhaseSum:
+        """The denominator multiplied out, computed on each access."""
+        return _expand(_PS_ONE, self.factors)
 
     @classmethod
     def zero(cls) -> "Scalar":
@@ -710,30 +873,50 @@ class Scalar:
         return self.num.is_zero()
 
     def __add__(self, other: "Scalar") -> "Scalar":
-        if self.den is _PS_ONE and other.den is _PS_ONE:
-            return Scalar._canonical(self.num + other.num, _PS_ONE)
-        return Scalar(self.num * other.den + other.num * self.den, self.den * other.den)
+        fs, fo = self.factors, other.factors
+        if not fs and not fo:
+            return Scalar._canonical(self.num + other.num, ())
+        if not self.num.terms:
+            return other
+        if not other.num.terms:
+            return self
+        if fs == fo:
+            return Scalar._reduce(self.num + other.num, fs)
+        lcm, lacks_s, lacks_o = _cofactors(fs, fo)
+        num = _expand(self.num, lacks_s) + _expand(other.num, lacks_o)
+        return Scalar._reduce(num, lcm)
 
     def __neg__(self) -> "Scalar":
-        return Scalar._canonical(-self.num, self.den)
+        return Scalar._canonical(-self.num, self.factors)
 
     def __sub__(self, other: "Scalar") -> "Scalar":
         return self + (-other)
 
     def __mul__(self, other: "Scalar") -> "Scalar":
-        if self.den is _PS_ONE and other.den is _PS_ONE:
-            return Scalar._canonical(self.num * other.num, _PS_ONE)
-        return Scalar(self.num * other.num, self.den * other.den)
+        fs, fo = self.factors, other.factors
+        num = self.num * other.num
+        if not fs and not fo:
+            return Scalar._canonical(num, ())
+        if not fo and len(other.num.terms) == 1:
+            return Scalar._canonical(num, fs)  # a unit keeps num reduced
+        if not fs and len(self.num.terms) == 1:
+            return Scalar._canonical(num, fo)
+        if not fs or not fo:
+            return Scalar._reduce(num, fs or fo)
+        merged = dict(fs)
+        for f, m in fo:
+            merged[f] = merged.get(f, 0) + m
+        return Scalar._reduce(num, tuple(sorted(merged.items(), key=_factor_order)))
 
     def rotate(self, pe: PhaseExponent) -> "Scalar":
         """This scalar times the unimodular phase e^{i*pe}.
 
-        Only the numerator's exponents move; the denominator, and with it
-        the canonical form, is unchanged.
+        Only the numerator's exponents move; the factors, and with them
+        the canonical form, are unchanged.
         """
         if pe.is_zero():
             return self
-        return Scalar._canonical(self.num.shift(pe), self.den)
+        return Scalar._canonical(self.num.shift(pe), self.factors)
 
     def inverse(self) -> "Scalar":
         if self.num.is_zero():
@@ -744,37 +927,48 @@ class Scalar:
         return self * other.inverse()
 
     def conj(self) -> "Scalar":
-        if self.den is _PS_ONE:
-            return Scalar._canonical(self.num.conj(), _PS_ONE)
-        return Scalar(self.num.conj(), self.den.conj())
+        num = self.num.conj()
+        if not self.factors:
+            return Scalar._canonical(num, ())
+        # conj(f) = amp * e^{i*pe} * g with g canonical: the unit moves to
+        # the numerator, and conjugation keeps numerators reduced
+        factors = []
+        for f, m in self.factors:
+            pe, amp, g = _unit_split(f.conj())
+            inv = amp.inverse()
+            for _ in range(m):
+                num = num.shift(-pe).scale(inv)
+            factors.append((g, m))
+        factors.sort(key=_factor_order)
+        return Scalar._canonical(num, tuple(factors))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Scalar):
             return NotImplemented
-        if self.den is _PS_ONE and other.den is _PS_ONE:
+        fs, fo = self.factors, other.factors
+        if fs == fo:
             return self.num == other.num
-        if self.num == other.num and self.den == other.den:
-            return True
-        return self.num * other.den == other.num * self.den
+        _, lacks_s, lacks_o = _cofactors(fs, fo)
+        return _expand(self.num, lacks_s) == _expand(other.num, lacks_o)
 
     __hash__ = None  # equality is by cross multiplication
 
     def single_phase(self) -> tuple[PhaseExponent, QI] | None:
         """The (exponent, amplitude) pair when this scalar is one phase
         term over denominator 1, else None."""
-        if self.den is _PS_ONE or self.den == _PS_ONE:
-            if len(self.num.terms) == 1:
-                return self.num.terms[0]
+        if not self.factors and len(self.num.terms) == 1:
+            return self.num.terms[0]
         return None
 
     def numeric(self, table: "AtomTable") -> complex:
-        num = self.num.numeric(table)
-        if self.den is _PS_ONE:
-            return num
-        den = self.den.numeric(table)
-        if abs(den) < 1e-300:
-            raise NumericOverflow("denominator numerically vanishes")
-        return num / den
+        """num / prod factor^m, each factor evaluated on its own."""
+        value = self.num.numeric(table)
+        for f, m in self.factors:
+            den = f.numeric(table)
+            if abs(den) < 1e-300:
+                raise NumericOverflow("denominator numerically vanishes")
+            value /= den**m
+        return value
 
     def modulus(self, table: "AtomTable | None" = None) -> float:
         single = self.single_phase()
@@ -785,9 +979,8 @@ class Scalar:
         return abs(self.numeric(table))
 
     def __repr__(self) -> str:
-        if self.den is _PS_ONE:
-            return f"Scalar({self.num!r})"
-        return f"Scalar({self.num!r} / {self.den!r})"
+        dens = "".join(f" / {f!r}" + (f"**{m}" if m > 1 else "") for f, m in self.factors)
+        return f"Scalar({self.num!r}{dens})"
 
 
 _SC_ZERO = Scalar(_PS_ZERO)
@@ -880,9 +1073,6 @@ class BohrCharacter:
     @classmethod
     def trivial(cls) -> "BohrCharacter":
         return cls()
-
-    def is_trivial(self) -> bool:
-        return not self.angles
 
     def angle(self, f: Frequency) -> Fraction:
         lookup = dict(self.angles)

@@ -145,9 +145,13 @@ def _phase_sum_text(ps: PhaseSum, atomic: bool) -> str:
 
 
 def scalar_text(s: Scalar, atomic: bool = False) -> str:
-    if s.den == PhaseSum.one():
+    """A coefficient as text; a factored denominator prints as one
+    division per factor and multiplicity, ``(num)/(f)/(f)/(g)``, which
+    parses back to the same factors."""
+    if not s.factors:
         return _phase_sum_text(s.num, atomic)
-    return f"({_phase_sum_text(s.num, False)})/({_phase_sum_text(s.den, False)})"
+    dens = "".join(f"/({_phase_sum_text(f, False)})" for f, m in s.factors for _ in range(m))
+    return f"({_phase_sum_text(s.num, False)}){dens}"
 
 
 def element_text(x: Element) -> str:

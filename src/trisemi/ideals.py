@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebra import AlgebraId, Axis, Element, coeff_map, mul, support_predicate
 from .errors import DegeneratePhase, InvalidScale, NotInAmbient

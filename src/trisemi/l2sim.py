@@ -16,7 +16,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -31,12 +30,12 @@ from .algebra import (
     V,
     coeff_map,
     compress,
-    mul,
 )
 from .errors import (
     AxisMismatch,
     DivergentPacket,
     InvalidParameter,
+    NumericOverflow,
     ScheduleTooShort,
 )
 from .exactnum import (
@@ -254,6 +253,10 @@ def sample_widths_centers(rng, trials: int):
     return a, b, c
 
 
+# Dilations such as V(400) or V(-1000) push the packet parameters past the
+# double range (e^800 overflows, e^-1000 is 0) with no Python exception:
+# the array arithmetic runs silent and a non-finite bound is raised.
+@np.errstate(all="ignore")
 def norm_lower_bound(
     x: Element,
     trials: int,
@@ -305,6 +308,8 @@ def norm_lower_bound(
         for r2 in rows:
             image_sq = image_sq + _kernels.gaussian_inner(*r1, *r2).real
     ratios = np.sqrt(np.maximum(image_sq, 0.0) / base_sq)
+    if not np.isfinite(ratios).all():
+        raise NumericOverflow("the dilated packets leave the double range")
     return float(ratios.max()) if len(rows) else 0.0
 
 

@@ -1,10 +1,22 @@
 """Command-line surface and config loading."""
 
+import contextlib
+import io
 import json
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from trisemi import GroupModeError, ParseError, RunConfig, load_config
+from trisemi import (
+    GroupModeError,
+    ParseError,
+    RunConfig,
+    element_text,
+    load_config,
+    parse_element,
+)
 from trisemi.cli import run
 
 
@@ -242,3 +254,64 @@ def test_print_parse_round_trip_on_random_elements(capsys):
     for _ in range(200):
         x = random_element(rng, max_terms=4)
         assert parse_element(element_text(x)) == x
+
+
+@pytest.mark.parametrize("text", ["V(400)", "V(-1000)"])
+def test_sim_norm_bound_past_the_double_range_exits_2_without_warnings(capsys, text):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["--json", "sim-norm-bound", text]) == 2
+    out, err = out_of(capsys)
+    assert out == ""
+    assert json.loads(err)["error"]["code"] == "numeric-overflow"
+    assert not caught
+
+
+# Expression text from a small grammar, weighted toward division,
+# grouping and phases so that random texts reach factored denominators
+# (binomial divisors, opaque ones and their cancellation); then the same
+# texts with one stray piece spliced in, or loose pieces only.
+_SCALARS = st.sampled_from(
+    ["exp(i*s2)", "exp(-i*1/2)", "2", "i", "(1 - exp(i*s2))", "(exp(i*s2) - 1)",
+     "(1 + 2*exp(i*s2))", "(1 - exp(i*1/2*s2))", "(2 + exp(i*1) + exp(i*s2))"]
+)
+_LEAVES = st.one_of(st.sampled_from(["M(1)", "D(s2)", "V(1)"]), _SCALARS)
+_OPS = st.sampled_from([" / ", "/", " / ", " * ", " + ", " - "])
+_PIECES = st.sampled_from(["/", "(", ")", "exp(i*", "*", "+", "-", "1/", "0", "@{1}", "s2", "i", " "])
+_GRAMMAR = st.recursive(
+    _LEAVES,
+    lambda inner: st.one_of(
+        st.builds(lambda a, op, b: a + op + b, inner, _OPS, inner),
+        st.builds(lambda a, b: f"{a} / {b}", inner, _SCALARS),
+        inner.map(lambda e: f"({e})"),
+        inner.map(lambda e: f"adj({e})"),
+    ),
+    max_leaves=8,
+)
+_MANGLED = st.one_of(
+    st.builds(lambda t, at, piece: t[:at] + piece + t[at:], _GRAMMAR, st.integers(0, 60), _PIECES),
+    st.lists(_PIECES, max_size=12).map("".join),
+)
+
+
+def _parses_or_raises_a_parse_error_and_the_cli_exits_0_or_2(text):
+    try:
+        x = parse_element(text)
+    except ParseError:
+        pass
+    else:
+        assert parse_element(element_text(x)) == x
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert run(["--json", "normalize", "--", text]) in (0, 2)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_GRAMMAR)
+def test_fuzz_grammar_texts_parse_or_raise_and_the_cli_exits_0_or_2(text):
+    _parses_or_raises_a_parse_error_and_the_cli_exits_0_or_2(text)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_MANGLED)
+def test_fuzz_mangled_texts_parse_or_raise_and_the_cli_exits_0_or_2(text):
+    _parses_or_raises_a_parse_error_and_the_cli_exits_0_or_2(text)

@@ -1,5 +1,7 @@
-"""numpy is the only third-party package that ``import trisemi`` loads."""
+"""numpy is the only third-party package that ``import trisemi`` loads,
+and no module of the package imports a name it never reads."""
 
+import ast
 import json
 import subprocess
 import sys
@@ -46,3 +48,29 @@ def test_import_loads_no_third_party_package_but_numpy(tmp_path):
     assert "numpy" in report["loaded"]
     assert set(report["third_party"]) <= {"numpy"}
     assert not {"scipy", "mpmath", "sympy", "hypothesis", "numba"} & set(report["loaded"])
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names a module imports but never reads, by an ast scan: a name
+    counts as read when it occurs as a name anywhere else in the module,
+    the root of an attribute chain included."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in read]
+
+
+def test_no_unused_imports():
+    # __init__ imports only to re-export: its imports are the public API
+    package = Path(trisemi.__file__).resolve().parent
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        if path.name != "__init__.py":
+            unused += _unused_imports(path)
+    assert not unused, "imported but never read:\n" + "\n".join(unused)

@@ -400,3 +400,128 @@ def test_sums_share_one_canonical_core():
               "__eq__", "__hash__"}
     for cls in _SUM_KINDS:
         assert not shared & set(vars(cls)), cls.__name__
+
+
+# ------------------------------------- factored denominators and binomials
+
+THETA = PhaseExponent.product(Frequency.atom("s2"), Frequency.rational(1))
+OTHER = PhaseExponent.product(Frequency.atom("s3"), Frequency.rational(1))  # not in Q*THETA
+
+
+def _poly(coeffs: dict) -> PhaseSum:
+    """sum c_n u^n with u = e^{i*THETA}; n may be a Fraction, c a number
+    or a QI."""
+    return PhaseSum([(THETA.scale(n), c if isinstance(c, QI) else QI(c)) for n, c in coeffs.items()])
+
+
+def _fraction(num: PhaseSum, *dens: PhaseSum) -> Scalar:
+    out = Scalar(num)
+    for den in dens:
+        out = out * Scalar(PhaseSum.one(), den)
+    return out
+
+
+ONE_MINUS_U = _poly({0: 1, 1: -1})
+
+
+def test_binomial_factor_cancels_when_it_divides():
+    x = Scalar(_poly({0: 1, 2: -1}), ONE_MINUS_U)  # (1 - u^2)/(1 - u)
+    assert x.factors == ()
+    _assert_same(x.num, _poly({0: 1, 1: 1}))
+    # a = 2 and a = i: (1 - 4u^2)/(1 + 2u) and (1 + u^2)/(1 + i u)
+    x = Scalar(_poly({0: 1, 2: -4}), _poly({0: 1, 1: 2}))
+    assert x.factors == ()
+    _assert_same(x.num, _poly({0: 1, 1: -2}))
+    x = Scalar(_poly({0: 1, 2: 1}), _poly({0: 1, 1: QI(0, 1)}))
+    assert x.factors == ()
+    _assert_same(x.num, _poly({0: 1, 1: QI(0, -1)}))
+    # the unit of the denominator's least term moves to the numerator
+    x = Scalar(_poly({0: 1, 2: -1}), _poly({-1: 2, 0: -2}))  # (1 - u^2)/(2u^-1 (1 - u))
+    assert x.factors == ()
+    _assert_same(x.num, _poly({1: Fraction(1, 2), 2: Fraction(1, 2)}))
+
+
+def test_binomial_factor_stays_when_it_does_not_divide():
+    for num, den in (
+        (_poly({0: 1, 2: 1}), ONE_MINUS_U),  # p(1) = 2
+        (_poly({0: 1, 2: 4}), _poly({0: 1, 1: 2})),  # p(-1/2) = 2
+        (_poly({0: 3}), ONE_MINUS_U),
+        (ONE_MINUS_U, _poly({0: 1, 2: -1})),  # 1 - u^2 is not split
+    ):
+        x = Scalar(num, den)
+        assert x.factors == ((den, 1),)
+        _assert_same(x.num, num)
+        assert x * Scalar(den) == Scalar(num)
+
+
+def test_binomial_division_works_coset_by_coset():
+    # (1 - u) (e^{i*OTHER} + 2 e^{i*THETA/2}): two cosets of Z*THETA, one
+    # of them at a half-integer power of u
+    quotient = PhaseSum.phase(OTHER) + _poly({Fraction(1, 2): 2})
+    x = Scalar(quotient * ONE_MINUS_U, ONE_MINUS_U)
+    assert x.factors == ()
+    _assert_same(x.num, quotient)
+    # (1 + u)(e^{i*OTHER} - 1): the coefficients sum to zero over all
+    # cosets, yet 1 - u divides neither coset
+    num = _poly({0: 1, 1: 1}) * (PhaseSum.phase(OTHER) - PhaseSum.one())
+    x = Scalar(num, ONE_MINUS_U)
+    assert x.factors == ((ONE_MINUS_U, 1),)
+    _assert_same(x.num, num)
+
+
+def test_binomial_factor_cancels_as_often_as_it_divides():
+    one_plus_u = _poly({0: 1, 1: 1})
+    num = ONE_MINUS_U * ONE_MINUS_U * one_plus_u
+    x = _fraction(num, ONE_MINUS_U, ONE_MINUS_U, ONE_MINUS_U)
+    assert x.factors == ((ONE_MINUS_U, 1),)
+    _assert_same(x.num, one_plus_u)
+    y = _fraction(PhaseSum.one(), ONE_MINUS_U, ONE_MINUS_U)
+    assert y.factors == ((ONE_MINUS_U, 2),)
+    assert y.den == ONE_MINUS_U * ONE_MINUS_U
+    z = y * Scalar(ONE_MINUS_U * ONE_MINUS_U)
+    assert z.factors == () and z == Scalar.one()
+
+
+def test_binomial_division_never_lengthens_the_numerator():
+    # (1 - u^3)/(1 - u) = 1 + u + u^2 and (1 - u^1000)/(1 - u) would grow
+    # the numerator, so both stay as they are
+    for n in (3, 1000):
+        num = _poly({0: 1, n: -1})
+        x = Scalar(num, ONE_MINUS_U)
+        assert x.factors == ((ONE_MINUS_U, 1),)
+        _assert_same(x.num, num)
+
+
+def test_opaque_factor_cancels_only_against_itself():
+    opaque = _poly({0: 2, 1: 1, Fraction(1, 3): 1})
+    x = Scalar(PhaseSum.one(), opaque)
+    (factor, mult), = x.factors
+    assert mult == 1 and len(factor.terms) == 3
+    assert (x * Scalar(opaque.shift(OTHER))).single_phase() == (OTHER, QI(1))
+    assert (x * x).factors == ((factor, 2),)
+
+
+def test_fractions_obey_the_field_laws():
+    rng = random.Random(3006)
+    table = AtomTable({"s2": math.sqrt(2), "s3": math.sqrt(3)}, {})
+    dens = [ONE_MINUS_U, _poly({0: 1, 1: 2}), _poly({0: 1, Fraction(1, 2): QI(0, 1)}),
+            _poly({0: 2, 1: 1, 2: -1})]
+
+    def draw():
+        c = random_scalar(rng) * Scalar.phase(THETA.scale(rng.randint(-2, 2)))
+        for _ in range(rng.randint(0, 2)):
+            c = c / Scalar(rng.choice(dens))
+        return c
+
+    for _ in range(60):
+        x, y, z = draw(), draw(), draw()
+        assert (x + y) * z == x * z + y * z
+        assert (x * y) / y == x
+        assert (x - y) + y == x
+        assert x.conj().conj() == x
+        for got, want in (
+            ((x + y).numeric(table), x.numeric(table) + y.numeric(table)),
+            ((x * y).numeric(table), x.numeric(table) * y.numeric(table)),
+            (x.conj().numeric(table), x.numeric(table).conjugate()),
+        ):
+            assert got == pytest.approx(want, rel=1e-9, abs=1e-12)

@@ -92,3 +92,36 @@ def test_thousand_random_round_trips():
         x = random_element(rng, max_terms=4)
         text = element_text(x)
         assert parse_element(text) == x, text
+
+
+def _only_coefficient(x: Element) -> Scalar:
+    (c,) = x.terms.values()
+    return c
+
+
+def test_factored_denominators_print_one_division_per_factor():
+    x = parse_element("M(1) / (1 - exp(i*s2)) / (1 - exp(i*s2)) / (2 + exp(i*1))")
+    c = _only_coefficient(x)
+    assert [(len(f.terms), m) for f, m in c.factors] == [(2, 1), (2, 2)]
+    text = element_text(x)
+    assert text.count("/(1 - exp(i*s2))") == 2 and "^" not in text
+    y = parse_element(text)
+    assert y == x
+    d = _only_coefficient(y)
+    assert d.num.terms == c.num.terms and d.factors == c.factors
+
+
+def test_opaque_divisor_round_trips():
+    x = parse_element("M(1) / (2 + exp(i*1) + exp(i*s2))")
+    c = _only_coefficient(x)
+    (factor, mult), = c.factors
+    assert mult == 1 and len(factor.terms) == 3
+    y = parse_element(element_text(x))
+    assert y == x
+    assert _only_coefficient(y).factors == c.factors
+    # the same factor in the numerator cancels; one differing term keeps it
+    z = parse_element("(2 + exp(i*1) + exp(i*s2)) * exp(i*s3) / (2 + exp(i*1) + exp(i*s2))")
+    assert _only_coefficient(z).factors == ()
+    assert z == parse_element("exp(i*s3)")
+    w = parse_element("(2 + exp(i*1) + exp(i*s3)) / (2 + exp(i*1) + exp(i*s2))")
+    assert len(_only_coefficient(w).factors) == 1

@@ -14,6 +14,7 @@ from trisemi import (
     IdealId,
     InvalidScale,
     NotInAmbient,
+    PhaseExponent,
     Scalar,
     aap_eval,
     adjoint,
@@ -180,3 +181,85 @@ def test_adjoint_commutator_stays_in_the_ideal(table):
         c = commutator(a, b)
         # the adjoint of a commutator is a commutator of the adjoint algebra
         assert in_ideal(adjoint(adjoint(c)), IdealId.cp(), table)
+
+
+# ------------------------------- reduced coefficients of certificate chains
+
+# f = M(lam)/(1 - e^{-i lam s}) and g = f + D(s): every coefficient of
+# f*g^k lives in the Laurent ring of u = e^{i lam s}.  Keys (j, l) stand
+# for M(j lam) D(l s), and the product (a, b)(c, d) carries u^{-c b}.
+CHAIN_DEPTH = 8
+SYMPY_NUM_TERMS = (1, 2, 3, 5, 7, 10, 13, 17)
+
+
+@pytest.fixture(scope="module")
+def sympy_chain():
+    sympy = pytest.importorskip("sympy")
+    u = sympy.Symbol("u")
+    f = {(1, 0): 1 / (1 - 1 / u)}
+    g = {**f, (0, 1): sympy.Integer(1)}
+    p, steps = f, []
+    for _ in range(CHAIN_DEPTH):
+        q = {}
+        for (a, b), x in p.items():
+            for (c, d), y in g.items():
+                q[(a + c, b + d)] = q.get((a + c, b + d), 0) + x * y * u ** (-c * b)
+        p = {key: sympy.cancel(v) for key, v in q.items()}
+        steps.append({key: v for key, v in p.items() if v != 0})
+    return sympy, u, steps
+
+
+def _to_sympy(ps, theta, sympy, u):
+    """A phase sum whose exponents are integer multiples of theta, as a
+    Laurent polynomial in u = e^{i theta}."""
+    total = sympy.Integer(0)
+    for pe, amp in ps.terms:
+        n = pe.terms[0][1] / theta.terms[0][1] if pe.terms else Fraction(0)
+        assert n.denominator == 1 and theta.scale(n) == pe
+        total += (sympy.Rational(amp.re) + sympy.I * sympy.Rational(amp.im)) * u ** int(n)
+    return total
+
+
+def _chain_pairs():
+    rng = random.Random(6001)
+    pairs = []
+    for a, b in (("ONE", "s2"), ("s2", "s3"), ("s3", "ONE"), ("s2", "s2")):
+        q = [Fraction(rng.randint(1, 6), rng.randint(1, 3)) * rng.choice((1, -1)) for _ in range(2)]
+        pairs.append((Frequency.atom(a, q[0]), Frequency.atom(b, q[1])))
+    return pairs
+
+
+@pytest.mark.parametrize("lam, s", _chain_pairs())
+def test_certificate_chain_coefficients_are_reduced(sympy_chain, lam, s):
+    sympy, u, steps = sympy_chain
+    f = commutator_certificate(lam, s).f
+    theta = PhaseExponent.product(lam, s)
+    g = f + Element.d(s)
+    p = f
+    for k, expected in enumerate(steps, start=1):
+        p = mul(p, g)
+        got = {}
+        for (mu_lam, mu_s, _), c in p.terms.items():
+            j = mu_lam.terms[0][1] / lam.terms[0][1] if mu_lam.terms else 0
+            l = mu_s.terms[0][1] / s.terms[0][1] if mu_s.terms else 0
+            got[(int(j), int(l))] = c
+        assert set(got) == set(expected)
+        top_mult, top_terms = 0, 0
+        for key, c in got.items():
+            ref_num, ref_den = sympy.fraction(expected[key])
+            num = _to_sympy(c.num, theta, sympy, u)
+            den = _to_sympy(c.den, theta, sympy, u)
+            assert sympy.expand(num * ref_den - ref_num * den) == 0
+            # the same numerator as sympy's up to a unit, over one binomial
+            assert len(c.num.terms) == len(sympy.Poly(ref_num, u).terms())
+            assert len(c.factors) <= 1
+            mult = 0
+            if c.factors:
+                (factor, mult), = c.factors
+                assert len(factor.terms) == 2 and mult <= k + 1
+            unit_num, unit_den = sympy.fraction(sympy.cancel(den / ref_den))
+            assert len(sympy.Poly(unit_num, u).terms()) == len(sympy.Poly(unit_den, u).terms()) == 1
+            top_mult = max(top_mult, mult)
+            top_terms = max(top_terms, len(c.num.terms))
+        assert top_mult == k + 1
+        assert top_terms == SYMPY_NUM_TERMS[k - 1]
