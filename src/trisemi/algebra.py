@@ -304,12 +304,6 @@ class Axis(Enum):
         for axis in cls:
             if t in (axis.value.lower(), axis.name.lower()):
                 return axis
-        if t == "translation":
-            return cls.TRANSLATION
-        if t == "multiplication":
-            return cls.MULTIPLICATION
-        if t == "dilation":
-            return cls.DILATION
         raise AxisMismatch(f"unknown axis {text!r}")
 
 

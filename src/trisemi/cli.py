@@ -83,14 +83,6 @@ def _element_payload(x: Element, cfg: RunConfig) -> dict:
 # ------------------------------------------------------------- arg parsing
 
 
-def _freq(text: str):
-    return parse_frequency(text)
-
-
-def _dil(text: str):
-    return parse_dilation(text)
-
-
 def _int_list(text: str) -> list[int]:
     return [int(p) for p in text.split(",") if p.strip()]
 
@@ -185,7 +177,7 @@ def _cmd_adjoint(args, cfg):
 def _cmd_coeff(args, cfg):
     x = parse_element(args.expr)
     axis = Axis.parse(args.axis)
-    index = _dil(args.index) if axis is Axis.DILATION else _freq(args.index)
+    index = parse_dilation(args.index) if axis is Axis.DILATION else parse_frequency(args.index)
     out = _element_payload(coeff_map(x, axis, index), cfg)
     out["axis"] = axis.value
     out["index"] = args.index
@@ -227,7 +219,7 @@ def _cmd_gauge(args, cfg):
 def _cmd_cesaro(args, cfg):
     x = parse_element(args.expr)
     grading = approx.normalize_grading(args.grading)
-    index = _dil(args.index) if grading == "dilation" else _freq(args.index)
+    index = parse_dilation(args.index) if grading == "dilation" else parse_frequency(args.index)
     mean = approx.cesaro_mean(x, grading, index, args.T, args.steps, cfg.table)
     out = _element_payload(mean, cfg)
     out.update({"grading": grading, "index": args.index, "T": args.T, "steps": args.steps})
@@ -454,20 +446,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = cmd("ideal-test", _cmd_ideal_test, "polynomial ideal membership")
     p.add_argument("--ideal", required=True, choices=["cp", "cph", "i0", "jt"])
-    p.add_argument("--t", type=_dil, help="dilation step for jt")
+    p.add_argument("--t", type=parse_dilation, help="dilation step for jt")
     p.add_argument("expr")
 
     p = cmd("cert-commutator", _cmd_cert_commutator,
             "exact f with f*D(s) - D(s)*f = M(lam)*D(s)")
-    p.add_argument("--lam", type=_freq, required=True)
-    p.add_argument("--s", type=_freq, required=True)
+    p.add_argument("--lam", type=parse_frequency, required=True)
+    p.add_argument("--s", type=parse_frequency, required=True)
 
     p = cmd("cert-jt", _cmd_cert_jt, "telescoped J_t certificate for e^{i lam x} - e^{ix}")
     p.add_argument("--lam", type=float, required=True)
     p.add_argument("--t", type=float, required=True)
 
     p = cmd("auto-apply", _cmd_auto_apply, "apply a twisted dilation automorphism")
-    p.add_argument("--t", type=_dil, default=parse_dilation("0"))
+    p.add_argument("--t", type=parse_dilation, default=parse_dilation("0"))
     p.add_argument("--theta", type=Fraction, default=Fraction(0),
                    help="rational V-twist angle")
     p.add_argument("--angles", help="atom=p/q,... modulation twist")
@@ -553,9 +545,9 @@ def _render_human(payload: dict, out) -> None:
 
 
 def run(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        # typed options parse inside the try, so their ParseError is reported
+        args = _build_parser().parse_args(argv)
         cfg = load_config(args.config)
         if args.guard is None:
             args.guard = cfg.guard

@@ -50,6 +50,10 @@ from .exactnum import (
 
 # ------------------------------------------------------------------ packets
 
+# a dilation by e^t scales the width by e^{2t}, which leaves the double
+# range (or underflows to zero) for |t| above this
+_MAX_DILATION = 0.5 * math.log(np.finfo(np.float64).max)
+
 
 @dataclass(frozen=True)
 class GaussianPacket:
@@ -66,106 +70,104 @@ class GaussianPacket:
                 f"width parameter {self.a!r} has nonpositive real part"
             )
 
-    @classmethod
-    def unit(cls) -> "GaussianPacket":
-        return cls()
 
-    def value(self, x: float) -> complex:
-        return self.amp * cmath.exp(
-            -self.a * (x - self.b) ** 2 + 1j * self.c * x
-        )
-
-    def scale(self, z: complex) -> "GaussianPacket":
-        return GaussianPacket(self.amp * z, self.a, self.b, self.c)
-
-    def modulate(self, lam: float) -> "GaussianPacket":
-        """Multiply by e^{i lam x}."""
-        return GaussianPacket(self.amp, self.a, self.b, self.c + lam)
-
-    def translate(self, mu: float) -> "GaussianPacket":
-        """Shift the argument by mu."""
-        return GaussianPacket(
-            self.amp * cmath.exp(-1j * self.c * mu),
-            self.a,
-            self.b + mu,
-            self.c,
-        )
-
-    def dilate(self, t: float) -> "GaussianPacket":
-        """Apply the unitary dilation by e^t."""
-        g = _exp(t)
-        return GaussianPacket(
-            self.amp * _exp(0.5 * t), self.a * g * g, self.b / g, self.c * g
-        )
-
-    def fourier(self) -> "GaussianPacket":
-        """Unitary Fourier transform (2 pi)^{-1/2} integral of f e^{-i xi x}."""
-        amp = self.amp / cmath.sqrt(2 * self.a) * cmath.exp(1j * self.b * self.c)
-        return GaussianPacket(amp, 1 / (4 * self.a), self.c, -self.b)
-
-    def inv_fourier(self) -> "GaussianPacket":
-        amp = self.amp / cmath.sqrt(2 * self.a) * cmath.exp(1j * self.b * self.c)
-        return GaussianPacket(amp, 1 / (4 * self.a), -self.c, self.b)
+def _columns(rows):
+    """The amp, a, b, c arrays of (amp, a, b, c) rows."""
+    return np.array(rows, dtype=np.complex128).reshape(-1, 4).T
 
 
 class PacketSum:
-    """Finite linear combination of Gaussian packets."""
+    """Finite linear combination of Gaussian packets.
 
-    __slots__ = ("packets",)
+    The packets are four complex parameter arrays amp, a, b, c of one
+    shape, one entry per packet, so each generator acts by one array
+    expression.  Action parameters broadcast against them: an action by
+    a column of parameters yields one row of packets per parameter.
+    """
+
+    __slots__ = ("amp", "a", "b", "c")
 
     def __init__(self, packets=()):
-        self.packets = tuple(packets)
+        rows = [(p.amp, p.a, p.b, p.c) for p in packets]
+        self.amp, self.a, self.b, self.c = _columns(rows)
+
+    @classmethod
+    def _of(cls, amp, a, b, c) -> "PacketSum":
+        out = cls.__new__(cls)
+        out.amp, out.a, out.b, out.c = amp, a, b, c
+        return out
 
     @classmethod
     def single(cls, packet: GaussianPacket | None = None) -> "PacketSum":
-        return cls((packet or GaussianPacket.unit(),))
+        return cls((packet or GaussianPacket(),))
+
+    @property
+    def packets(self) -> tuple:
+        return tuple(GaussianPacket(*row) for row in self._rows())
+
+    @property
+    def _params(self) -> tuple:
+        return self.amp, self.a, self.b, self.c
+
+    def _rows(self):
+        return zip(*(v.ravel().tolist() for v in self._params))
 
     def __add__(self, other: "PacketSum") -> "PacketSum":
-        return PacketSum(self.packets + other.packets)
+        """Packets with identical (a, b, c) merge into one with the summed
+        amplitude, and packets of amplitude exactly zero drop, so a
+        difference of equal terms is exactly zero."""
+        merged = {}
+        for amp, a, b, c in (*self._rows(), *other._rows()):
+            merged[a, b, c] = merged.get((a, b, c), 0j) + amp
+        rows = [(amp, *key) for key, amp in merged.items() if amp]
+        return PacketSum._of(*_columns(rows))
 
     def __sub__(self, other: "PacketSum") -> "PacketSum":
         return self + other.scale(-1.0)
 
     def __len__(self) -> int:
-        return len(self.packets)
+        return self.amp.size
 
-    def scale(self, z: complex) -> "PacketSum":
-        return PacketSum(p.scale(z) for p in self.packets)
+    def scale(self, z) -> "PacketSum":
+        return PacketSum._of(self.amp * z, self.a, self.b, self.c)
 
-    def modulate(self, lam: float) -> "PacketSum":
-        return PacketSum(p.modulate(lam) for p in self.packets)
+    def modulate(self, lam) -> "PacketSum":
+        """Multiply by e^{i lam x}."""
+        return PacketSum._of(self.amp, self.a, self.b, self.c + lam)
 
-    def translate(self, mu: float) -> "PacketSum":
-        return PacketSum(p.translate(mu) for p in self.packets)
+    def translate(self, mu) -> "PacketSum":
+        """Shift the argument by mu."""
+        amp = self.amp * np.exp(self.c * (-1j * mu))
+        return PacketSum._of(amp, self.a, self.b + mu, self.c)
 
-    def dilate(self, t: float) -> "PacketSum":
-        return PacketSum(p.dilate(t) for p in self.packets)
+    def dilate(self, t) -> "PacketSum":
+        """Apply the unitary dilation by e^t."""
+        if np.abs(t).max(initial=0.0) > _MAX_DILATION:
+            raise NumericOverflow("a dilation e^{2t} leaves the double range")
+        g = np.exp(t)
+        # b e^-t, not b / e^t, so a centred packet moved by D(mu) lands on e^-t mu exactly
+        return PacketSum._of(
+            self.amp * np.exp(0.5 * t), self.a * g * g, self.b * np.exp(-t), self.c * g
+        )
 
     def fourier(self) -> "PacketSum":
-        return PacketSum(p.fourier() for p in self.packets)
+        """Unitary Fourier transform (2 pi)^{-1/2} integral of f e^{-i xi x}."""
+        return self._fourier(1)
 
     def inv_fourier(self) -> "PacketSum":
-        return PacketSum(p.inv_fourier() for p in self.packets)
+        return self._fourier(-1)
+
+    def _fourier(self, sign: int) -> "PacketSum":
+        amp = self.amp / np.sqrt(2 * self.a) * np.exp(1j * self.b * self.c)
+        return PacketSum._of(amp, 1 / (4 * self.a), sign * self.c, -sign * self.b)
 
     def value(self, x: float) -> complex:
-        return sum((p.value(x) for p in self.packets), 0j)
-
-    def _arrays(self):
-        n = len(self.packets)
-        amp = np.empty(n, dtype=np.complex128)
-        a = np.empty(n, dtype=np.complex128)
-        b = np.empty(n, dtype=np.complex128)
-        c = np.empty(n, dtype=np.complex128)
-        for i, p in enumerate(self.packets):
-            amp[i], a[i], b[i], c[i] = p.amp, p.a, p.b, p.c
-        return amp, a, b, c
+        terms = self.amp * np.exp(-self.a * (x - self.b) ** 2 + 1j * self.c * x)
+        return complex(terms.sum())
 
     def inner(self, other: "PacketSum") -> complex:
-        if not self.packets or not other.packets:
-            return 0j
-        left = (v[:, None] for v in self._arrays())
-        right = (v[None, :] for v in other._arrays())
-        return complex(_kernels.gaussian_inner(*left, *right).sum())
+        left = (v[:, None] for v in self._params)
+        return complex(_kernels.gaussian_inner(*left, *other._params).sum())
 
     def norm_sq(self) -> float:
         return max(self.inner(self).real, 0.0)
@@ -181,27 +183,24 @@ def packet_inner(f: PacketSum, g: PacketSum) -> complex:
 # --------------------------------------------------------- element action
 
 
+def _act(x: Element, f: PacketSum, table: AtomTable) -> PacketSum:
+    """Every monomial z M(lam) D(mu) V(t) of x applied to every packet of
+    f, as parameter arrays of shape (terms, packets): dilate, then shift,
+    then modulate, then scale.  The dilation touches all four parameters,
+    so each array comes out with the full shape."""
+    terms = x.sorted_terms()
+    z = np.array([scalar_numeric(c, table) for _, c in terms], dtype=np.complex128)
+    keys = np.array([[k.numeric(table) for k in key] for key, _ in terms], dtype=np.float64)
+    lam, mu, t = keys.reshape(-1, 3).T[:, :, None]
+    return f.dilate(t).translate(mu).modulate(lam).scale(z[:, None])
+
+
 def apply_element(
     x: Element, f: PacketSum, table: AtomTable | None = None
 ) -> PacketSum:
     """Act by the concrete operator sum: dilate, then shift, then modulate."""
-    table = table or AtomTable.default()
-    out = []
-    for (lam, mu, t), coeff in x.sorted_terms():
-        z = scalar_numeric(coeff, table)
-        lam_n = lam.numeric(table)
-        mu_n = mu.numeric(table)
-        t_n = t.numeric(table)
-        for p in f.packets:
-            q = p
-            if t_n:
-                q = q.dilate(t_n)
-            if mu_n:
-                q = q.translate(mu_n)
-            if lam_n:
-                q = q.modulate(lam_n)
-            out.append(q.scale(z))
-    return PacketSum(out)
+    out = _act(x, f, table or AtomTable.default())
+    return PacketSum._of(*(v.ravel() for v in out._params))
 
 
 def apply_word(word, f: PacketSum, table: AtomTable | None = None) -> PacketSum:
@@ -231,11 +230,11 @@ def relation_residual(kind: str, params, f: PacketSum) -> float:
     elif kind == "dilM":
         t, lam = params
         lhs = f.modulate(lam).dilate(t)
-        rhs = f.dilate(t).modulate(_exp(t) * lam)
+        rhs = f.dilate(t).modulate(np.exp(t) * lam)
     elif kind == "dilD":
         t, mu = params
         lhs = f.translate(mu).dilate(t)
-        rhs = f.dilate(t).translate(_exp(-t) * mu)
+        rhs = f.dilate(t).translate(np.exp(-t) * mu)
     else:
         raise InvalidParameter(f"unknown relation {kind!r}")
     return (lhs - rhs).norm()
@@ -253,9 +252,9 @@ def sample_widths_centers(rng, trials: int):
     return a, b, c
 
 
-# Dilations such as V(400) or V(-1000) push the packet parameters past the
-# double range (e^800 overflows, e^-1000 is 0) with no Python exception:
-# the array arithmetic runs silent and a non-finite bound is raised.
+# A dilation near the edge of the double range can still overflow a
+# sampled width (up to 20 e^{2t}) with no Python exception: the array
+# arithmetic runs silent and a non-finite bound is raised.
 @np.errstate(all="ignore")
 def norm_lower_bound(
     x: Element,
@@ -271,46 +270,18 @@ def norm_lower_bound(
     """
     if trials < 1:
         raise InvalidParameter("need at least one trial")
-    table = table or AtomTable.default()
-    rng = np.random.default_rng(seed)
-    a, b, c = sample_widths_centers(rng, trials)
-    a = a.astype(np.complex128)
-    b = b.astype(np.complex128)
-    c = c.astype(np.complex128)
-    amp = np.ones_like(a)
-
-    terms = []
-    for (lam, mu, t), coeff in x.sorted_terms():
-        terms.append(
-            (
-                scalar_numeric(coeff, table),
-                lam.numeric(table),
-                mu.numeric(table),
-                t.numeric(table),
-            )
-        )
-    # transformed packet parameter arrays, one row per term
-    rows = []
-    for z, lam_n, mu_n, t_n in terms:
-        g = _exp(t_n)
-        ta = a * g * g
-        tb = b / g
-        tc = c * g
-        tamp = amp * z * _exp(0.5 * t_n)
-        tamp = tamp * np.exp(-1j * tc * mu_n)
-        tb = tb + mu_n
-        tc = tc + lam_n
-        rows.append((tamp, ta, tb, tc))
-
-    base_sq = _kernels.gaussian_inner(amp, a, b, c, amp, a, b, c).real
-    image_sq = np.zeros_like(base_sq)
-    for r1 in rows:
-        for r2 in rows:
-            image_sq = image_sq + _kernels.gaussian_inner(*r1, *r2).real
+    a, b, c = sample_widths_centers(np.random.default_rng(seed), trials)
+    f = PacketSum._of(*np.array([np.ones(trials), a, b, c], dtype=np.complex128))
+    image = _act(x, f, table or AtomTable.default())
+    # trial i of every term against trial i of every term
+    left = (v[:, None] for v in image._params)
+    right = (v[None, :] for v in image._params)
+    image_sq = _kernels.gaussian_inner(*left, *right).real.sum(axis=(0, 1))
+    base_sq = _kernels.gaussian_inner(*f._params, *f._params).real
     ratios = np.sqrt(np.maximum(image_sq, 0.0) / base_sq)
     if not np.isfinite(ratios).all():
         raise NumericOverflow("the dilated packets leave the double range")
-    return float(ratios.max()) if len(rows) else 0.0
+    return float(ratios.max())
 
 
 # ------------------------------------------------- left regular representation
@@ -419,14 +390,13 @@ def column_norms(
         for s in support:
             fiber = coeff_map(x, Axis.DILATION, s)
             s_n = s.numeric(table)
-            moved = []
+            moved = PacketSum()
             for (lam, mu, _), coeff in fiber.terms.items():
                 z = scalar_numeric(coeff, table)
                 lam_eff = lam.numeric(table) * _exp(-s_n)
                 mu_eff = mu.numeric(table) * _exp(s_n)
-                for p in xi.packets:
-                    moved.append(p.translate(mu_eff).modulate(lam_eff).scale(z))
-            rhs += PacketSum(moved).norm_sq()
+                moved = moved + xi.translate(mu_eff).modulate(lam_eff).scale(z)
+            rhs += moved.norm_sq()
     return lhs, rhs
 
 

@@ -146,6 +146,7 @@ def test_invalid_parameter_exits_2_with_a_record(capsys, argv):
     [
         ["normalize", "D(1)*V(1000)*M(1)"],
         ["sim-norm-bound", "V(1000)"],
+        ["sim-wot", "--mode", "dilation-in", "--schedule", "1,2", "V(-1000)"],
     ],
 )
 def test_numeric_overflow_exits_2_with_a_record(capsys, argv):
@@ -241,6 +242,29 @@ def test_sim_fourier_subcommand(capsys):
     assert run(["--json", "sim-fourier", "--lam", "2.0", "--dual"]) == 0
     out, _ = out_of(capsys)
     assert json.loads(out)["residual"] < 1e-8
+
+
+def test_sim_residuals_weyl_row_is_a_true_residual(capsys):
+    assert run(["--json", "sim-residuals"]) == 0
+    out, _ = out_of(capsys)
+    rows = {row["relation"]: row for row in json.loads(out)["rows"]}
+    assert rows["weyl"]["residual"] < 1e-15
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cert-commutator", "--lam", "1+", "--s", "1"],
+        ["recurrence", "--freqs", "1,a+", "--eps", "0.1", "--limit", "10"],
+        ["ideal-test", "--ideal", "jt", "--t", "x+", "M(1)"],
+        ["auto-apply", "--t", "h+", "M(1)"],
+    ],
+)
+def test_malformed_typed_option_exits_2_with_a_parse_record(capsys, argv):
+    assert run(["--json", *argv]) == 2
+    out, err = out_of(capsys)
+    assert out == ""
+    assert json.loads(err)["error"]["code"] == "parse"
 
 
 def test_print_parse_round_trip_on_random_elements(capsys):

@@ -4,6 +4,7 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 from scipy.integrate import quad
 
@@ -15,6 +16,7 @@ from trisemi import (
     Frequency,
     GaussianPacket,
     M,
+    NumericOverflow,
     PacketSum,
     ScheduleTooShort,
     apply_element,
@@ -29,6 +31,7 @@ from trisemi import (
     wot_compression_demo,
     wot_limit,
 )
+from trisemi.l2sim import sample_widths_centers
 
 from helpers import (
     mp_diff_norm,
@@ -82,6 +85,22 @@ def test_relation_residuals_unit_packet():
     f = PacketSum.single()
     assert relation_residual("dilM", (0.7, 1.3), f) == 0.0
     assert relation_residual("dilD", (0.7, 1.3), f) == 0.0
+
+
+def test_equal_packets_merge_so_the_weyl_residual_is_exact():
+    f = PacketSum.single(GaussianPacket(1.0, 0.8, 0.3, -0.4))
+    assert len(f - f) == 0
+    assert (f + f).packets == (GaussianPacket(2.0, 0.8, 0.3, -0.4),)
+    assert relation_residual("weyl", (1.0, 0.7), f) < 1e-15
+
+
+def test_dilation_past_the_double_range_raises(table):
+    f = PacketSum.single()
+    for t in (-800, 800):
+        with pytest.raises(NumericOverflow):
+            f.dilate(t)
+        with pytest.raises(NumericOverflow):
+            apply_element(Element.v(DilationIndex.unit(t)), f, table)
 
 
 def test_relation_residuals_random():
@@ -145,6 +164,19 @@ def test_norm_lower_bound_is_tight_for_a_single_unitary(table):
     x = mul(Element.m(ONE), Element.d(ONE))
     bound = norm_lower_bound(x, trials=5, seed=0, table=table)
     assert math.isclose(bound, 1.0, rel_tol=1e-9)
+
+
+def test_norm_lower_bound_is_the_rayleigh_quotient_of_apply_element(table):
+    # one trial: the bound is |x f| / |f| for the one packet it samples
+    rng = random.Random(37)
+    for _ in range(10):
+        x = random_element(rng, max_terms=4)
+        seed = rng.randrange(10**6)
+        a, b, c = sample_widths_centers(np.random.default_rng(seed), 1)
+        f = PacketSum.single(GaussianPacket(1.0, a[0], b[0], c[0]))
+        want = apply_element(x, f, table).norm() / f.norm()
+        got = norm_lower_bound(x, 1, seed, table)
+        assert math.isclose(got, want, rel_tol=1e-10)
 
 
 def test_lr_apply_and_column_norms(table):
