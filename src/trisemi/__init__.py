@@ -46,10 +46,7 @@ from .exactnum import (
     QI,
     Scalar,
     dilation_sign,
-    freq_scale_exp,
     freq_sign,
-    phase_product,
-    scalar_numeric,
 )
 from .algebra import (
     AlgebraId,
@@ -130,7 +127,6 @@ from .l2sim import (
     fourier_conjugation_check,
     lr_apply,
     norm_lower_bound,
-    packet_inner,
     relation_residual,
     wot_compression_demo,
     wot_limit,

@@ -18,6 +18,7 @@ from .errors import (
     AxisMismatch,
     EmptyElement,
     IllegalFlip,
+    InvalidParameter,
     InvalidScale,
 )
 from .exactnum import (
@@ -47,10 +48,6 @@ def as_dilation(x) -> DilationIndex:
     if isinstance(x, DilationIndex):
         return x
     return DilationIndex.unit(x)
-
-
-def as_scalar(x) -> Scalar:
-    return Scalar.from_number(x)
 
 
 class M:
@@ -95,7 +92,7 @@ class Sc:
     __slots__ = ("value",)
 
     def __init__(self, value):
-        self.value = as_scalar(value)
+        self.value = Scalar.from_number(value)
 
     def __repr__(self):
         return f"Sc({self.value!r})"
@@ -178,22 +175,25 @@ class Element:
 
     @classmethod
     def scalar(cls, z) -> "Element":
-        c = as_scalar(z)
+        c = Scalar.from_number(z)
         if c.is_zero():
             return cls()
         return cls({(Frequency.zero(), Frequency.zero(), DilationIndex.zero()): c})
 
     @classmethod
     def m(cls, freq, coeff=1) -> "Element":
-        return cls({(as_frequency(freq), Frequency.zero(), DilationIndex.zero()): as_scalar(coeff)})
+        key = (as_frequency(freq), Frequency.zero(), DilationIndex.zero())
+        return cls({key: Scalar.from_number(coeff)})
 
     @classmethod
     def d(cls, freq, coeff=1) -> "Element":
-        return cls({(Frequency.zero(), as_frequency(freq), DilationIndex.zero()): as_scalar(coeff)})
+        key = (Frequency.zero(), as_frequency(freq), DilationIndex.zero())
+        return cls({key: Scalar.from_number(coeff)})
 
     @classmethod
     def v(cls, index, coeff=1) -> "Element":
-        return cls({(Frequency.zero(), Frequency.zero(), as_dilation(index)): as_scalar(coeff)})
+        key = (Frequency.zero(), Frequency.zero(), as_dilation(index))
+        return cls({key: Scalar.from_number(coeff)})
 
     @classmethod
     def from_word(cls, word: Sequence) -> "Element":
@@ -229,7 +229,7 @@ class Element:
         return self + (-other)
 
     def scale(self, z) -> "Element":
-        c = as_scalar(z)
+        c = Scalar.from_number(z)
         if c.is_zero():
             return Element()
         return Element({k: v * c for k, v in self.terms.items()})
@@ -291,20 +291,58 @@ def adjoint(x: Element) -> Element:
 
 
 class Axis(Enum):
-    """Coefficient axis: E reads translation fibers, Z modulation fibers,
-    H dilation fibers."""
+    """Coefficient axis of the triple semi-crossed product: E reads
+    translation fibers, Z modulation fibers, H dilation fibers.  Every
+    grading argument of the engine names one of these."""
 
     TRANSLATION = "E"
     MULTIPLICATION = "Z"
     DILATION = "H"
 
+    def __init__(self, letter: str):
+        # position of the axis's component in a key (lam, mu, t); a plain
+        # attribute, since member lookups on an Enum class are slow
+        self.component = "ZEH".index(letter)
+
     @classmethod
-    def parse(cls, text: str) -> "Axis":
-        t = text.strip().lower()
-        for axis in cls:
-            if t in (axis.value.lower(), axis.name.lower()):
-                return axis
-        raise AxisMismatch(f"unknown axis {text!r}")
+    def parse(cls, name: "Axis | str") -> "Axis":
+        """An axis, or its letter or grading name in any case."""
+        if isinstance(name, cls):
+            return name
+        try:
+            return _AXIS_NAMES[str(name).strip().lower()]
+        except KeyError:
+            raise InvalidParameter(f"unknown grading {name!r}") from None
+
+    @property
+    def grading(self) -> str:
+        return self.name.lower()
+
+    def index(self, key: Key):
+        """The key's component on this axis: mu for E, lam for Z, t for H."""
+        return key[self.component]
+
+    def strip(self, key: Key) -> Key:
+        """The fiber key: this axis's factor removed, and the dilation
+        factor with it."""
+        lam, mu, _t = key
+        if self.component == 0:
+            lam = Frequency.zero()
+        elif self.component == 1:
+            mu = Frequency.zero()
+        return (lam, mu, DilationIndex.zero())
+
+    def check_support(self, x: Element) -> None:
+        """E and Z read an element only without dilation support, so on
+        the triple algebra the H coefficient comes first."""
+        if self is not Axis.DILATION and any(not t.is_zero() for _, _, t in x.terms):
+            raise AxisMismatch(
+                f"the {self.grading} axis needs an element with no dilation "
+                "support; take the H coefficient first"
+            )
+
+
+_AXIS_NAMES = {name: axis for axis in Axis for name in (axis.value.lower(), axis.grading)}
 
 
 def coeff_map(x: Element, axis: Axis | str, index) -> Element:
@@ -316,31 +354,13 @@ def coeff_map(x: Element, axis: Axis | str, index) -> Element:
     element without dilation support, so on the triple algebra H comes
     first.
     """
-    axis = Axis.parse(axis) if isinstance(axis, str) else axis
-    zero_f = Frequency.zero()
-    zero_t = DilationIndex.zero()
-    out: dict[Key, Scalar] = {}
-    if axis is Axis.DILATION:
-        if not isinstance(index, DilationIndex):
-            raise AxisMismatch("H expects a dilation index")
-        for (lam, mu, t), c in x.terms.items():
-            if t == index:
-                out[(lam, mu, zero_t)] = c
-        return Element(out)
-    if not isinstance(index, Frequency):
-        raise AxisMismatch(f"{axis.value} expects a frequency index")
-    for (lam, mu, t), c in x.terms.items():
-        if not t.is_zero():
-            raise AxisMismatch("E and Z need an element with no dilation support")
-    if axis is Axis.TRANSLATION:
-        for (lam, mu, _t), c in x.terms.items():
-            if mu == index:
-                out[(lam, zero_f, zero_t)] = c
-    else:
-        for (lam, mu, _t), c in x.terms.items():
-            if lam == index:
-                out[(zero_f, mu, zero_t)] = c
-    return Element(out)
+    axis = Axis.parse(axis)
+    kind = DilationIndex if axis is Axis.DILATION else Frequency
+    if not isinstance(index, kind):
+        what = "dilation" if axis is Axis.DILATION else "frequency"
+        raise AxisMismatch(f"{axis.value} expects a {what} index")
+    axis.check_support(x)
+    return Element((axis.strip(key), c) for key, c in x.terms.items() if axis.index(key) == index)
 
 
 def first_coeff(

@@ -16,7 +16,6 @@ import numpy as np
 from . import _kernels
 from .algebra import Axis, Element, as_dilation, as_frequency
 from .errors import (
-    AxisMismatch,
     BasisTooShort,
     InvalidParameter,
     NonIntegerLattice,
@@ -24,48 +23,18 @@ from .errors import (
 )
 from .exactnum import (
     AtomTable,
-    DilationIndex,
     Frequency,
     Scalar,
     _dil_as_frequency,
     _frac,
 )
 
-GRADINGS = ("translation", "multiplication", "dilation")
 
-_GRADING_ALIASES = {
-    "translation": "translation",
-    "e": "translation",
-    "multiplication": "multiplication",
-    "z": "multiplication",
-    "dilation": "dilation",
-    "h": "dilation",
-}
-
-
-def normalize_grading(grading) -> str:
-    if isinstance(grading, Axis):
-        grading = grading.value
-    key = str(grading).strip().lower()
-    if key not in _GRADING_ALIASES:
-        raise InvalidParameter(f"unknown grading {grading!r}")
-    return _GRADING_ALIASES[key]
-
-
-def _grading_raw(key, grading: str):
-    lam, mu, t = key
-    if grading == "translation":
-        return mu
-    if grading == "multiplication":
-        return lam
-    return t
-
-
-def _grading_vector(key, grading: str) -> Frequency:
-    raw = _grading_raw(key, grading)
-    if grading == "dilation":
-        return _dil_as_frequency(raw)
-    return raw
+def _index_vector(axis: Axis, key) -> Frequency:
+    """The key's index on the axis as a frequency, so one rational basis
+    serves every grading."""
+    idx = axis.index(key)
+    return _dil_as_frequency(idx) if axis is Axis.DILATION else idx
 
 
 # ------------------------------------------------------------ rational basis
@@ -156,20 +125,20 @@ def rational_basis(freqs: list[Frequency]) -> RationalBasis:
 @dataclass(frozen=True)
 class BFSpec:
     m: int
-    grading: str = "translation"
+    grading: Axis = Axis.TRANSLATION
 
     def __post_init__(self):
         if self.m < 1:
             raise InvalidParameter("section order m must be at least 1")
-        object.__setattr__(self, "grading", normalize_grading(self.grading))
+        object.__setattr__(self, "grading", Axis.parse(self.grading))
 
 
 def support_basis(x: Element, grading) -> RationalBasis:
-    grading = normalize_grading(grading)
+    axis = Axis.parse(grading)
     seen = []
     keys = set()
     for key, _ in x.sorted_terms():
-        vec = _grading_vector(key, grading)
+        vec = _index_vector(axis, key)
         if vec.key() not in keys:
             keys.add(vec.key())
             seen.append(vec)
@@ -221,7 +190,7 @@ def bochner_fejer(x: Element, spec: BFSpec, strict: bool = False) -> Element:
     basis, fac = _section_setup(x, spec)
     out: dict = {}
     for key, coeff in x.terms.items():
-        coords = basis.coords_of(_grading_vector(key, spec.grading))
+        coords = basis.coords_of(_index_vector(spec.grading, key))
         weight = _section_weight(coords, fac, strict)
         if weight:
             out[key] = coeff * Scalar.from_rational(weight)
@@ -233,11 +202,11 @@ def section_weights(x: Element, spec: BFSpec) -> dict:
     basis, fac = _section_setup(x, spec)
     out = {}
     for key, _ in x.sorted_terms():
-        raw = _grading_raw(key, spec.grading)
-        if raw in out:
+        idx = spec.grading.index(key)
+        if idx in out:
             continue
-        coords = basis.coords_of(_grading_vector(key, spec.grading))
-        out[raw] = _section_weight(coords, fac, strict=False)
+        coords = basis.coords_of(_index_vector(spec.grading, key))
+        out[idx] = _section_weight(coords, fac, strict=False)
     return out
 
 
@@ -265,12 +234,12 @@ def gauge(x: Element, grading, theta, table: AtomTable | None = None) -> Element
     exponent-free frequencies), so the twist is then a homomorphism on
     the nose; otherwise the angle rounds through a double.
     """
-    grading = normalize_grading(grading)
+    axis = Axis.parse(grading)
     table = table or AtomTable.default()
     theta_q = _frac(theta)
     out: dict = {}
     for key, coeff in x.terms.items():
-        idx = _grading_raw(key, grading)
+        idx = axis.index(key)
         exact = idx.exact_numeric(table)
         if exact is not None:
             angle = theta_q * exact
@@ -293,37 +262,18 @@ def cesaro_mean(
     Converges to the coefficient map at s with error of order 1/T; the
     result carries the stripped keys of the matching axis map.
     """
-    grading = normalize_grading(grading)
+    axis = Axis.parse(grading)
     table = table or AtomTable.default()
     if T <= 0:
         raise InvalidParameter("averaging length T must be positive")
     if steps < 2:
         raise InvalidParameter("need at least two quadrature panels")
-    if grading in ("translation", "multiplication"):
-        s = as_frequency(s)
-        if any(not key[2].is_zero() for key in x.terms):
-            raise AxisMismatch(
-                "translation and multiplication means need a dilation-free "
-                "element; strip the dilation axis first"
-            )
-        s_num = s.numeric(table)
-    else:
-        s = as_dilation(s)
-        s_num = s.numeric(table)
+    s = as_dilation(s) if axis is Axis.DILATION else as_frequency(s)
+    axis.check_support(x)
+    s_num = s.numeric(table)
 
-    entries = []
-    deltas = []
-    for key, coeff in x.terms.items():
-        idx = _grading_raw(key, grading)
-        deltas.append(idx.numeric(table) - s_num)
-        lam, mu, t = key
-        if grading == "translation":
-            stripped = (lam, Frequency.zero(), DilationIndex.zero())
-        elif grading == "multiplication":
-            stripped = (Frequency.zero(), mu, DilationIndex.zero())
-        else:
-            stripped = (lam, mu, DilationIndex.zero())
-        entries.append((stripped, coeff))
+    entries = [(axis.strip(key), coeff) for key, coeff in x.terms.items()]
+    deltas = [axis.index(key).numeric(table) - s_num for key in x.terms]
     if not entries:
         return Element.zero()
     weights = _kernels.phase_mean_weights(np.array(deltas), float(T), int(steps))

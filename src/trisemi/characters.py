@@ -15,7 +15,7 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import AlgebraId, Element, support_predicate
+from .algebra import AlgebraId, Axis, Element, support_predicate
 from .errors import (
     GroupModeError,
     InvalidParameter,
@@ -32,12 +32,8 @@ from .exactnum import (
     _dil_as_frequency,
     _frac,
     freq_sign,
-    scalar_numeric,
     DEFAULT_GUARD,
 )
-
-GROUP_MODES = ("Z", "R")
-
 
 # ---------------------------------------------------------------- AP points
 
@@ -98,7 +94,7 @@ def aap_eval(f: Element, p: APPoint, table: AtomTable | None = None,
             )
         if freq_sign(lam, table, guard) < 0:
             raise NotAnalytic(f"negative frequency {lam!r}")
-        total += scalar_numeric(coeff, table) * p.value(lam, table)
+        total += coeff.numeric(table) * p.value(lam, table)
     return total
 
 
@@ -115,7 +111,7 @@ class DiscPoint:
         if abs(self.w) > 1 + 1e-12:
             raise InvalidParameter("disc point must have modulus at most 1")
 
-    def value(self, t: DilationIndex) -> complex:
+    def value(self, t: DilationIndex, table: AtomTable | None = None) -> complex:
         n = t.integer_unit()
         if n is None:
             raise GroupModeError(
@@ -170,15 +166,16 @@ def vanishing_point(group: str = "Z"):
     raise GroupModeError(f"unknown group mode {group!r}")
 
 
-def _v_value(point, t: DilationIndex, table: AtomTable) -> complex:
-    if isinstance(point, DiscPoint):
-        return point.value(t)
-    return point.value(t, table)
-
-
 # ------------------------------------------------------------- triple family
 
-_FAMILIES = ("d1", "d2", "d3", "d4", "chi0")
+# per family: the axes whose index must vanish, and the axis its point reads
+_FAMILIES = {
+    "d1": ((Axis.TRANSLATION, Axis.DILATION), Axis.MULTIPLICATION),
+    "d2": ((Axis.MULTIPLICATION, Axis.DILATION), Axis.TRANSLATION),
+    "d3": ((Axis.TRANSLATION,), Axis.DILATION),
+    "d4": ((Axis.MULTIPLICATION,), Axis.DILATION),
+    "chi0": ((Axis.MULTIPLICATION, Axis.TRANSLATION), Axis.DILATION),
+}
 
 
 @dataclass(frozen=True)
@@ -254,28 +251,15 @@ def eval_character(
             UntrustedCharacterWarning,
             stacklevel=2,
         )
+    killed, reads = _FAMILIES[chi.family]
+    point = chi.v if reads is Axis.DILATION else chi.ap
     total = 0.0 + 0.0j
-    for (lam, mu, t), coeff in x.sorted_terms():
-        if chi.family == "d1":
-            val = chi.ap.value(lam, table)
-            val *= 1.0 if mu.is_zero() else 0.0
-            val *= 1.0 if t.is_zero() else 0.0
-        elif chi.family == "d2":
-            val = 1.0 if lam.is_zero() else 0.0
-            val *= chi.ap.value(mu, table)
-            val *= 1.0 if t.is_zero() else 0.0
-        elif chi.family == "d3":
-            val = 1.0 if mu.is_zero() else 0.0
-            val *= _v_value(chi.v, t, table)
-        elif chi.family == "d4":
-            val = 1.0 if lam.is_zero() else 0.0
-            val *= _v_value(chi.v, t, table)
-        else:  # chi0
-            val = 1.0 if lam.is_zero() else 0.0
-            val *= 1.0 if mu.is_zero() else 0.0
-            val *= _v_value(chi.v, t, table)
-        if val != 0:
-            total += scalar_numeric(coeff, table) * val
+    for key, coeff in x.sorted_terms():
+        # the point sees every term, so a killed term still raises when
+        # its index is outside the point's domain
+        val = point.value(reads.index(key), table)
+        if val != 0 and all(axis.index(key).is_zero() for axis in killed):
+            total += coeff.numeric(table) * val
     return total
 
 
@@ -302,9 +286,9 @@ def composite_eval(
         if dil != t:
             continue
         if side == "m" and mu.is_zero():
-            total += scalar_numeric(coeff, table)
+            total += coeff.numeric(table)
         elif side == "d" and lam.is_zero():
-            total += scalar_numeric(coeff, table)
+            total += coeff.numeric(table)
     return total
 
 

@@ -37,7 +37,7 @@ from .characters import (
 )
 from .config import GROUP_R, RunConfig, load_config
 from .errors import EngineError, ParseError, UntrustedCharacterWarning
-from .exactnum import BohrCharacter, DilationIndex, FrequencyAtom, scalar_numeric
+from .exactnum import BohrCharacter, DilationIndex, FrequencyAtom
 from .exprs import (
     dil_text,
     element_text,
@@ -67,7 +67,7 @@ def _cnum(z: complex) -> dict:
 def _element_payload(x: Element, cfg: RunConfig) -> dict:
     terms = []
     for (lam, mu, t), coeff in x.sorted_terms():
-        val = scalar_numeric(coeff, cfg.table)
+        val = coeff.numeric(cfg.table)
         terms.append(
             {
                 "coeff": scalar_text(coeff, atomic=True),
@@ -206,23 +206,24 @@ def _cmd_bf(args, cfg):
         weights = {dil_text(idx) if isinstance(idx, DilationIndex) else freq_text(idx): _rat(w)
                    for idx, w in entry["weights"].items()}
         rows.append({"m": entry["m"], "weights": weights, "l1_error": entry["l1_error"]})
-    return {"grading": approx.normalize_grading(args.grading), "rows": rows}
+    return {"grading": Axis.parse(args.grading).grading, "rows": rows}
 
 
 def _cmd_gauge(args, cfg):
     x = parse_element(args.expr)
-    out = _element_payload(approx.gauge(x, args.grading, args.theta, cfg.table), cfg)
-    out["grading"] = approx.normalize_grading(args.grading)
+    axis = Axis.parse(args.grading)
+    out = _element_payload(approx.gauge(x, axis, args.theta, cfg.table), cfg)
+    out["grading"] = axis.grading
     return out
 
 
 def _cmd_cesaro(args, cfg):
     x = parse_element(args.expr)
-    grading = approx.normalize_grading(args.grading)
-    index = parse_dilation(args.index) if grading == "dilation" else parse_frequency(args.index)
-    mean = approx.cesaro_mean(x, grading, index, args.T, args.steps, cfg.table)
+    axis = Axis.parse(args.grading)
+    index = parse_dilation(args.index) if axis is Axis.DILATION else parse_frequency(args.index)
+    mean = approx.cesaro_mean(x, axis, index, args.T, args.steps, cfg.table)
     out = _element_payload(mean, cfg)
-    out.update({"grading": grading, "index": args.index, "T": args.T, "steps": args.steps})
+    out.update({"grading": axis.grading, "index": args.index, "T": args.T, "steps": args.steps})
     return out
 
 
@@ -357,9 +358,10 @@ def _cmd_sim_wot(args, cfg):
 
 def _cmd_sim_column_identity(args, cfg):
     x = parse_element(args.expr)
+    axis = Axis.parse(args.grading)
     xi = PacketSum.single(GaussianPacket(1.0, 0.9, 0.2, -0.5))
-    lhs, rhs = l2sim.column_norms(x, xi, args.grading, cfg.table)
-    return {"grading": args.grading, "lhs": lhs, "rhs": rhs, "gap": abs(lhs - rhs)}
+    lhs, rhs = l2sim.column_norms(x, xi, axis, cfg.table)
+    return {"grading": axis.grading, "lhs": lhs, "rhs": rhs, "gap": abs(lhs - rhs)}
 
 
 def _cmd_sim_fourier(args, cfg):

@@ -1096,15 +1096,6 @@ class BohrCharacter:
         return f"BohrCharacter({list(self.angles)!r})"
 
 
-def freq_scale_exp(f: Frequency, t: DilationIndex) -> Frequency:
-    """Scale a frequency by e^t, exactly."""
-    return f.scale_exp(t)
-
-
-def phase_product(f: Frequency, g: Frequency) -> PhaseExponent:
-    return PhaseExponent.product(f, g)
-
-
 def freq_sign(f: Frequency, table: AtomTable, guard: float = DEFAULT_GUARD) -> int:
     """Sign of the numeric value of f: 0 only for the exact zero frequency.
     Values inside the guard band are refused."""
@@ -1123,7 +1114,3 @@ def dilation_sign(t: DilationIndex, table: AtomTable, guard: float = DEFAULT_GUA
     if abs(v) <= guard:
         raise IndeterminateSign(f"dilation value {v:.3e} inside guard {guard:.1e}")
     return 1 if v > 0 else -1
-
-
-def scalar_numeric(s: Scalar, table: AtomTable) -> complex:
-    return s.numeric(table)

@@ -279,36 +279,34 @@ class _Parser:
             q /= d
         return -q if neg else q
 
+    def _signed_sum(self, term) -> list:
+        """The summands of a sum with an optional leading sign; every
+        later summand follows a + or -.  ``term(sign)`` parses one
+        summand after its sign."""
+        out = []
+        while True:
+            sign = 1
+            if self.peek().kind in "+-":
+                sign = -1 if self.advance().kind == "-" else 1
+            out.append(term(sign))
+            if self.peek().kind not in "+-":
+                return out
+
     # dilation index -------------------------------------------------
 
     def dilation(self) -> DilationIndex:
-        pairs: list[tuple[str, Fraction]] = []
-        first = True
-        while True:
-            sign = 1
-            tok = self.peek()
-            if tok.kind in "+-":
+        return DilationIndex(self._signed_sum(self._dilation_term))
+
+    def _dilation_term(self, sign: int) -> tuple[str, Fraction]:
+        if self.peek().kind == "num":
+            q = sign * self.rational()
+            if self.peek().kind == "*" and self.peek(1).kind == "name":
                 self.advance()
-                sign = -1 if tok.kind == "-" else 1
-            elif not first:
-                break
-            first = False
-            if self.peek().kind == "num":
-                q = sign * self.rational()
-                if self.peek().kind == "*" and self.peek(1).kind == "name":
-                    self.advance()
-                    sym = self.advance().text
-                    pairs.append((sym, q))
-                else:
-                    pairs.append((UNIT_SYMBOL, q))
-            elif self.peek().kind == "name":
-                sym = self.advance().text
-                pairs.append((sym, Fraction(sign)))
-            else:
-                raise self.fail("expected a dilation term")
-            if self.peek().kind not in "+-":
-                break
-        return DilationIndex(pairs)
+                return self.advance().text, q
+            return UNIT_SYMBOL, q
+        if self.peek().kind == "name":
+            return self.advance().text, Fraction(sign)
+        raise self.fail("expected a dilation term")
 
     # frequencies ----------------------------------------------------
 
@@ -323,31 +321,18 @@ class _Parser:
         return FrequencyAtom(name, exp)
 
     def frequency(self) -> Frequency:
-        pairs: list[tuple[FrequencyAtom, Fraction]] = []
-        first = True
-        while True:
-            sign = 1
-            tok = self.peek()
-            if tok.kind in "+-":
+        return Frequency(self._signed_sum(self._frequency_term))
+
+    def _frequency_term(self, sign: int) -> tuple[FrequencyAtom, Fraction]:
+        if self.peek().kind == "num":
+            q = sign * self.rational()
+            if self.peek().kind == "*" and self.peek(1).kind == "name":
                 self.advance()
-                sign = -1 if tok.kind == "-" else 1
-            elif not first:
-                break
-            first = False
-            if self.peek().kind == "num":
-                q = sign * self.rational()
-                if self.peek().kind == "*" and self.peek(1).kind == "name":
-                    self.advance()
-                    pairs.append((self._atomref(), q))
-                else:
-                    pairs.append((FrequencyAtom(ONE_ATOM), q))
-            elif self.peek().kind == "name":
-                pairs.append((self._atomref(), Fraction(sign)))
-            else:
-                raise self.fail("expected a frequency term")
-            if self.peek().kind not in "+-":
-                break
-        return Frequency(pairs)
+                return self._atomref(), q
+            return FrequencyAtom(ONE_ATOM), q
+        if self.peek().kind == "name":
+            return self._atomref(), Fraction(sign)
+        raise self.fail("expected a frequency term")
 
     # phase exponents ------------------------------------------------
 
@@ -372,22 +357,11 @@ class _Parser:
         return PhaseExponent(((mono, q),))
 
     def _phase_expr(self) -> PhaseExponent:
-        total = PhaseExponent.zero()
-        first = True
-        while True:
-            sign = 1
-            tok = self.peek()
-            if tok.kind in "+-":
-                self.advance()
-                sign = -1 if tok.kind == "-" else 1
-            elif not first:
-                break
-            first = False
-            term = self._phase_term()
-            total = total + (term if sign > 0 else -term)
-            if self.peek().kind not in "+-":
-                break
-        return total
+        def term(sign: int) -> PhaseExponent:
+            pe = self._phase_term()
+            return pe if sign > 0 else -pe
+
+        return sum(self._signed_sum(term), PhaseExponent.zero())
 
     def _exp_call(self) -> Element:
         # after the name "exp"

@@ -20,10 +20,10 @@ from .exactnum import (
     DEFAULT_GUARD,
     DilationIndex,
     Frequency,
+    PhaseExponent,
     PhaseSum,
     Scalar,
     dilation_sign,
-    phase_product,
 )
 
 _KINDS = ("cp", "cph", "i0", "jt")
@@ -153,7 +153,7 @@ def commutator_certificate(lam: Frequency, s: Frequency) -> CommutatorCertificat
     """
     if lam.is_zero() or s.is_zero():
         raise DegeneratePhase("both frequencies must be nonzero")
-    theta = phase_product(lam, s)
+    theta = PhaseExponent.product(lam, s)
     if theta.is_zero():
         raise DegeneratePhase("the pairing phase vanished")
     den = PhaseSum.one() + (-PhaseSum.phase(-theta))

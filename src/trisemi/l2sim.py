@@ -32,7 +32,6 @@ from .algebra import (
     compress,
 )
 from .errors import (
-    AxisMismatch,
     DivergentPacket,
     InvalidParameter,
     NumericOverflow,
@@ -45,7 +44,6 @@ from .exactnum import (
     Scalar,
     _exp,
     _frac,
-    scalar_numeric,
 )
 
 # ------------------------------------------------------------------ packets
@@ -176,10 +174,6 @@ class PacketSum:
         return math.sqrt(self.norm_sq())
 
 
-def packet_inner(f: PacketSum, g: PacketSum) -> complex:
-    return f.inner(g)
-
-
 # --------------------------------------------------------- element action
 
 
@@ -189,7 +183,7 @@ def _act(x: Element, f: PacketSum, table: AtomTable) -> PacketSum:
     then modulate, then scale.  The dilation touches all four parameters,
     so each array comes out with the full shape."""
     terms = x.sorted_terms()
-    z = np.array([scalar_numeric(c, table) for _, c in terms], dtype=np.complex128)
+    z = np.array([c.numeric(table) for _, c in terms], dtype=np.complex128)
     keys = np.array([[k.numeric(table) for k in key] for key, _ in terms], dtype=np.float64)
     lam, mu, t = keys.reshape(-1, 3).T[:, :, None]
     return f.dilate(t).translate(mu).modulate(lam).scale(z[:, None])
@@ -215,7 +209,7 @@ def apply_word(word, f: PacketSum, table: AtomTable | None = None) -> PacketSum:
         elif isinstance(letter, V):
             current = current.dilate(letter.index.numeric(table))
         elif isinstance(letter, Sc):
-            current = current.scale(scalar_numeric(letter.value, table))
+            current = current.scale(letter.value.numeric(table))
         else:
             raise TypeError(f"not a generator letter: {letter!r}")
     return current
@@ -313,10 +307,18 @@ class LRVector:
             self.components[key] = ps
 
 
+def _lr_axis(grading) -> Axis:
+    """The grading of the left regular picture: translation or dilation."""
+    axis = Axis.parse(grading)
+    if axis is Axis.MULTIPLICATION:
+        raise InvalidParameter(f"no left regular picture along {axis.grading}")
+    return axis
+
+
 def lr_apply(
     x: Element,
     v: LRVector,
-    grading: str = "translation",
+    grading: Axis | str = Axis.TRANSLATION,
     table: AtomTable | None = None,
 ) -> LRVector:
     """Act on the left regular representation along the chosen grading.
@@ -325,42 +327,32 @@ def lr_apply(
     at s + u, twisted by the action at -(s + u); translation twists are
     pure phases, dilation twists rescale both function axes.
     """
+    axis = _lr_axis(grading)
+    axis.check_support(x)
     table = table or AtomTable.default()
     out = LRVector()
-    if grading == "translation":
-        for (lam, mu, t), coeff in x.sorted_terms():
-            if not t.is_zero():
-                raise AxisMismatch(
-                    "translation grading needs a dilation-free element"
-                )
-            z = scalar_numeric(coeff, table)
-            lam_n = lam.numeric(table)
-            for u, xi in v.components.items():
-                target = mu + u
-                w = target.numeric(table)
-                phase = cmath.exp(1j * lam_n * w)
-                out.add_component(target, xi.modulate(lam_n).scale(z * phase))
-        return out
-    if grading == "dilation":
-        for (lam, mu, t), coeff in x.sorted_terms():
-            z = scalar_numeric(coeff, table)
-            lam_n = lam.numeric(table)
-            mu_n = mu.numeric(table)
-            for u, xi in v.components.items():
-                target = t + u
-                w = target.numeric(table)
-                lam_eff = lam_n * _exp(-w)
-                mu_eff = mu_n * _exp(w)
-                moved = xi.translate(mu_eff).modulate(lam_eff).scale(z)
-                out.add_component(target, moved)
-        return out
-    raise InvalidParameter(f"unknown grading {grading!r}")
+    translation = axis is Axis.TRANSLATION
+    for key, coeff in x.sorted_terms():
+        lam, mu, _t = key
+        s = axis.index(key)
+        z = coeff.numeric(table)
+        lam_n = lam.numeric(table)
+        mu_n = mu.numeric(table)
+        for u, xi in v.components.items():
+            target = s + u
+            w = target.numeric(table)
+            if translation:
+                moved = xi.modulate(lam_n).scale(z * cmath.exp(1j * lam_n * w))
+            else:
+                moved = xi.translate(mu_n * _exp(w)).modulate(lam_n * _exp(-w)).scale(z)
+            out.add_component(target, moved)
+    return out
 
 
 def column_norms(
     x: Element,
     xi: PacketSum,
-    grading: str = "translation",
+    grading: Axis | str = Axis.TRANSLATION,
     table: AtomTable | None = None,
 ) -> tuple[float, float]:
     """Both sides of the column norm identity, independently computed.
@@ -369,30 +361,25 @@ def column_norms(
     identity.  Right: the fiberwise sum of squared norms of the twisted
     coefficient parts applied to the packet directly.
     """
+    axis = _lr_axis(grading)
     table = table or AtomTable.default()
-    zero_key = Frequency.zero() if grading == "translation" else DilationIndex.zero()
-    lhs = lr_apply(x, LRVector.delta(zero_key, xi), grading, table).norm_sq()
+    zero_key = DilationIndex.zero() if axis is Axis.DILATION else Frequency.zero()
+    lhs = lr_apply(x, LRVector.delta(zero_key, xi), axis, table).norm_sq()
 
     rhs = 0.0
-    if grading == "translation":
-        support = {mu for _, mu, _ in x.terms}
-        for s in support:
-            fiber = coeff_map(x, Axis.TRANSLATION, s)
-            s_n = s.numeric(table)
+    for s in {axis.index(key) for key in x.terms}:
+        fiber = coeff_map(x, axis, s)
+        s_n = s.numeric(table)
+        if axis is Axis.TRANSLATION:
             twisted = []
-            for (lam, _, _), coeff in fiber.terms.items():
-                angle = _frac(lam.numeric(table) * s_n)
-                key = (lam, Frequency.zero(), DilationIndex.zero())
+            for key, coeff in fiber.terms.items():
+                angle = _frac(key[0].numeric(table) * s_n)
                 twisted.append((key, coeff * Scalar.rational_angle(angle)))
             rhs += apply_element(Element(twisted), xi, table).norm_sq()
-    else:
-        support = {t for _, _, t in x.terms}
-        for s in support:
-            fiber = coeff_map(x, Axis.DILATION, s)
-            s_n = s.numeric(table)
+        else:
             moved = PacketSum()
             for (lam, mu, _), coeff in fiber.terms.items():
-                z = scalar_numeric(coeff, table)
+                z = coeff.numeric(table)
                 lam_eff = lam.numeric(table) * _exp(-s_n)
                 mu_eff = mu.numeric(table) * _exp(s_n)
                 moved = moved + xi.translate(mu_eff).modulate(lam_eff).scale(z)

@@ -21,8 +21,10 @@ from trisemi import (
     Frequency,
     FrequencyAtom,
     IllegalFlip,
+    InvalidParameter,
     InvalidScale,
     M,
+    PhaseExponent,
     Sc,
     Scalar,
     V,
@@ -34,7 +36,6 @@ from trisemi import (
     first_coeff,
     mul,
     normalize_word,
-    phase_product,
     support_predicate,
 )
 
@@ -79,7 +80,7 @@ def test_monomial_product_phase():
     prod = mul(left, right)
     lam2 = Frequency.atom("ONE", 1, t)
     mu2 = Frequency.atom("ONE", 1, DilationIndex.unit(-1))
-    phase = Scalar.phase(-phase_product(lam2, TWO))
+    phase = Scalar.phase(-PhaseExponent.product(lam2, TWO))
     expected = Element.from_word([Sc(phase), M(ONE + lam2), D(TWO + mu2), V(t)])
     assert prod == expected
 
@@ -142,6 +143,35 @@ def test_coeff_map_axes():
     y = x + mul(Element.m(ONE), Element.v(DilationIndex.unit(1)))
     assert coeff_map(y, Axis.DILATION, DilationIndex.unit(1)) == Element.m(ONE)
     assert coeff_map(y, "H", DilationIndex.zero()) == x
+
+
+def test_axis_parse_accepts_the_letters_and_grading_names_only():
+    names = {
+        Axis.TRANSLATION: ["E", "e", "translation", " Translation "],
+        Axis.MULTIPLICATION: ["Z", "z", "multiplication", "MULTIPLICATION"],
+        Axis.DILATION: ["H", "h", "dilation", "\tDilation\n"],
+    }
+    for axis, texts in names.items():
+        assert axis.grading == texts[2]
+        assert Axis.parse(axis) is axis
+        for text in texts:
+            assert Axis.parse(text) is axis
+    for bad in ["foo", "", "T", "M", "dil", "translations", "E Z"]:
+        with pytest.raises(InvalidParameter) as err:
+            Axis.parse(bad)
+        assert err.value.code == "invalid-parameter"
+
+
+def test_axis_index_and_strip_read_one_key_component():
+    t = DilationIndex.unit(1)
+    key = (ONE, TWO, t)
+    assert Axis.MULTIPLICATION.index(key) == ONE
+    assert Axis.TRANSLATION.index(key) == TWO
+    assert Axis.DILATION.index(key) == t
+    zero_f, zero_t = Frequency.zero(), DilationIndex.zero()
+    assert Axis.MULTIPLICATION.strip(key) == (zero_f, TWO, zero_t)
+    assert Axis.TRANSLATION.strip(key) == (ONE, zero_f, zero_t)
+    assert Axis.DILATION.strip(key) == (ONE, TWO, zero_t)
 
 
 def test_coeff_map_requires_dilation_free_input():

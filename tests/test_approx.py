@@ -28,7 +28,6 @@ from trisemi import (
     rational_basis,
     recurrence_schedule,
     recurrence_search,
-    scalar_numeric,
     section_weights,
     support_basis,
 )
@@ -145,7 +144,7 @@ def test_gauge_exact_rational_angle(table):
 def test_gauge_pi_flips_the_sign(table):
     out = gauge(Element.d(ONE), "translation", math.pi, table)
     key = (Frequency.zero(), ONE, DilationIndex.zero())
-    val = scalar_numeric(out.coefficient(key), table)
+    val = out.coefficient(key).numeric(table)
     assert val == pytest.approx(-1.0, abs=1e-12)
 
 

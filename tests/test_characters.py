@@ -144,6 +144,18 @@ def test_multiplicativity_randomized(table):
             assert abs(lhs - rhs) < 1e-9
 
 
+@pytest.mark.parametrize("family", ["d3", "chi0"])
+def test_disc_point_reads_the_dilation_of_killed_terms(table, family):
+    # D(1) kills the term in both families, yet its dilation index 1/2
+    # still reaches the disc point, which refuses non-integer indices
+    chi = getattr(TripleCharacter, family)(DiscPoint(0.5))
+    x = mul(Element.d(ONE), Element.v(DilationIndex.unit(Fraction(1, 2))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UntrustedCharacterWarning)
+        with pytest.raises(GroupModeError):
+            eval_character(chi, x, table)
+
+
 def test_character_domain_guard(table):
     chi = TripleCharacter.d1(APPoint.x1())
     with pytest.raises(NotInDomain):

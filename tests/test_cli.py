@@ -91,6 +91,21 @@ def test_bf_dilation_grading_keys_weights_by_dilation_text(capsys):
     assert [set(row["weights"]) for row in payload["rows"]] == [{"1", "2"}]
 
 
+@pytest.mark.parametrize(
+    "argv, grading",
+    [
+        (["gauge", "--grading", "E", "--theta", "0.5", "M(1)*D(2) + D(3)"], "translation"),
+        (["bf", "--m", "2,3", "--grading", "h", "V(1) + V(2)"], "dilation"),
+        (["cesaro", "--grading", "z", "--index", "1", "--T", "50", "M(1)*D(2) + M(2)"],
+         "multiplication"),
+    ],
+)
+def test_grading_letters_print_the_grading_name(capsys, argv, grading):
+    assert run(["--json", *argv]) == 0
+    out, _ = out_of(capsys)
+    assert json.loads(out)["grading"] == grading
+
+
 def test_recurrence_example(capsys):
     argv = ["--json", "recurrence", "--freqs", "1", "--eps", "0.05", "--limit", "100000"]
     assert run(argv) == 0

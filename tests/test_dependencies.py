@@ -36,7 +36,7 @@ print(json.dumps({
 def test_import_loads_no_third_party_package_but_numpy(tmp_path):
     src = Path(trisemi.__file__).resolve().parent.parent
     proc = subprocess.run(
-        [sys.executable, "-c", _CHILD],
+        [sys.executable, "-B", "-c", _CHILD],
         cwd=tmp_path,
         env={"PYTHONPATH": str(src)},
         capture_output=True,

@@ -15,6 +15,7 @@ from trisemi import (
     Element,
     Frequency,
     GaussianPacket,
+    InvalidParameter,
     M,
     NumericOverflow,
     PacketSum,
@@ -26,7 +27,6 @@ from trisemi import (
     lr_apply,
     mul,
     norm_lower_bound,
-    packet_inner,
     relation_residual,
     wot_compression_demo,
     wot_limit,
@@ -56,7 +56,7 @@ def test_packet_inner_matches_quadrature():
     for _ in range(8):
         f = random_packet_sum(rng, 2)
         g = random_packet_sum(rng, 2)
-        exact = packet_inner(f, g)
+        exact = f.inner(g)
         numeric = quad_inner(f, g)
         assert abs(exact - numeric) < 1e-10 * (1 + abs(exact))
 
@@ -191,6 +191,16 @@ def test_lr_apply_and_column_norms(table):
     assert math.isclose(lhs, rhs, rel_tol=1e-9)
     lhs2, rhs2 = column_norms(x, xi, grading="dilation", table=table)
     assert math.isclose(lhs2, rhs2, rel_tol=1e-9)
+
+
+def test_column_norms_take_axis_letters_and_refuse_multiplication(table):
+    x = Element.m(ONE) + Element.d(ONE)
+    y = x + mul(Element.m(ONE), Element.v(DilationIndex.unit(1)))
+    xi = PacketSum.single()
+    assert column_norms(x, xi, "E", table) == column_norms(x, xi, "translation", table)
+    assert column_norms(y, xi, "h", table) == column_norms(y, xi, "dilation", table)
+    with pytest.raises(InvalidParameter):
+        column_norms(x, xi, grading="multiplication", table=table)
 
 
 def test_wot_limit_translation_keeps_the_zero_dilation_fiber():
