@@ -10,6 +10,8 @@ packets, and approximation tools (Bochner-Fejer sections, gauge twists,
 Cesaro means) expose the almost periodic structure.
 """
 
+import importlib
+
 from .errors import (
     AtomCollisionWarning,
     AxisMismatch,
@@ -79,58 +81,78 @@ from .exprs import (
     parse_frequency,
     scalar_text,
 )
-from .approx import (
-    BFSpec,
-    RationalBasis,
-    bf_kernel,
-    bf_report,
-    bochner_fejer,
-    cesaro_mean,
-    gauge,
-    rational_basis,
-    recurrence_schedule,
-    recurrence_search,
-    section_weights,
-    support_basis,
-)
-from .characters import (
-    APPoint,
-    DiscPoint,
-    HalfPlanePoint,
-    TripleCharacter,
-    aap_eval,
-    arens_automorphism,
-    composite_eval,
-    eval_character,
-    vanishing_point,
-)
-from .ideals import (
-    CommutatorCertificate,
-    IdealId,
-    TelescopeCertificate,
-    certificate_dict,
-    certificate_residual,
-    commutator_certificate,
-    in_ideal,
-    jt_reduce,
-    quotient_defect,
-    verify_certificate,
-)
-from .l2sim import (
-    ConvergenceReport,
-    GaussianPacket,
-    LRVector,
-    PacketSum,
-    apply_element,
-    apply_word,
-    column_norms,
-    fourier_conjugation_check,
-    lr_apply,
-    norm_lower_bound,
-    relation_residual,
-    wot_compression_demo,
-    wot_limit,
-)
 from .config import RunConfig, load_config
 
 __version__ = "0.1.0"
+
+# The analysis layer loads on first use, so the exact engine and its
+# commands start without numpy: name -> module, read by __getattr__.
+_LAZY_MODULES = {
+    "approx": (
+        "BFSpec",
+        "RationalBasis",
+        "bf_kernel",
+        "bf_report",
+        "bochner_fejer",
+        "cesaro_mean",
+        "gauge",
+        "rational_basis",
+        "recurrence_schedule",
+        "recurrence_search",
+        "section_weights",
+        "support_basis",
+    ),
+    "characters": (
+        "APPoint",
+        "DiscPoint",
+        "HalfPlanePoint",
+        "TripleCharacter",
+        "aap_eval",
+        "arens_automorphism",
+        "composite_eval",
+        "eval_character",
+        "vanishing_point",
+    ),
+    "ideals": (
+        "CommutatorCertificate",
+        "IdealId",
+        "TelescopeCertificate",
+        "certificate_dict",
+        "certificate_residual",
+        "commutator_certificate",
+        "in_ideal",
+        "jt_reduce",
+        "quotient_defect",
+        "verify_certificate",
+    ),
+    "l2sim": (
+        "ConvergenceReport",
+        "GaussianPacket",
+        "LRVector",
+        "PacketSum",
+        "apply_element",
+        "apply_word",
+        "column_norms",
+        "fourier_conjugation_check",
+        "lr_apply",
+        "norm_lower_bound",
+        "relation_residual",
+        "wot_compression_demo",
+        "wot_limit",
+    ),
+}
+_LAZY = {name: module for module, names in _LAZY_MODULES.items() for name in names}
+
+
+def __getattr__(name):
+    if name in _LAZY_MODULES:
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY_MODULES, *_LAZY})

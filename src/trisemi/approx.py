@@ -11,9 +11,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from . import _kernels
 from .algebra import Axis, Element, as_dilation, as_frequency
 from .errors import (
     BasisTooShort,
@@ -276,7 +273,9 @@ def cesaro_mean(
     deltas = [axis.index(key).numeric(table) - s_num for key in x.terms]
     if not entries:
         return Element.zero()
-    weights = _kernels.phase_mean_weights(np.array(deltas), float(T), int(steps))
+    from . import _kernels
+
+    weights = _kernels.phase_mean_weights(deltas, float(T), int(steps))
     return Element(
         (stripped, coeff * Scalar.from_rational(_frac(float(w))))
         for (stripped, coeff), w in zip(entries, weights)
@@ -301,23 +300,27 @@ def bf_kernel_many(
         raise BasisTooShort(
             f"kernel order {m} exceeds basis length {len(basis)}"
         )
+    from . import _kernels
+
     table = table or AtomTable.default()
-    betas = np.array([b.numeric(table) for b in basis.basis[:m]])
-    return _kernels.bf_kernel_values(np.asarray(ts, dtype=float), betas, math.factorial(m))
+    betas = [b.numeric(table) for b in basis.basis[:m]]
+    return _kernels.bf_kernel_values(ts, betas, math.factorial(m))
 
 
 # --------------------------------------------------------------- recurrence
 
 
-def _recurrence_devs(freqs, eps: float, limit: int) -> np.ndarray:
-    """Deviations max_f |e^{i f M} - 1| for M = 1..limit, after the
-    parameter checks shared by the recurrence searches."""
+def _recurrence_devs(freqs, eps: float, limit: int):
+    """Deviations max_f |e^{i f M} - 1| for M = 1..limit as a numpy
+    array, after the parameter checks shared by the recurrence searches."""
     if eps <= 0:
         raise InvalidParameter("tolerance must be positive")
     limit = int(limit)
     if limit < 1:
         raise InvalidParameter("scan limit must be at least 1")
-    return _kernels.recurrence_devs(np.asarray(list(freqs), dtype=float), limit)
+    from . import _kernels
+
+    return _kernels.recurrence_devs(list(freqs), limit)
 
 
 def _no_recurrence(eps: float, limit: int) -> NotFound:
@@ -329,7 +332,7 @@ def _no_recurrence(eps: float, limit: int) -> NotFound:
 
 def recurrence_search(freqs, eps: float, limit: int) -> int:
     """Smallest integer M in [1, limit] with |e^{i f M} - 1| < eps for all f."""
-    hits = np.nonzero(_recurrence_devs(freqs, eps, limit) < eps)[0]
+    hits = (_recurrence_devs(freqs, eps, limit) < eps).nonzero()[0]
     if hits.size == 0:
         raise _no_recurrence(eps, limit)
     return int(hits[0]) + 1
@@ -337,8 +340,11 @@ def recurrence_search(freqs, eps: float, limit: int) -> int:
 
 def recurrence_schedule(freqs, eps: float, limit: int) -> list[int]:
     """Recurrence times with strictly improving deviation, in scan order."""
-    flags = _kernels.successive_minima(_recurrence_devs(freqs, eps, limit), eps)
-    ms = (np.nonzero(flags)[0] + 1).tolist()
+    devs = _recurrence_devs(freqs, eps, limit)
+    from . import _kernels
+
+    flags = _kernels.successive_minima(devs, eps)
+    ms = (flags.nonzero()[0] + 1).tolist()
     if not ms:
         raise _no_recurrence(eps, limit)
     return [int(m) for m in ms]

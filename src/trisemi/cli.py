@@ -4,7 +4,9 @@ Every engine operation is exposed as a subcommand taking canonical
 expression text (see exprs) plus flags.  Output is a human-readable
 table by default or JSON with ``--json``; exact rationals are carried in
 JSON as strings like ``"3/4"`` so nothing is rounded through doubles.
-Errors print a machine-readable record to stderr and exit with code 2.
+Errors print a machine-readable record to stderr and exit with code 2,
+usage errors from argument parsing included.  Each handler imports the
+analysis modules it uses, so the exact commands start without numpy.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ import json
 import sys
 import warnings
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from . import approx, ideals, l2sim
 from .algebra import (
     AlgebraId,
     AutomorphismSpec,
@@ -28,15 +30,8 @@ from .algebra import (
     mul,
     support_predicate,
 )
-from .characters import (
-    APPoint,
-    DiscPoint,
-    HalfPlanePoint,
-    TripleCharacter,
-    eval_character,
-)
 from .config import GROUP_R, RunConfig, load_config
-from .errors import EngineError, ParseError, UntrustedCharacterWarning
+from .errors import EngineError, InvalidParameter, ParseError, UntrustedCharacterWarning
 from .exactnum import BohrCharacter, DilationIndex, FrequencyAtom
 from .exprs import (
     dil_text,
@@ -47,7 +42,9 @@ from .exprs import (
     parse_frequency,
     scalar_text,
 )
-from .l2sim import GaussianPacket, PacketSum
+
+if TYPE_CHECKING:
+    from .characters import APPoint, TripleCharacter
 
 __all__ = ["main", "run"]
 
@@ -116,6 +113,8 @@ def _angles(text: str | None) -> BohrCharacter:
 
 
 def _ap_point(y: str | None, angles: str | None) -> APPoint:
+    from .characters import APPoint
+
     if y is not None and y.strip().lower() in ("inf", "infinity"):
         return APPoint.infinity()
     try:
@@ -138,14 +137,14 @@ def _disc_w(text: str) -> complex:
 
 
 def _build_character(args, cfg: RunConfig) -> TripleCharacter:
+    from .characters import DiscPoint, HalfPlanePoint, TripleCharacter, vanishing_point
+
     fam = args.family
     if fam in ("d1", "d2"):
         point = _ap_point(args.y, args.angles)
         return TripleCharacter.d1(point) if fam == "d1" else TripleCharacter.d2(point)
     if fam in ("d3", "d4", "chi0"):
         if args.w is None:
-            from .characters import vanishing_point
-
             v = vanishing_point(cfg.group)
         elif cfg.group == GROUP_R:
             v = HalfPlanePoint(_ap_point(args.w, args.angles))
@@ -199,8 +198,10 @@ def _cmd_support(args, cfg):
 
 
 def _cmd_bf(args, cfg):
+    from .approx import bf_report
+
     x = parse_element(args.expr)
-    report = approx.bf_report(x, args.grading, args.m, cfg.table)
+    report = bf_report(x, args.grading, args.m, cfg.table)
     rows = []
     for entry in report:
         weights = {dil_text(idx) if isinstance(idx, DilationIndex) else freq_text(idx): _rat(w)
@@ -210,26 +211,32 @@ def _cmd_bf(args, cfg):
 
 
 def _cmd_gauge(args, cfg):
+    from .approx import gauge
+
     x = parse_element(args.expr)
     axis = Axis.parse(args.grading)
-    out = _element_payload(approx.gauge(x, axis, args.theta, cfg.table), cfg)
+    out = _element_payload(gauge(x, axis, args.theta, cfg.table), cfg)
     out["grading"] = axis.grading
     return out
 
 
 def _cmd_cesaro(args, cfg):
+    from .approx import cesaro_mean
+
     x = parse_element(args.expr)
     axis = Axis.parse(args.grading)
     index = parse_dilation(args.index) if axis is Axis.DILATION else parse_frequency(args.index)
-    mean = approx.cesaro_mean(x, axis, index, args.T, args.steps, cfg.table)
+    mean = cesaro_mean(x, axis, index, args.T, args.steps, cfg.table)
     out = _element_payload(mean, cfg)
     out.update({"grading": axis.grading, "index": args.index, "T": args.T, "steps": args.steps})
     return out
 
 
 def _cmd_kernel(args, cfg):
-    basis = approx.rational_basis(args.freqs)
-    values = approx.bf_kernel_many(basis, args.m, args.t, cfg.table)
+    from .approx import bf_kernel_many, rational_basis
+
+    basis = rational_basis(args.freqs)
+    values = bf_kernel_many(basis, args.m, args.t, cfg.table)
     rows = [{"t": t, "K": float(v)} for t, v in zip(args.t, values)]
     return {
         "basis": [freq_text(b) for b in basis.basis],
@@ -239,6 +246,8 @@ def _cmd_kernel(args, cfg):
 
 
 def _cmd_recurrence(args, cfg):
+    from .approx import recurrence_schedule, recurrence_search
+
     numeric = [f.numeric(cfg.table) for f in args.freqs]
     out = {
         "freqs": [freq_text(f) for f in args.freqs],
@@ -246,13 +255,15 @@ def _cmd_recurrence(args, cfg):
         "limit": args.limit,
     }
     if args.schedule:
-        out["schedule"] = approx.recurrence_schedule(numeric, args.eps, args.limit)
+        out["schedule"] = recurrence_schedule(numeric, args.eps, args.limit)
     else:
-        out["n"] = approx.recurrence_search(numeric, args.eps, args.limit)
+        out["n"] = recurrence_search(numeric, args.eps, args.limit)
     return out
 
 
 def _cmd_char_eval(args, cfg):
+    from .characters import eval_character
+
     chi = _build_character(args, cfg)
     x = parse_element(args.expr)
     with warnings.catch_warnings(record=True) as caught:
@@ -265,21 +276,23 @@ def _cmd_char_eval(args, cfg):
 
 
 def _cmd_ideal_test(args, cfg):
+    from .ideals import IdealId, in_ideal
+
     x = parse_element(args.expr)
     kind = args.ideal
     if kind == "cp":
-        ideal = ideals.IdealId.cp()
+        ideal = IdealId.cp()
     elif kind == "cph":
-        ideal = ideals.IdealId.cph_g()
+        ideal = IdealId.cph_g()
     elif kind == "i0":
-        ideal = ideals.IdealId.i0()
+        ideal = IdealId.i0()
     elif kind == "jt":
         if args.t is None:
             raise ParseError("ideal jt needs --t")
-        ideal = ideals.IdealId.jt(args.t)
+        ideal = IdealId.jt(args.t)
     else:
         raise ParseError(f"unknown ideal {kind!r}")
-    member = ideals.in_ideal(x, ideal, cfg.table, args.guard)
+    member = in_ideal(x, ideal, cfg.table, args.guard)
     out = {"ideal": kind, "member": member}
     if args.t is not None:
         out["t"] = dil_text(args.t)
@@ -287,13 +300,15 @@ def _cmd_ideal_test(args, cfg):
 
 
 def _cmd_cert_commutator(args, cfg):
-    cert = ideals.commutator_certificate(args.lam, args.s)
-    return ideals.certificate_dict(cert)
+    from .ideals import certificate_dict, commutator_certificate
+
+    return certificate_dict(commutator_certificate(args.lam, args.s))
 
 
 def _cmd_cert_jt(args, cfg):
-    cert = ideals.jt_reduce(args.lam, args.t)
-    return ideals.certificate_dict(cert)
+    from .ideals import certificate_dict, jt_reduce
+
+    return certificate_dict(jt_reduce(args.lam, args.t))
 
 
 def _cmd_auto_apply(args, cfg):
@@ -322,22 +337,26 @@ def _cmd_flip_check(args, cfg):
 
 
 def _cmd_sim_residuals(args, cfg):
+    from .l2sim import GaussianPacket, PacketSum, relation_residual
+
     f = PacketSum.single(GaussianPacket(1.0, 0.8, 0.3, -0.4))
     rows = [
         {"relation": "weyl", "params": [args.lam, args.mu],
-         "residual": l2sim.relation_residual("weyl", (args.lam, args.mu), f)},
+         "residual": relation_residual("weyl", (args.lam, args.mu), f)},
         {"relation": "dilM", "params": [args.t, args.lam],
-         "residual": l2sim.relation_residual("dilM", (args.t, args.lam), f)},
+         "residual": relation_residual("dilM", (args.t, args.lam), f)},
         {"relation": "dilD", "params": [args.t, args.mu],
-         "residual": l2sim.relation_residual("dilD", (args.t, args.mu), f)},
+         "residual": relation_residual("dilD", (args.t, args.mu), f)},
     ]
     return {"rows": rows}
 
 
 def _cmd_sim_norm_bound(args, cfg):
+    from .l2sim import norm_lower_bound
+
     x = parse_element(args.expr)
     seed = cfg.seed if args.seed is None else args.seed
-    bound = l2sim.norm_lower_bound(x, args.trials, seed, cfg.table)
+    bound = norm_lower_bound(x, args.trials, seed, cfg.table)
     return {
         "bound": bound,
         "l1": x.l1_norm(cfg.table),
@@ -347,35 +366,49 @@ def _cmd_sim_norm_bound(args, cfg):
 
 
 def _cmd_sim_wot(args, cfg):
+    from .l2sim import GaussianPacket, PacketSum, wot_compression_demo, wot_limit
+
     x = parse_element(args.expr)
     f = PacketSum.single()
     g = PacketSum.single(GaussianPacket(1.0, 0.6, 0.2, 0.1))
-    report = l2sim.wot_compression_demo(x, f, g, args.mode, args.schedule, cfg.table)
+    report = wot_compression_demo(x, f, g, args.mode, args.schedule, cfg.table)
     out = report.to_dict()
-    out["limit_element"] = element_text(l2sim.wot_limit(x, args.mode))
+    out["limit_element"] = element_text(wot_limit(x, args.mode))
     return out
 
 
 def _cmd_sim_column_identity(args, cfg):
+    from .l2sim import GaussianPacket, PacketSum, column_norms
+
     x = parse_element(args.expr)
     axis = Axis.parse(args.grading)
     xi = PacketSum.single(GaussianPacket(1.0, 0.9, 0.2, -0.5))
-    lhs, rhs = l2sim.column_norms(x, xi, axis, cfg.table)
+    lhs, rhs = column_norms(x, xi, axis, cfg.table)
     return {"grading": axis.grading, "lhs": lhs, "rhs": rhs, "gap": abs(lhs - rhs)}
 
 
 def _cmd_sim_fourier(args, cfg):
+    from .l2sim import GaussianPacket, PacketSum, fourier_conjugation_check
+
     f = PacketSum.single()
     g = PacketSum.single(GaussianPacket(1.0, 0.7, 0.4, -0.3))
-    residual = l2sim.fourier_conjugation_check(args.lam, f, g, dual=args.dual)
+    residual = fourier_conjugation_check(args.lam, f, g, dual=args.dual)
     return {"lam": args.lam, "dual": args.dual, "residual": residual}
 
 
 # ------------------------------------------------------------------ parser
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises usage errors as InvalidParameter, so `run` reports them
+    as error records; subparsers inherit the class."""
+
+    def error(self, message):
+        raise InvalidParameter(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _ArgumentParser(
         prog="trisemi",
         description="Exact engine for the multiplication-translation-dilation algebra.",
     )
@@ -401,7 +434,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("expr")
 
     p = cmd("coeff", _cmd_coeff, "Fourier coefficient along one axis")
-    p.add_argument("--axis", required=True, choices=["E", "Z", "H"])
+    p.add_argument("--axis", required=True, help="E, Z or H, or a grading name")
     p.add_argument("--index", required=True)
     p.add_argument("expr")
 
@@ -491,7 +524,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = cmd("sim-column-identity", _cmd_sim_column_identity,
             "column norm identity for the left regular picture")
     p.add_argument("--grading", default="translation",
-                   choices=["translation", "dilation"])
+                   help="translation (E) or dilation (H)")
     p.add_argument("expr")
 
     p = cmd("sim-fourier", _cmd_sim_fourier, "Fourier conjugation residual")

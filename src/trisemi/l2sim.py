@@ -367,7 +367,9 @@ def column_norms(
     lhs = lr_apply(x, LRVector.delta(zero_key, xi), axis, table).norm_sq()
 
     rhs = 0.0
-    for s in {axis.index(key) for key in x.terms}:
+    # fibers in canonical key order: a set would sum in string-hash order,
+    # which differs between processes
+    for s in dict.fromkeys(axis.index(key) for key, _ in x.sorted_terms()):
         fiber = coeff_map(x, axis, s)
         s_n = s.numeric(table)
         if axis is Axis.TRANSLATION:

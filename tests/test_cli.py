@@ -3,12 +3,16 @@
 import contextlib
 import io
 import json
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import trisemi
 from trisemi import (
     GroupModeError,
     ParseError,
@@ -147,6 +151,11 @@ def test_zero_denominator_exits_2_with_a_parse_record(capsys, text):
         ["sim-norm-bound", "--trials", "0", "D(1)"],
         ["char-eval", "--family", "d3", "--w", "2", "D(1)"],
         ["char-eval", "--family", "d1", "--y", "-1", "M(1)"],
+        # usage errors from argument parsing
+        ["zz", "M(1)"],
+        ["char-eval", "--family", "zz", "M(1)"],
+        ["coeff", "--axis", "E", "M(1)"],
+        ["sim-column-identity", "--grading", "multiplication", "D(1)"],
     ],
 )
 def test_invalid_parameter_exits_2_with_a_record(capsys, argv):
@@ -154,6 +163,44 @@ def test_invalid_parameter_exits_2_with_a_record(capsys, argv):
     out, err = out_of(capsys)
     assert out == ""
     assert json.loads(err)["error"]["code"] == "invalid-parameter"
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["--help"])
+    assert exc.value.code == 0
+    assert out_of(capsys)[0].startswith("usage: trisemi")
+
+
+@pytest.mark.parametrize(
+    "letter, name, text",
+    [("E", "translation", "M(1)*D(1) + 2*D(1/2)"), ("h", "dilation", "M(1)*V(1) + D(2)*V(1/2)")],
+)
+def test_sim_column_identity_takes_grading_letters(capsys, letter, name, text):
+    payloads = []
+    for grading in (letter, name):
+        assert run(["--json", "sim-column-identity", "--grading", grading, text]) == 0
+        payloads.append(json.loads(out_of(capsys)[0]))
+    assert payloads[0] == payloads[1]
+    assert payloads[0]["grading"] == name
+
+
+def test_sim_column_identity_prints_the_same_bytes_under_every_hash_seed(tmp_path):
+    src = Path(trisemi.__file__).resolve().parent.parent
+    text = ("(1/3)*M(1)*D(1/7) + (2/3+1/5*i)*D(3/11) + (5/7)*M(2/3)*D(2/9)"
+            " + (3/13)*D(5/17) + M(1)*D(1/3)")
+    outs = {
+        subprocess.run(
+            [sys.executable, "-B", "-m", "trisemi", "--json", "sim-column-identity", text],
+            cwd=tmp_path,
+            env={"PYTHONPATH": str(src), "PYTHONHASHSEED": str(seed)},
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        for seed in range(10)
+    }
+    assert len(outs) == 1
 
 
 @pytest.mark.parametrize(

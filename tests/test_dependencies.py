@@ -1,53 +1,145 @@
-"""numpy is the only third-party package that ``import trisemi`` loads,
-and no module of the package imports a name it never reads."""
+"""``import trisemi`` loads no third-party package, the exact commands
+load no numpy and the analysis names resolve on first use, and no module
+of the package imports a name it never reads."""
 
 import ast
+import importlib
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import trisemi
 
-# Runs in a fresh interpreter: the top-level packages that importing
-# trisemi adds to sys.modules, split into those installed as third-party
-# packages (under site-packages) and the rest.
+# Runs in a fresh interpreter: the code in argv[1], then a report of what
+# it added to sys.modules (as the last line of stdout): the trisemi
+# modules, the top-level packages, and those of them installed as
+# third-party packages (under site-packages).
 _CHILD = """
 import json, sys, sysconfig
 from pathlib import Path
 
 before = set(sys.modules)
-import trisemi
+exec(sys.argv[1])
 site = {Path(sysconfig.get_paths()[k]).resolve() for k in ("purelib", "platlib")}
 
 def third_party(mod):
     path = getattr(mod, "__file__", None)
     return path is not None and any(p in Path(path).resolve().parents for p in site)
 
-loaded = {name.partition(".")[0] for name in set(sys.modules) - before}
+added = set(sys.modules) - before
+loaded = {name.partition(".")[0] for name in added}
 print(json.dumps({
-    "trisemi": trisemi.__file__,
+    "trisemi": sys.modules["trisemi"].__file__,
+    "modules": sorted(n for n in added if n.partition(".")[0] == "trisemi"),
     "loaded": sorted(loaded),
     "third_party": sorted(n for n in loaded if third_party(sys.modules[n])),
 }))
 """
 
+# the modules an exact command needs; the analysis layer stays unloaded
+_EXACT_CORE = {
+    "trisemi",
+    "trisemi.errors",
+    "trisemi.exactnum",
+    "trisemi.algebra",
+    "trisemi.exprs",
+    "trisemi.config",
+    "trisemi.cli",
+}
+_FLOAT_PATH = {"numpy", "trisemi.approx", "trisemi.l2sim", "trisemi._kernels"}
 
-def test_import_loads_no_third_party_package_but_numpy(tmp_path):
+# every name the package exported before its analysis layer became lazy,
+# by defining module
+_EXPORTS = {
+    "errors": """AtomCollisionWarning AxisMismatch BasisTooShort DegeneratePhase
+        DivergentPacket DivisionByZero EmptyElement EngineError GroupModeError
+        IllegalFlip IndeterminateSign InvalidParameter InvalidScale
+        NonIntegerLattice NotAnalytic NotFound NotInAmbient NotInDomain
+        NumericOverflow ParseError ScheduleTooShort UntrustedCharacterWarning""",
+    "exactnum": """AtomTable BohrCharacter DilationIndex Frequency FrequencyAtom
+        PhaseExponent PhaseMonomial PhaseSum QI Scalar dilation_sign freq_sign""",
+    "algebra": """AlgebraId AutomorphismSpec Axis CompressionMode D Element
+        FlipReport M Monomial Sc V adjoint apply_automorphism
+        check_flip_contradiction coeff_map compress first_coeff mul
+        normalize_word support_predicate""",
+    "exprs": """dil_text element_text freq_text parse_dilation parse_element
+        parse_frequency scalar_text""",
+    "config": "RunConfig load_config",
+    "approx": """BFSpec RationalBasis bf_kernel bf_report bochner_fejer
+        cesaro_mean gauge rational_basis recurrence_schedule recurrence_search
+        section_weights support_basis""",
+    "characters": """APPoint DiscPoint HalfPlanePoint TripleCharacter aap_eval
+        arens_automorphism composite_eval eval_character vanishing_point""",
+    "ideals": """CommutatorCertificate IdealId TelescopeCertificate
+        certificate_dict certificate_residual commutator_certificate in_ideal
+        jt_reduce quotient_defect verify_certificate""",
+    "l2sim": """ConvergenceReport GaussianPacket LRVector PacketSum
+        apply_element apply_word column_norms fourier_conjugation_check
+        lr_apply norm_lower_bound relation_residual wot_compression_demo
+        wot_limit""",
+}
+_LAZY_MODULES = ("approx", "characters", "ideals", "l2sim")
+
+
+def _child_report(code: str, tmp_path) -> dict:
     src = Path(trisemi.__file__).resolve().parent.parent
     proc = subprocess.run(
-        [sys.executable, "-B", "-c", _CHILD],
+        [sys.executable, "-B", "-c", _CHILD, code],
         cwd=tmp_path,
         env={"PYTHONPATH": str(src)},
         capture_output=True,
         text=True,
         check=True,
     )
-    report = json.loads(proc.stdout)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_import_loads_no_third_party_package(tmp_path):
+    report = _child_report("import trisemi", tmp_path)
     assert Path(report["trisemi"]).resolve() == Path(trisemi.__file__).resolve()
-    assert "numpy" in report["loaded"]
-    assert set(report["third_party"]) <= {"numpy"}
+    assert "numpy" not in report["loaded"]
+    assert report["third_party"] == []
     assert not {"scipy", "mpmath", "sympy", "hypothesis", "numba"} & set(report["loaded"])
+
+
+@pytest.mark.parametrize("module", ["trisemi", "trisemi.cli", "trisemi.ideals", "trisemi.characters"])
+def test_exact_modules_load_no_float_path(tmp_path, module):
+    report = _child_report(f"import {module}", tmp_path)
+    assert not _FLOAT_PATH & {*report["loaded"], *report["modules"]}
+
+
+def test_an_exact_command_loads_the_exact_core_only(tmp_path):
+    code = 'from trisemi.cli import run; run(["--json", "normalize", "M(1)*D(1)"])'
+    report = _child_report(code, tmp_path)
+    assert set(report["modules"]) == _EXACT_CORE
+    assert "numpy" not in report["loaded"]
+
+
+def test_a_numeric_command_loads_numpy(tmp_path):
+    code = 'from trisemi.cli import run; run(["--json", "recurrence", "--eps", "0.5", "--limit", "10"])'
+    report = _child_report(code, tmp_path)
+    assert "numpy" in report["loaded"]
+    assert {"trisemi.approx", "trisemi._kernels"} <= set(report["modules"])
+
+
+def test_exported_names_resolve_to_their_module_objects():
+    for module, names in _EXPORTS.items():
+        defining = importlib.import_module(f"trisemi.{module}")
+        for name in names.split():
+            assert getattr(trisemi, name) is getattr(defining, name), name
+
+
+def test_lazy_names_are_listed_and_unknown_names_raise():
+    listed = dir(trisemi)
+    for module in _LAZY_MODULES:
+        assert module in listed
+        assert getattr(trisemi, module) is importlib.import_module(f"trisemi.{module}")
+        assert set(_EXPORTS[module].split()) <= set(listed)
+    with pytest.raises(AttributeError, match="nosuch"):
+        trisemi.nosuch
 
 
 def _unused_imports(path: Path) -> list[str]:
