@@ -22,12 +22,10 @@ from .errors import (
     EmptyElement,
     EngineError,
     GroupModeError,
-    IllegalFlip,
     IndeterminateSign,
     InvalidParameter,
     InvalidScale,
     NonIntegerLattice,
-    NotAnalytic,
     NotFound,
     NotInAmbient,
     NotInDomain,
@@ -107,8 +105,6 @@ _LAZY_MODULES = {
         "DiscPoint",
         "HalfPlanePoint",
         "TripleCharacter",
-        "aap_eval",
-        "arens_automorphism",
         "composite_eval",
         "eval_character",
         "vanishing_point",

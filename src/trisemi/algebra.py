@@ -17,7 +17,6 @@ from fractions import Fraction
 from .errors import (
     AxisMismatch,
     EmptyElement,
-    IllegalFlip,
     InvalidParameter,
     InvalidScale,
 )
@@ -385,24 +384,25 @@ class AlgebraId(Enum):
     APH_G_PLUS_ADJOINT = "aph-adj"
 
     @classmethod
-    def parse(cls, text: str) -> "AlgebraId":
-        t = text.strip().lower().replace("_", "-")
-        aliases = {
-            "bp": cls.BP,
-            "ap": cls.AP,
-            "bph": cls.BPH_G,
-            "bphg": cls.BPH_G,
-            "aph": cls.APH_G_PLUS,
-            "aphg": cls.APH_G_PLUS,
-            "aphgplus": cls.APH_G_PLUS,
-            "aph-adj": cls.APH_G_PLUS_ADJOINT,
-            "aphadj": cls.APH_G_PLUS_ADJOINT,
-            "aphgplusadjoint": cls.APH_G_PLUS_ADJOINT,
-        }
+    def parse(cls, name: "AlgebraId | str") -> "AlgebraId":
+        """An algebra, its value, its member name in any case, or one of
+        the run-together aliases."""
+        if isinstance(name, cls):
+            return name
         try:
-            return aliases[t]
+            return _ALGEBRA_NAMES[str(name).strip().lower().replace("_", "-")]
         except KeyError:
-            raise InvalidScale(f"unknown algebra {text!r}") from None
+            raise InvalidParameter(f"unknown algebra {name!r}") from None
+
+
+_ALGEBRA_NAMES = {
+    **{name: a for a in AlgebraId for name in (a.value, a.name.lower().replace("_", "-"))},
+    "bphg": AlgebraId.BPH_G,
+    "aphg": AlgebraId.APH_G_PLUS,
+    "aphgplus": AlgebraId.APH_G_PLUS,
+    "aphadj": AlgebraId.APH_G_PLUS_ADJOINT,
+    "aphgplusadjoint": AlgebraId.APH_G_PLUS_ADJOINT,
+}
 
 
 def support_predicate(
@@ -416,7 +416,7 @@ def support_predicate(
     Signs of frequencies are decided numerically behind the guard band;
     the exact zero frequency counts as nonnegative and nonpositive.
     """
-    algebra = AlgebraId.parse(algebra) if isinstance(algebra, str) else algebra
+    algebra = AlgebraId.parse(algebra)
     for (lam, mu, t) in x.terms:
         if algebra in (AlgebraId.BP, AlgebraId.AP) and not t.is_zero():
             return False
@@ -448,35 +448,24 @@ class AutomorphismSpec:
     coeff * modchar(lam) * shiftchar(mu) * e^{i v_angle numeric(s)}
           * M(e^dil lam) D(e^-dil mu) V(s).
     The twist angles are exact rationals, so the map stays inside the
-    exact layer.  flip marks the formal generator exchange, which is not a
-    homomorphism and is only consumed by the contradiction check.
+    exact layer.
     """
 
     dil: DilationIndex = field(default_factory=DilationIndex.zero)
     mod_char: BohrCharacter = field(default_factory=BohrCharacter.trivial)
     shift_char: BohrCharacter = field(default_factory=BohrCharacter.trivial)
     v_angle: Fraction = Fraction(0)
-    flip: bool = False
-
-
-def _dil_exact_numeric(t: DilationIndex, table: AtomTable | None) -> Fraction:
-    if table is not None:
-        return t.exact_numeric(table)
-    if not t.unit_only():
-        raise ValueError("atom table required for non UNIT dilation symbols")
-    return sum((q for _s, q in t.terms), Fraction(0))
 
 
 def apply_automorphism(
     x: Element, spec: AutomorphismSpec, table: AtomTable | None = None
 ) -> Element:
-    if spec.flip:
-        raise IllegalFlip("generator exchange is not an automorphism")
+    table = table or AtomTable.default()
     out: dict[Key, Scalar] = {}
     for (lam, mu, t), c in x.terms.items():
         angle = spec.mod_char.angle(lam) + spec.shift_char.angle(mu)
         if spec.v_angle and not t.is_zero():
-            angle += spec.v_angle * _dil_exact_numeric(t, table)
+            angle += spec.v_angle * t.exact_numeric(table)
         if angle:
             c = c * Scalar.rational_angle(angle)
         key = (lam.scale_exp(spec.dil), mu.scale_exp(-spec.dil), t)
@@ -520,12 +509,13 @@ class CompressionMode(Enum):
     DILATION_OUT = "dilation-out"
 
     @classmethod
-    def parse(cls, text: str) -> "CompressionMode":
-        t = text.strip().lower().replace("_", "-")
-        for mode in cls:
-            if t == mode.value:
-                return mode
-        raise InvalidScale(f"unknown compression mode {text!r}")
+    def parse(cls, name: "CompressionMode | str") -> "CompressionMode":
+        if isinstance(name, cls):
+            return name
+        try:
+            return cls(str(name).strip().lower().replace("_", "-"))
+        except ValueError:
+            raise InvalidScale(f"unknown compression mode {name!r}") from None
 
 
 def compress(x: Element, mode: CompressionMode | str, n: int) -> Element:
@@ -534,7 +524,7 @@ def compress(x: Element, mode: CompressionMode | str, n: int) -> Element:
     translation conjugates by the translation of length n, dilation-in by
     the inverse dilation (V* x V) and dilation-out by the direct one.
     """
-    mode = CompressionMode.parse(mode) if isinstance(mode, str) else mode
+    mode = CompressionMode.parse(mode)
     if mode is CompressionMode.TRANSLATION:
         u = Element.d(Frequency.rational(n))
         return mul(mul(u, x), adjoint(u))

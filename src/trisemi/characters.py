@@ -19,7 +19,6 @@ from .algebra import AlgebraId, Axis, Element, support_predicate
 from .errors import (
     GroupModeError,
     InvalidParameter,
-    NotAnalytic,
     NotInDomain,
     UntrustedCharacterWarning,
 )
@@ -28,10 +27,8 @@ from .exactnum import (
     BohrCharacter,
     DilationIndex,
     Frequency,
-    Scalar,
     _dil_as_frequency,
     _frac,
-    freq_sign,
     DEFAULT_GUARD,
 )
 
@@ -82,22 +79,6 @@ class APPoint:
         return {"kind": "finite", "decay": str(self.decay), "angles": angles}
 
 
-def aap_eval(f: Element, p: APPoint, table: AtomTable | None = None,
-             guard: float = DEFAULT_GUARD) -> complex:
-    """Evaluate an analytic multiplication polynomial at an AP point."""
-    table = table or AtomTable.default()
-    total = 0.0 + 0.0j
-    for (lam, mu, t), coeff in f.sorted_terms():
-        if not mu.is_zero() or not t.is_zero():
-            raise NotInDomain(
-                "evaluation needs a pure multiplication polynomial"
-            )
-        if freq_sign(lam, table, guard) < 0:
-            raise NotAnalytic(f"negative frequency {lam!r}")
-        total += coeff.numeric(table) * p.value(lam, table)
-    return total
-
-
 # ----------------------------------------------------------- dilation points
 
 
@@ -131,13 +112,11 @@ class DiscPoint:
         return {"kind": "disc", "re": self.w.real, "im": self.w.imag}
 
 
+@dataclass(frozen=True)
 class HalfPlanePoint:
     """AP point reused on the dilation axis for the real dilation group."""
 
-    __slots__ = ("point",)
-
-    def __init__(self, point: APPoint):
-        self.point = point
+    point: APPoint
 
     def value(self, t: DilationIndex, table: AtomTable) -> complex:
         return self.point.value(_dil_as_frequency(t), table)
@@ -149,12 +128,6 @@ class HalfPlanePoint:
         out = self.point.describe()
         out["kind"] = "half-plane-" + out["kind"]
         return out
-
-    def __eq__(self, other):
-        return isinstance(other, HalfPlanePoint) and self.point == other.point
-
-    def __hash__(self):
-        return hash(("half-plane", self.point))
 
 
 def vanishing_point(group: str = "Z"):
@@ -290,32 +263,3 @@ def composite_eval(
         elif side == "d" and lam.is_zero():
             total += coeff.numeric(table)
     return total
-
-
-# ------------------------------------------------------- Arens automorphisms
-
-
-def arens_automorphism(
-    f: Element,
-    c: BohrCharacter,
-    k: DilationIndex,
-    table: AtomTable | None = None,
-    guard: float = DEFAULT_GUARD,
-) -> Element:
-    """Exact isometric twist-and-rescale of an analytic polynomial.
-
-    Termwise: the coefficient picks up the unimodular c(lam) and the
-    frequency is scaled by e^k through the exponent bookkeeping, so the
-    map is a homomorphism with exact rational angles.
-    """
-    table = table or AtomTable.default()
-    items = []
-    for (lam, mu, t), coeff in f.sorted_terms():
-        if not mu.is_zero() or not t.is_zero():
-            raise NotInDomain(
-                "the twist is defined on pure multiplication polynomials"
-            )
-        if freq_sign(lam, table, guard) < 0:
-            raise NotAnalytic(f"negative frequency {lam!r}")
-        items.append(((lam.scale_exp(k), mu, t), coeff * Scalar.rational_angle(c.angle(lam))))
-    return Element(items)

@@ -47,12 +47,6 @@ class EmptyElement(EngineError):
     code = "empty-element"
 
 
-class IllegalFlip(EngineError):
-    """A generator-exchanging map was used as if it were a homomorphism."""
-
-    code = "illegal-flip"
-
-
 class InvalidScale(EngineError):
     code = "invalid-scale"
 
@@ -61,13 +55,6 @@ class NotInDomain(EngineError):
     """Character evaluation outside the character's domain algebra."""
 
     code = "not-in-domain"
-
-
-class NotAnalytic(EngineError):
-    """An operation restricted to nonnegative-frequency elements saw a
-    negative frequency or a non-multiplication factor."""
-
-    code = "not-analytic"
 
 
 class NotInAmbient(EngineError):

@@ -255,9 +255,6 @@ class DilationIndex(_Sum):
     def single(cls, sym: str, q=1) -> "DilationIndex":
         return cls(((sym, q),))
 
-    def unit_only(self) -> bool:
-        return all(sym == UNIT_SYMBOL for sym, _ in self.terms)
-
     def integer_unit(self) -> int | None:
         """The index as a plain integer, or None when symbols intrude."""
         if not self.terms:

@@ -430,7 +430,7 @@ class ConvergenceReport:
 
 def wot_limit(x: Element, mode) -> Element:
     """The weak limit of the compression sequence, as an element."""
-    mode = CompressionMode.parse(mode) if isinstance(mode, str) else mode
+    mode = CompressionMode.parse(mode)
     if mode is CompressionMode.TRANSLATION:
         return coeff_map(x, Axis.DILATION, DilationIndex.zero())
     items = []
@@ -458,7 +458,7 @@ def wot_compression_demo(
         raise ScheduleTooShort(
             f"need at least two compression steps, got {len(schedule)}"
         )
-    mode = CompressionMode.parse(mode) if isinstance(mode, str) else mode
+    mode = CompressionMode.parse(mode)
     limit = wot_limit(x, mode)
     limit_value = apply_element(limit, f, table).inner(g)
     values = []

@@ -20,10 +20,10 @@ from trisemi import (
     EmptyElement,
     Frequency,
     FrequencyAtom,
-    IllegalFlip,
     InvalidParameter,
     InvalidScale,
     M,
+    NotFound,
     PhaseExponent,
     Sc,
     Scalar,
@@ -235,10 +235,15 @@ def test_automorphism_preserves_moduli(table):
         )
 
 
-def test_flip_is_rejected():
-    spec = AutomorphismSpec(flip=True)
-    with pytest.raises(IllegalFlip):
-        apply_automorphism(Element.m(ONE), spec)
+def test_automorphism_without_a_table_reads_the_default_table(table):
+    spec = AutomorphismSpec(v_angle=Fraction(1, 2))
+    unit = Element.v(DilationIndex.unit(3))
+    assert apply_automorphism(unit, spec) == apply_automorphism(unit, spec, table)
+    h = Element.v(DilationIndex([("h", 1)]))
+    with pytest.raises(NotFound):
+        apply_automorphism(h, spec)
+    image = apply_automorphism(h, spec, table)
+    assert image == h.scale(Scalar.rational_angle(Fraction(1, 4)))
 
 
 def test_flip_contradiction_gaps():

@@ -10,6 +10,7 @@ import pytest
 
 from trisemi import (
     APPoint,
+    AutomorphismSpec,
     BohrCharacter,
     DilationIndex,
     DiscPoint,
@@ -17,12 +18,10 @@ from trisemi import (
     Frequency,
     GroupModeError,
     HalfPlanePoint,
-    NotAnalytic,
     NotInDomain,
     TripleCharacter,
     UntrustedCharacterWarning,
-    aap_eval,
-    arens_automorphism,
+    apply_automorphism,
     composite_eval,
     eval_character,
     mul,
@@ -35,35 +34,42 @@ ONE = Frequency.rational(1)
 TWO = Frequency.rational(2)
 
 
+# the d1 character through an AP point evaluates the M-axis there
+AT_ORIGIN = TripleCharacter.d1(APPoint.x1())
+AT_INFINITY = TripleCharacter.d1(APPoint.infinity())
+
+
 def test_aap_eval_at_the_origin_point(table):
     # trivial character, zero decay: evaluation at 0, i.e. coefficient sum
     f = Element.m(ONE) + Element.m(TWO) + Element.m(Frequency.zero())
-    assert aap_eval(f, APPoint.x1(), table) == pytest.approx(3.0)
+    assert eval_character(AT_ORIGIN, f, table) == pytest.approx(3.0)
     g = Element.m(ONE) - Element.m(TWO)
-    assert aap_eval(g, APPoint.x1(), table) == pytest.approx(0.0)
+    assert eval_character(AT_ORIGIN, g, table) == pytest.approx(0.0)
 
 
 def test_aap_eval_at_infinity_keeps_the_constant_term(table):
     f = Element.m(ONE) + Element.identity() + Element.identity()
-    assert aap_eval(f, APPoint.infinity(), table) == pytest.approx(2.0)
+    assert eval_character(AT_INFINITY, f, table) == pytest.approx(2.0)
 
 
 def test_aap_eval_decay(table):
     f = Element.m(ONE)
-    p = APPoint.finite(BohrCharacter.trivial(), 1)
-    assert aap_eval(f, p, table) == pytest.approx(math.exp(-1.0))
+    p = TripleCharacter.d1(APPoint.finite(BohrCharacter.trivial(), 1))
+    assert eval_character(p, f, table) == pytest.approx(math.exp(-1.0))
     chi = BohrCharacter({"ONE": Fraction(1, 2)})
-    q = APPoint.finite(chi, Fraction(1, 2))
-    assert aap_eval(f, q, table) == pytest.approx(cmath.exp(0.5j) * math.exp(-0.5))
+    q = TripleCharacter.d1(APPoint.finite(chi, Fraction(1, 2)))
+    assert eval_character(q, f, table) == pytest.approx(cmath.exp(0.5j) * math.exp(-0.5))
 
 
 def test_aap_eval_rejects_bad_inputs(table):
-    with pytest.raises(NotAnalytic):
-        aap_eval(Element.m(Frequency.rational(-1)), APPoint.x1(), table)
     with pytest.raises(NotInDomain):
-        aap_eval(Element.d(ONE), APPoint.x1(), table)
-    with pytest.raises(NotInDomain):
-        aap_eval(Element.v(DilationIndex.unit(1)), APPoint.x1(), table)
+        eval_character(AT_ORIGIN, Element.m(Frequency.rational(-1)), table)
+    # d1 kills the translation and dilation axes: those terms read as zero
+    dv = Element.d(ONE) + Element.v(DilationIndex.unit(1))
+    assert eval_character(AT_ORIGIN, dv, table) == 0
+    assert eval_character(AT_ORIGIN, Element.m(ONE) + dv, table) == eval_character(
+        AT_ORIGIN, Element.m(ONE), table
+    )
 
 
 def test_disc_point_powers():
@@ -208,13 +214,15 @@ def test_composites_fail_multiplicativity_above_level_zero(table):
 
 
 def test_arens_automorphism_is_isometric(table):
+    # the twist-and-rescale of analytic M-polynomials is the dilation
+    # twist family restricted to the multiplication axis
     rng = random.Random(17)
     chi = BohrCharacter({"ONE": Fraction(2, 7), "s2": Fraction(-1, 3)})
-    k = DilationIndex.unit(1)
+    spec = AutomorphismSpec(dil=DilationIndex.unit(1), mod_char=chi)
     for _ in range(20):
         x = random_m_poly(rng, 4)
         y = random_m_poly(rng, 3)
-        fx = arens_automorphism(x, chi, k, table)
-        fy = arens_automorphism(y, chi, k, table)
-        assert arens_automorphism(mul(x, y), chi, k, table) == mul(fx, fy)
+        fx = apply_automorphism(x, spec, table)
+        fy = apply_automorphism(y, spec, table)
+        assert apply_automorphism(mul(x, y), spec, table) == mul(fx, fy)
         assert fx.l1_norm(table) == pytest.approx(x.l1_norm(table), rel=1e-12)

@@ -156,6 +156,7 @@ def test_zero_denominator_exits_2_with_a_parse_record(capsys, text):
         ["char-eval", "--family", "zz", "M(1)"],
         ["coeff", "--axis", "E", "M(1)"],
         ["sim-column-identity", "--grading", "multiplication", "D(1)"],
+        ["support", "--algebra", "zz", "M(1)"],
     ],
 )
 def test_invalid_parameter_exits_2_with_a_record(capsys, argv):
@@ -163,6 +164,18 @@ def test_invalid_parameter_exits_2_with_a_record(capsys, argv):
     out, err = out_of(capsys)
     assert out == ""
     assert json.loads(err)["error"]["code"] == "invalid-parameter"
+
+
+@pytest.mark.parametrize(
+    "name, value, member",
+    [("bp", "bp", False), ("ap", "ap", False), ("aph_g_plus", "aph", True),
+     ("aph_g_plus_adjoint", "aph-adj", False)],
+)
+def test_support_accepts_every_algebra_name_its_help_lists(capsys, name, value, member):
+    assert run(["--json", "support", "--algebra", name, "M(1)*V(1)"]) == 0
+    out, _ = out_of(capsys)
+    payload = json.loads(out)
+    assert (payload["algebra"], payload["member"]) == (value, member)
 
 
 def test_help_exits_0(capsys):

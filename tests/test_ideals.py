@@ -16,10 +16,11 @@ from trisemi import (
     NotInAmbient,
     PhaseExponent,
     Scalar,
-    aap_eval,
+    TripleCharacter,
     adjoint,
     certificate_dict,
     commutator_certificate,
+    eval_character,
     in_ideal,
     jt_reduce,
     mul,
@@ -168,8 +169,8 @@ def test_membership_agrees_with_character_vanishing(table):
             lam = Frequency.rational(Fraction(rng.randint(0, 5), rng.randint(1, 2)))
             x = x + Element.m(lam).scale(Scalar.gaussian(rng.randint(-3, 3), rng.randint(-3, 3)))
         member = in_ideal(x, IdealId.i0(), table)
-        at_origin = aap_eval(x, APPoint.x1(), table)
-        at_inf = aap_eval(x, APPoint.infinity(), table)
+        at_origin = eval_character(TripleCharacter.d1(APPoint.x1()), x, table)
+        at_inf = eval_character(TripleCharacter.d1(APPoint.infinity()), x, table)
         vanishes = abs(at_origin) < 1e-9 and abs(at_inf) < 1e-9
         assert member == vanishes
 
