@@ -45,8 +45,7 @@ from .exactnum import (
     PhaseSum,
     QI,
     Scalar,
-    dilation_sign,
-    freq_sign,
+    index_sign,
 )
 from .algebra import (
     AlgebraId,
@@ -68,6 +67,7 @@ from .algebra import (
     first_coeff,
     mul,
     normalize_word,
+    side_sums,
     support_predicate,
 )
 from .exprs import (

@@ -29,8 +29,7 @@ from .exactnum import (
     PhaseExponent,
     Scalar,
     _merged,
-    dilation_sign,
-    freq_sign,
+    index_sign,
 )
 import math
 
@@ -405,6 +404,17 @@ _ALGEBRA_NAMES = {
 }
 
 
+# per algebra, the cone of each key component (lam, mu, t): 0 must vanish,
+# +1 not negative, -1 not positive, None free
+_CONES = {
+    AlgebraId.BP: (None, None, 0),
+    AlgebraId.AP: (1, 1, 0),
+    AlgebraId.BPH_G: (None, None, None),
+    AlgebraId.APH_G_PLUS: (1, 1, 1),
+    AlgebraId.APH_G_PLUS_ADJOINT: (-1, -1, -1),
+}
+
+
 def support_predicate(
     x: Element,
     algebra: AlgebraId | str,
@@ -413,31 +423,29 @@ def support_predicate(
 ) -> bool:
     """Whether every monomial of x sits in the stated support cone.
 
-    Signs of frequencies are decided numerically behind the guard band;
-    the exact zero frequency counts as nonnegative and nonpositive.
+    A term's vanishing components are checked before any sign is decided.
+    Signs are decided numerically behind the guard band; the exact zero
+    counts as nonnegative and nonpositive.
     """
-    algebra = AlgebraId.parse(algebra)
-    for (lam, mu, t) in x.terms:
-        if algebra in (AlgebraId.BP, AlgebraId.AP) and not t.is_zero():
+    cone = _CONES[AlgebraId.parse(algebra)]
+    vanish = [i for i, s in enumerate(cone) if s == 0]
+    signed = [(i, s) for i, s in enumerate(cone) if s]
+    for key in x.terms:
+        if any(not key[i].is_zero() for i in vanish) or any(
+            index_sign(key[i], table, guard) * s < 0 for i, s in signed
+        ):
             return False
-        if algebra is AlgebraId.AP:
-            if freq_sign(lam, table, guard) < 0 or freq_sign(mu, table, guard) < 0:
-                return False
-        elif algebra is AlgebraId.APH_G_PLUS:
-            if (
-                freq_sign(lam, table, guard) < 0
-                or freq_sign(mu, table, guard) < 0
-                or dilation_sign(t, table, guard) < 0
-            ):
-                return False
-        elif algebra is AlgebraId.APH_G_PLUS_ADJOINT:
-            if (
-                freq_sign(lam, table, guard) > 0
-                or freq_sign(mu, table, guard) > 0
-                or dilation_sign(t, table, guard) > 0
-            ):
-                return False
     return True
+
+
+def side_sums(x: Element, killed: Axis) -> Element:
+    """The dilation side sums of x: at each level t, the sum s_t of the
+    coefficients of the terms whose index on the killed axis is zero,
+    returned exactly as sum_t s_t V(t)."""
+    zero = Frequency.zero()
+    return Element(
+        ((zero, zero, key[2]), c) for key, c in x.terms.items() if killed.index(key).is_zero()
+    )
 
 
 @dataclass(frozen=True)

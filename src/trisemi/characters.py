@@ -15,7 +15,7 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import AlgebraId, Axis, Element, support_predicate
+from .algebra import AlgebraId, Axis, Element, side_sums, support_predicate
 from .errors import (
     GroupModeError,
     InvalidParameter,
@@ -171,7 +171,7 @@ class TripleCharacter:
 
     def __post_init__(self):
         if self.family not in _FAMILIES:
-            raise ValueError(f"unknown character family {self.family!r}")
+            raise InvalidParameter(f"unknown character family {self.family!r}")
 
     @classmethod
     def d1(cls, p: APPoint) -> "TripleCharacter":
@@ -236,6 +236,10 @@ def eval_character(
     return total
 
 
+# per composite side, the function axis whose index must vanish
+_SIDES = {"m": Axis.TRANSLATION, "d": Axis.MULTIPLICATION}
+
+
 def composite_eval(
     x: Element,
     side: str,
@@ -251,15 +255,9 @@ def composite_eval(
     breaks it), so no character object is built for them.
     """
     table = table or AtomTable.default()
+    killed = _SIDES.get(side)
+    if killed is None:
+        raise InvalidParameter("side must be 'm' or 'd'")
     t = t if t is not None else DilationIndex.zero()
-    if side not in ("m", "d"):
-        raise ValueError("side must be 'm' or 'd'")
-    total = 0.0 + 0.0j
-    for (lam, mu, dil), coeff in x.sorted_terms():
-        if dil != t:
-            continue
-        if side == "m" and mu.is_zero():
-            total += coeff.numeric(table)
-        elif side == "d" and lam.is_zero():
-            total += coeff.numeric(table)
-    return total
+    zero = Frequency.zero()
+    return side_sums(x, killed).coefficient((zero, zero, t)).numeric(table)

@@ -279,21 +279,11 @@ def _cmd_ideal_test(args, cfg):
     from .ideals import IdealId, in_ideal
 
     x = parse_element(args.expr)
-    kind = args.ideal
-    if kind == "cp":
-        ideal = IdealId.cp()
-    elif kind == "cph":
-        ideal = IdealId.cph_g()
-    elif kind == "i0":
-        ideal = IdealId.i0()
-    elif kind == "jt":
-        if args.t is None:
-            raise ParseError("ideal jt needs --t")
-        ideal = IdealId.jt(args.t)
-    else:
-        raise ParseError(f"unknown ideal {kind!r}")
+    if args.ideal == "jt" and args.t is None:
+        raise ParseError("ideal jt needs --t")
+    ideal = IdealId(args.ideal, args.t if args.ideal == "jt" else None)
     member = in_ideal(x, ideal, cfg.table, args.guard)
-    out = {"ideal": kind, "member": member}
+    out = {"ideal": args.ideal, "member": member}
     if args.t is not None:
         out["t"] = dil_text(args.t)
     return out

@@ -28,6 +28,7 @@ from .errors import (
     AtomCollisionWarning,
     DivisionByZero,
     IndeterminateSign,
+    InvalidParameter,
     NotFound,
     NumericOverflow,
 )
@@ -379,7 +380,7 @@ class PhaseMonomial(_Keyed):
 
     def __init__(self, bases: tuple[str, ...] = (), exp: DilationIndex | None = None):
         if len(bases) > 2:
-            raise ValueError("phase monomial degree above two")
+            raise InvalidParameter("phase monomial degree above two")
         self.bases = tuple(sorted(bases))
         self.exp = _DIL_ZERO if exp is None else exp
         self._key = (self.bases, self.exp.terms)
@@ -972,7 +973,7 @@ class Scalar:
         if single is not None:
             return math.sqrt(single[1].abs2())
         if table is None:
-            raise ValueError("atom table required for a non single phase modulus")
+            raise InvalidParameter("atom table required for a non single phase modulus")
         return abs(self.numeric(table))
 
     def __repr__(self) -> str:
@@ -1009,14 +1010,14 @@ class AtomTable:
             self._check_value(name, value)
             self.dilation[name] = float(value)
         if self.atoms[ONE_ATOM] != 1.0 or self.dilation[UNIT_SYMBOL] != 1.0:
-            raise ValueError("ONE and UNIT are reserved with value 1")
+            raise InvalidParameter("ONE and UNIT are reserved with value 1")
         self._warn_collisions()
 
     @staticmethod
     def _check_value(name: str, value) -> None:
         v = float(value)
         if not math.isfinite(v) or v <= 0.0:
-            raise ValueError(f"atom {name!r} must have a positive finite value")
+            raise InvalidParameter(f"atom {name!r} must have a positive finite value")
 
     def _warn_collisions(self) -> None:
         for (n1, v1), (n2, v2) in combinations(sorted(self.atoms.items()), 2):
@@ -1093,21 +1094,15 @@ class BohrCharacter:
         return f"BohrCharacter({list(self.angles)!r})"
 
 
-def freq_sign(f: Frequency, table: AtomTable, guard: float = DEFAULT_GUARD) -> int:
-    """Sign of the numeric value of f: 0 only for the exact zero frequency.
-    Values inside the guard band are refused."""
-    if f.is_zero():
+def index_sign(
+    x: Frequency | DilationIndex, table: AtomTable, guard: float = DEFAULT_GUARD
+) -> int:
+    """Sign of the numeric value of a frequency or dilation index: 0 only
+    for the exact zero.  Values inside the guard band are refused."""
+    if x.is_zero():
         return 0
-    v = f.numeric(table)
+    v = x.numeric(table)
     if abs(v) <= guard:
-        raise IndeterminateSign(f"frequency value {v:.3e} inside guard {guard:.1e}")
-    return 1 if v > 0 else -1
-
-
-def dilation_sign(t: DilationIndex, table: AtomTable, guard: float = DEFAULT_GUARD) -> int:
-    if t.is_zero():
-        return 0
-    v = t.numeric(table)
-    if abs(v) <= guard:
-        raise IndeterminateSign(f"dilation value {v:.3e} inside guard {guard:.1e}")
+        what = "dilation" if isinstance(x, DilationIndex) else "frequency"
+        raise IndeterminateSign(f"{what} value {v:.3e} inside guard {guard:.1e}")
     return 1 if v > 0 else -1

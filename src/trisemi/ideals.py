@@ -13,8 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .algebra import AlgebraId, Axis, Element, coeff_map, mul, support_predicate
-from .errors import DegeneratePhase, InvalidScale, NotInAmbient
+from .algebra import AlgebraId, Axis, Element, coeff_map, mul, side_sums, support_predicate
+from .errors import DegeneratePhase, InvalidParameter, InvalidScale, NotInAmbient
 from .exactnum import (
     AtomTable,
     DEFAULT_GUARD,
@@ -23,10 +23,11 @@ from .exactnum import (
     PhaseExponent,
     PhaseSum,
     Scalar,
-    dilation_sign,
+    index_sign,
 )
 
 _KINDS = ("cp", "cph", "i0", "jt")
+_ZERO_KEY = (Frequency.zero(), Frequency.zero(), DilationIndex.zero())
 
 
 @dataclass(frozen=True)
@@ -36,9 +37,9 @@ class IdealId:
 
     def __post_init__(self):
         if self.kind not in _KINDS:
-            raise ValueError(f"unknown ideal {self.kind!r}")
+            raise InvalidParameter(f"unknown ideal {self.kind!r}")
         if (self.kind == "jt") != (self.t is not None):
-            raise ValueError("exactly the jt ideal carries a dilation step")
+            raise InvalidParameter("exactly the jt ideal carries a dilation step")
 
     @classmethod
     def cp(cls) -> "IdealId":
@@ -83,38 +84,21 @@ def in_ideal(
     if ideal.kind == "cph":
         if not support_predicate(x, AlgebraId.APH_G_PLUS, table, guard):
             raise NotInAmbient("element leaves the triple semigroup algebra")
-        m_sums: dict = {}
-        d_sums: dict = {}
-        for (lam, mu, t), coeff in x.terms.items():
-            lone_m = mu.is_zero() and t.is_zero()
-            lone_d = lam.is_zero() and t.is_zero()
-            lone_v = lam.is_zero() and mu.is_zero()
-            if lone_m or lone_d or lone_v:
-                return False
-            if mu.is_zero():
-                m_sums[t] = m_sums.get(t, Scalar.zero()) + coeff
-            if lam.is_zero():
-                d_sums[t] = d_sums.get(t, Scalar.zero()) + coeff
-        zero = Scalar.zero()
-        return all(s == zero for s in m_sums.values()) and all(
-            s == zero for s in d_sums.values()
-        )
-    if ideal.kind == "jt":
-        if dilation_sign(ideal.t, table, guard) <= 0:
-            raise InvalidScale("the telescoping ideal needs a positive step")
+        # a term on one generator axis alone, or the constant, is never a commutator
+        if any(sum(i.is_zero() for i in key) >= 2 for key in x.terms):
+            return False
+        # the multiplication and translation side sums vanish at every level
+        return all(side_sums(x, a).is_zero() for a in (Axis.TRANSLATION, Axis.MULTIPLICATION))
+    if ideal.kind == "jt" and index_sign(ideal.t, table, guard) <= 0:
+        raise InvalidScale("the telescoping ideal needs a positive step")
     # i0 and jt share the same membership conditions: vanishing at the
     # origin and at infinity (the telescoping lemma collapses jt to i0).
     if not support_predicate(x, AlgebraId.AP, table, guard):
         raise NotInAmbient("element leaves the parabolic algebra")
     _require_m_only(x)
-    total = Scalar.zero()
-    constant = Scalar.zero()
-    for (lam, _, _), coeff in x.terms.items():
-        total = total + coeff
-        if lam.is_zero():
-            constant = constant + coeff
-    zero = Scalar.zero()
-    return total == zero and constant == zero
+    # on a multiplication polynomial the level-0 side sum is the value at
+    # the origin and the zero-key coefficient the value at infinity
+    return side_sums(x, Axis.TRANSLATION).is_zero() and x.coefficient(_ZERO_KEY).is_zero()
 
 
 def quotient_defect(x: Element) -> Element:
@@ -126,10 +110,7 @@ def quotient_defect(x: Element) -> Element:
     """
     e0 = coeff_map(x, Axis.TRANSLATION, Frequency.zero())
     z0 = coeff_map(x, Axis.MULTIPLICATION, Frequency.zero())
-    chi = x.coefficient(
-        (Frequency.zero(), Frequency.zero(), DilationIndex.zero())
-    )
-    return x - e0 - z0 + Element.identity().scale(chi)
+    return x - e0 - z0 + Element.identity().scale(x.coefficient(_ZERO_KEY))
 
 
 # ---------------------------------------------------------------- exact side

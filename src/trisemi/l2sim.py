@@ -30,6 +30,7 @@ from .algebra import (
     V,
     coeff_map,
     compress,
+    side_sums,
 )
 from .errors import (
     DivergentPacket,
@@ -433,14 +434,9 @@ def wot_limit(x: Element, mode) -> Element:
     mode = CompressionMode.parse(mode)
     if mode is CompressionMode.TRANSLATION:
         return coeff_map(x, Axis.DILATION, DilationIndex.zero())
-    items = []
-    for (lam, mu, t), coeff in x.terms.items():
-        if mode is CompressionMode.DILATION_IN and not mu.is_zero():
-            continue
-        if mode is CompressionMode.DILATION_OUT and not lam.is_zero():
-            continue
-        items.append(((Frequency.zero(), Frequency.zero(), t), coeff))
-    return Element(items)
+    # V* x V keeps the translation-free terms, V x V* the modulation-free ones
+    killed = Axis.TRANSLATION if mode is CompressionMode.DILATION_IN else Axis.MULTIPLICATION
+    return side_sums(x, killed)
 
 
 def wot_compression_demo(

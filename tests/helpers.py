@@ -169,6 +169,18 @@ def random_z_element(rng: random.Random, max_terms=4, atoms=ATOMS) -> Element:
     return x
 
 
+def random_lone_terms(rng: random.Random) -> Element:
+    """One to three terms ±M(f)V(n) or ±D(f)V(n), n in 0..2: added to an
+    element, they make its dilation side sums nonzero or cancel them."""
+    x = Element.zero()
+    for _ in range(rng.randint(1, 3)):
+        f = Frequency.rational(rng.randint(1, 3))
+        lone = Element.m(f) if rng.random() < 0.5 else Element.d(f)
+        v = Element.v(DilationIndex.unit(rng.randint(0, 2)))
+        x = x + (lone * v).scale(rng.choice((1, -1)))
+    return x
+
+
 def random_m_poly(rng: random.Random, max_terms=4, nonneg=True) -> Element:
     """Pure multiplication polynomial."""
     x = Element.zero()

@@ -20,6 +20,7 @@ from trisemi import (
     EmptyElement,
     Frequency,
     FrequencyAtom,
+    IndeterminateSign,
     InvalidParameter,
     InvalidScale,
     M,
@@ -201,6 +202,41 @@ def test_support_predicates(table):
     assert not support_predicate(trip, AlgebraId.AP, table)
     assert not support_predicate(trip, AlgebraId.APH_G_PLUS_ADJOINT, table)
     assert support_predicate(adjoint(trip), AlgebraId.APH_G_PLUS_ADJOINT, table)
+
+
+# the support cones one term at a time, on numeric values
+_CONE_REFERENCE = {
+    "bp": lambda lam, mu, t: t == 0,
+    "ap": lambda lam, mu, t: t == 0 and lam >= 0 and mu >= 0,
+    "bph": lambda lam, mu, t: True,
+    "aph": lambda lam, mu, t: lam >= 0 and mu >= 0 and t >= 0,
+    "aph-adj": lambda lam, mu, t: lam <= 0 and mu <= 0 and t <= 0,
+}
+
+
+def test_support_predicate_matches_the_per_term_cones(table, rng):
+    seen = {name: set() for name in _CONE_REFERENCE}
+    for _ in range(40):
+        x = random_element(rng, 4, nonneg=rng.random() < 0.5, with_v=rng.random() < 0.5)
+        for y in (x, adjoint(x)):
+            for name, rule in _CONE_REFERENCE.items():
+                expected = all(
+                    rule(lam.numeric(table), mu.numeric(table), t.numeric(table))
+                    for lam, mu, t in y.terms
+                )
+                assert support_predicate(y, name, table) == expected, (name, y.terms)
+                seen[name].add(expected)
+    assert all(seen[name] == {True, False} for name in ("bp", "ap", "aph", "aph-adj"))
+
+
+def test_support_predicate_refuses_a_dilation_term_before_any_sign(table):
+    # 10^-12 sits inside the guard band, but ap and bp never read its sign
+    x = Element.from_word([M(Fraction(1, 10**12)), V(1)])
+    assert not support_predicate(x, "ap", table)
+    assert not support_predicate(x, "bp", table)
+    assert support_predicate(x, "bph", table)
+    with pytest.raises(IndeterminateSign):
+        support_predicate(x, "aph", table)
 
 
 def test_l1_norm(table):

@@ -18,6 +18,7 @@ from trisemi import (
     Frequency,
     GroupModeError,
     HalfPlanePoint,
+    InvalidParameter,
     NotInDomain,
     TripleCharacter,
     UntrustedCharacterWarning,
@@ -28,7 +29,7 @@ from trisemi import (
     vanishing_point,
 )
 
-from helpers import random_m_poly, random_z_element
+from helpers import random_lone_terms, random_m_poly, random_z_element
 
 ONE = Frequency.rational(1)
 TWO = Frequency.rational(2)
@@ -191,6 +192,25 @@ def test_composites_match_families_at_level_zero(table):
         assert composite_eval(x, "d", None, table) == pytest.approx(
             eval_character(d4v, x, table), abs=1e-12
         )
+
+
+def test_composites_match_the_per_term_level_sums(table, rng):
+    for _ in range(30):
+        x = random_z_element(rng) + random_lone_terms(rng)
+        for n in (0, 1, 2):
+            t = DilationIndex.unit(n)
+            for side, component in (("m", 1), ("d", 0)):
+                expected = sum(
+                    (c.numeric(table) for key, c in x.sorted_terms()
+                     if key[2] == t and key[component].is_zero()),
+                    0j,
+                )
+                assert abs(composite_eval(x, side, t, table) - expected) < 1e-12
+
+
+def test_composite_eval_refuses_an_unknown_side(table):
+    with pytest.raises(InvalidParameter):
+        composite_eval(Element.identity(), "q", None, table)
 
 
 def test_composites_multiplicative_at_level_zero(table):

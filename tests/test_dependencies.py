@@ -60,11 +60,11 @@ _EXPORTS = {
         NonIntegerLattice NotFound NotInAmbient NotInDomain
         NumericOverflow ParseError ScheduleTooShort UntrustedCharacterWarning""",
     "exactnum": """AtomTable BohrCharacter DilationIndex Frequency FrequencyAtom
-        PhaseExponent PhaseMonomial PhaseSum QI Scalar dilation_sign freq_sign""",
+        PhaseExponent PhaseMonomial PhaseSum QI Scalar index_sign""",
     "algebra": """AlgebraId AutomorphismSpec Axis CompressionMode D Element
         FlipReport M Monomial Sc V adjoint apply_automorphism
         check_flip_contradiction coeff_map compress first_coeff mul
-        normalize_word support_predicate""",
+        normalize_word side_sums support_predicate""",
     "exprs": """dil_text element_text freq_text parse_dilation parse_element
         parse_frequency scalar_text""",
     "config": "RunConfig load_config",
@@ -192,3 +192,44 @@ def test_every_error_class_is_raised():
     package = Path(trisemi.__file__).resolve().parent
     raised = set().union(*(_raised_names(path) for path in package.glob("*.py")))
     assert not defined - raised, f"never raised: {sorted(defined - raised)}"
+
+
+def _raise_sites(path: Path):
+    """(line, class name) of every ``raise X``, ``raise X(...)`` and
+    ``raise helper(...)``; a helper stands for its return annotation."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    returns = {
+        node.name: ast.unparse(node.returns)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.returns is not None
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            name = exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None)
+            if isinstance(node.exc, ast.Call) and name in returns:
+                name = returns[name]
+            yield node.lineno, name
+
+
+# outside the EngineError tree: TypeError for an argument of the wrong type
+# (_frac, normalize_word, apply_word), the AttributeError of the module
+# __getattr__ protocol, and the entry point's process exit
+_PLAIN_RAISES = {("__init__.py", "AttributeError"), ("__main__.py", "SystemExit")}
+
+
+def test_every_raise_names_an_engine_error():
+    errors = importlib.import_module("trisemi.errors")
+    engine = {
+        name
+        for name, obj in vars(errors).items()
+        if isinstance(obj, type) and issubclass(obj, errors.EngineError)
+    }
+    package = Path(trisemi.__file__).resolve().parent
+    bad = [
+        f"{path.name}:{line}: {name}"
+        for path in sorted(package.glob("*.py"))
+        for line, name in _raise_sites(path)
+        if name not in engine and name != "TypeError" and (path.name, name) not in _PLAIN_RAISES
+    ]
+    assert not bad, "raise outside the EngineError tree:\n" + "\n".join(bad)

@@ -26,8 +26,7 @@ from trisemi import (
     PhaseMonomial,
     PhaseSum,
     Scalar,
-    dilation_sign,
-    freq_sign,
+    index_sign,
 )
 
 fractions = st.fractions(min_value=-8, max_value=8, max_denominator=6)
@@ -138,17 +137,17 @@ def test_freq_sign_guard_band():
     table = AtomTable({"s2": math.sqrt(2)}, {})
     near = Frequency.atom("s2") + Frequency.rational(Fraction(-1393, 985))
     # |sqrt2 - 1393/985| ~ 3.6e-7: resolvable at 1e-9, ambiguous at 1e-6
-    assert freq_sign(near, table) == 1
+    assert index_sign(near, table) == 1
     with pytest.raises(IndeterminateSign):
-        freq_sign(near, table, guard=1e-6)
-    assert freq_sign(Frequency.zero(), table) == 0
+        index_sign(near, table, guard=1e-6)
+    assert index_sign(Frequency.zero(), table) == 0
 
 
 def test_dilation_sign():
     table = AtomTable({}, {"h": 0.5})
-    assert dilation_sign(DilationIndex.unit(Fraction(1, 8)), table) == 1
-    assert dilation_sign(DilationIndex.single("h", -2), table) == -1
-    assert dilation_sign(DilationIndex.zero(), table) == 0
+    assert index_sign(DilationIndex.unit(Fraction(1, 8)), table) == 1
+    assert index_sign(DilationIndex.single("h", -2), table) == -1
+    assert index_sign(DilationIndex.zero(), table) == 0
 
 
 def test_atom_table_guards():

@@ -28,7 +28,7 @@ from trisemi import (
     verify_certificate,
 )
 
-from helpers import random_ap_element, random_z_element
+from helpers import random_ap_element, random_lone_terms, random_z_element
 
 ONE = Frequency.rational(1)
 TWO = Frequency.rational(2)
@@ -76,6 +76,30 @@ def test_cph_t_level_sums_must_vanish(table):
     assert in_ideal(x + y, IdealId.cph_g(), table)
     # breaking one sum breaks membership
     assert not in_ideal(x + mul(Element.d(ONE), v1), IdealId.cph_g(), table)
+
+
+def test_cph_membership_matches_the_per_term_level_sums(table, rng):
+    verdicts = set()
+    for _ in range(60):
+        a, b = random_z_element(rng, 3), random_z_element(rng, 3)
+        # a level-sum-cancelling pair keeps a commutator in the ideal;
+        # random lone terms mostly break it
+        lone_axis = rng.choice((Element.m, Element.d))
+        pair = lone_axis(ONE) - lone_axis(TWO)
+        x = commutator(a, b) + mul(pair, Element.v(DilationIndex.unit(rng.randint(1, 2))))
+        if rng.random() < 0.5:
+            x = x + random_lone_terms(rng)
+        m_sums, d_sums, lone = {}, {}, False
+        for (lam, mu, t), c in x.terms.items():
+            lone = lone or sum(i.is_zero() for i in (lam, mu, t)) >= 2
+            if mu.is_zero():
+                m_sums[t] = m_sums.get(t, Scalar.zero()) + c
+            if lam.is_zero():
+                d_sums[t] = d_sums.get(t, Scalar.zero()) + c
+        expected = not lone and all(s.is_zero() for s in [*m_sums.values(), *d_sums.values()])
+        assert in_ideal(x, IdealId.cph_g(), table) == expected
+        verdicts.add(expected)
+    assert verdicts == {True, False}
 
 
 def test_random_commutators_land_in_the_ideals(table):

@@ -20,6 +20,7 @@ from trisemi import (
     NumericOverflow,
     PacketSum,
     ScheduleTooShort,
+    Scalar,
     apply_element,
     apply_word,
     column_norms,
@@ -206,6 +207,21 @@ def test_column_norms_take_axis_letters_and_refuse_multiplication(table):
 def test_wot_limit_translation_keeps_the_zero_dilation_fiber():
     x = Element.m(ONE) + mul(Element.m(ONE), Element.v(DilationIndex.unit(1)))
     assert wot_limit(x, "translation") == Element.m(ONE)
+
+
+def test_wot_limit_dilation_modes_sum_the_side_terms_per_level(rng):
+    # dilation-in keeps the translation-free terms, dilation-out the
+    # modulation-free ones; each surviving term lands on V(t)
+    zero = Frequency.zero()
+    for _ in range(30):
+        x = random_element(rng, 5)
+        for mode, component in (("dilation-in", 1), ("dilation-out", 0)):
+            sums = {}
+            for key, c in x.terms.items():
+                if key[component].is_zero():
+                    level = (zero, zero, key[2])
+                    sums[level] = sums.get(level, Scalar.zero()) + c
+            assert wot_limit(x, mode) == Element(sums)
 
 
 def test_wot_compression_demo_report(table):
