@@ -523,7 +523,7 @@ class CompressionMode(Enum):
         try:
             return cls(str(name).strip().lower().replace("_", "-"))
         except ValueError:
-            raise InvalidScale(f"unknown compression mode {name!r}") from None
+            raise InvalidParameter(f"unknown compression mode {name!r}") from None
 
 
 def compress(x: Element, mode: CompressionMode | str, n: int) -> Element:

@@ -67,9 +67,13 @@ class APPoint:
         return cls.finite()
 
     def value(self, freq: Frequency, table: AtomTable) -> complex:
+        return self.at(freq, freq.numeric(table))
+
+    def at(self, freq: Frequency, num: float) -> complex:
+        """The value at an index whose angles the character reads off
+        ``freq`` and whose numeric value ``num`` sets the decay."""
         if self.at_infinity:
             return 1.0 if freq.is_zero() else 0.0
-        num = freq.numeric(table)
         return self.char.value(freq) * cmath.exp(-num * float(self.decay))
 
     def describe(self) -> dict:
@@ -119,7 +123,8 @@ class HalfPlanePoint:
     point: APPoint
 
     def value(self, t: DilationIndex, table: AtomTable) -> complex:
-        return self.point.value(_dil_as_frequency(t), table)
+        # angles read UNIT as ONE; the decay reads the dilation table
+        return self.point.at(_dil_as_frequency(t), t.numeric(table))
 
     def is_vanishing(self) -> bool:
         return self.point.at_infinity

@@ -279,10 +279,7 @@ def _cmd_ideal_test(args, cfg):
     from .ideals import IdealId, in_ideal
 
     x = parse_element(args.expr)
-    if args.ideal == "jt" and args.t is None:
-        raise ParseError("ideal jt needs --t")
-    ideal = IdealId(args.ideal, args.t if args.ideal == "jt" else None)
-    member = in_ideal(x, ideal, cfg.table, args.guard)
+    member = in_ideal(x, IdealId(args.ideal, args.t), cfg.table, args.guard)
     out = {"ideal": args.ideal, "member": member}
     if args.t is not None:
         out["t"] = dil_text(args.t)

@@ -204,6 +204,13 @@ class _Sum:
             k = self._key = tuple([(order(kv), kv[1]) for kv in self.terms])
         return k
 
+    def coefficient(self, key):
+        """The coefficient at ``key``, the rational 0 when absent."""
+        for k, q in self.terms:
+            if k == key:
+                return q
+        return _ZERO
+
     def numeric(self, table: "AtomTable") -> float:
         return sum(float(q) * k.numeric(table) for k, q in self.terms)
 
@@ -348,14 +355,8 @@ class Frequency(_Sum):
             total += q * _frac(table.atom_value(a.base))
         return total
 
-    def coefficient(self, atom: FrequencyAtom) -> Fraction:
-        for a, q in self.terms:
-            if a == atom:
-                return q
-        return _ZERO
 
-
-_FREQ_ZERO = Frequency._zero = Frequency()
+Frequency._zero = Frequency()
 
 
 def _dil_as_frequency(t: DilationIndex) -> Frequency:
@@ -640,13 +641,6 @@ def _unit_split(ps: PhaseSum) -> tuple[PhaseExponent, QI, PhaseSum | None]:
     return pe, amp, ps.shift(-pe).scale(amp.inverse())
 
 
-def _exp_coefficient(pe: PhaseExponent, mono: PhaseMonomial) -> Fraction:
-    for m, q in pe.terms:
-        if m == mono:
-            return q
-    return _ZERO
-
-
 def _qi_pow(x: QI, k: int) -> QI:
     """x**k for k >= 0, by repeated squaring."""
     out = QI_ONE
@@ -675,7 +669,7 @@ def _divide_binomial(num: PhaseSum, factor: PhaseSum) -> PhaseSum | None:
     """
     (theta, a), = factor.terms[1:]
     lead, c0 = theta.terms[0]
-    powers = [(_exp_coefficient(pe, lead) // c0, c, pe) for pe, c in num.terms]
+    powers = [(pe.coefficient(lead) // c0, c, pe) for pe, c in num.terms]
     powers.sort(key=itemgetter(0))
     limit = len(num.terms)
     # A cheap first test: p(-1/a) summed over all cosets must vanish.

@@ -2,10 +2,13 @@
 
 A monomial prints as ``coeff * M(freq) * D(freq) * V(t)`` with zero index
 factors and unit coefficients left out, terms joined by `` + ``.
-Frequencies print as rational combinations ``q*atom@{t}`` where plain
-rationals stand for multiples of ONE and ``@{t}`` carries the exponent
-shift.  Phases print as ``exp(i*...)`` with degree two monomials spelled
-``atom*atom``.  Printing then parsing is the identity on canonical forms.
+Dilation indices, frequencies, phase exponents and Gaussian amplitudes
+are rational combinations with one text form: summands ``q*name`` joined
+by + and -, the ``q*`` left out for a coefficient of +-1, and the unit key
+(UNIT, the atom ONE, the empty phase monomial, the real part) printed as
+the bare rational.  Atoms print as ``atom@{t}`` with ``@{t}`` the exponent
+shift, phase monomials as ``atom*atom@{t}``, and phases as ``exp(i*...)``.
+Printing then parsing is the identity on canonical forms.
 """
 
 from __future__ import annotations
@@ -40,67 +43,50 @@ def _signed_join(parts: list[tuple[str, bool]]) -> str:
     return "".join(out)
 
 
-def _frac_abs(q: Fraction) -> str:
-    return str(abs(q))
-
-
-def dil_text(t: DilationIndex) -> str:
-    if t.is_zero():
-        return "0"
+def _combo_parts(terms, name) -> list[tuple[str, bool]]:
+    """Signed summands of a rational combination: ``name(key)`` is the
+    key's text, or None for the unit key, which prints as the bare
+    rational; a coefficient of +-1 prints as the name alone and any other
+    as ``q*name``."""
     parts = []
-    for sym, q in t.terms:
-        if sym == UNIT_SYMBOL:
-            parts.append((_frac_abs(q), q < 0))
-        elif abs(q) == 1:
-            parts.append((sym, q < 0))
-        else:
-            parts.append((f"{_frac_abs(q)}*{sym}", q < 0))
-    return _signed_join(parts)
-
-
-def _atom_name(atom: FrequencyAtom) -> str:
-    if atom.exp.is_zero():
-        return atom.base
-    return f"{atom.base}@{{{dil_text(atom.exp)}}}"
-
-
-def freq_text(f: Frequency) -> str:
-    if f.is_zero():
-        return "0"
-    parts = []
-    for atom, q in f.terms:
-        if atom.base == ONE_ATOM and atom.exp.is_zero():
-            parts.append((_frac_abs(q), q < 0))
-        elif abs(q) == 1:
-            parts.append((_atom_name(atom), q < 0))
-        else:
-            parts.append((f"{_frac_abs(q)}*{_atom_name(atom)}", q < 0))
-    return _signed_join(parts)
-
-
-def _mono_body(m: PhaseMonomial) -> str:
-    if not m.bases:
-        return f"{ONE_ATOM}@{{{dil_text(m.exp)}}}"
-    body = "*".join(m.bases)
-    if not m.exp.is_zero():
-        body += f"@{{{dil_text(m.exp)}}}"
-    return body
-
-
-def _phase_exp_parts(pe: PhaseExponent) -> list[tuple[str, bool]]:
-    parts = []
-    for mono, q in pe.terms:
-        if mono == PhaseMonomial.empty():
-            parts.append((_frac_abs(q), q < 0))
-        elif abs(q) == 1:
-            parts.append((_mono_body(mono), q < 0))
-        else:
-            parts.append((f"{_frac_abs(q)}*{_mono_body(mono)}", q < 0))
+    for key, q in terms:
+        text = name(key)
+        if text is None:
+            text = str(abs(q))
+        elif abs(q) != 1:
+            text = f"{abs(q)}*{text}"
+        parts.append((text, q < 0))
     return parts
 
 
+def _combo_text(terms, name) -> str:
+    return _signed_join(_combo_parts(terms, name)) or "0"
+
+
+def _dil_name(sym: str) -> str | None:
+    return None if sym == UNIT_SYMBOL else sym
+
+
+def dil_text(t: DilationIndex) -> str:
+    return _combo_text(t.terms, _dil_name)
+
+
+def _key_name(key: FrequencyAtom | PhaseMonomial) -> str | None:
+    """``base@{t}`` for an atom or ``a*b@{t}`` for a phase monomial, the
+    shift left out when zero; None for the unit ONE and the empty
+    monomial."""
+    base = key.base if isinstance(key, FrequencyAtom) else "*".join(key.bases) or ONE_ATOM
+    if key.exp.is_zero():
+        return None if base == ONE_ATOM else base
+    return f"{base}@{{{dil_text(key.exp)}}}"
+
+
+def freq_text(f: Frequency) -> str:
+    return _combo_text(f.terms, _key_name)
+
+
 def _phase_factor(pe: PhaseExponent) -> str:
-    parts = _phase_exp_parts(pe)
+    parts = _combo_parts(pe.terms, _key_name)
     if len(parts) == 1:
         text, neg = parts[0]
         return f"exp(-i*{text})" if neg else f"exp(i*{text})"
@@ -108,15 +94,12 @@ def _phase_factor(pe: PhaseExponent) -> str:
 
 
 def _amp_parts(a: QI) -> tuple[str, bool]:
-    """Text and sign flag for a Gaussian rational amplitude."""
-    if not a.im:
-        return _frac_abs(a.re), a.re < 0
-    if not a.re:
-        body = "i" if abs(a.im) == 1 else f"{_frac_abs(a.im)}*i"
-        return body, a.im < 0
-    im_body = "i" if abs(a.im) == 1 else f"{_frac_abs(a.im)}*i"
-    inner = _signed_join([(_frac_abs(a.re), a.re < 0), (im_body, a.im < 0)])
-    return f"({inner})", False
+    """Text and sign flag for a Gaussian rational amplitude, the
+    combination of the unit key (real part) and ``i``."""
+    parts = _combo_parts([(k, q) for k, q in ((None, a.re), ("i", a.im)) if q], lambda k: k)
+    if len(parts) == 1:
+        return parts[0]
+    return f"({_signed_join(parts)})", False
 
 
 def _phase_sum_parts(ps: PhaseSum) -> list[tuple[str, bool]]:
@@ -279,36 +262,39 @@ class _Parser:
             q /= d
         return -q if neg else q
 
-    def _signed_sum(self, term) -> list:
+    # rational combinations ------------------------------------------
+
+    def _combo_term(self, sign: int, ref, unit, what: str) -> tuple:
+        """One summand ``q``, ``q*key`` or ``key`` after its sign, as a
+        (key, q) item: ``ref()`` parses a key and ``unit`` is the key of a
+        bare rational."""
+        if self.peek().kind == "num":
+            q = sign * self.rational()
+            if self.peek().kind == "*" and self.peek(1).kind == "name":
+                self.advance()
+                return ref(), q
+            return unit, q
+        if self.peek().kind == "name":
+            return ref(), Fraction(sign)
+        raise self.fail(f"expected a {what} term")
+
+    def _signed_sum(self, ref, unit, what: str) -> list[tuple]:
         """The summands of a sum with an optional leading sign; every
-        later summand follows a + or -.  ``term(sign)`` parses one
-        summand after its sign."""
+        later summand follows a + or -."""
         out = []
         while True:
             sign = 1
             if self.peek().kind in "+-":
                 sign = -1 if self.advance().kind == "-" else 1
-            out.append(term(sign))
+            out.append(self._combo_term(sign, ref, unit, what))
             if self.peek().kind not in "+-":
                 return out
 
-    # dilation index -------------------------------------------------
-
     def dilation(self) -> DilationIndex:
-        return DilationIndex(self._signed_sum(self._dilation_term))
+        return DilationIndex(self._signed_sum(self._symref, UNIT_SYMBOL, "dilation"))
 
-    def _dilation_term(self, sign: int) -> tuple[str, Fraction]:
-        if self.peek().kind == "num":
-            q = sign * self.rational()
-            if self.peek().kind == "*" and self.peek(1).kind == "name":
-                self.advance()
-                return self.advance().text, q
-            return UNIT_SYMBOL, q
-        if self.peek().kind == "name":
-            return self.advance().text, Fraction(sign)
-        raise self.fail("expected a dilation term")
-
-    # frequencies ----------------------------------------------------
+    def _symref(self) -> str:
+        return self.advance().text
 
     def _atomref(self) -> FrequencyAtom:
         name = self.expect("name").text
@@ -321,47 +307,19 @@ class _Parser:
         return FrequencyAtom(name, exp)
 
     def frequency(self) -> Frequency:
-        return Frequency(self._signed_sum(self._frequency_term))
+        return Frequency(self._signed_sum(self._atomref, FrequencyAtom.one(), "frequency"))
 
-    def _frequency_term(self, sign: int) -> tuple[FrequencyAtom, Fraction]:
-        if self.peek().kind == "num":
-            q = sign * self.rational()
-            if self.peek().kind == "*" and self.peek(1).kind == "name":
-                self.advance()
-                return self._atomref(), q
-            return FrequencyAtom(ONE_ATOM), q
-        if self.peek().kind == "name":
-            return self._atomref(), Fraction(sign)
-        raise self.fail("expected a frequency term")
-
-    # phase exponents ------------------------------------------------
-
-    def _phase_term(self) -> PhaseExponent:
-        if self.peek().kind == "num":
-            q, atoms = self.rational(), []
-        elif self.peek().kind == "name":
-            q, atoms = Fraction(1), [self._atomref()]
-        else:
-            raise self.fail("expected a phase term")
+    def _monoref(self) -> PhaseMonomial:
+        """A product of at most two atom references."""
+        atoms = [self._atomref()]
         while self.peek().kind == "*" and self.peek(1).kind == "name":
             self.advance()
             atoms.append(self._atomref())
             if len(atoms) > 2:
                 raise self.fail("phase monomials have degree at most two")
-        if not atoms:
-            mono = PhaseMonomial.empty()
-        elif len(atoms) == 1:
-            mono = PhaseMonomial.from_atom(atoms[0])
-        else:
-            mono = PhaseMonomial.product(atoms[0], atoms[1])
-        return PhaseExponent(((mono, q),))
-
-    def _phase_expr(self) -> PhaseExponent:
-        def term(sign: int) -> PhaseExponent:
-            pe = self._phase_term()
-            return pe if sign > 0 else -pe
-
-        return sum(self._signed_sum(term), PhaseExponent.zero())
+        if len(atoms) == 1:
+            return PhaseMonomial.from_atom(atoms[0])
+        return PhaseMonomial.product(*atoms)
 
     def _exp_call(self) -> Element:
         # after the name "exp"
@@ -374,12 +332,13 @@ class _Parser:
         if tok.text != "i":
             raise ParseError("exp argument must start with i*", (tok.pos, tok.pos + len(tok.text)))
         self.expect("*")
+        phase = (self._monoref, PhaseMonomial.empty(), "phase")
         if self.peek().kind == "(":
             self.advance()
-            pe = self._phase_expr()
+            pe = PhaseExponent(self._signed_sum(*phase))
             self.expect(")")
         else:
-            pe = self._phase_term()
+            pe = PhaseExponent([self._combo_term(1, *phase)])
         self.expect(")")
         if sign < 0:
             pe = -pe

@@ -302,6 +302,8 @@ def test_compress_modes():
     v_in = compress(x, "dilation-in", 1)
     v_out = compress(x, "dilation_out", 1)
     assert not v_in.is_zero() and not v_out.is_zero()
+    with pytest.raises(InvalidParameter):
+        compress(x, "zz", 1)
 
 
 def _no_zero_coefficients(x: Element) -> bool:

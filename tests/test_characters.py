@@ -10,6 +10,7 @@ import pytest
 
 from trisemi import (
     APPoint,
+    AtomTable,
     AutomorphismSpec,
     BohrCharacter,
     DilationIndex,
@@ -118,6 +119,20 @@ def test_d3_d4_delegate_to_the_dilation_point(table):
     chi4 = TripleCharacter.d4(DiscPoint(w))
     y = Element.v(DilationIndex.unit(2))
     assert eval_character(chi4, y, table) == pytest.approx(w * w)
+
+
+@pytest.mark.parametrize("atoms", [{}, {"h": math.e}], ids=["no-atom-h", "atom-h"])
+def test_half_plane_point_reads_dilation_symbols_from_the_dilation_table(atoms):
+    # e is not within 1e-9 of a small rational multiple of ONE, so the
+    # atom h raises no collision warning; it must not stand in for the
+    # dilation symbol h = 1/2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = AtomTable(atoms, {"h": 0.5})
+    chi = TripleCharacter.d3(HalfPlanePoint(APPoint.finite(decay=1)))
+    value = eval_character(chi, Element.v(DilationIndex.single("h")), table)
+    assert value == pytest.approx(math.exp(-0.5), abs=1e-12)
+    assert value == eval_character(chi, Element.v(DilationIndex.unit(Fraction(1, 2))), table)
 
 
 def test_glue_point_agreement(table):

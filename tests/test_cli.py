@@ -157,6 +157,9 @@ def test_zero_denominator_exits_2_with_a_parse_record(capsys, text):
         ["coeff", "--axis", "E", "M(1)"],
         ["sim-column-identity", "--grading", "multiplication", "D(1)"],
         ["support", "--algebra", "zz", "M(1)"],
+        # only the jt ideal takes --t, and it needs one
+        ["ideal-test", "--ideal", "cp", "--t", "1", "M(1)*D(1)"],
+        ["ideal-test", "--ideal", "jt", "M(1)"],
     ],
 )
 def test_invalid_parameter_exits_2_with_a_record(capsys, argv):

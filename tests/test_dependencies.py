@@ -1,6 +1,7 @@
 """``import trisemi`` loads no third-party package, the exact commands
 load no numpy and the analysis names resolve on first use, and no module
-of the package imports a name it never reads."""
+of the package imports a name it never reads or defines a private name
+that nothing in it reads."""
 
 import ast
 import importlib
@@ -166,6 +167,46 @@ def test_no_unused_imports():
         if path.name != "__init__.py":
             unused += _unused_imports(path)
     assert not unused, "imported but never read:\n" + "\n".join(unused)
+
+
+def _private_names(tree: ast.Module) -> dict[str, int]:
+    """Private names a module binds at module level (functions, classes
+    and assignment targets that start with one underscore), with their
+    lines."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound = [
+                n.id for t in targets for n in ast.walk(t)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+            ]
+        else:
+            continue
+        for name in bound:
+            if name.startswith("_") and not name.startswith("__"):
+                names[name] = node.lineno
+    return names
+
+
+def test_every_private_module_name_is_read():
+    # a private helper or constant that nothing in the package reads is
+    # dead code: delete it instead
+    package = Path(trisemi.__file__).resolve().parent
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in sorted(package.glob("*.py"))}
+    read = {
+        n.id for tree in trees.values() for n in ast.walk(tree)
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+    }
+    unread = [
+        f"{name}:{line}: {private}"
+        for name, tree in trees.items()
+        for private, line in _private_names(tree).items()
+        if private not in read
+    ]
+    assert not unread, "defined but never read:\n" + "\n".join(unread)
 
 
 def _raised_names(path: Path) -> set[str]:

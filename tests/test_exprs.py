@@ -125,3 +125,60 @@ def test_opaque_divisor_round_trips():
     assert z == parse_element("exp(i*s3)")
     w = parse_element("(2 + exp(i*1) + exp(i*s3)) / (2 + exp(i*1) + exp(i*s2))")
     assert len(_only_coefficient(w).factors) == 1
+
+
+# One row per branch of the combination printer: for each key kind the
+# unit key (a bare rational), a coefficient of +-1 (the name alone) and
+# another rational (q*name), plus shifted atoms and monomials, both parts
+# of an amplitude and negative leading terms.
+GOLDEN = [
+    ("V(2)", "V(2)"),
+    ("V(-h)", "V(-h)"),
+    ("V(1/2*h)", "V(1/2*h)"),
+    ("V(h - 1)", "V(-1 + h)"),
+    ("M(3)", "M(3)"),
+    ("M(-s2)", "M(-s2)"),
+    ("M(2/3*s2)", "M(2/3*s2)"),
+    ("M(ONE@{1})", "M(ONE@{1})"),
+    ("M(-2*s2@{-1/2})", "M(-2*s2@{-1/2})"),
+    ("D(s3 - 1/2)", "D(-1/2 + s3)"),
+    ("V(h)*M(s2)", "M(s2@{h}) * V(h)"),
+    ("exp(i*3/4)", "exp(i*3/4)"),
+    ("exp(-i*s2)", "exp(-i*s2)"),
+    ("exp(i*2*s2)", "exp(i*2*s2)"),
+    ("exp(i*s2*s3@{h})", "exp(i*s2*s3@{h})"),
+    ("exp(i*ONE@{1})", "exp(i*ONE@{1})"),
+    ("exp(-i*(1+s2))", "exp(i*(-1 - s2))"),
+    ("exp(i*(s2*s3 - 1/2))", "exp(i*(-1/2 + s2*s3))"),
+    ("-1/2", "-1/2"),
+    ("i", "i"),
+    ("-i*M(1)", "-i * M(1)"),
+    ("3/2*i*M(1)", "3/2*i * M(1)"),
+    ("(1 - i)*M(1)", "(1 - i) * M(1)"),
+    ("(2*i - 1/2)*M(1)", "(-1/2 + 2*i) * M(1)"),
+    ("(1+i)*exp(i*s2)", "(1 + i)*exp(i*s2)"),
+    ("-M(1) + D(1)", "D(1) + -1 * M(1)"),
+]
+
+
+@pytest.mark.parametrize("text, canonical", GOLDEN)
+def test_canonical_text(text, canonical):
+    x = parse_element(text)
+    assert element_text(x) == canonical
+    assert parse_element(canonical) == x
+
+
+@pytest.mark.parametrize(
+    "text, message, span",
+    [
+        ("M(2*)", "expected ')', found '*'", (3, 4)),
+        ("V(*h)", "expected a dilation term", (2, 3)),
+        ("exp(i*-2)", "expected a phase term", (6, 7)),
+        ("exp(i*s2*s3*s2)", "phase monomials have degree at most two", (14, 15)),
+    ],
+)
+def test_malformed_summands_report_message_and_span(text, message, span):
+    with pytest.raises(ParseError) as info:
+        parse_element(text)
+    assert str(info.value) == message
+    assert info.value.span == span
