@@ -20,43 +20,37 @@ from .errors import (
 )
 from .exactnum import (
     AtomTable,
+    DilationIndex,
     Frequency,
     Scalar,
-    _dil_as_frequency,
     _frac,
 )
-
-
-def _index_vector(axis: Axis, key) -> Frequency:
-    """The key's index on the axis as a frequency, so one rational basis
-    serves every grading."""
-    idx = axis.index(key)
-    return _dil_as_frequency(idx) if axis is Axis.DILATION else idx
 
 
 # ------------------------------------------------------------ rational basis
 
 
 class RationalBasis:
-    """Echelon family spanning a list of frequencies over the rationals.
+    """Echelon family spanning a list of exact sums (frequencies, or
+    dilation indices) over the rationals.
 
     The basis is the subsequence of inputs that were independent when
     first seen; every input, and any later query in the span, gets an
-    exact coordinate vector.
+    exact coordinate vector.  Coordinates over an independent family are
+    unique, so any nonzero entry of a reduced vector serves as its pivot.
     """
 
     __slots__ = ("basis", "coords", "_rows")
 
-    def __init__(self, freqs: list[Frequency]):
-        basis: list[Frequency] = []
-        # each row: (pivot atom, reduced dict, expansion over current basis)
+    def __init__(self, freqs: list[Frequency] | list[DilationIndex]):
+        basis: list = []
+        # each row: (pivot key, reduced dict, expansion over current basis)
         rows: list[tuple[object, dict, list[Fraction]]] = []
         coords: dict = {}
         for f in freqs:
-            vec = {atom: q for atom, q in f.terms}
-            reduced, combo = self._reduce(vec, rows, len(basis))
+            reduced, combo = self._reduce(f.terms, rows, len(basis))
             if reduced:
-                pivot = min(reduced, key=lambda a: a.key())
+                pivot = next(iter(reduced))
                 expansion = [-c for c in combo] + [Fraction(1)]
                 for i in range(len(rows)):
                     p, r, e = rows[i]
@@ -78,8 +72,8 @@ class RationalBasis:
         }
 
     @staticmethod
-    def _reduce(vec: dict, rows, width: int):
-        rem = dict(vec)
+    def _reduce(terms: tuple, rows, width: int):
+        rem = dict(terms)
         combo = [Fraction(0)] * width
         for idx, (pivot, red, expansion) in enumerate(rows):
             if pivot in rem and rem[pivot]:
@@ -97,13 +91,12 @@ class RationalBasis:
     def __len__(self) -> int:
         return len(self.basis)
 
-    def coords_of(self, f: Frequency):
+    def coords_of(self, f: Frequency | DilationIndex):
         """Exact coordinates over the basis, or None if outside the span."""
         hit = self.coords.get(f.key())
         if hit is not None:
             return hit
-        vec = {atom: q for atom, q in f.terms}
-        rem, combo = self._reduce(vec, self._rows, len(self.basis))
+        rem, combo = self._reduce(f.terms, self._rows, len(self.basis))
         if rem:
             return None
         return tuple(combo)
@@ -112,7 +105,7 @@ class RationalBasis:
         return [b.numeric(table) for b in self.basis]
 
 
-def rational_basis(freqs: list[Frequency]) -> RationalBasis:
+def rational_basis(freqs: list[Frequency] | list[DilationIndex]) -> RationalBasis:
     return RationalBasis(list(freqs))
 
 
@@ -132,14 +125,7 @@ class BFSpec:
 
 def support_basis(x: Element, grading) -> RationalBasis:
     axis = Axis.parse(grading)
-    seen = []
-    keys = set()
-    for key, _ in x.sorted_terms():
-        vec = _index_vector(axis, key)
-        if vec.key() not in keys:
-            keys.add(vec.key())
-            seen.append(vec)
-    return rational_basis(seen)
+    return rational_basis(list(dict.fromkeys(axis.index(key) for key, _ in x.sorted_terms())))
 
 
 def _section_weight(coords, fac: int, strict: bool) -> Fraction:
@@ -187,7 +173,7 @@ def bochner_fejer(x: Element, spec: BFSpec, strict: bool = False) -> Element:
     basis, fac = _section_setup(x, spec)
     out: dict = {}
     for key, coeff in x.terms.items():
-        coords = basis.coords_of(_index_vector(spec.grading, key))
+        coords = basis.coords_of(spec.grading.index(key))
         weight = _section_weight(coords, fac, strict)
         if weight:
             out[key] = coeff * Scalar.from_rational(weight)
@@ -202,8 +188,7 @@ def section_weights(x: Element, spec: BFSpec) -> dict:
         idx = spec.grading.index(key)
         if idx in out:
             continue
-        coords = basis.coords_of(_index_vector(spec.grading, key))
-        out[idx] = _section_weight(coords, fac, strict=False)
+        out[idx] = _section_weight(basis.coords_of(idx), fac, strict=False)
     return out
 
 
@@ -261,8 +246,10 @@ def cesaro_mean(
     """
     axis = Axis.parse(grading)
     table = table or AtomTable.default()
-    if T <= 0:
+    if not T > 0:
         raise InvalidParameter("averaging length T must be positive")
+    if T == math.inf:
+        raise InvalidParameter("averaging length T must be finite")
     if steps < 2:
         raise InvalidParameter("need at least two quadrature panels")
     s = as_dilation(s) if axis is Axis.DILATION else as_frequency(s)

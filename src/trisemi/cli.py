@@ -32,7 +32,7 @@ from .algebra import (
 )
 from .config import GROUP_R, RunConfig, load_config
 from .errors import EngineError, InvalidParameter, ParseError, UntrustedCharacterWarning
-from .exactnum import BohrCharacter, DilationIndex, FrequencyAtom
+from .exactnum import BohrCharacter, DilationIndex
 from .exprs import (
     dil_text,
     element_text,
@@ -92,6 +92,14 @@ def _freq_list(text: str) -> list:
     return [parse_frequency(p) for p in text.split(",") if p.strip()]
 
 
+def _rational(text: str, what: str) -> Fraction:
+    """The exact rational ``text``; ParseError names it as ``what``."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"{what} {text!r} is not a rational") from None
+
+
 def _angles(text: str | None) -> BohrCharacter:
     """Parse ``atom=p/q,atom=p/q`` into a character with exact angles."""
     if not text:
@@ -102,13 +110,10 @@ def _angles(text: str | None) -> BohrCharacter:
         if not part:
             continue
         name, eq, raw = part.partition("=")
-        if not eq:
+        name = name.strip()
+        if not eq or not name:
             raise ParseError(f"angle {part!r} is not of the form atom=value")
-        try:
-            angle = Fraction(raw)
-        except (ValueError, ZeroDivisionError):
-            raise ParseError(f"angle value {raw!r} is not a rational") from None
-        pairs.append((FrequencyAtom(name.strip()), angle))
+        pairs.append((name, _rational(raw, "angle value")))
     return BohrCharacter(pairs)
 
 
@@ -117,10 +122,7 @@ def _ap_point(y: str | None, angles: str | None) -> APPoint:
 
     if y is not None and y.strip().lower() in ("inf", "infinity"):
         return APPoint.infinity()
-    try:
-        decay = Fraction(y) if y is not None else Fraction(0)
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(f"decay {y!r} is not a rational") from None
+    decay = _rational(y, "decay") if y is not None else Fraction(0)
     return APPoint.finite(_angles(angles), decay)
 
 
@@ -482,7 +484,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = cmd("auto-apply", _cmd_auto_apply, "apply a twisted dilation automorphism")
     p.add_argument("--t", type=parse_dilation, default=parse_dilation("0"))
-    p.add_argument("--theta", type=Fraction, default=Fraction(0),
+    p.add_argument("--theta", type=lambda text: _rational(text, "theta"), default=Fraction(0),
                    help="rational V-twist angle")
     p.add_argument("--angles", help="atom=p/q,... modulation twist")
     p.add_argument("--shift-angles", help="atom=p/q,... translation twist")

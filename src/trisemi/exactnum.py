@@ -11,7 +11,9 @@ Scalars live in the fraction field of the phase ring: finite sums of
 unimodular phases e^{i*theta} with Gaussian rational amplitudes, where the
 phase exponent theta is a rational combination of atom monomials of degree
 at most two.  Products of two frequencies land in that exponent module,
-which is what makes the canonical commutation phases exact.
+which is what makes the canonical commutation phases exact.  One key type,
+``PhaseMonomial``, serves both sums: an atom is a monomial of degree one,
+and the atom ONE is the empty monomial, which carries the rational part.
 """
 
 from __future__ import annotations
@@ -42,11 +44,15 @@ _ZERO = Fraction(0)
 
 def _frac(x) -> Fraction:
     """Exact conversion to Fraction.  Floats convert by their exact binary
-    value, so a double never loses information here."""
+    value, so a double never loses information here; a NaN or an infinity
+    raises InvalidParameter."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, (int, float, str)):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except (ValueError, OverflowError):
+            raise InvalidParameter(f"{x!r} is not a finite rational") from None
     raise TypeError(f"not an exact rational: {x!r}")
 
 
@@ -219,24 +225,6 @@ class _Sum:
         return f"{type(self).__name__}({body})"
 
 
-class _Keyed:
-    """Value compared and hashed by its precomputed sort key ``_key``."""
-
-    __slots__ = ("_key", "_hash")
-
-    def key(self):
-        return self._key
-
-    def __eq__(self, other) -> bool:
-        return type(other) is type(self) and self._key == other._key
-
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = self._hash = hash(self._key)
-        return h
-
-
 def _exp(x: float) -> float:
     """math.exp, with overflow raised as NumericOverflow."""
     try:
@@ -287,52 +275,107 @@ class DilationIndex(_Sum):
 _DIL_ZERO = DilationIndex._zero = DilationIndex()
 
 
-class FrequencyAtom(_Keyed):
-    """One basis direction of the frequency module: a named positive real
-    scaled by e^(dilation index)."""
+class PhaseMonomial:
+    """Multiplicative monomial of at most two atom bases times e^(exp).
 
-    __slots__ = ("base", "exp")
+    An atom, one basis direction of the frequency module, is a monomial
+    of degree one: a named positive real scaled by e^(dilation index).
+    Bases equal to ONE are dropped (their value is 1) and exponents of
+    two factors are pooled, so numerically equal products of exponent
+    shifted atoms share one canonical key.  The empty monomial with zero
+    exponent has value 1 and carries the plain rational part of a
+    frequency or phase.
+    """
 
-    def __init__(self, base: str, exp: DilationIndex | None = None):
-        self.base = base
+    __slots__ = ("bases", "exp", "_key", "_hash")
+
+    def __init__(self, bases: tuple[str, ...] = (), exp: DilationIndex | None = None):
+        bases = tuple(sorted(b for b in bases if b != ONE_ATOM))
+        if len(bases) > 2:
+            raise InvalidParameter("phase monomial degree above two")
+        self.bases = bases
         self.exp = _DIL_ZERO if exp is None else exp
-        self._key = (base, self.exp.terms)
+        self._key = (bases, self.exp.terms)
         self._hash = None
 
     @classmethod
-    def one(cls) -> "FrequencyAtom":
-        return cls(ONE_ATOM)
+    def empty(cls) -> "PhaseMonomial":
+        return _MONO_EMPTY
 
-    def scaled(self, t: DilationIndex) -> "FrequencyAtom":
+    @classmethod
+    def product(cls, a: "PhaseMonomial", b: "PhaseMonomial") -> "PhaseMonomial":
+        """The product of two atoms."""
+        bases = a.bases + b.bases
+        if len(bases) == 2 and bases[1] < bases[0]:
+            bases = (bases[1], bases[0])
+        return cls._canonical(bases, a.exp + b.exp)
+
+    @classmethod
+    def _canonical(cls, bases: tuple[str, ...], exp: DilationIndex) -> "PhaseMonomial":
+        """Trusted constructor for bases that are already sorted, free of
+        ONE and at most two long."""
+        obj = object.__new__(cls)
+        obj.bases = bases
+        obj.exp = exp
+        obj._key = (bases, exp.terms)
+        obj._hash = None
+        return obj
+
+    @property
+    def base(self) -> str:
+        """The bases joined by ``*``: an atom's symbol, ONE for the empty
+        monomial."""
+        return "*".join(self.bases) or ONE_ATOM
+
+    def __eq__(self, other) -> bool:
+        return type(other) is PhaseMonomial and self._key == other._key
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = self._hash = hash(self._key)
+        return h
+
+    def scaled(self, t: DilationIndex) -> "PhaseMonomial":
+        """This monomial times e^t."""
         if t.is_zero():
             return self
-        return FrequencyAtom(self.base, self.exp + t)
+        return PhaseMonomial._canonical(self.bases, self.exp + t)
 
     def numeric(self, table: "AtomTable") -> float:
-        v = table.atom_value(self.base)
-        if self.exp.is_zero():
-            return v
-        return v * _exp(self.exp.numeric(table))
+        v = 1.0
+        for b in self.bases:
+            v *= table.atom_value(b)
+        if not self.exp.is_zero():
+            v *= _exp(self.exp.numeric(table))
+        return v
 
     def __repr__(self) -> str:
-        if self.exp.is_zero():
-            return f"FrequencyAtom({self.base})"
-        return f"FrequencyAtom({self.base}@{self.exp!r})"
+        return f"PhaseMonomial({self.bases}, {self.exp!r})"
+
+
+_MONO_EMPTY = PhaseMonomial()
+
+
+def FrequencyAtom(base: str, exp: DilationIndex | None = None) -> PhaseMonomial:
+    """The atom ``base`` scaled by e^exp, a phase monomial of degree one
+    (the empty monomial for ONE)."""
+    return PhaseMonomial((base,), exp)
 
 
 class Frequency(_Sum):
-    """Exact rational combination of frequency atoms."""
+    """Exact rational combination of atoms."""
 
     __slots__ = ()
 
     @classmethod
     def atom(cls, base: str, coeff=1, exp: DilationIndex | None = None) -> "Frequency":
-        return cls(((FrequencyAtom(base, exp), coeff),))
+        return cls(((PhaseMonomial((base,), exp), coeff),))
 
     @classmethod
     def rational(cls, q) -> "Frequency":
         """A rational multiple of the unit atom ONE."""
-        return cls(((FrequencyAtom(ONE_ATOM), q),))
+        return cls(((_MONO_EMPTY, q),))
 
     def scale_exp(self, t: DilationIndex) -> "Frequency":
         """Multiply by e^t, realized exactly as an exponent shift on atoms."""
@@ -352,7 +395,7 @@ class Frequency(_Sum):
         for a, q in self.terms:
             if not a.exp.is_zero():
                 return None
-            total += q * _frac(table.atom_value(a.base))
+            total += q * _frac(a.numeric(table))
         return total
 
 
@@ -361,76 +404,10 @@ Frequency._zero = Frequency()
 
 def _dil_as_frequency(t: DilationIndex) -> Frequency:
     """The linear embedding of dilation indices into frequencies (UNIT to
-    the atom ONE, any other symbol to the atom of that name), so dilation
-    indices share the code written for frequencies."""
+    the atom ONE, any other symbol to the atom of that name)."""
     return Frequency(
-        [(FrequencyAtom(ONE_ATOM if sym == UNIT_SYMBOL else sym), q) for sym, q in t.terms]
+        [(_MONO_EMPTY if sym == UNIT_SYMBOL else PhaseMonomial((sym,)), q) for sym, q in t.terms]
     )
-
-
-class PhaseMonomial(_Keyed):
-    """Multiplicative monomial of at most two atom bases times e^(exp).
-
-    Bases equal to ONE are absorbed (their value is 1) and exponents of the
-    two factors are pooled, so numerically equal products of exponent
-    shifted atoms share one canonical key.  The empty monomial with zero
-    exponent has value 1 and carries the plain rational part of a phase.
-    """
-
-    __slots__ = ("bases", "exp")
-
-    def __init__(self, bases: tuple[str, ...] = (), exp: DilationIndex | None = None):
-        if len(bases) > 2:
-            raise InvalidParameter("phase monomial degree above two")
-        self.bases = tuple(sorted(bases))
-        self.exp = _DIL_ZERO if exp is None else exp
-        self._key = (self.bases, self.exp.terms)
-        self._hash = None
-
-    @classmethod
-    def empty(cls) -> "PhaseMonomial":
-        return _MONO_EMPTY
-
-    @classmethod
-    def from_atom(cls, a: FrequencyAtom) -> "PhaseMonomial":
-        bases = () if a.base == ONE_ATOM else (a.base,)
-        return cls(bases, a.exp)
-
-    @classmethod
-    def product(cls, a: FrequencyAtom, b: FrequencyAtom) -> "PhaseMonomial":
-        x, y = a.base, b.base
-        if x == ONE_ATOM:
-            bases = () if y == ONE_ATOM else (y,)
-        elif y == ONE_ATOM:
-            bases = (x,)
-        else:
-            bases = (x, y) if x <= y else (y, x)
-        return cls._canonical(bases, a.exp + b.exp)
-
-    @classmethod
-    def _canonical(cls, bases: tuple[str, ...], exp: DilationIndex) -> "PhaseMonomial":
-        """Trusted constructor for bases that are already sorted, free of
-        ONE and at most two long."""
-        obj = object.__new__(cls)
-        obj.bases = bases
-        obj.exp = exp
-        obj._key = (bases, exp.terms)
-        obj._hash = None
-        return obj
-
-    def numeric(self, table: "AtomTable") -> float:
-        v = 1.0
-        for b in self.bases:
-            v *= table.atom_value(b)
-        if not self.exp.is_zero():
-            v *= _exp(self.exp.numeric(table))
-        return v
-
-    def __repr__(self) -> str:
-        return f"PhaseMonomial({self.bases}, {self.exp!r})"
-
-
-_MONO_EMPTY = PhaseMonomial()
 
 
 class PhaseExponent(_Sum):
@@ -1057,7 +1034,7 @@ class BohrCharacter:
     def __init__(self, angles: Mapping | Iterable[tuple] = ()):
         items = angles.items() if isinstance(angles, Mapping) else angles
         acc = _merged(
-            (key.base if isinstance(key, FrequencyAtom) else str(key), _frac(q))
+            (key.base if isinstance(key, PhaseMonomial) else str(key), _frac(q))
             for key, q in items
         )
         self.angles = tuple(sorted(acc.items()))

@@ -5,10 +5,12 @@ factors and unit coefficients left out, terms joined by `` + ``.
 Dilation indices, frequencies, phase exponents and Gaussian amplitudes
 are rational combinations with one text form: summands ``q*name`` joined
 by + and -, the ``q*`` left out for a coefficient of +-1, and the unit key
-(UNIT, the atom ONE, the empty phase monomial, the real part) printed as
-the bare rational.  Atoms print as ``atom@{t}`` with ``@{t}`` the exponent
-shift, phase monomials as ``atom*atom@{t}``, and phases as ``exp(i*...)``.
-Printing then parsing is the identity on canonical forms.
+(UNIT, the empty monomial ONE, the real part) printed as the bare
+rational.  An atom is a phase monomial of degree one: monomials print as
+``atom@{t}`` or ``atom*atom@{t}`` with ``@{t}`` the exponent shift, and
+phases as ``exp(i*...)``.  The empty monomial sorts first, so the rational
+part prints first in frequencies as in phases.  Printing then parsing is
+the identity on canonical forms.
 """
 
 from __future__ import annotations
@@ -20,8 +22,6 @@ from .errors import ParseError
 from .exactnum import (
     DilationIndex,
     Frequency,
-    FrequencyAtom,
-    ONE_ATOM,
     PhaseExponent,
     PhaseMonomial,
     PhaseSum,
@@ -71,14 +71,12 @@ def dil_text(t: DilationIndex) -> str:
     return _combo_text(t.terms, _dil_name)
 
 
-def _key_name(key: FrequencyAtom | PhaseMonomial) -> str | None:
-    """``base@{t}`` for an atom or ``a*b@{t}`` for a phase monomial, the
-    shift left out when zero; None for the unit ONE and the empty
-    monomial."""
-    base = key.base if isinstance(key, FrequencyAtom) else "*".join(key.bases) or ONE_ATOM
+def _key_name(key: PhaseMonomial) -> str | None:
+    """``a@{t}`` for an atom or ``a*b@{t}`` for a phase monomial of degree
+    two, the shift left out when zero; None for the empty monomial ONE."""
     if key.exp.is_zero():
-        return None if base == ONE_ATOM else base
-    return f"{base}@{{{dil_text(key.exp)}}}"
+        return key.base if key.bases else None
+    return f"{key.base}@{{{dil_text(key.exp)}}}"
 
 
 def freq_text(f: Frequency) -> str:
@@ -296,7 +294,7 @@ class _Parser:
     def _symref(self) -> str:
         return self.advance().text
 
-    def _atomref(self) -> FrequencyAtom:
+    def _atomref(self) -> PhaseMonomial:
         name = self.expect("name").text
         exp = DilationIndex.zero()
         if self.peek().kind == "@":
@@ -304,10 +302,10 @@ class _Parser:
             self.expect("{")
             exp = self.dilation()
             self.expect("}")
-        return FrequencyAtom(name, exp)
+        return PhaseMonomial((name,), exp)
 
     def frequency(self) -> Frequency:
-        return Frequency(self._signed_sum(self._atomref, FrequencyAtom.one(), "frequency"))
+        return Frequency(self._signed_sum(self._atomref, PhaseMonomial.empty(), "frequency"))
 
     def _monoref(self) -> PhaseMonomial:
         """A product of at most two atom references."""
@@ -317,9 +315,7 @@ class _Parser:
             atoms.append(self._atomref())
             if len(atoms) > 2:
                 raise self.fail("phase monomials have degree at most two")
-        if len(atoms) == 1:
-            return PhaseMonomial.from_atom(atoms[0])
-        return PhaseMonomial.product(*atoms)
+        return atoms[0] if len(atoms) == 1 else PhaseMonomial.product(*atoms)
 
     def _exp_call(self) -> Element:
         # after the name "exp"

@@ -23,6 +23,7 @@ from .exactnum import (
     PhaseExponent,
     PhaseSum,
     Scalar,
+    _exp,
     index_sign,
 )
 
@@ -187,9 +188,13 @@ def jt_reduce(lam: float, t: float) -> TelescopeCertificate:
     interval with one multiplied generator, then walks the remaining n
     dilation steps with bare generators.
     """
+    if not (math.isfinite(lam) and math.isfinite(t)):
+        raise InvalidScale("frequency and step must be finite")
     if lam <= 0 or t <= 0:
         raise InvalidScale("frequency and step must be positive")
-    growth = math.exp(t)
+    growth = _exp(t)
+    if growth == 1.0:
+        raise InvalidScale(f"step {t!r} is too small: e^t rounds to 1")
     n = math.floor(math.log(lam) / t)
     rho = lam * math.exp(-n * t)
     # guard the floor against rounding at the interval edge

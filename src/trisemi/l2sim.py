@@ -265,6 +265,8 @@ def norm_lower_bound(
     """
     if trials < 1:
         raise InvalidParameter("need at least one trial")
+    if seed < 0:
+        raise InvalidParameter("seed must be non-negative")
     a, b, c = sample_widths_centers(np.random.default_rng(seed), trials)
     f = PacketSum._of(*np.array([np.ones(trials), a, b, c], dtype=np.complex128))
     image = _act(x, f, table or AtomTable.default())

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from trisemi import (
+    AtomTable,
     AxisMismatch,
     BasisTooShort,
     BFSpec,
@@ -25,6 +26,7 @@ from trisemi import (
     cesaro_mean,
     gauge,
     mul,
+    parse_element,
     rational_basis,
     recurrence_schedule,
     recurrence_search,
@@ -146,6 +148,23 @@ def test_gauge_pi_flips_the_sign(table):
     key = (Frequency.zero(), ONE, DilationIndex.zero())
     val = out.coefficient(key).numeric(table)
     assert val == pytest.approx(-1.0, abs=1e-12)
+
+
+def test_dilation_grading_basis_reads_the_dilation_table():
+    b = support_basis(parse_element("V(h) + V(1)"), "dilation")
+    assert b.basis == (DilationIndex.unit(1), DilationIndex.single("h"))
+    ts = [0.0, 1.0]
+    # an atom of the same name (e, far from rational) does not leak in
+    for atoms in ({}, {"h": math.e}):
+        table = AtomTable(atoms, {"h": 0.5})
+        assert b.numeric(table) == [1.0, 0.5]
+        # the Fejer sums prod_j sum_{|v|<4} (1 - |v|/4) e^{i v t beta_j / 2}
+        want = [
+            math.prod(sum((1 - abs(v) / 4) * math.cos(v * t * beta / 2) for v in range(-3, 4))
+                      for beta in (1.0, 0.5))
+            for t in ts
+        ]
+        assert list(bf_kernel_many(b, 2, ts, table)) == pytest.approx(want, rel=1e-12)
 
 
 def test_gauge_respects_the_grading_sum(table):

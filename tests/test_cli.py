@@ -160,6 +160,12 @@ def test_zero_denominator_exits_2_with_a_parse_record(capsys, text):
         # only the jt ideal takes --t, and it needs one
         ["ideal-test", "--ideal", "cp", "--t", "1", "M(1)*D(1)"],
         ["ideal-test", "--ideal", "jt", "M(1)"],
+        # non-finite floats and a negative seed
+        ["cesaro", "--T", "nan", "--index", "1", "M(1)"],
+        ["cesaro", "--T", "inf", "--index", "1", "M(1)"],
+        ["gauge", "--theta", "nan", "M(1)"],
+        ["gauge", "--theta", "inf", "M(1)"],
+        ["sim-norm-bound", "--seed", "-1", "M(1)"],
     ],
 )
 def test_invalid_parameter_exits_2_with_a_record(capsys, argv):
@@ -167,6 +173,30 @@ def test_invalid_parameter_exits_2_with_a_record(capsys, argv):
     out, err = out_of(capsys)
     assert out == ""
     assert json.loads(err)["error"]["code"] == "invalid-parameter"
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["auto-apply", "--theta", "1/0", "M(1)"], "parse"),
+        (["char-eval", "--family", "d1", "--angles", "=1", "M(1)"], "parse"),
+        (["char-eval", "--family", "d1", "--angles", "s2=nan", "M(1)"], "parse"),
+        (["char-eval", "--family", "d1", "--y", "inf/2", "M(1)"], "parse"),
+        (["cert-jt", "--lam", "nan", "--t", "1"], "invalid-scale"),
+        (["cert-jt", "--lam", "inf", "--t", "1"], "invalid-scale"),
+        (["cert-jt", "--lam", "2", "--t", "inf"], "invalid-scale"),
+        # e^t rounds to 1, and e^t overflows
+        (["cert-jt", "--lam", "1e308", "--t", "1e-300"], "invalid-scale"),
+        (["cert-jt", "--lam", "2", "--t", "1000"], "numeric-overflow"),
+    ],
+)
+def test_degenerate_numbers_exit_2_with_one_record(capsys, argv, code):
+    assert run(["--json", *argv]) == 2
+    out, err = out_of(capsys)
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and "Traceback" not in err
+    assert json.loads(lines[0])["error"]["code"] == code
 
 
 @pytest.mark.parametrize(

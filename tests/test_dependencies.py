@@ -143,6 +143,38 @@ def test_lazy_names_are_listed_and_unknown_names_raise():
         trisemi.nosuch
 
 
+def _benchmark_imports() -> list[tuple[str, str, str]]:
+    """(file, module, name) for every name a benchmark module imports
+    from trisemi or one of its modules, by an ast scan of perfbench/*.py
+    (the benchmark's own tests excluded)."""
+    bench = Path(__file__).resolve().parent.parent / "perfbench"
+    found = []
+    for path in sorted(bench.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (
+                isinstance(node, ast.ImportFrom)
+                and node.level == 0
+                and node.module.partition(".")[0] == "trisemi"
+            ):
+                found += [(path.name, node.module, alias.name) for alias in node.names]
+    return found
+
+
+def test_benchmark_imports_resolve():
+    # the benchmark runs the library of its own checkout: every name it
+    # imports stays importable, lazy names and submodules included
+    found = _benchmark_imports()
+    assert {name for _, _, name in found} >= {"FrequencyAtom", "Frequency", "rational_basis"}
+    missing = []
+    for file, module, name in found:
+        if not hasattr(importlib.import_module(module), name):
+            try:
+                importlib.import_module(f"{module}.{name}")
+            except ImportError:
+                missing.append(f"{file}: from {module} import {name}")
+    assert not missing, "benchmark imports that do not resolve:\n" + "\n".join(missing)
+
+
 def _unused_imports(path: Path) -> list[str]:
     """Names a module imports but never reads, by an ast scan: a name
     counts as read when it occurs as a name anywhere else in the module,

@@ -1,10 +1,12 @@
 """Exact scalar layer: field axioms, canonical forms, sign guards."""
 
+import ast
 import cmath
 import math
 import random
 import warnings
 from fractions import Fraction
+from pathlib import Path
 from types import MappingProxyType
 
 import pytest
@@ -26,6 +28,7 @@ from trisemi import (
     PhaseMonomial,
     PhaseSum,
     Scalar,
+    exactnum,
     index_sign,
 )
 
@@ -521,3 +524,31 @@ def test_fractions_obey_the_field_laws():
             (x.conj().numeric(table), x.numeric(table).conjugate()),
         ):
             assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+
+def test_one_canonical_key_per_monomial():
+    empty = PhaseMonomial.empty()
+    for key, same in [
+        (PhaseMonomial(("ONE",)), empty),
+        (PhaseExponent([(PhaseMonomial(("ONE",)), 1)]), PhaseExponent.rational(1)),
+        (FrequencyAtom("s2"), PhaseMonomial(("s2",))),
+        (FrequencyAtom("ONE"), empty),
+        (FrequencyAtom("s2", DilationIndex.unit(1)), PhaseMonomial(("s2", "ONE"), DilationIndex.unit(1))),
+    ]:
+        assert key == same
+        assert hash(key) == hash(same)
+    rng = random.Random(14)
+    for _ in range(200):
+        f = random_frequency(rng).scale_exp(random_dilation(rng))
+        for key, _ in f.terms + random_frequency(rng).terms:
+            assert type(key) is PhaseMonomial and len(key.bases) <= 1
+    # the sums, the one monomial key, amplitudes and characters hash; no
+    # second key class does
+    tree = ast.parse(Path(exactnum.__file__).read_text())
+    hashing = {
+        node.name
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(f, ast.FunctionDef) and f.name == "__hash__" for f in node.body)
+    }
+    assert hashing == {"_Sum", "PhaseMonomial", "QI", "BohrCharacter"}

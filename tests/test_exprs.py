@@ -158,6 +158,10 @@ GOLDEN = [
     ("(2*i - 1/2)*M(1)", "(-1/2 + 2*i) * M(1)"),
     ("(1+i)*exp(i*s2)", "(1 + i)*exp(i*s2)"),
     ("-M(1) + D(1)", "D(1) + -1 * M(1)"),
+    # the empty monomial ONE sorts before every atom
+    ("M(A + 1)", "M(1 + A)"),
+    ("M(O + 1)", "M(1 + O)"),
+    ("exp(i*(A + 1))", "exp(i*(1 + A))"),
 ]
 
 
