@@ -2,9 +2,10 @@
 
 The package models finite linear combinations of products of three
 one parameter semigroups acting on square integrable functions:
-multiplications M(lam), translations D(mu), and dilations V(t).  Words
-in the generators reduce to a canonical sum of M*D*V monomials with
-exact coefficients drawn from a field of quotients of phase sums.  A
+multiplications M(lam), translations D(mu), and dilations V(t).  The
+generators are one-term elements, and products of them reduce to a
+canonical sum of M*D*V monomials with exact coefficients drawn from a
+field of quotients of phase sums.  A
 numeric backend checks every symbolic law against Gaussian wave
 packets, and approximation tools (Bochner-Fejer sections, gauge twists,
 Cesaro means) expose the almost periodic structure.
@@ -56,7 +57,6 @@ from .algebra import (
     Element,
     FlipReport,
     M,
-    Monomial,
     Sc,
     V,
     adjoint,
@@ -64,9 +64,9 @@ from .algebra import (
     check_flip_contradiction,
     coeff_map,
     compress,
+    conjugate,
     first_coeff,
     mul,
-    normalize_word,
     side_sums,
     support_predicate,
 )

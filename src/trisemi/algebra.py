@@ -1,15 +1,17 @@
 """Noncommutative polynomial algebra over the three semigroups.
 
-Generators are modulations M(lam) (multiply by e^{i lam x}), translations
-D(mu) (shift by mu) and dilations V(t) (unitary scaling by e^t).  Every
-word rewrites to the normal order coeff * M * D * V using the exact
-commutation phases, and an element is a finite sum of such monomials keyed
-by the frequency triple (lam, mu, t).
+An element is a finite sum of normal monomials coeff * M(lam) * D(mu) *
+V(t), keyed by the frequency triple (lam, mu, t).  The generators are
+one-term elements: modulations M(lam) (multiply by e^{i lam x}),
+translations D(mu) (shift by mu), dilations V(t) (unitary scaling by e^t)
+and scalars Sc(c).  A word is the product of its letters, and `mul`
+rewrites each product of monomials into normal order with the exact
+commutation phases.  Conjugation by a unitary u is `conjugate(x, u)`.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -46,105 +48,6 @@ def as_dilation(x) -> DilationIndex:
     if isinstance(x, DilationIndex):
         return x
     return DilationIndex.unit(x)
-
-
-class M:
-    """Modulation letter."""
-
-    __slots__ = ("freq",)
-
-    def __init__(self, freq):
-        self.freq = as_frequency(freq)
-
-    def __repr__(self):
-        return f"M({self.freq!r})"
-
-
-class D:
-    """Translation letter."""
-
-    __slots__ = ("freq",)
-
-    def __init__(self, freq):
-        self.freq = as_frequency(freq)
-
-    def __repr__(self):
-        return f"D({self.freq!r})"
-
-
-class V:
-    """Dilation letter."""
-
-    __slots__ = ("index",)
-
-    def __init__(self, index):
-        self.index = as_dilation(index)
-
-    def __repr__(self):
-        return f"V({self.index!r})"
-
-
-class Sc:
-    """Scalar letter."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = Scalar.from_number(value)
-
-    def __repr__(self):
-        return f"Sc({self.value!r})"
-
-
-Letter = M | D | V | Sc
-
-
-@dataclass(frozen=True)
-class Monomial:
-    """Normal ordered word coeff * M(mod) * D(shift) * V(dil)."""
-
-    coeff: Scalar
-    mod: Frequency
-    shift: Frequency
-    dil: DilationIndex
-
-    def key(self) -> Key:
-        return (self.mod, self.shift, self.dil)
-
-    def letters(self) -> list:
-        """The monomial spelled back out as a word."""
-        return [Sc(self.coeff), M(self.mod), D(self.shift), V(self.dil)]
-
-    def as_element(self) -> "Element":
-        return Element({self.key(): self.coeff})
-
-
-def normalize_word(word: Sequence) -> Monomial:
-    """Rewrite a word of letters into normal order.
-
-    Appending letters left to right keeps an accumulated normal monomial;
-    moving a modulation past the accumulated translation produces the
-    exact commutation phase, and moving anything past the accumulated
-    dilation rescales its frequency by the matching power of e.
-    """
-    coeff = Scalar.one()
-    mod = Frequency.zero()
-    shift = Frequency.zero()
-    dil = DilationIndex.zero()
-    for letter in word:
-        if isinstance(letter, M):
-            scaled = letter.freq.scale_exp(dil)
-            coeff = coeff.rotate(PhaseExponent.product(scaled, -shift))
-            mod = mod + scaled
-        elif isinstance(letter, D):
-            shift = shift + letter.freq.scale_exp(-dil)
-        elif isinstance(letter, V):
-            dil = dil + letter.index
-        elif isinstance(letter, Sc):
-            coeff = coeff * letter.value
-        else:
-            raise TypeError(f"not a word letter: {letter!r}")
-    return Monomial(coeff, mod, shift, dil)
 
 
 class Element:
@@ -194,8 +97,15 @@ class Element:
         return cls({key: Scalar.from_number(coeff)})
 
     @classmethod
-    def from_word(cls, word: Sequence) -> "Element":
-        return normalize_word(word).as_element()
+    def from_word(cls, word: Iterable) -> "Element":
+        """The product of the letters, each an element; the empty word is
+        the identity."""
+        product = None
+        for letter in word:
+            if not isinstance(letter, Element):
+                raise TypeError(f"not a word letter: {letter!r}")
+            product = letter if product is None else mul(product, letter)
+        return cls.identity() if product is None else product
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -272,6 +182,10 @@ def mul(x: Element, y: Element) -> Element:
     return Element(items)
 
 
+# the generator letters are their one-term elements
+M, D, V, Sc = Element.m, Element.d, Element.v, Element.scalar
+
+
 def adjoint(x: Element) -> Element:
     """Involution: reverse each monomial and conjugate its coefficient.
 
@@ -288,6 +202,11 @@ def adjoint(x: Element) -> Element:
     return Element(items)
 
 
+def conjugate(x: Element, u: Element) -> Element:
+    """u* x u: the conjugation of x by the unitary u."""
+    return mul(mul(adjoint(u), x), u)
+
+
 class Axis(Enum):
     """Coefficient axis of the triple semi-crossed product: E reads
     translation fibers, Z modulation fibers, H dilation fibers.  Every
@@ -298,9 +217,11 @@ class Axis(Enum):
     DILATION = "H"
 
     def __init__(self, letter: str):
-        # position of the axis's component in a key (lam, mu, t); a plain
-        # attribute, since member lookups on an Enum class are slow
+        # position of the axis's component in a key (lam, mu, t) and the
+        # type of its indices; plain attributes, since member lookups on
+        # an Enum class are slow
         self.component = "ZEH".index(letter)
+        self.index_type = DilationIndex if letter == "H" else Frequency
 
     @classmethod
     def parse(cls, name: "Axis | str") -> "Axis":
@@ -319,6 +240,25 @@ class Axis(Enum):
     def index(self, key: Key):
         """The key's component on this axis: mu for E, lam for Z, t for H."""
         return key[self.component]
+
+    def as_index(self, value):
+        """value as an index of this axis, a dilation index on H and a
+        frequency on E and Z; a number is read as a rational index."""
+        return (as_dilation if self.index_type is DilationIndex else as_frequency)(value)
+
+    def parse_index(self, text: str):
+        from .exprs import parse_dilation, parse_frequency
+
+        return (parse_dilation if self.index_type is DilationIndex else parse_frequency)(text)
+
+    def index_text(self, index) -> str:
+        from .exprs import dil_text, freq_text
+
+        return (dil_text if self.index_type is DilationIndex else freq_text)(index)
+
+    def generator(self, index) -> Element:
+        """The grading unitary at index: D(s) on E, M(s) on Z, V(s) on H."""
+        return (Element.m, Element.d, Element.v)[self.component](index)
 
     def strip(self, key: Key) -> Key:
         """The fiber key: this axis's factor removed, and the dilation
@@ -353,10 +293,8 @@ def coeff_map(x: Element, axis: Axis | str, index) -> Element:
     first.
     """
     axis = Axis.parse(axis)
-    kind = DilationIndex if axis is Axis.DILATION else Frequency
-    if not isinstance(index, kind):
-        what = "dilation" if axis is Axis.DILATION else "frequency"
-        raise AxisMismatch(f"{axis.value} expects a {what} index")
+    if not isinstance(index, axis.index_type):
+        raise AxisMismatch(f"{axis.value} expects a {axis.index_type.__name__} index")
     axis.check_support(x)
     return Element((axis.strip(key), c) for key, c in x.terms.items() if axis.index(key) == index)
 
@@ -526,17 +464,16 @@ class CompressionMode(Enum):
             raise InvalidParameter(f"unknown compression mode {name!r}") from None
 
 
-def compress(x: Element, mode: CompressionMode | str, n: int) -> Element:
-    """Unitary conjugation used in the weak limit demonstrations.
+# per mode, the axis and step sign of the unitary u in u* x u: translation
+# is D(n) x D(-n), dilation-in V(-n) x V(n) and dilation-out V(n) x V(-n)
+_COMPRESSIONS = {
+    CompressionMode.TRANSLATION: (Axis.TRANSLATION, -1),
+    CompressionMode.DILATION_IN: (Axis.DILATION, 1),
+    CompressionMode.DILATION_OUT: (Axis.DILATION, -1),
+}
 
-    translation conjugates by the translation of length n, dilation-in by
-    the inverse dilation (V* x V) and dilation-out by the direct one.
-    """
-    mode = CompressionMode.parse(mode)
-    if mode is CompressionMode.TRANSLATION:
-        u = Element.d(Frequency.rational(n))
-        return mul(mul(u, x), adjoint(u))
-    v = Element.v(DilationIndex.unit(n))
-    if mode is CompressionMode.DILATION_IN:
-        return mul(mul(adjoint(v), x), v)
-    return mul(mul(v, x), adjoint(v))
+
+def compress(x: Element, mode: CompressionMode | str, n: int) -> Element:
+    """Unitary conjugation used in the weak limit demonstrations."""
+    axis, sign = _COMPRESSIONS[CompressionMode.parse(mode)]
+    return conjugate(x, axis.generator(sign * n))

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Axis, Element, as_dilation, as_frequency
+from .algebra import Axis, Element
 from .errors import (
     BasisTooShort,
     InvalidParameter,
@@ -252,7 +252,7 @@ def cesaro_mean(
         raise InvalidParameter("averaging length T must be finite")
     if steps < 2:
         raise InvalidParameter("need at least two quadrature panels")
-    s = as_dilation(s) if axis is Axis.DILATION else as_frequency(s)
+    s = axis.as_index(s)
     axis.check_support(x)
     s_num = s.numeric(table)
 

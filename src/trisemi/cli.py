@@ -32,7 +32,7 @@ from .algebra import (
 )
 from .config import GROUP_R, RunConfig, load_config
 from .errors import EngineError, InvalidParameter, ParseError, UntrustedCharacterWarning
-from .exactnum import BohrCharacter, DilationIndex
+from .exactnum import BohrCharacter
 from .exprs import (
     dil_text,
     element_text,
@@ -178,7 +178,7 @@ def _cmd_adjoint(args, cfg):
 def _cmd_coeff(args, cfg):
     x = parse_element(args.expr)
     axis = Axis.parse(args.axis)
-    index = parse_dilation(args.index) if axis is Axis.DILATION else parse_frequency(args.index)
+    index = axis.parse_index(args.index)
     out = _element_payload(coeff_map(x, axis, index), cfg)
     out["axis"] = axis.value
     out["index"] = args.index
@@ -189,7 +189,7 @@ def _cmd_support(args, cfg):
     x = parse_element(args.expr)
     rows = [
         {"m": freq_text(lam), "d": freq_text(mu), "v": dil_text(t)}
-        for (lam, mu, t) in sorted(x.support(), key=lambda k: (k[0].key(), k[1].key(), k[2].key()))
+        for (lam, mu, t), _ in x.sorted_terms()
     ]
     out = {"rows": rows}
     if args.algebra:
@@ -202,14 +202,13 @@ def _cmd_support(args, cfg):
 def _cmd_bf(args, cfg):
     from .approx import bf_report
 
-    x = parse_element(args.expr)
-    report = bf_report(x, args.grading, args.m, cfg.table)
+    report = bf_report(parse_element(args.expr), args.grading, args.m, cfg.table)
+    axis = Axis.parse(args.grading)
     rows = []
     for entry in report:
-        weights = {dil_text(idx) if isinstance(idx, DilationIndex) else freq_text(idx): _rat(w)
-                   for idx, w in entry["weights"].items()}
+        weights = {axis.index_text(idx): _rat(w) for idx, w in entry["weights"].items()}
         rows.append({"m": entry["m"], "weights": weights, "l1_error": entry["l1_error"]})
-    return {"grading": Axis.parse(args.grading).grading, "rows": rows}
+    return {"grading": axis.grading, "rows": rows}
 
 
 def _cmd_gauge(args, cfg):
@@ -227,7 +226,7 @@ def _cmd_cesaro(args, cfg):
 
     x = parse_element(args.expr)
     axis = Axis.parse(args.grading)
-    index = parse_dilation(args.index) if axis is Axis.DILATION else parse_frequency(args.index)
+    index = axis.parse_index(args.index)
     mean = cesaro_mean(x, axis, index, args.T, args.steps, cfg.table)
     out = _element_payload(mean, cfg)
     out.update({"grading": axis.grading, "index": args.index, "T": args.T, "steps": args.steps})

@@ -1,7 +1,8 @@
 """Canonical text form and parser for elements.
 
 A monomial prints as ``coeff * M(freq) * D(freq) * V(t)`` with zero index
-factors and unit coefficients left out, terms joined by `` + ``.
+factors and unit coefficients left out, terms joined by + and - on the
+same signed-combination rule as the sums below.
 Dilation indices, frequencies, phase exponents and Gaussian amplitudes
 are rational combinations with one text form: summands ``q*name`` joined
 by + and -, the ``q*`` left out for a coefficient of +-1, and the unit key
@@ -136,24 +137,19 @@ def scalar_text(s: Scalar, atomic: bool = False) -> str:
 
 
 def element_text(x: Element) -> str:
-    if x.is_zero():
-        return "0"
-    chunks = []
-    for (lam, mu, t), c in x.sorted_terms():
-        factors = []
-        if not lam.is_zero():
-            factors.append(f"M({freq_text(lam)})")
-        if not mu.is_zero():
-            factors.append(f"D({freq_text(mu)})")
-        if not t.is_zero():
-            factors.append(f"V({dil_text(t)})")
-        if not factors:
-            chunks.append(scalar_text(c, atomic=False))
-        elif c == Scalar.one():
-            chunks.append(" * ".join(factors))
-        else:
-            chunks.append(" * ".join([scalar_text(c, atomic=True)] + factors))
-    return " + ".join(chunks)
+    """Monomials on the signed-combination rule: a coefficient of one
+    part lends its sign to the join, and a coefficient of +-1 before
+    index factors is left out."""
+    parts = []
+    texts = (freq_text, freq_text, dil_text)
+    for key, c in x.sorted_terms():
+        factors = [f"{g}({text(i)})" for g, text, i in zip("MDV", texts, key) if not i.is_zero()]
+        coeff = [] if c.factors else _phase_sum_parts(c.num)
+        text, neg = coeff[0] if len(coeff) == 1 else (scalar_text(c, atomic=bool(factors)), False)
+        if text != "1" or not factors:
+            factors.insert(0, text)
+        parts.append((" * ".join(factors), neg))
+    return _signed_join(parts) or "0"
 
 
 # ----------------------------------------------------------------- parsing

@@ -28,6 +28,8 @@ from .exactnum import (
 )
 
 _KINDS = ("cp", "cph", "i0", "jt")
+# most dilation steps a J_t telescope walks; about log(lam)/t are needed
+_MAX_TELESCOPE = 10**5
 _ZERO_KEY = (Frequency.zero(), Frequency.zero(), DilationIndex.zero())
 
 
@@ -196,6 +198,8 @@ def jt_reduce(lam: float, t: float) -> TelescopeCertificate:
     if growth == 1.0:
         raise InvalidScale(f"step {t!r} is too small: e^t rounds to 1")
     n = math.floor(math.log(lam) / t)
+    if abs(n) > _MAX_TELESCOPE:
+        raise InvalidScale(f"step {t!r} needs {abs(n)} telescope steps, over {_MAX_TELESCOPE}")
     rho = lam * math.exp(-n * t)
     # guard the floor against rounding at the interval edge
     if rho < 1.0:

@@ -23,13 +23,10 @@ from . import _kernels
 from .algebra import (
     Axis,
     CompressionMode,
-    D,
     Element,
-    M,
-    Sc,
-    V,
     coeff_map,
     compress,
+    conjugate,
     side_sums,
 )
 from .errors import (
@@ -41,10 +38,7 @@ from .errors import (
 from .exactnum import (
     AtomTable,
     DilationIndex,
-    Frequency,
-    Scalar,
     _exp,
-    _frac,
 )
 
 # ------------------------------------------------------------------ packets
@@ -199,20 +193,22 @@ def apply_element(
 
 
 def apply_word(word, f: PacketSum, table: AtomTable | None = None) -> PacketSum:
-    """Apply generator letters literally, rightmost factor first."""
+    """Apply one-term letters c M(lam) D(mu) V(t) literally, rightmost
+    factor first: each nonzero index by its packet action, then the
+    coefficient, so a generator letter is one action."""
     table = table or AtomTable.default()
     current = f
     for letter in reversed(list(word)):
-        if isinstance(letter, M):
-            current = current.modulate(letter.freq.numeric(table))
-        elif isinstance(letter, D):
-            current = current.translate(letter.freq.numeric(table))
-        elif isinstance(letter, V):
-            current = current.dilate(letter.index.numeric(table))
-        elif isinstance(letter, Sc):
-            current = current.scale(letter.value.numeric(table))
-        else:
-            raise TypeError(f"not a generator letter: {letter!r}")
+        if not isinstance(letter, Element) or len(letter.terms) != 1:
+            raise TypeError(f"not a one-term letter: {letter!r}")
+        ((lam, mu, t), c), = letter.terms.items()
+        if not t.is_zero():
+            current = current.dilate(t.numeric(table))
+        if not mu.is_zero():
+            current = current.translate(mu.numeric(table))
+        if not lam.is_zero():
+            current = current.modulate(lam.numeric(table))
+        current = current.scale(c.numeric(table))
     return current
 
 
@@ -361,34 +357,20 @@ def column_norms(
     """Both sides of the column norm identity, independently computed.
 
     Left: the squared norm of x acting on the delta vector at the group
-    identity.  Right: the fiberwise sum of squared norms of the twisted
-    coefficient parts applied to the packet directly.
+    identity.  Right: the sum over fibers s of the squared norm of the
+    coefficient part at s, conjugated exactly by the grading unitary at s,
+    applied to the packet directly.
     """
     axis = _lr_axis(grading)
     table = table or AtomTable.default()
-    zero_key = DilationIndex.zero() if axis is Axis.DILATION else Frequency.zero()
-    lhs = lr_apply(x, LRVector.delta(zero_key, xi), axis, table).norm_sq()
+    lhs = lr_apply(x, LRVector.delta(axis.index_type.zero(), xi), axis, table).norm_sq()
 
     rhs = 0.0
     # fibers in canonical key order: a set would sum in string-hash order,
     # which differs between processes
     for s in dict.fromkeys(axis.index(key) for key, _ in x.sorted_terms()):
-        fiber = coeff_map(x, axis, s)
-        s_n = s.numeric(table)
-        if axis is Axis.TRANSLATION:
-            twisted = []
-            for key, coeff in fiber.terms.items():
-                angle = _frac(key[0].numeric(table) * s_n)
-                twisted.append((key, coeff * Scalar.rational_angle(angle)))
-            rhs += apply_element(Element(twisted), xi, table).norm_sq()
-        else:
-            moved = PacketSum()
-            for (lam, mu, _), coeff in fiber.terms.items():
-                z = coeff.numeric(table)
-                lam_eff = lam.numeric(table) * _exp(-s_n)
-                mu_eff = mu.numeric(table) * _exp(s_n)
-                moved = moved + xi.translate(mu_eff).modulate(lam_eff).scale(z)
-            rhs += moved.norm_sq()
+        twisted = conjugate(coeff_map(x, axis, s), axis.generator(s))
+        rhs += apply_element(twisted, xi, table).norm_sq()
     return lhs, rhs
 
 

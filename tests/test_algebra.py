@@ -1,4 +1,5 @@
-"""Word normalization, Element ring laws, expectations, automorphisms."""
+"""Words as products of one-term letters, Element ring laws,
+expectations, automorphisms."""
 
 import random
 from fractions import Fraction
@@ -36,7 +37,6 @@ from trisemi import (
     compress,
     first_coeff,
     mul,
-    normalize_word,
     support_predicate,
 )
 
@@ -54,7 +54,7 @@ def small_elements(nonneg=False, with_v=True):
 
 
 def test_weyl_relation_normal_form():
-    x = normalize_word([D(ONE), M(ONE)]).as_element()
+    x = mul(D(ONE), M(ONE))
     expected = Element.from_word(
         [Sc(Scalar.rational_angle(Fraction(-1))), M(ONE), D(ONE)]
     )
@@ -64,11 +64,11 @@ def test_weyl_relation_normal_form():
 def test_dilation_relations_normal_form():
     t = DilationIndex.unit(1)
     # V_t M_1 = M_{e^t} V_t
-    assert normalize_word([V(t), M(ONE)]).as_element() == Element.from_word(
+    assert mul(V(t), M(ONE)) == Element.from_word(
         [M(Frequency.atom("ONE", 1, t)), V(t)]
     )
     # V_t D_1 = D_{e^-t} V_t
-    assert normalize_word([V(t), D(ONE)]).as_element() == Element.from_word(
+    assert mul(V(t), D(ONE)) == Element.from_word(
         [D(Frequency.atom("ONE", 1, DilationIndex.unit(-1))), V(t)]
     )
 
@@ -84,6 +84,15 @@ def test_monomial_product_phase():
     phase = Scalar.phase(-PhaseExponent.product(lam2, TWO))
     expected = Element.from_word([Sc(phase), M(ONE + lam2), D(TWO + mu2), V(t)])
     assert prod == expected
+
+
+def test_letters_are_the_one_term_elements():
+    t = DilationIndex.unit(1)
+    assert M(ONE) == Element.m(ONE) and D(ONE) == Element.d(ONE) and V(t) == Element.v(t)
+    assert Sc(2) == Element.scalar(2)
+    assert Element.from_word([]) == Element.identity()
+    with pytest.raises(TypeError):
+        Element.from_word([Frequency.rational(1)])
 
 
 def test_word_fold_matches_pairwise_products():
@@ -304,6 +313,18 @@ def test_compress_modes():
     assert not v_in.is_zero() and not v_out.is_zero()
     with pytest.raises(InvalidParameter):
         compress(x, "zz", 1)
+
+
+def test_compress_is_the_explicit_conjugation():
+    rng = random.Random(4107)
+    for _ in range(20):
+        x = random_element(rng)
+        for n in (1, 2, 3):
+            d = Element.d(Frequency.rational(n))
+            v = Element.v(DilationIndex.unit(n))
+            assert compress(x, "translation", n) == mul(mul(d, x), adjoint(d))
+            assert compress(x, "dilation-in", n) == mul(mul(adjoint(v), x), v)
+            assert compress(x, "dilation-out", n) == mul(mul(v, x), adjoint(v))
 
 
 def _no_zero_coefficients(x: Element) -> bool:

@@ -1,11 +1,13 @@
 """``import trisemi`` loads no third-party package, the exact commands
-load no numpy and the analysis names resolve on first use, and no module
+load no numpy and the analysis names resolve on first use, no module
 of the package imports a name it never reads or defines a private name
-that nothing in it reads."""
+that nothing in it reads, and the test extra declares every third-party
+module the tests import."""
 
 import ast
 import importlib
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -63,9 +65,9 @@ _EXPORTS = {
     "exactnum": """AtomTable BohrCharacter DilationIndex Frequency FrequencyAtom
         PhaseExponent PhaseMonomial PhaseSum QI Scalar index_sign""",
     "algebra": """AlgebraId AutomorphismSpec Axis CompressionMode D Element
-        FlipReport M Monomial Sc V adjoint apply_automorphism
-        check_flip_contradiction coeff_map compress first_coeff mul
-        normalize_word side_sums support_predicate""",
+        FlipReport M Sc V adjoint apply_automorphism check_flip_contradiction
+        coeff_map compress conjugate first_coeff mul side_sums
+        support_predicate""",
     "exprs": """dil_text element_text freq_text parse_dilation parse_element
         parse_frequency scalar_text""",
     "config": "RunConfig load_config",
@@ -286,7 +288,7 @@ def _raise_sites(path: Path):
 
 
 # outside the EngineError tree: TypeError for an argument of the wrong type
-# (_frac, normalize_word, apply_word), the AttributeError of the module
+# (_frac, Element.from_word, apply_word), the AttributeError of the module
 # __getattr__ protocol, and the entry point's process exit
 _PLAIN_RAISES = {("__init__.py", "AttributeError"), ("__main__.py", "SystemExit")}
 
@@ -306,3 +308,37 @@ def test_every_raise_names_an_engine_error():
         if name not in engine and name != "TypeError" and (path.name, name) not in _PLAIN_RAISES
     ]
     assert not bad, "raise outside the EngineError tree:\n" + "\n".join(bad)
+
+
+def _test_imports() -> set[str]:
+    """Top-level modules the tests import: import statements and
+    ``pytest.importorskip`` strings, by an ast scan of tests/*.py."""
+    names = set()
+    for path in Path(__file__).resolve().parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module)
+            elif (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "attr", None) == "importorskip"
+                and isinstance(node.args[0], ast.Constant)
+            ):
+                names.add(node.args[0].value)
+    return {name.partition(".")[0] for name in names}
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
+def test_test_extra_declares_every_third_party_test_import():
+    # `pip install .[test]` must bring every package a test imports, or
+    # the test fails to collect or silently skips
+    import tomllib
+
+    tests = Path(__file__).resolve().parent
+    project = tomllib.loads((tests.parent / "pyproject.toml").read_text())["project"]
+    requirements = [*project["dependencies"], *project["optional-dependencies"]["test"]]
+    declared = {re.match(r"[\w.-]+", req).group().lower().replace("-", "_") for req in requirements}
+    local = {"trisemi", *(path.stem for path in tests.glob("*.py"))}
+    third_party = _test_imports() - set(sys.stdlib_module_names) - local
+    assert third_party <= declared, f"not in the test extra: {sorted(third_party - declared)}"

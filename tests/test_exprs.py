@@ -157,7 +157,9 @@ GOLDEN = [
     ("(1 - i)*M(1)", "(1 - i) * M(1)"),
     ("(2*i - 1/2)*M(1)", "(-1/2 + 2*i) * M(1)"),
     ("(1+i)*exp(i*s2)", "(1 + i)*exp(i*s2)"),
-    ("-M(1) + D(1)", "D(1) + -1 * M(1)"),
+    # a monomial joins with - when its coefficient is one negative part
+    ("-M(1) + D(1)", "D(1) - M(1)"),
+    ("3 - i*D(1) - 1/2*M(1)", "3 - i * D(1) - 1/2 * M(1)"),
     # the empty monomial ONE sorts before every atom
     ("M(A + 1)", "M(1 + A)"),
     ("M(O + 1)", "M(1 + O)"),
