@@ -30,7 +30,7 @@ from .algebra import (
     mul,
     support_predicate,
 )
-from .config import GROUP_R, RunConfig, load_config
+from .config import GROUP_R, RunConfig, checked_guard, load_config
 from .errors import EngineError, InvalidParameter, ParseError, UntrustedCharacterWarning
 from .exactnum import BohrCharacter
 from .exprs import (
@@ -572,8 +572,7 @@ def run(argv=None) -> int:
         # typed options parse inside the try, so their ParseError is reported
         args = _build_parser().parse_args(argv)
         cfg = load_config(args.config)
-        if args.guard is None:
-            args.guard = cfg.guard
+        args.guard = cfg.guard if args.guard is None else checked_guard(args.guard)
         payload = args.handler(args, cfg)
     except EngineError as exc:
         record = {"error": {"code": exc.code, "message": str(exc)}}

@@ -15,21 +15,31 @@ Config files are INI text with three sections::
     seed = 0
 
 All sections are optional; an empty file yields the default table (ONE
-and UNIT only), group mode Z, guard 1e-9, seed 0.
+and UNIT only), group mode Z, guard 1e-9, seed 0.  The guard must be a
+finite, non-negative number.
 """
 
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 
-from .errors import GroupModeError, ParseError
+from .errors import GroupModeError, InvalidParameter, ParseError
 from .exactnum import DEFAULT_GUARD, AtomTable
 
 __all__ = ["RunConfig", "load_config", "GROUP_Z", "GROUP_R"]
 
 GROUP_Z = "Z"
 GROUP_R = "R"
+
+
+def checked_guard(guard: float) -> float:
+    """A sign guard as given, refused unless finite and non-negative: a NaN
+    or negative guard would switch refusal off without a word."""
+    if not math.isfinite(guard) or guard < 0:
+        raise InvalidParameter(f"sign guard must be finite and non-negative, got {guard!r}")
+    return guard
 
 
 @dataclass(frozen=True)
@@ -44,6 +54,7 @@ class RunConfig:
     def __post_init__(self):
         if self.group not in (GROUP_Z, GROUP_R):
             raise GroupModeError(f"group mode must be Z or R, got {self.group!r}")
+        checked_guard(self.guard)
 
 
 def load_config(path: str | None = None) -> RunConfig:

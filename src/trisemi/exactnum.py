@@ -14,6 +14,13 @@ at most two.  Products of two frequencies land in that exponent module,
 which is what makes the canonical commutation phases exact.  One key type,
 ``PhaseMonomial``, serves both sums: an atom is a monomial of degree one,
 and the atom ONE is the empty monomial, which carries the rational part.
+
+Dilation indices, frequencies and phase exponents share one canonical sum,
+``_Sum``, stored as integer numerators over one positive common
+denominator in lowest terms.  Products, sums, equality and hashing on the
+rewriting path are integer arithmetic; ``terms`` reads a sum back as
+(key, Fraction) items on demand, in the same canonical order.  Phase sums
+ride the same core with Gaussian rational amplitudes over denominator 1.
 """
 
 from __future__ import annotations
@@ -79,9 +86,9 @@ def _merge_sorted(xs: tuple, ys: tuple, key, is_zero) -> tuple:
     entries, and so is the result: the merge step of merge sort, with
     entries of equal key added and dropped when they cancel.
     """
+    nx, ny = len(xs), len(ys)
     out = []
     i = j = 0
-    nx, ny = len(xs), len(ys)
     while i < nx and j < ny:
         x, y = xs[i], ys[j]
         kx, ky = key(x), key(y)
@@ -102,12 +109,43 @@ def _merge_sorted(xs: tuple, ys: tuple, key, is_zero) -> tuple:
     return tuple(out)
 
 
+def _lowest(items: tuple, d: int) -> tuple[tuple, int]:
+    """(key, numerator) items over d > 0 in lowest terms: the common factor
+    of d and every numerator divided out, so the zero sum has d = 1."""
+    if d == 1:
+        return items, 1
+    g = math.gcd(d, *[n for _, n in items])
+    if g == 1:
+        return items, d
+    return tuple([(k, n // g) for k, n in items]), d // g
+
+
+def _collected(cls, items: Iterable[tuple], d: int) -> tuple[tuple, int]:
+    """(key, numerator) items over d, which may repeat keys, cancel or
+    come in any order, as the canonical items and denominator of a sum of
+    class cls."""
+    acc = _merged(items, cls._coeff_is_zero)
+    return _lowest(tuple(sorted(acc.items(), key=cls._order)), d)
+
+
+def _times(items: tuple, m: int) -> tuple:
+    """Every numerator times the integer m."""
+    if m == 1:
+        return items
+    return tuple([(k, n * m) for k, n in items])
+
+
 # Sort keys of (key, coefficient) items in canonical order.
 _SYM_ORDER = itemgetter(0)
 
 
 def _key_order(kv):
-    return kv[0]._key
+    # a monomial's sort key is built on its first sort, not with it
+    m = kv[0]
+    k = m._key
+    if k is None:
+        k = m._key = (m.bases, m.exp.key())
+    return k
 
 
 def _exp_order(kv):
@@ -117,16 +155,24 @@ def _exp_order(kv):
 class _Sum:
     """Finite formal sum in canonical form.
 
-    ``terms`` is a tuple of (key, coefficient) items sorted by ``_order``,
-    with distinct keys and no zero coefficient, so equal sums have equal
-    ``terms``.  A subclass sets the item sort order, the coefficient
-    coercion (None when coefficients arrive in their final type), the zero
-    test of a coefficient and its ``_zero`` instance, and adds its maths.
-    These four are plain class attributes, read through the class so that
-    functions among them stay unbound.
+    A sum is stored as integer numerators over one common denominator.
+    ``_items`` is a tuple of (key, numerator) items sorted by ``_order``,
+    with distinct keys and no zero numerator, and ``_d`` is the positive
+    denominator, coprime to the numerators taken together (the zero sum
+    has ``_d`` 1).  So equal sums have equal ``(_d, _items)``, and
+    addition, negation, equality and hashing are integer arithmetic; sums
+    over one denominator add numerator by numerator.  ``terms`` is the
+    read-only view as (key, Fraction) items, built on each access.
+
+    A subclass sets the item sort order, the coefficient coercion, the
+    zero test of a coefficient and its ``_zero`` instance, and adds its
+    maths.  A coercion of None means coefficients arrive in their final
+    type and are stored as they are, over denominator 1, and ``terms`` is
+    then ``_items`` itself.  These four are plain class attributes, read
+    through the class so that functions among them stay unbound.
     """
 
-    __slots__ = ("terms", "_key", "_hash")
+    __slots__ = ("_d", "_items", "_key", "_hash")
 
     _order = _key_order
     _coerce = _frac
@@ -136,49 +182,71 @@ class _Sum:
     def __init__(self, terms: Mapping | Iterable[tuple] = ()):
         cls = type(self)
         items = terms.items() if isinstance(terms, Mapping) else terms
+        d = 1
         if cls._coerce is not None:
-            items = [(k, cls._coerce(q)) for k, q in items]
-        acc = _merged(items, cls._coeff_is_zero)
-        self.terms = tuple(sorted(acc.items(), key=cls._order))
+            qs = [(k, cls._coerce(q)) for k, q in items]
+            d = math.lcm(*[q.denominator for _, q in qs])
+            items = [(k, q.numerator * (d // q.denominator)) for k, q in qs]
+        self._items, self._d = _collected(cls, items, d)
         self._key = None
         self._hash = None
 
     @classmethod
-    def _canonical(cls, terms: tuple):
-        """Trusted constructor for terms that are already merged, sorted
-        and free of zero coefficients."""
+    def _canonical(cls, items: tuple, d: int = 1):
+        """Trusted constructor for numerators over d that are already
+        merged, sorted, free of zeros and in lowest terms."""
         obj = object.__new__(cls)
-        obj.terms = terms
+        obj._items = items
+        obj._d = d
         obj._key = None
         obj._hash = None
         return obj
 
     @classmethod
-    def _distinct(cls, terms: list):
-        """Constructor for terms with pairwise distinct keys and nonzero
-        coefficients that may be out of order."""
-        if len(terms) > 1:
-            terms.sort(key=cls._order)
-        return cls._canonical(tuple(terms))
+    def _distinct(cls, items: list, d: int = 1):
+        """Constructor for numerators over d in lowest terms, with pairwise
+        distinct keys, that may be out of order."""
+        if len(items) > 1:
+            items.sort(key=cls._order)
+        return cls._canonical(tuple(items), d)
 
     @classmethod
     def zero(cls):
         return cls._zero
 
+    @property
+    def terms(self) -> tuple:
+        """The (key, coefficient) items in canonical order, coefficients
+        as Fractions (as stored when the coercion is None)."""
+        if type(self)._coerce is None:
+            return self._items
+        d = self._d
+        return tuple([(k, Fraction(n, d)) for k, n in self._items])
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._items
 
     def __add__(self, other):
-        xs, ys = self.terms, other.terms
+        xs, ys = self._items, other._items
         if not xs:
             return other
         if not ys:
             return self
         cls = type(self)
-        return cls._canonical(_merge_sorted(xs, ys, cls._order, cls._coeff_is_zero))
+        d, e = self._d, other._d
+        if d != e:
+            # bring both over lcm(d, e)
+            g = math.gcd(d, e)
+            xs, ys, d = _times(xs, e // g), _times(ys, d // g), d // g * e
+        items = _merge_sorted(xs, ys, cls._order, cls._coeff_is_zero)
+        if len(items) == len(xs) + len(ys):
+            # no two keys met: every numerator of one side is still there,
+            # so the numerators stay coprime to d
+            return cls._canonical(items, d)
+        return cls._canonical(*_lowest(items, d))
 
     def __neg__(self):
-        return type(self)._canonical(tuple([(k, -q) for k, q in self.terms]))
+        return type(self)._canonical(tuple([(k, -n) for k, n in self._items]), self._d)
 
     def __sub__(self, other):
         return self + (-other)
@@ -186,43 +254,66 @@ class _Sum:
     def scale(self, c):
         """Every coefficient times c."""
         cls = type(self)
-        if cls._coerce is not None:
-            c = cls._coerce(c)
-        if cls._coeff_is_zero(c):
+        if cls._coerce is None:
+            if cls._coeff_is_zero(c):
+                return cls._zero
+            return cls._canonical(tuple([(k, q * c) for k, q in self._items]))
+        c = cls._coerce(c)
+        if not c:
             return cls._zero
-        return cls._canonical(tuple([(k, q * c) for k, q in self.terms]))
+        p = c.numerator
+        items = tuple([(k, n * p) for k, n in self._items])
+        return cls._canonical(*_lowest(items, self._d * c.denominator))
 
     def __eq__(self, other) -> bool:
-        return type(other) is type(self) and self.terms == other.terms
+        return type(other) is type(self) and self._d == other._d and self._items == other._items
 
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = self._hash = hash(self.terms)
+            h = self._hash = hash((self._d, self._items))
         return h
 
     def key(self):
         """The terms with each key replaced by its sort key: a plain tuple
-        that orders sums of one kind."""
+        that orders sums of one kind.  A coefficient is the integer itself
+        over denominator 1 and a Fraction otherwise, so keys compare as
+        the Fraction terms do."""
         k = self._key
         if k is None:
-            order = type(self)._order
-            k = self._key = tuple([(order(kv), kv[1]) for kv in self.terms])
+            order, d = type(self)._order, self._d
+            if d == 1:
+                k = tuple([(order(kv), kv[1]) for kv in self._items])
+            else:
+                k = tuple([(order(kv), Fraction(kv[1], d)) for kv in self._items])
+            self._key = k
         return k
 
     def coefficient(self, key):
         """The coefficient at ``key``, the rational 0 when absent."""
-        for k, q in self.terms:
+        for k, n in self._items:
             if k == key:
-                return q
+                return n if type(self)._coerce is None else Fraction(n, self._d)
         return _ZERO
 
     def numeric(self, table: "AtomTable") -> float:
-        return sum(float(q) * k.numeric(table) for k, q in self.terms)
+        # int true division rounds n/d once, as float() of a Fraction does
+        d = self._d
+        return sum(n / d * k.numeric(table) for k, n in self._items)
 
     def __repr__(self) -> str:
         body = " + ".join(f"{q}*{k}" for k, q in self.terms) or "0"
         return f"{type(self).__name__}({body})"
+
+
+def _exact_total(items: tuple, value, d: int) -> Fraction:
+    """The exact rational sum of n * value(key) / d over (key, n) items,
+    for double values."""
+    num, den = 0, 1
+    for key, n in items:
+        a, b = value(key).as_integer_ratio()
+        num, den = num * b + n * a * den, den * b
+    return Fraction(num, den * d)
 
 
 def _exp(x: float) -> float:
@@ -253,12 +344,11 @@ class DilationIndex(_Sum):
 
     def integer_unit(self) -> int | None:
         """The index as a plain integer, or None when symbols intrude."""
-        if not self.terms:
+        items = self._items
+        if not items:
             return 0
-        if len(self.terms) == 1:
-            sym, q = self.terms[0]
-            if sym == UNIT_SYMBOL and q.denominator == 1:
-                return int(q)
+        if len(items) == 1 and self._d == 1 and items[0][0] == UNIT_SYMBOL:
+            return items[0][1]
         return None
 
     def numeric(self, table: "AtomTable") -> float:
@@ -266,10 +356,7 @@ class DilationIndex(_Sum):
 
     def exact_numeric(self, table: "AtomTable") -> Fraction:
         # Dilation symbol values are doubles, hence exact rationals.
-        total = _ZERO
-        for sym, q in self.terms:
-            total += q * _frac(table.dilation_value(sym))
-        return total
+        return _exact_total(self._items, table.dilation_value, self._d)
 
 
 _DIL_ZERO = DilationIndex._zero = DilationIndex()
@@ -295,7 +382,7 @@ class PhaseMonomial:
             raise InvalidParameter("phase monomial degree above two")
         self.bases = bases
         self.exp = _DIL_ZERO if exp is None else exp
-        self._key = (bases, self.exp.terms)
+        self._key = None
         self._hash = None
 
     @classmethod
@@ -305,10 +392,16 @@ class PhaseMonomial:
     @classmethod
     def product(cls, a: "PhaseMonomial", b: "PhaseMonomial") -> "PhaseMonomial":
         """The product of two atoms."""
+        ea, eb = a.exp, b.exp
+        if not b.bases and not eb._items:
+            return a  # b is the monomial 1
+        if not a.bases and not ea._items:
+            return b  # a is the monomial 1
+        exp = ea + eb
         bases = a.bases + b.bases
         if len(bases) == 2 and bases[1] < bases[0]:
             bases = (bases[1], bases[0])
-        return cls._canonical(bases, a.exp + b.exp)
+        return cls._canonical(bases, exp)
 
     @classmethod
     def _canonical(cls, bases: tuple[str, ...], exp: DilationIndex) -> "PhaseMonomial":
@@ -317,7 +410,7 @@ class PhaseMonomial:
         obj = object.__new__(cls)
         obj.bases = bases
         obj.exp = exp
-        obj._key = (bases, exp.terms)
+        obj._key = None
         obj._hash = None
         return obj
 
@@ -328,12 +421,12 @@ class PhaseMonomial:
         return "*".join(self.bases) or ONE_ATOM
 
     def __eq__(self, other) -> bool:
-        return type(other) is PhaseMonomial and self._key == other._key
+        return type(other) is PhaseMonomial and self.bases == other.bases and self.exp == other.exp
 
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = self._hash = hash(self._key)
+            h = self._hash = hash((self.bases, self.exp))
         return h
 
     def scaled(self, t: DilationIndex) -> "PhaseMonomial":
@@ -383,20 +476,14 @@ class Frequency(_Sum):
             return self
         # The shift maps distinct atoms to distinct atoms, but it can
         # change their order.
-        scaled = [(a.scaled(t), q) for a, q in self.terms]
-        if len(scaled) > 1:
-            scaled.sort(key=_key_order)
-        return Frequency._canonical(tuple(scaled))
+        return Frequency._distinct([(a.scaled(t), n) for a, n in self._items], self._d)
 
     def exact_numeric(self, table: "AtomTable") -> Fraction | None:
         """Exact rational value, or None when an atom carries a nonzero
         exponent (e^t is not rational for rational t != 0)."""
-        total = _ZERO
-        for a, q in self.terms:
-            if not a.exp.is_zero():
-                return None
-            total += q * _frac(a.numeric(table))
-        return total
+        if any(not a.exp.is_zero() for a, _ in self._items):
+            return None
+        return _exact_total(self._items, lambda a: a.numeric(table), self._d)
 
 
 Frequency._zero = Frequency()
@@ -405,8 +492,9 @@ Frequency._zero = Frequency()
 def _dil_as_frequency(t: DilationIndex) -> Frequency:
     """The linear embedding of dilation indices into frequencies (UNIT to
     the atom ONE, any other symbol to the atom of that name)."""
-    return Frequency(
-        [(_MONO_EMPTY if sym == UNIT_SYMBOL else PhaseMonomial((sym,)), q) for sym, q in t.terms]
+    return Frequency._distinct(
+        [(_MONO_EMPTY if sym == UNIT_SYMBOL else PhaseMonomial((sym,)), n) for sym, n in t._items],
+        t._d,
     )
 
 
@@ -424,20 +512,22 @@ class PhaseExponent(_Sum):
     def product(cls, f: Frequency, g: Frequency) -> "PhaseExponent":
         """The bilinear pairing of two frequencies, exponent of the
         commutation phase."""
-        if len(f.terms) == 1 and len(g.terms) == 1:
-            (a, qa), (b, qb) = f.terms[0], g.terms[0]
-            return cls._canonical(((PhaseMonomial.product(a, b), qa * qb),))
-        return cls(
-            [(PhaseMonomial.product(a, b), qa * qb) for a, qa in f.terms for b, qb in g.terms]
-        )
+        fs, gs = f._items, g._items
+        if not fs or not gs:
+            return cls._zero
+        d = f._d * g._d
+        if len(fs) == 1 and len(gs) == 1:
+            (a, na), (b, nb) = fs[0], gs[0]
+            return cls._canonical(*_lowest(((PhaseMonomial.product(a, b), na * nb),), d))
+        items = [(PhaseMonomial.product(a, b), na * nb) for a, na in fs for b, nb in gs]
+        return cls._canonical(*_collected(cls, items, d))
 
     def leading_sign(self) -> int:
         """Sign of the coefficient at the smallest monomial, a group
         compatible linear order on exponents."""
-        if not self.terms:
+        if not self._items:
             return 0
-        q = self.terms[0][1]
-        return 1 if q > 0 else -1
+        return 1 if self._items[0][1] > 0 else -1
 
 
 _EXP_ZERO = PhaseExponent._zero = PhaseExponent()
@@ -571,9 +661,9 @@ class PhaseSum(_Sum):
 
     def __mul__(self, other: "PhaseSum") -> "PhaseSum":
         out = [
-            (pe1 + pe2, a1 * a2) for pe1, a1 in self.terms for pe2, a2 in other.terms
+            (pe1 + pe2, a1 * a2) for pe1, a1 in self._items for pe2, a2 in other._items
         ]
-        if len(self.terms) == 1 or len(other.terms) == 1:
+        if len(self._items) == 1 or len(other._items) == 1:
             # One factor is a single phase: the exponents stay distinct and
             # the amplitudes nonzero, so only the order can change.
             return PhaseSum._distinct(out)
@@ -583,22 +673,22 @@ class PhaseSum(_Sum):
         """Multiply by the unimodular phase e^{i*pe}."""
         if pe.is_zero():
             return self
-        return PhaseSum._distinct([(p + pe, a) for p, a in self.terms])
+        return PhaseSum._distinct([(p + pe, a) for p, a in self._items])
 
     def conj(self) -> "PhaseSum":
-        return PhaseSum._distinct([(-pe, a.conj()) for pe, a in self.terms])
+        return PhaseSum._distinct([(-pe, a.conj()) for pe, a in self._items])
 
     def least_term(self) -> tuple[PhaseExponent, QI]:
         """Term at the smallest exponent in the group linear order."""
-        best = self.terms[0]
-        for cand in self.terms[1:]:
+        best = self._items[0]
+        for cand in self._items[1:]:
             if (cand[0] - best[0]).leading_sign() < 0:
                 best = cand
         return best
 
     def numeric(self, table: "AtomTable") -> complex:
         total = 0j
-        for pe, amp in self.terms:
+        for pe, amp in self._items:
             total += amp.to_complex() * cmath.exp(1j * pe.numeric(table))
         return total
 
@@ -611,8 +701,8 @@ def _unit_split(ps: PhaseSum) -> tuple[PhaseExponent, QI, PhaseSum | None]:
     """Write a nonzero phase sum as amp * e^{i*pe} * factor, with
     amp * e^{i*pe} its least term and factor its canonical form (least
     term exactly 1), or None when the sum is that one term."""
-    if len(ps.terms) == 1:
-        pe, amp = ps.terms[0]
+    if len(ps._items) == 1:
+        pe, amp = ps._items[0]
         return pe, amp, None
     pe, amp = ps.least_term()
     return pe, amp, ps.shift(-pe).scale(amp.inverse())
@@ -644,11 +734,18 @@ def _divide_binomial(num: PhaseSum, factor: PhaseSum) -> PhaseSum | None:
     p a nonzero carry adds one quotient term per power, so the length
     bound also bounds the work on sparse numerators.
     """
-    (theta, a), = factor.terms[1:]
-    lead, c0 = theta.terms[0]
-    powers = [(pe.coefficient(lead) // c0, c, pe) for pe, c in num.terms]
+    (theta, a), = factor._items[1:]
+    lead, c0 = theta._items[0]
+
+    def power(pe: PhaseExponent) -> int:
+        """pe's coefficient at theta's least monomial over theta's there,
+        rounded down: (m / pe._d) // (c0 / theta._d) in integers."""
+        m = next((n for k, n in pe._items if k == lead), 0)
+        return m * theta._d // (pe._d * c0)
+
+    powers = [(power(pe), c, pe) for pe, c in num._items]
     powers.sort(key=itemgetter(0))
-    limit = len(num.terms)
+    limit = len(num._items)
     # A cheap first test: p(-1/a) summed over all cosets must vanish.
     # Horner's scheme from the lowest power up yields (-a)^hi p(-1/a); it
     # is skipped across a gap longer than the numerator, where the powers
@@ -693,7 +790,7 @@ def _divide_binomial(num: PhaseSum, factor: PhaseSum) -> PhaseSum | None:
 def _factor_order(item: tuple) -> tuple:
     """Sort key of a (factor, multiplicity) item: the factor's exponents
     and amplitudes as plain integers and keys, a total order."""
-    return tuple([(pe.key(), a._a, a._b, a._d) for pe, a in item[0].terms])
+    return tuple([(pe.key(), a._a, a._b, a._d) for pe, a in item[0]._items])
 
 
 def _cofactors(xs: tuple, ys: tuple) -> tuple[tuple, tuple, tuple]:
@@ -724,13 +821,13 @@ def _reduced(num: PhaseSum, factors: tuple) -> tuple[PhaseSum, tuple]:
     times it."""
     kept = []
     for f, m in factors:
-        if len(f.terms) == 2:
+        if len(f._items) == 2:
             while m:
                 q = _divide_binomial(num, f)
                 if q is None:
                     break
                 num, m = q, m - 1
-        elif len(num.terms) == len(f.terms):
+        elif len(num._items) == len(f._items):
             pe, amp, g = _unit_split(num)
             if g == f:
                 num, m = PhaseSum._canonical(((pe, amp),)), m - 1
@@ -770,13 +867,13 @@ class Scalar:
 
     def __init__(self, num: PhaseSum, den: PhaseSum | None = None):
         if den is None or den is _PS_ONE:
-            self.num, self.factors = (num if num.terms else _PS_ZERO), ()
+            self.num, self.factors = (num if num._items else _PS_ZERO), ()
             return
         if den.is_zero():
             raise DivisionByZero("scalar with zero denominator")
         pe, amp, factor = _unit_split(den)
-        num = num.shift(-pe).scale(amp.inverse()) if num.terms else _PS_ZERO
-        if factor is None or not num.terms:
+        num = num.shift(-pe).scale(amp.inverse()) if num._items else _PS_ZERO
+        if factor is None or not num._items:
             self.num, self.factors = num, ()
         else:
             self.num, self.factors = _reduced(num, ((factor, 1),))
@@ -794,7 +891,7 @@ class Scalar:
     def _reduce(cls, num: PhaseSum, factors: tuple) -> "Scalar":
         """num over canonical, sorted factors, with the factors that
         divide num cancelled."""
-        if not num.terms:
+        if not num._items:
             return _SC_ZERO
         return cls._canonical(*_reduced(num, factors))
 
@@ -845,9 +942,9 @@ class Scalar:
         fs, fo = self.factors, other.factors
         if not fs and not fo:
             return Scalar._canonical(self.num + other.num, ())
-        if not self.num.terms:
+        if not self.num._items:
             return other
-        if not other.num.terms:
+        if not other.num._items:
             return self
         if fs == fo:
             return Scalar._reduce(self.num + other.num, fs)
@@ -866,9 +963,9 @@ class Scalar:
         num = self.num * other.num
         if not fs and not fo:
             return Scalar._canonical(num, ())
-        if not fo and len(other.num.terms) == 1:
+        if not fo and len(other.num._items) == 1:
             return Scalar._canonical(num, fs)  # a unit keeps num reduced
-        if not fs and len(self.num.terms) == 1:
+        if not fs and len(self.num._items) == 1:
             return Scalar._canonical(num, fo)
         if not fs or not fo:
             return Scalar._reduce(num, fs or fo)
@@ -925,8 +1022,8 @@ class Scalar:
     def single_phase(self) -> tuple[PhaseExponent, QI] | None:
         """The (exponent, amplitude) pair when this scalar is one phase
         term over denominator 1, else None."""
-        if not self.factors and len(self.num.terms) == 1:
-            return self.num.terms[0]
+        if not self.factors and len(self.num._items) == 1:
+            return self.num._items[0]
         return None
 
     def numeric(self, table: "AtomTable") -> complex:
@@ -1046,11 +1143,11 @@ class BohrCharacter:
     def angle(self, f: Frequency) -> Fraction:
         lookup = dict(self.angles)
         total = _ZERO
-        for atom, q in f.terms:
+        for atom, n in f._items:
             a = lookup.get(atom.base)
             if a is not None:
-                total += q * a
-        return total
+                total += n * a
+        return total / f._d
 
     def value(self, f: Frequency) -> complex:
         return cmath.exp(1j * float(self.angle(f)))

@@ -43,6 +43,10 @@ from .exactnum import (
 
 # ------------------------------------------------------------------ packets
 
+# relative distance under which two packet parameters count as one value
+# in a relation residual
+_FEW_ULPS = 4 * np.finfo(np.float64).eps
+
 # a dilation by e^t scales the width by e^{2t}, which leaves the double
 # range (or underflows to zero) for |t| above this
 _MAX_DILATION = 0.5 * math.log(np.finfo(np.float64).max)
@@ -228,6 +232,16 @@ def relation_residual(kind: str, params, f: PacketSum) -> float:
         rhs = f.dilate(t).translate(np.exp(-t) * mu)
     else:
         raise InvalidParameter(f"unknown relation {kind!r}")
+    # The two sides round the same packet parameters differently, e.g. the
+    # dilated centre (b + mu) e^-t against b e^-t + e^-t mu.  Unmerged, such
+    # packets leave ||lhs||^2 + ||rhs||^2 - 2 Re<lhs, rhs> at the square
+    # root of the rounding error; taking parameters that agree to a few
+    # ulps as equal merges them, and the norm is the true residual.
+    pairs = list(zip(lhs._params[1:], rhs._params[1:]))
+    near = np.logical_and.reduce(
+        [np.abs(u - v) <= _FEW_ULPS * np.maximum(np.abs(u), np.abs(v)) for u, v in pairs]
+    )
+    rhs = PacketSum._of(rhs.amp, *(np.where(near, u, v) for u, v in pairs))
     return (lhs - rhs).norm()
 
 

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import trisemi
 from trisemi import (
     GroupModeError,
+    InvalidParameter,
     ParseError,
     RunConfig,
     element_text,
@@ -141,6 +142,10 @@ def test_zero_denominator_exits_2_with_a_parse_record(capsys, text):
     assert text[lo:hi] == "0"
 
 
+# a guard under 1e-12 resolves the sign of M(1e-12)
+_TINY = ["support", "--algebra", "aph", "M(1/1000000000000)*V(1)"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -166,6 +171,8 @@ def test_zero_denominator_exits_2_with_a_parse_record(capsys, text):
         ["gauge", "--theta", "nan", "M(1)"],
         ["gauge", "--theta", "inf", "M(1)"],
         ["sim-norm-bound", "--seed", "-1", "M(1)"],
+        # a NaN or negative sign guard would switch refusal off altogether
+        *(["--guard", g, *_TINY] for g in ("nan", "inf", "-1")),
     ],
 )
 def test_invalid_parameter_exits_2_with_a_record(capsys, argv):
@@ -330,6 +337,26 @@ def test_load_config_rejects_unknown_keys(tmp_path):
         load_config(str(bad))
 
 
+def test_config_guard_nan_exits_2_with_one_record(tmp_path, capsys):
+    cfg = tmp_path / "nan.ini"
+    cfg.write_text("[options]\nguard = nan\n")
+    with pytest.raises(InvalidParameter):
+        load_config(str(cfg))
+    assert run(["--json", "--config", str(cfg), *_TINY]) == 2
+    out, err = out_of(capsys)
+    assert out == ""
+    assert json.loads(err)["error"]["code"] == "invalid-parameter"
+
+
+def test_guard_zero_stays_legal_and_the_default_guard_refuses(capsys):
+    assert run(["--json", "--guard", "0", *_TINY]) == 0
+    assert json.loads(out_of(capsys)[0])["member"] is True
+    assert run(["--json", *_TINY]) == 2
+    out, err = out_of(capsys)
+    assert out == ""
+    assert json.loads(err)["error"]["code"] == "indeterminate-sign"
+
+
 def test_load_config_missing_file():
     with pytest.raises(ParseError):
         load_config("/nonexistent/path.ini")
@@ -359,6 +386,17 @@ def test_sim_residuals_weyl_row_is_a_true_residual(capsys):
     out, _ = out_of(capsys)
     rows = {row["relation"]: row for row in json.loads(out)["rows"]}
     assert rows["weyl"]["residual"] < 1e-15
+
+
+@pytest.mark.parametrize("t", ["0.3", "0.7", "1.1"])
+def test_sim_residuals_dild_row_is_a_true_residual(capsys, t):
+    # at t = 1.1 the two sides round the dilated centre apart; the residual
+    # is still the rounding error, not its square root
+    assert run(["--json", "sim-residuals", "--t", t]) == 0
+    out, _ = out_of(capsys)
+    rows = {row["relation"]: row for row in json.loads(out)["rows"]}
+    assert isinstance(rows["dilD"]["residual"], float)
+    assert rows["dilD"]["residual"] <= 1e-14
 
 
 @pytest.mark.parametrize(

@@ -243,6 +243,40 @@ def test_every_private_module_name_is_read():
     assert not unread, "defined but never read:\n" + "\n".join(unread)
 
 
+# the exact core's hot path, where sums are integer numerators over one
+# denominator: a Fraction named here would be built again on every product.
+# Sort keys (`_Sum.key`) stay Fractions over a denominator above 1, so that
+# order is unchanged; they are built once per object, on its first sort.
+_INTEGER_HOT_PATH = (
+    "_Sum.__add__", "_Sum.__neg__", "_Sum.__eq__", "_Sum.__hash__", "_merge_sorted",
+    "Frequency.scale_exp", "PhaseExponent.product", "PhaseMonomial.__init__",
+    "PhaseMonomial._canonical", "PhaseMonomial.product", "PhaseMonomial.scaled",
+)
+
+
+def test_the_integer_hot_path_names_no_fraction():
+    path = Path(trisemi.__file__).resolve().parent / "exactnum.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bodies = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            bodies[node.name] = node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    bodies[f"{node.name}.{item.name}"] = item
+    named = {}
+    for name in _INTEGER_HOT_PATH:
+        words = {
+            n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(bodies[name])
+            if isinstance(n, (ast.Name, ast.Attribute))
+        }
+        if words & {"Fraction", "_frac"}:
+            named[name] = sorted(words & {"Fraction", "_frac"})
+    assert not named, f"Fraction on the integer hot path: {named}"
+
+
 def _raised_names(path: Path) -> set[str]:
     """Names a module raises: ``raise X`` and ``raise X(...)``."""
     names = set()

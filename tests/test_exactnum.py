@@ -552,3 +552,104 @@ def test_one_canonical_key_per_monomial():
         and any(isinstance(f, ast.FunctionDef) and f.name == "__hash__" for f in node.body)
     }
     assert hashing == {"_Sum", "PhaseMonomial", "QI", "BohrCharacter"}
+
+
+# ------------------------- integer numerators over one common denominator
+
+
+def _oracle_sum(*parts: dict) -> dict:
+    """The sum of {key: Fraction} dicts, without zero entries."""
+    out = {}
+    for part in parts:
+        for k, q in part.items():
+            out[k] = out.get(k, 0) + q
+    return {k: q for k, q in out.items() if q}
+
+
+def _oracle_shift(m: PhaseMonomial, t: DilationIndex) -> PhaseMonomial:
+    """m times e^t, its exponent summed through the oracle."""
+    return PhaseMonomial(m.bases, DilationIndex(_oracle_sum(dict(m.exp.terms), dict(t.terms))))
+
+
+def _fraction_sort_key(x):
+    """The sort key of a sum read off its Fraction terms, monomials ordered
+    by their bases and the Fraction terms of their exponent."""
+    if isinstance(x, DilationIndex):
+        return x.terms
+    return tuple([((k.bases, k.exp.terms), q) for k, q in x.terms])
+
+
+def _assert_matches_oracle(x, oracle: dict, table: AtomTable):
+    assert dict(x.terms) == oracle
+    assert all(type(q) is Fraction for _, q in x.terms)
+    nums = [n for _, n in x._items]
+    assert x._d > 0 and all(type(n) is int for n in nums)
+    assert math.gcd(x._d, *nums) == 1
+    if not oracle:
+        assert x._d == 1 and x.is_zero()
+    built = type(x)(oracle)
+    assert (built._d, built._items) == (x._d, x._items)
+    assert built == x and hash(built) == hash(x)
+    for k, q in oracle.items():
+        assert x.coefficient(k) == q
+    if isinstance(x, DilationIndex):
+        exact = sum(q * Fraction(table.dilation_value(s)) for s, q in x.terms)
+        assert x.exact_numeric(table) == exact
+        assert x.numeric(table) == float(exact)
+    else:
+        assert x.numeric(table) == sum(float(q) * k.numeric(table) for k, q in x.terms)
+
+
+def _sum_chain(rng, cls, table, steps=60):
+    """A random chain of +, -, scale, scale_exp and PhaseExponent.product
+    on sums of kind cls, each step checked against a dict oracle; returns
+    every sum of the chain."""
+    draw = {
+        DilationIndex: lambda: random_dilation(rng) + random_dilation(rng, syms=("h", "k")),
+        Frequency: lambda: _random_shifted_frequency(rng),
+        PhaseExponent: lambda: _random_exponent(rng),
+    }[cls]
+    x = draw()
+    oracle = dict(x.terms)
+    seen = [x]
+    for _ in range(steps):
+        op = rng.choice(("add", "sub", "scale", "shift", "product", "restart"))
+        if op == "add" or op == "sub":
+            y = draw()
+            sign = 1 if op == "add" else -1
+            x = x + y if op == "add" else x - y
+            oracle = _oracle_sum(oracle, {k: sign * q for k, q in y.terms})
+        elif op == "scale":
+            q = random_fraction(rng, 12, 12)
+            x = x.scale(q)
+            oracle = {k: v * q for k, v in oracle.items() if v * q}
+        elif op == "shift" and cls is Frequency:
+            t = random_dilation(rng)
+            x = x.scale_exp(t)
+            oracle = {_oracle_shift(k, t): v for k, v in oracle.items()}
+        elif op == "product" and cls is PhaseExponent:
+            f, g = _random_shifted_frequency(rng), random_frequency(rng)
+            x = x + PhaseExponent.product(f, g)
+            pairs = {}
+            for a, qa in f.terms:
+                for b, qb in g.terms:
+                    key = PhaseMonomial(a.bases + b.bases, _oracle_shift(a, b.exp).exp)
+                    pairs = _oracle_sum(pairs, {key: qa * qb})
+            oracle = _oracle_sum(oracle, pairs)
+        elif op == "restart":
+            x = cls.zero() if rng.random() < 0.3 else draw()
+            oracle = dict(x.terms)
+        _assert_matches_oracle(x, oracle, table)
+        seen.append(x)
+    return seen
+
+
+@pytest.mark.parametrize("cls", (DilationIndex, Frequency, PhaseExponent), ids=lambda c: c.__name__)
+def test_integer_core_matches_a_fraction_oracle(cls):
+    rng = random.Random(1601)
+    table = AtomTable({"s2": math.sqrt(2), "s3": math.sqrt(3)}, {"h": 0.5, "k": 0.3})
+    for _ in range(8):
+        seen = _sum_chain(rng, cls, table)
+        by_key = sorted(seen, key=lambda s: s.key())
+        by_fractions = sorted(seen, key=_fraction_sort_key)
+        assert [s.terms for s in by_key] == [s.terms for s in by_fractions]
