@@ -303,11 +303,16 @@ def first_coeff(
     x: Element, table: AtomTable, guard: float = DEFAULT_GUARD
 ) -> tuple[Frequency, Element]:
     """Smallest translation frequency in the support together with its
-    fiber.  Numeric ties break by canonical key order."""
+    fiber.  The frequencies are walked in canonical key order, and each
+    comparison is one ``index_sign`` of a difference, so a difference
+    within max(guard, rounding bound) of 0 raises IndeterminateSign."""
     if x.is_zero():
         raise EmptyElement("first coefficient of the zero element")
-    freqs = {mu for (_lam, mu, _t) in x.terms}
-    best = min(freqs, key=lambda f: (f.numeric(table), f.key()))
+    freqs = sorted({mu for (_lam, mu, _t) in x.terms}, key=Frequency.key)
+    best = freqs[0]
+    for f in freqs[1:]:
+        if index_sign(f - best, table, guard) < 0:
+            best = f
     return best, coeff_map(x, Axis.TRANSLATION, best)
 
 

@@ -1,8 +1,12 @@
-"""Almost periodic approximation tools.
+"""Almost periodic approximation tools, one code path per result.
 
-Rational basis extraction by exact elimination, weighted sections with
-factorial lattice weights, summation kernels, numeric gauge twists,
-Cesaro means by trapezoid quadrature, and recurrence time search.
+``RationalBasis`` finds exact coordinates over a rational basis of a
+support by one elimination.  ``section_weights`` is the one weight pass
+of a section: support basis, order check and one factorial lattice
+weight per distinct index; ``bochner_fejer`` and ``bf_report`` scale
+terms by those weights.  Also here: summation kernels, numeric gauge
+twists, Cesaro means by trapezoid quadrature, and the recurrence scan,
+whose first successive minimum is the recurrence search.
 """
 
 from __future__ import annotations
@@ -12,19 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import Axis, Element
-from .errors import (
-    BasisTooShort,
-    InvalidParameter,
-    NonIntegerLattice,
-    NotFound,
-)
-from .exactnum import (
-    AtomTable,
-    DilationIndex,
-    Frequency,
-    Scalar,
-    _frac,
-)
+from .errors import BasisTooShort, InvalidParameter, NonIntegerLattice, NotFound
+from .exactnum import _ZERO, AtomTable, DilationIndex, Frequency, Scalar, _frac
 
 
 # ------------------------------------------------------------ rational basis
@@ -35,57 +28,49 @@ class RationalBasis:
     dilation indices) over the rationals.
 
     The basis is the subsequence of inputs that were independent when
-    first seen; every input, and any later query in the span, gets an
-    exact coordinate vector.  Coordinates over an independent family are
-    unique, so any nonzero entry of a reduced vector serves as its pivot.
+    first seen.  One elimination, ``_reduce``, builds the basis and
+    answers ``coords_of``; each echelon row keeps its expansion as a
+    sparse dict keyed by basis position, and the coordinates of the
+    inputs are kept from construction.  Coordinates over an independent
+    family are unique, so any nonzero entry of a reduced vector serves
+    as its pivot.
     """
 
-    __slots__ = ("basis", "coords", "_rows")
+    __slots__ = ("basis", "_rows", "_coords")
 
     def __init__(self, freqs: list[Frequency] | list[DilationIndex]):
         basis: list = []
-        # each row: (pivot key, reduced dict, expansion over current basis)
-        rows: list[tuple[object, dict, list[Fraction]]] = []
-        coords: dict = {}
+        # each row: (pivot key, reduced terms, expansion {basis position: q})
+        self._rows: list[tuple[object, dict, dict]] = []
+        self._coords: dict = {}
         for f in freqs:
-            reduced, combo = self._reduce(f.terms, rows, len(basis))
+            reduced, combo = self._reduce(f)
             if reduced:
-                pivot = next(iter(reduced))
-                expansion = [-c for c in combo] + [Fraction(1)]
-                for i in range(len(rows)):
-                    p, r, e = rows[i]
-                    rows[i] = (p, r, e + [Fraction(0)])
-                rows.append((pivot, reduced, expansion))
+                expansion = {j: -q for j, q in combo.items()}
+                expansion[len(basis)] = Fraction(1)
+                self._rows.append((next(iter(reduced)), reduced, expansion))
+                combo = {len(basis): Fraction(1)}
                 basis.append(f)
-                combo = [Fraction(0)] * (len(basis) - 1) + [Fraction(1)]
-            if f.key() not in coords:
-                coords[f.key()] = tuple(combo) + (Fraction(0),) * (
-                    len(basis) - len(combo)
-                )
+            self._coords[f] = combo
         self.basis = tuple(basis)
-        self._rows = rows
-        # pad early vectors to the final dimension
-        k = len(basis)
-        self.coords = {
-            key: tuple(c) + (Fraction(0),) * (k - len(c))
-            for key, c in coords.items()
-        }
 
-    @staticmethod
-    def _reduce(terms: tuple, rows, width: int):
-        rem = dict(terms)
-        combo = [Fraction(0)] * width
-        for idx, (pivot, red, expansion) in enumerate(rows):
-            if pivot in rem and rem[pivot]:
-                factor = rem[pivot] / red[pivot]
+    def _reduce(self, f) -> tuple[dict, dict]:
+        """The remainder of f against the rows, and the combination of
+        basis vectors taken away."""
+        rem = dict(f.terms)
+        combo: dict = {}
+        for pivot, red, expansion in self._rows:
+            head = rem.get(pivot)
+            if head:
+                factor = head / red[pivot]
                 for atom, q in red.items():
-                    val = rem.get(atom, Fraction(0)) - factor * q
+                    val = rem.get(atom, _ZERO) - factor * q
                     if val:
                         rem[atom] = val
                     else:
                         rem.pop(atom, None)
-                for j, e in enumerate(expansion):
-                    combo[j] += factor * e
+                for j, q in expansion.items():
+                    combo[j] = combo.get(j, _ZERO) + factor * q
         return rem, combo
 
     def __len__(self) -> int:
@@ -93,13 +78,12 @@ class RationalBasis:
 
     def coords_of(self, f: Frequency | DilationIndex):
         """Exact coordinates over the basis, or None if outside the span."""
-        hit = self.coords.get(f.key())
-        if hit is not None:
-            return hit
-        rem, combo = self._reduce(f.terms, self._rows, len(self.basis))
-        if rem:
-            return None
-        return tuple(combo)
+        combo = self._coords.get(f)
+        if combo is None:
+            rem, combo = self._reduce(f)
+            if rem:
+                return None
+        return tuple(combo.get(j, _ZERO) for j in range(len(self.basis)))
 
     def numeric(self, table: AtomTable) -> list[float]:
         return [b.numeric(table) for b in self.basis]
@@ -123,84 +107,76 @@ class BFSpec:
         object.__setattr__(self, "grading", Axis.parse(self.grading))
 
 
+def _support_indices(x: Element, axis: Axis) -> list:
+    return list(dict.fromkeys(axis.index(key) for key, _ in x.sorted_terms()))
+
+
 def support_basis(x: Element, grading) -> RationalBasis:
-    axis = Axis.parse(grading)
-    return rational_basis(list(dict.fromkeys(axis.index(key) for key, _ in x.sorted_terms())))
+    return rational_basis(_support_indices(x, Axis.parse(grading)))
 
 
-def _section_weight(coords, fac: int, strict: bool) -> Fraction:
+def _section_weight(coords, fac: int) -> Fraction:
+    """prod_j (1 - |nu_j|/(m!)^2) over the lattice points nu = m! coords,
+    or 0 when a coordinate misses the order-m lattice."""
     big = fac * fac
     weight = Fraction(1)
     for c in coords:
         nu = c * fac
-        if nu.denominator != 1:
-            if strict:
-                raise NonIntegerLattice(
-                    f"coordinate {c} times {fac} is not an integer"
-                )
-            return Fraction(0)
-        n = abs(int(nu))
-        if n >= big:
-            if strict:
-                raise NonIntegerLattice(
-                    f"lattice point {n} outside the bound {big}"
-                )
+        n = abs(nu.numerator)
+        if nu.denominator != 1 or n >= big:
             return Fraction(0)
         weight *= Fraction(big - n, big)
     return weight
 
 
-def _section_setup(x: Element, spec: BFSpec) -> tuple[RationalBasis, int]:
-    """The support basis of x along the spec's grading, checked to fit the
-    section order, and the lattice factor m!."""
-    basis = support_basis(x, spec.grading)
+def section_weights(x: Element, spec: BFSpec) -> dict:
+    """Section weight per distinct support index, as exact fractions.
+
+    The one pass of a section: the support basis along the spec's
+    grading (BasisTooShort when it has more than m vectors), then each
+    index's weight read off its lattice coordinates.  A weight is 0
+    exactly when the index misses the order-m lattice.
+    """
+    indices = _support_indices(x, spec.grading)
+    basis = rational_basis(indices)
     if len(basis) > spec.m:
         raise BasisTooShort(
             f"support spans {len(basis)} independent directions, "
             f"section order is {spec.m}"
         )
-    return basis, math.factorial(spec.m)
+    fac = math.factorial(spec.m)
+    return {idx: _section_weight(basis.coords_of(idx), fac) for idx in indices}
+
+
+def _weighted(x: Element, axis: Axis, weights: dict) -> Element:
+    """x with each coefficient times its index's weight; weight 0 drops the term."""
+    scaled = ((key, coeff, weights[axis.index(key)]) for key, coeff in x.terms.items())
+    return Element({key: coeff * Scalar.from_rational(w) for key, coeff, w in scaled if w})
 
 
 def bochner_fejer(x: Element, spec: BFSpec, strict: bool = False) -> Element:
     """Weighted section of x along the grading of the given spec.
 
-    Terms keep their keys; each coefficient is scaled by the exact
-    product weight read off the term's lattice coordinates.  Support
-    points whose coordinates miss the order-m lattice are dropped, or
-    rejected when strict is set.
+    Terms keep their keys; each coefficient is scaled by its index's
+    ``section_weights`` entry.  Support points whose coordinates miss
+    the order-m lattice (weight 0) are dropped, or rejected with
+    NonIntegerLattice when strict is set.
     """
-    basis, fac = _section_setup(x, spec)
-    out: dict = {}
-    for key, coeff in x.terms.items():
-        coords = basis.coords_of(spec.grading.index(key))
-        weight = _section_weight(coords, fac, strict)
-        if weight:
-            out[key] = coeff * Scalar.from_rational(weight)
-    return Element(out)
-
-
-def section_weights(x: Element, spec: BFSpec) -> dict:
-    """Surviving weight per support index, as exact fractions."""
-    basis, fac = _section_setup(x, spec)
-    out = {}
-    for key, _ in x.sorted_terms():
-        idx = spec.grading.index(key)
-        if idx in out:
-            continue
-        out[idx] = _section_weight(basis.coords_of(idx), fac, strict=False)
-    return out
+    weights = section_weights(x, spec)
+    if strict and not all(weights.values()):
+        raise NonIntegerLattice(f"a support index misses the order-{spec.m} lattice")
+    return _weighted(x, spec.grading, weights)
 
 
 def bf_report(x: Element, grading, m_values, table: AtomTable | None = None):
-    """Convergence rows (m, weights, l1 error) for the CLI table."""
+    """Convergence rows (m, weights, l1 error) for the CLI table, one
+    weight pass per order."""
     table = table or AtomTable.default()
     rows = []
     for m in m_values:
         spec = BFSpec(m, grading)
-        image = bochner_fejer(x, spec)
         weights = section_weights(x, spec)
-        err = (x - image).l1_norm(table)
+        err = (x - _weighted(x, spec.grading, weights)).l1_norm(table)
         rows.append({"m": m, "weights": weights, "l1_error": err})
     return rows
 
@@ -272,21 +248,15 @@ def cesaro_mean(
 # ---------------------------------------------------------- summation kernel
 
 
-def bf_kernel(
-    basis: RationalBasis, m: int, t: float, table: AtomTable | None = None
-) -> float:
+def bf_kernel(basis: RationalBasis, m: int, t: float, table: AtomTable | None = None) -> float:
     return float(bf_kernel_many(basis, m, [t], table)[0])
 
 
-def bf_kernel_many(
-    basis: RationalBasis, m: int, ts, table: AtomTable | None = None
-):
+def bf_kernel_many(basis: RationalBasis, m: int, ts, table: AtomTable | None = None):
     if m < 1:
         raise InvalidParameter("kernel order m must be at least 1")
     if m > len(basis):
-        raise BasisTooShort(
-            f"kernel order {m} exceeds basis length {len(basis)}"
-        )
+        raise BasisTooShort(f"kernel order {m} exceeds basis length {len(basis)}")
     from . import _kernels
 
     table = table or AtomTable.default()
@@ -297,9 +267,10 @@ def bf_kernel_many(
 # --------------------------------------------------------------- recurrence
 
 
-def _recurrence_devs(freqs, eps: float, limit: int):
-    """Deviations max_f |e^{i f M} - 1| for M = 1..limit as a numpy
-    array, after the parameter checks shared by the recurrence searches."""
+def recurrence_schedule(freqs, eps: float, limit: int) -> list[int]:
+    """The successive minima of max_f |e^{i f M} - 1| below eps for M in
+    [1, limit]: recurrence times with strictly improving deviation, in
+    scan order."""
     if eps <= 0:
         raise InvalidParameter("tolerance must be positive")
     limit = int(limit)
@@ -307,31 +278,18 @@ def _recurrence_devs(freqs, eps: float, limit: int):
         raise InvalidParameter("scan limit must be at least 1")
     from . import _kernels
 
-    return _kernels.recurrence_devs(list(freqs), limit)
-
-
-def _no_recurrence(eps: float, limit: int) -> NotFound:
-    return NotFound(
-        f"no recurrence time up to {int(limit)} at tolerance {eps}; "
-        "raise the limit or loosen the tolerance"
-    )
+    devs = _kernels.recurrence_devs(list(freqs), limit)
+    ms = (_kernels.successive_minima(devs, eps).nonzero()[0] + 1).tolist()
+    if not ms:
+        raise NotFound(
+            f"no recurrence time up to {limit} at tolerance {eps}; "
+            "raise the limit or loosen the tolerance"
+        )
+    return ms
 
 
 def recurrence_search(freqs, eps: float, limit: int) -> int:
-    """Smallest integer M in [1, limit] with |e^{i f M} - 1| < eps for all f."""
-    hits = (_recurrence_devs(freqs, eps, limit) < eps).nonzero()[0]
-    if hits.size == 0:
-        raise _no_recurrence(eps, limit)
-    return int(hits[0]) + 1
-
-
-def recurrence_schedule(freqs, eps: float, limit: int) -> list[int]:
-    """Recurrence times with strictly improving deviation, in scan order."""
-    devs = _recurrence_devs(freqs, eps, limit)
-    from . import _kernels
-
-    flags = _kernels.successive_minima(devs, eps)
-    ms = (flags.nonzero()[0] + 1).tolist()
-    if not ms:
-        raise _no_recurrence(eps, limit)
-    return [int(m) for m in ms]
+    """Smallest integer M in [1, limit] with |e^{i f M} - 1| < eps for all
+    f: the head of the schedule, since the first deviation below eps is a
+    successive minimum."""
+    return recurrence_schedule(freqs, eps, limit)[0]

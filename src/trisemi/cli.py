@@ -12,6 +12,7 @@ analysis modules it uses, so the exact commands start without numpy.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import warnings
@@ -395,7 +396,10 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise InvalidParameter(message)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, and each call of ``run`` gets a fresh namespace."""
     top = _ArgumentParser(
         prog="trisemi",
         description="Exact engine for the multiplication-translation-dilation algebra.",

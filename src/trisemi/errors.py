@@ -21,7 +21,8 @@ class InvalidParameter(EngineError, ValueError):
 
 
 class IndeterminateSign(EngineError):
-    """A numeric frequency value fell inside the sign guard band."""
+    """A frequency or dilation value fell within max(guard, rounding
+    bound) of zero, so its sign is not decided."""
 
     code = "indeterminate-sign"
 

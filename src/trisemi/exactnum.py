@@ -1162,15 +1162,46 @@ class BohrCharacter:
         return f"BohrCharacter({list(self.angles)!r})"
 
 
+def _rounded_value(x: Frequency, table: AtomTable) -> tuple[float, float]:
+    """The double value of x, summed term by term, and a bound on its
+    distance from the exact value over the declared doubles.
+
+    A term t_k = (n/d)·atom·e^(a_k) carries at most 5 + |a_k| unit
+    roundoffs u = 2^-53 relative to |t_k|: the quotient n/d, e^(a_k)
+    through the rounded a_k (|a_k|) and the library exp (one ulp, 2u),
+    and two products.  Recursive summation of N terms adds
+    (N - 1)·u·Σ|t_k| (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, §4.2).  So (N + 4 + Σ|a_k|)·u·Σ|t_k| bounds the error to
+    first order, and twice that, the bound returned, covers the rest.
+    """
+    d = x._d
+    v = size = spread = 0.0
+    for atom, n in x._items:
+        t = n / d * atom.numeric(table)
+        v += t
+        size += abs(t)
+        if atom.exp._items:
+            spread += abs(atom.exp.numeric(table))
+    return v, (len(x._items) + 4 + spread) * 2.0**-52 * size
+
+
 def index_sign(
     x: Frequency | DilationIndex, table: AtomTable, guard: float = DEFAULT_GUARD
 ) -> int:
     """Sign of the numeric value of a frequency or dilation index: 0 only
-    for the exact zero.  Values inside the guard band are refused."""
+    for the exact zero.  A value within max(guard, bound) of 0 is refused,
+    where bound is the rounding error bound of the double value.  A
+    dilation value is the correctly rounded double of an exact rational,
+    so its sign is exact and its bound is 0."""
     if x.is_zero():
         return 0
-    v = x.numeric(table)
-    if abs(v) <= guard:
+    if isinstance(x, DilationIndex):
+        v, bound = x.numeric(table), 0.0
+    else:
+        v, bound = _rounded_value(x, table)
+    if abs(v) <= max(guard, bound):
         what = "dilation" if isinstance(x, DilationIndex) else "frequency"
-        raise IndeterminateSign(f"{what} value {v:.3e} inside guard {guard:.1e}")
+        raise IndeterminateSign(
+            f"{what} value {v:.3e} inside guard {guard:.1e} or rounding bound {bound:.1e}"
+        )
     return 1 if v > 0 else -1

@@ -37,6 +37,7 @@ from trisemi import (
     compress,
     first_coeff,
     mul,
+    parse_element,
     support_predicate,
 )
 
@@ -199,6 +200,21 @@ def test_first_coeff(table):
     assert fiber == Element.identity() + Element.m(ONE)
     with pytest.raises(EmptyElement):
         first_coeff(Element.zero(), table)
+
+
+REPRO_FREQ = "622284859645*s2 - 738342608038*s3 + 418175487673978733/1048576"
+
+
+def test_first_coeff_decides_each_comparison_behind_the_guard(table):
+    # s2 - 2 < 0 comes after the zero frequency in key order
+    below = Frequency.atom("s2") + Frequency.rational(-2)
+    x = Element.d(below) + Element.identity()
+    assert first_coeff(x, table) == (below, Element.identity())
+    # the double sum of this frequency reads +2.4e-4, its exact value over
+    # the declared doubles is -3.4e-7, and the rounding bound is 4e-3
+    near = parse_element(f"D({REPRO_FREQ}) + 1")
+    with pytest.raises(IndeterminateSign):
+        first_coeff(near, table)
 
 
 def test_support_predicates(table):

@@ -8,6 +8,8 @@ import pytest
 
 from trisemi import (
     AtomTable,
+    InvalidParameter,
+    NotFound,
     AxisMismatch,
     BasisTooShort,
     BFSpec,
@@ -35,7 +37,7 @@ from trisemi import (
 )
 from trisemi.approx import bf_kernel_many
 
-from helpers import random_ap_element
+from helpers import random_ap_element, random_fraction
 
 ONE = Frequency.rational(1)
 SQRT2 = Frequency.atom("s2")
@@ -57,6 +59,74 @@ def test_rational_basis_handles_dependent_fractions():
     basis = rational_basis([ONE, Frequency.rational(Fraction(1, 7))])
     assert basis.basis == (ONE,)
     assert basis.coords_of(Frequency.rational(Fraction(1, 7))) == (Fraction(1, 7),)
+
+
+def _rank(sums) -> int:
+    """Rank over the rationals of exact sums: dense Fraction elimination
+    on their coefficient matrix."""
+    keys = list({k for f in sums for k, _ in f.terms})
+    rows = [[dict(f.terms).get(k, Fraction(0)) for k in keys] for f in sums]
+    rank = 0
+    for col in range(len(keys)):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            factor = rows[r][col] / rows[rank][col]
+            rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+_FREQ_PARTS = [("ONE", None), ("s2", None), ("s3", None), ("s5", None),
+               ("s2", DilationIndex.unit(1)), ("s3", DilationIndex.single("h"))]
+
+
+def _random_frequency(rng):
+    parts = rng.sample(_FREQ_PARTS, rng.randint(1, 3))
+    return sum((Frequency.atom(b, random_fraction(rng), e) for b, e in parts), Frequency.zero())
+
+
+def _random_dilation(rng):
+    syms = rng.sample(("UNIT", "h", "g", "k"), rng.randint(1, 3))
+    return sum((DilationIndex.single(s, random_fraction(rng)) for s in syms), DilationIndex.zero())
+
+
+def _combination(rng, sums, zero):
+    """A random rational combination of up to three of the given sums."""
+    picks = rng.sample(sums, rng.randint(1, min(3, len(sums))))
+    return sum((f.scale(random_fraction(rng)) for f in picks), zero)
+
+
+@pytest.mark.parametrize("kind", ["frequency", "dilation"])
+def test_rational_basis_matches_an_elimination_oracle(kind):
+    make, zero = {
+        "frequency": (_random_frequency, Frequency.zero()),
+        "dilation": (_random_dilation, DilationIndex.zero()),
+    }[kind]
+    rng = random.Random(f"basis:{kind}")
+    for _ in range(40):
+        inputs = [make(rng) for _ in range(rng.randint(1, 4))]
+        for _ in range(rng.randint(1, 4)):  # planted dependencies, anywhere in the list
+            inputs.insert(rng.randrange(len(inputs) + 1), _combination(rng, inputs, zero))
+        basis = rational_basis(inputs)
+        greedy = []
+        for f in inputs:
+            if _rank(greedy + [f]) > len(greedy):
+                greedy.append(f)
+        assert basis.basis == tuple(greedy)
+        assert len(basis) == _rank(inputs)
+        again = rational_basis(basis.basis)  # knows the inputs outside the basis only by elimination
+        queries = [_combination(rng, inputs, zero) for _ in range(4)] + [make(rng) for _ in range(4)]
+        for f in inputs + queries:
+            coords = basis.coords_of(f)
+            if _rank(greedy + [f]) > len(greedy):
+                assert coords is None
+                continue
+            assert len(coords) == len(basis)
+            assert sum((b.scale(c) for b, c in zip(basis.basis, coords)), zero) == f
+            assert coords == again.coords_of(f)
 
 
 def test_bf_weights_on_the_unit_shift():
@@ -221,3 +291,34 @@ def test_recurrence_not_found():
 
     with pytest.raises(NotFound):
         recurrence_search([1.0], 1e-9, 50)
+
+
+def _first_recurrence(freqs, eps, limit):
+    """Brute force: the first M with max_f 2|sin(f M / 2)| < eps."""
+    return next(
+        (m for m in range(1, limit + 1) if max(2.0 * abs(math.sin(0.5 * f * m)) for f in freqs) < eps),
+        None,
+    )
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (InvalidParameter, NotFound) as exc:
+        return type(exc), str(exc)
+
+
+def test_recurrence_search_is_the_head_of_the_schedule():
+    rng = random.Random("recurrence")
+    for _ in range(40):
+        freqs = [rng.uniform(0.1, 5.0) for _ in range(rng.randint(1, 3))]
+        eps = rng.uniform(0.02, 0.6)
+        limit = rng.choice([50, 2000])
+        search = _outcome(recurrence_search, freqs, eps, limit)
+        schedule = _outcome(recurrence_schedule, freqs, eps, limit)
+        assert search == (schedule[0] if isinstance(schedule, list) else schedule)
+        assert _first_recurrence(freqs, eps, limit) == (search if isinstance(search, int) else None)
+    for eps, limit in ((0.0, 10), (-1.0, 10), (0.1, 0), (0.1, -3), (0.0, 0), (1e-9, 50)):
+        search = _outcome(recurrence_search, [1.0], eps, limit)
+        assert search == _outcome(recurrence_schedule, [1.0], eps, limit)
+        assert search[0] is (NotFound if eps > 0 and limit > 0 else InvalidParameter)

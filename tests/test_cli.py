@@ -357,6 +357,46 @@ def test_guard_zero_stays_legal_and_the_default_guard_refuses(capsys):
     assert json.loads(err)["error"]["code"] == "indeterminate-sign"
 
 
+def test_a_sign_inside_its_rounding_bound_is_refused(tmp_path, capsys):
+    # the double sum reads +2.4e-4; the exact value over the declared
+    # doubles is -3.4e-7, inside the rounding bound 4.0e-3
+    cfg = tmp_path / "atoms.ini"
+    cfg.write_text("[atoms]\ns2 = 1.4142135623730951\ns3 = 1.7320508075688772\n")
+    expr = "M(622284859645*s2 - 738342608038*s3 + 418175487673978733/1048576)"
+    assert run(["--config", str(cfg), "--json", "support", "--algebra", "aph", expr]) == 2
+    out, err = out_of(capsys)
+    assert out == ""
+    assert json.loads(err)["error"]["code"] == "indeterminate-sign"
+
+
+# the command-line examples of the README, the last one an error record
+_README_EXAMPLES = [
+    ["normalize", "D(1)*M(1)"],
+    ["--json", "ideal-test", "--ideal", "cph", "M(1)*V(1) - M(2)*V(1)"],
+    ["bf", "--m", "3", "D(1)"],
+    ["recurrence", "--freqs", "1", "--eps", "0.05", "--limit", "100000"],
+    ["--json", "support", "--algebra", "ap", "M(s2)"],
+]
+
+
+def test_runs_in_one_process_share_no_state():
+    # the parser is built once per process: the examples, run forwards and
+    # then backwards, print the same bytes each time
+    def outputs(order):
+        got = {}
+        for i in order:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run(list(_README_EXAMPLES[i]))
+            got[i] = (code, out.getvalue(), err.getvalue())
+        return got
+
+    order = range(len(_README_EXAMPLES))
+    forwards = outputs(order)
+    assert forwards == outputs(reversed(order))
+    assert [forwards[i][0] for i in order] == [0, 0, 0, 0, 2]
+
+
 def test_load_config_missing_file():
     with pytest.raises(ParseError):
         load_config("/nonexistent/path.ini")

@@ -146,6 +146,38 @@ def test_freq_sign_guard_band():
     assert index_sign(Frequency.zero(), table) == 0
 
 
+def test_sign_decisions_respect_the_rounding_bound(table):
+    # Near-cancellations a*s2 + b*s3 + r with exact value +-10^-k over the
+    # declared doubles, |a| log-uniform in [1, 10^12].  The double sum is
+    # off by up to ~1e-4 at |a| ~ 10^12, far outside the guard: a sign is
+    # either right or refused.
+    s2, s3 = Fraction(table.atom_value("s2")), Fraction(table.atom_value("s3"))
+    rng = random.Random("sign-sweep")
+    decided = wrong = 0
+    for _ in range(2000):
+        a = rng.choice((-1, 1)) * round(10 ** rng.uniform(0, 12))
+        b = -round(a * math.sqrt(2) / math.sqrt(3))
+        want = rng.choice((-1, 1)) * Fraction(1, 10 ** rng.randint(4, 8))
+        x = Frequency.atom("s2", a) + Frequency.atom("s3", b) + Frequency.rational(want - a * s2 - b * s3)
+        assert x.exact_numeric(table) == want
+        for guard in (exactnum.DEFAULT_GUARD, 0.0):
+            try:
+                sign = index_sign(x, table, guard)
+            except IndeterminateSign:
+                continue
+            decided += 1
+            wrong += sign != (1 if want > 0 else -1)
+    assert wrong == 0
+    assert decided > 1000
+    # a dilation value is the rounded exact rational: its sign is exact
+    dil = AtomTable({}, {"h": math.pi / 4})
+    h = Fraction(math.pi / 4)
+    for k in range(4, 16):
+        for want in (Fraction(1, 10**k), -Fraction(1, 10**k)):
+            t = DilationIndex.single("h", 10**12) + DilationIndex.unit(want - 10**12 * h)
+            assert index_sign(t, dil, guard=0.0) == (1 if want > 0 else -1)
+
+
 def test_dilation_sign():
     table = AtomTable({}, {"h": 0.5})
     assert index_sign(DilationIndex.unit(Fraction(1, 8)), table) == 1
