@@ -26,7 +26,6 @@ from .errors import (
     IndeterminateSign,
     InvalidParameter,
     InvalidScale,
-    NonIntegerLattice,
     NotFound,
     NotInAmbient,
     NotInDomain,

@@ -26,6 +26,7 @@ from .exactnum import (
     AtomTable,
     BohrCharacter,
     DEFAULT_GUARD,
+    DEFAULT_TABLE,
     DilationIndex,
     Frequency,
     PhaseExponent,
@@ -207,6 +208,17 @@ def conjugate(x: Element, u: Element) -> Element:
     return mul(mul(adjoint(u), x), u)
 
 
+def _parse_name(cls: type[Enum], names: Mapping, what: str, name):
+    """A member of cls as given, or names[text] for the text stripped, in
+    lower case and with _ for -; InvalidParameter names what on a miss."""
+    if isinstance(name, cls):
+        return name
+    try:
+        return names[str(name).strip().lower().replace("_", "-")]
+    except KeyError:
+        raise InvalidParameter(f"unknown {what} {name!r}") from None
+
+
 class Axis(Enum):
     """Coefficient axis of the triple semi-crossed product: E reads
     translation fibers, Z modulation fibers, H dilation fibers.  Every
@@ -226,12 +238,7 @@ class Axis(Enum):
     @classmethod
     def parse(cls, name: "Axis | str") -> "Axis":
         """An axis, or its letter or grading name in any case."""
-        if isinstance(name, cls):
-            return name
-        try:
-            return _AXIS_NAMES[str(name).strip().lower()]
-        except KeyError:
-            raise InvalidParameter(f"unknown grading {name!r}") from None
+        return _parse_name(cls, _AXIS_NAMES, "grading", name)
 
     @property
     def grading(self) -> str:
@@ -329,12 +336,7 @@ class AlgebraId(Enum):
     def parse(cls, name: "AlgebraId | str") -> "AlgebraId":
         """An algebra, its value, its member name in any case, or one of
         the run-together aliases."""
-        if isinstance(name, cls):
-            return name
-        try:
-            return _ALGEBRA_NAMES[str(name).strip().lower().replace("_", "-")]
-        except KeyError:
-            raise InvalidParameter(f"unknown algebra {name!r}") from None
+        return _parse_name(cls, _ALGEBRA_NAMES, "algebra", name)
 
 
 _ALGEBRA_NAMES = {
@@ -396,7 +398,7 @@ class AutomorphismSpec:
     """Twisted dilation conjugation.
 
     Sends coeff*M(lam)D(mu)V(s) to
-    coeff * modchar(lam) * shiftchar(mu) * e^{i v_angle numeric(s)}
+    coeff * modchar(lam) * shiftchar(mu) * e^{i v_angle s.exact_numeric(table)}
           * M(e^dil lam) D(e^-dil mu) V(s).
     The twist angles are exact rationals, so the map stays inside the
     exact layer.
@@ -409,9 +411,8 @@ class AutomorphismSpec:
 
 
 def apply_automorphism(
-    x: Element, spec: AutomorphismSpec, table: AtomTable | None = None
+    x: Element, spec: AutomorphismSpec, table: AtomTable = DEFAULT_TABLE
 ) -> Element:
-    table = table or AtomTable.default()
     out: dict[Key, Scalar] = {}
     for (lam, mu, t), c in x.terms.items():
         angle = spec.mod_char.angle(lam) + spec.shift_char.angle(mu)
@@ -461,14 +462,10 @@ class CompressionMode(Enum):
 
     @classmethod
     def parse(cls, name: "CompressionMode | str") -> "CompressionMode":
-        if isinstance(name, cls):
-            return name
-        try:
-            return cls(str(name).strip().lower().replace("_", "-"))
-        except ValueError:
-            raise InvalidParameter(f"unknown compression mode {name!r}") from None
+        return _parse_name(cls, _MODE_NAMES, "compression mode", name)
 
 
+_MODE_NAMES = {mode.value: mode for mode in CompressionMode}
 # per mode, the axis and step sign of the unitary u in u* x u: translation
 # is D(n) x D(-n), dilation-in V(-n) x V(n) and dilation-out V(n) x V(-n)
 _COMPRESSIONS = {

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import Axis, Element
-from .errors import BasisTooShort, InvalidParameter, NonIntegerLattice, NotFound
-from .exactnum import _ZERO, AtomTable, DilationIndex, Frequency, Scalar, _frac
+from .errors import BasisTooShort, InvalidParameter, NotFound
+from .exactnum import _ZERO, DEFAULT_TABLE, AtomTable, DilationIndex, Frequency, Scalar, _frac
 
 
 # ------------------------------------------------------------ rational basis
@@ -154,24 +154,20 @@ def _weighted(x: Element, axis: Axis, weights: dict) -> Element:
     return Element({key: coeff * Scalar.from_rational(w) for key, coeff, w in scaled if w})
 
 
-def bochner_fejer(x: Element, spec: BFSpec, strict: bool = False) -> Element:
+def bochner_fejer(x: Element, spec: BFSpec) -> Element:
     """Weighted section of x along the grading of the given spec.
 
     Terms keep their keys; each coefficient is scaled by its index's
     ``section_weights`` entry.  Support points whose coordinates miss
-    the order-m lattice (weight 0) are dropped, or rejected with
-    NonIntegerLattice when strict is set.
+    the order-m lattice have weight 0 and are dropped, as the weighted
+    sum defines.
     """
-    weights = section_weights(x, spec)
-    if strict and not all(weights.values()):
-        raise NonIntegerLattice(f"a support index misses the order-{spec.m} lattice")
-    return _weighted(x, spec.grading, weights)
+    return _weighted(x, spec.grading, section_weights(x, spec))
 
 
-def bf_report(x: Element, grading, m_values, table: AtomTable | None = None):
+def bf_report(x: Element, grading, m_values, table: AtomTable = DEFAULT_TABLE):
     """Convergence rows (m, weights, l1 error) for the CLI table, one
     weight pass per order."""
-    table = table or AtomTable.default()
     rows = []
     for m in m_values:
         spec = BFSpec(m, grading)
@@ -184,7 +180,7 @@ def bf_report(x: Element, grading, m_values, table: AtomTable | None = None):
 # ------------------------------------------------------------- gauge twists
 
 
-def gauge(x: Element, grading, theta, table: AtomTable | None = None) -> Element:
+def gauge(x: Element, grading, theta, table: AtomTable = DEFAULT_TABLE) -> Element:
     """Twist each coefficient by the unimodular e^{i theta * index}.
 
     Angles are exact rational multiples whenever the grading index has
@@ -193,7 +189,6 @@ def gauge(x: Element, grading, theta, table: AtomTable | None = None) -> Element
     the nose; otherwise the angle rounds through a double.
     """
     axis = Axis.parse(grading)
-    table = table or AtomTable.default()
     theta_q = _frac(theta)
     out: dict = {}
     for key, coeff in x.terms.items():
@@ -213,7 +208,7 @@ def cesaro_mean(
     s,
     T: float,
     steps: int = 4096,
-    table: AtomTable | None = None,
+    table: AtomTable = DEFAULT_TABLE,
 ) -> Element:
     """Trapezoid quadrature of the gauge integral at grading index s.
 
@@ -221,7 +216,6 @@ def cesaro_mean(
     result carries the stripped keys of the matching axis map.
     """
     axis = Axis.parse(grading)
-    table = table or AtomTable.default()
     if not T > 0:
         raise InvalidParameter("averaging length T must be positive")
     if T == math.inf:
@@ -248,18 +242,17 @@ def cesaro_mean(
 # ---------------------------------------------------------- summation kernel
 
 
-def bf_kernel(basis: RationalBasis, m: int, t: float, table: AtomTable | None = None) -> float:
+def bf_kernel(basis: RationalBasis, m: int, t: float, table: AtomTable = DEFAULT_TABLE) -> float:
     return float(bf_kernel_many(basis, m, [t], table)[0])
 
 
-def bf_kernel_many(basis: RationalBasis, m: int, ts, table: AtomTable | None = None):
+def bf_kernel_many(basis: RationalBasis, m: int, ts, table: AtomTable = DEFAULT_TABLE):
     if m < 1:
         raise InvalidParameter("kernel order m must be at least 1")
     if m > len(basis):
         raise BasisTooShort(f"kernel order {m} exceeds basis length {len(basis)}")
     from . import _kernels
 
-    table = table or AtomTable.default()
     betas = [b.numeric(table) for b in basis.basis[:m]]
     return _kernels.bf_kernel_values(ts, betas, math.factorial(m))
 

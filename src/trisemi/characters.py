@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import AlgebraId, Axis, Element, side_sums, support_predicate
+from .config import GROUP_R, GROUP_Z
 from .errors import (
     GroupModeError,
     InvalidParameter,
@@ -30,6 +31,7 @@ from .exactnum import (
     _dil_as_frequency,
     _frac,
     DEFAULT_GUARD,
+    DEFAULT_TABLE,
 )
 
 # ---------------------------------------------------------------- AP points
@@ -135,11 +137,11 @@ class HalfPlanePoint:
         return out
 
 
-def vanishing_point(group: str = "Z"):
+def vanishing_point(group: str = GROUP_Z):
     """The dilation-side point that kills every V_t with t > 0."""
-    if group == "Z":
+    if group == GROUP_Z:
         return DiscPoint(0j)
-    if group == "R":
+    if group == GROUP_R:
         return HalfPlanePoint(APPoint.infinity())
     raise GroupModeError(f"unknown group mode {group!r}")
 
@@ -158,7 +160,8 @@ _FAMILIES = {
 
 @dataclass(frozen=True)
 class TripleCharacter:
-    """One multiplicative functional from the classified families.
+    """One multiplicative functional from the classified families, read
+    through one point on the axis its family keeps (``_FAMILIES``).
 
     d1 keeps the multiplication axis (an AP point) and kills the other
     two; d2 keeps the translation axis.  d3 and d4 send the kept axis
@@ -170,8 +173,7 @@ class TripleCharacter:
     """
 
     family: str
-    ap: APPoint | None = None
-    v: object | None = None
+    point: APPoint | DiscPoint | HalfPlanePoint
     trusted: bool = True
 
     def __post_init__(self):
@@ -180,47 +182,42 @@ class TripleCharacter:
 
     @classmethod
     def d1(cls, p: APPoint) -> "TripleCharacter":
-        return cls("d1", ap=p)
+        return cls("d1", p)
 
     @classmethod
     def d2(cls, p: APPoint) -> "TripleCharacter":
-        return cls("d2", ap=p)
+        return cls("d2", p)
 
     @classmethod
     def d3(cls, v) -> "TripleCharacter":
-        return cls("d3", v=v)
+        return cls("d3", v)
 
     @classmethod
     def d4(cls, v) -> "TripleCharacter":
-        return cls("d4", v=v)
+        return cls("d4", v)
 
     @classmethod
     def chi0(cls, v) -> "TripleCharacter":
-        trusted = v.is_vanishing()
-        return cls("chi0", v=v, trusted=trusted)
+        return cls("chi0", v, trusted=v.is_vanishing())
 
     @classmethod
-    def chi_inf(cls, group: str = "Z") -> "TripleCharacter":
+    def chi_inf(cls, group: str = GROUP_Z) -> "TripleCharacter":
         """Constant term functional: the glue point of the two discs."""
         return cls.chi0(vanishing_point(group))
 
     def describe(self) -> dict:
-        out = {"family": self.family, "trusted": self.trusted}
-        if self.ap is not None:
-            out["point"] = self.ap.describe()
-        if self.v is not None:
-            out["dilation_point"] = self.v.describe()
-        return out
+        reads = _FAMILIES[self.family][1]
+        key = "dilation_point" if reads is Axis.DILATION else "point"
+        return {"family": self.family, "trusted": self.trusted, key: self.point.describe()}
 
 
 def eval_character(
     chi: TripleCharacter,
     x: Element,
-    table: AtomTable | None = None,
+    table: AtomTable = DEFAULT_TABLE,
     guard: float = DEFAULT_GUARD,
 ) -> complex:
     """Multiplicative-linear extension of the family rule to a polynomial."""
-    table = table or AtomTable.default()
     if not support_predicate(x, AlgebraId.APH_G_PLUS, table, guard):
         raise NotInDomain("element leaves the triple semigroup algebra")
     if not chi.trusted:
@@ -230,12 +227,11 @@ def eval_character(
             stacklevel=2,
         )
     killed, reads = _FAMILIES[chi.family]
-    point = chi.v if reads is Axis.DILATION else chi.ap
     total = 0.0 + 0.0j
     for key, coeff in x.sorted_terms():
         # the point sees every term, so a killed term still raises when
         # its index is outside the point's domain
-        val = point.value(reads.index(key), table)
+        val = chi.point.value(reads.index(key), table)
         if val != 0 and all(axis.index(key).is_zero() for axis in killed):
             total += coeff.numeric(table) * val
     return total
@@ -249,7 +245,7 @@ def composite_eval(
     x: Element,
     side: str,
     t: DilationIndex | None = None,
-    table: AtomTable | None = None,
+    table: AtomTable = DEFAULT_TABLE,
 ) -> complex:
     """Origin evaluation of one function axis of the dilation fiber at t.
 
@@ -259,7 +255,6 @@ def composite_eval(
     linear functionals but fail multiplicativity (a single V_t already
     breaks it), so no character object is built for them.
     """
-    table = table or AtomTable.default()
     killed = _SIDES.get(side)
     if killed is None:
         raise InvalidParameter("side must be 'm' or 'd'")

@@ -144,8 +144,7 @@ def _build_character(args, cfg: RunConfig) -> TripleCharacter:
 
     fam = args.family
     if fam in ("d1", "d2"):
-        point = _ap_point(args.y, args.angles)
-        return TripleCharacter.d1(point) if fam == "d1" else TripleCharacter.d2(point)
+        return getattr(TripleCharacter, fam)(_ap_point(args.y, args.angles))
     if fam in ("d3", "d4", "chi0"):
         if args.w is None:
             v = vanishing_point(cfg.group)
@@ -156,7 +155,7 @@ def _build_character(args, cfg: RunConfig) -> TripleCharacter:
         return getattr(TripleCharacter, fam)(v)
     if fam == "chi_inf":
         return TripleCharacter.chi_inf(cfg.group)
-    raise ParseError(f"unknown character family {fam!r}")
+    raise InvalidParameter(f"unknown character family {fam!r}")
 
 
 # ---------------------------------------------------------------- handlers
@@ -464,15 +463,14 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="emit all successive minima instead of the first hit")
 
     p = cmd("char-eval", _cmd_char_eval, "evaluate a character on an element")
-    p.add_argument("--family", required=True,
-                   choices=["d1", "d2", "d3", "d4", "chi0", "chi_inf"])
+    p.add_argument("--family", required=True, help="d1, d2, d3, d4, chi0 or chi_inf")
     p.add_argument("--y", help="decay, a rational or 'inf' (d1/d2)")
     p.add_argument("--angles", help="atom=p/q,... exact character angles")
     p.add_argument("--w", help="dilation point: re[,im] for Z, decay or 'inf' for R")
     p.add_argument("expr")
 
     p = cmd("ideal-test", _cmd_ideal_test, "polynomial ideal membership")
-    p.add_argument("--ideal", required=True, choices=["cp", "cph", "i0", "jt"])
+    p.add_argument("--ideal", required=True, help="cp, cph, i0 or jt")
     p.add_argument("--t", type=parse_dilation, help="dilation step for jt")
     p.add_argument("expr")
 
@@ -508,8 +506,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("expr")
 
     p = cmd("sim-wot", _cmd_sim_wot, "compression convergence toward the WOT limit")
-    p.add_argument("--mode", required=True,
-                   choices=["translation", "dilation-in", "dilation-out"])
+    p.add_argument("--mode", required=True, help="translation, dilation-in or dilation-out")
     p.add_argument("--schedule", type=_int_list, required=True)
     p.add_argument("expr")
 

@@ -23,10 +23,10 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import GroupModeError, InvalidParameter, ParseError
-from .exactnum import DEFAULT_GUARD, AtomTable
+from .exactnum import DEFAULT_GUARD, DEFAULT_TABLE, AtomTable
 
 __all__ = ["RunConfig", "load_config", "GROUP_Z", "GROUP_R"]
 
@@ -46,7 +46,7 @@ def checked_guard(guard: float) -> float:
 class RunConfig:
     """Resolved settings shared by the CLI subcommands."""
 
-    table: AtomTable = field(default_factory=AtomTable.default)
+    table: AtomTable = DEFAULT_TABLE
     group: str = GROUP_Z
     guard: float = DEFAULT_GUARD
     seed: int = 0

@@ -74,16 +74,6 @@ class BasisTooShort(EngineError):
     code = "basis-too-short"
 
 
-class NonIntegerLattice(EngineError):
-    """A support coordinate that misses the factorial summation lattice.
-
-    Raised only in strict mode; the default section behaviour drops the
-    offending term, matching the definition of the weighted sum.
-    """
-
-    code = "non-integer-lattice"
-
-
 class NotFound(EngineError):
     code = "not-found"
 

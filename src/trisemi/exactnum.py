@@ -421,7 +421,9 @@ class PhaseMonomial:
         return "*".join(self.bases) or ONE_ATOM
 
     def __eq__(self, other) -> bool:
-        return type(other) is PhaseMonomial and self.bases == other.bases and self.exp == other.exp
+        if type(other) is not PhaseMonomial or self.bases != other.bases:
+            return False
+        return self.exp is other.exp or self.exp == other.exp
 
     def __hash__(self) -> int:
         h = self._hash
@@ -1100,7 +1102,7 @@ class AtomTable:
 
     @classmethod
     def default(cls) -> "AtomTable":
-        return cls()
+        return DEFAULT_TABLE
 
     def atom_value(self, name: str) -> float:
         try:
@@ -1113,6 +1115,10 @@ class AtomTable:
             return self.dilation[sym]
         except KeyError:
             raise NotFound(f"dilation symbol {sym!r} is not declared") from None
+
+
+# the default of every table parameter; shared, so nothing writes to it
+DEFAULT_TABLE = AtomTable()
 
 
 class BohrCharacter:

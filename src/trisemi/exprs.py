@@ -241,10 +241,7 @@ class _Parser:
     # rationals ------------------------------------------------------
 
     def rational(self) -> Fraction:
-        neg = False
-        while self.peek().kind in "+-":
-            if self.advance().kind == "-":
-                neg = not neg
+        """An unsigned ``p`` or ``p/q``; the caller has taken the sign."""
         tok = self.expect("num")
         q = Fraction(tok.text)
         if self.peek().kind == "/" and self.peek(1).kind == "num":
@@ -254,7 +251,7 @@ class _Parser:
             if not d:
                 raise ParseError("zero denominator", (den.pos, den.pos + len(den.text)))
             q /= d
-        return -q if neg else q
+        return q
 
     # rational combinations ------------------------------------------
 

@@ -5,7 +5,8 @@ Membership is decided by exact coefficient conditions on polynomials.
 Certificates come in two flavours: an exact commutator pair whose
 re-expansion reproduces the target on the nose, and a numeric
 telescoping combination of dilation-difference generators checked by
-coefficient matching at 10^-9.
+coefficient matching at one tolerance, 10^-9: frequencies closer than it
+merge, and the merged residual must be below it.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .errors import DegeneratePhase, InvalidParameter, InvalidScale, NotInAmbien
 from .exactnum import (
     AtomTable,
     DEFAULT_GUARD,
+    DEFAULT_TABLE,
     DilationIndex,
     Frequency,
     PhaseExponent,
@@ -31,6 +33,9 @@ _KINDS = ("cp", "cph", "i0", "jt")
 # most dilation steps a J_t telescope walks; about log(lam)/t are needed
 _MAX_TELESCOPE = 10**5
 _ZERO_KEY = (Frequency.zero(), Frequency.zero(), DilationIndex.zero())
+# the numeric certificate policy as printed, and its tolerance
+_POLICY = "residual<1e-9"
+_TOL = float(_POLICY.partition("<")[2])
 
 
 @dataclass(frozen=True)
@@ -72,11 +77,10 @@ def _require_m_only(x: Element):
 def in_ideal(
     x: Element,
     ideal: IdealId,
-    table: AtomTable | None = None,
+    table: AtomTable = DEFAULT_TABLE,
     guard: float = DEFAULT_GUARD,
 ) -> bool:
     """Exact coefficient test for membership in the given ideal."""
-    table = table or AtomTable.default()
     if ideal.kind == "cp":
         if not support_predicate(x, AlgebraId.AP, table, guard):
             raise NotInAmbient("element leaves the parabolic algebra")
@@ -224,15 +228,15 @@ def jt_reduce(lam: float, t: float) -> TelescopeCertificate:
 # ------------------------------------------------------------- verification
 
 
-def _merge_tolerant(entries: list, tol: float) -> float:
-    """Largest cluster-sum modulus after merging nearby frequencies."""
+def _merge_tolerant(entries: list) -> float:
+    """Largest cluster-sum modulus after merging frequencies within _TOL."""
     entries = sorted(entries)
     worst = 0.0
     i = 0
     while i < len(entries):
         j = i + 1
         freq, coeff = entries[i]
-        while j < len(entries) and entries[j][0] - entries[j - 1][0] <= tol:
+        while j < len(entries) and entries[j][0] - entries[j - 1][0] <= _TOL:
             coeff += entries[j][1]
             j += 1
         worst = max(worst, abs(coeff))
@@ -240,19 +244,19 @@ def _merge_tolerant(entries: list, tol: float) -> float:
     return worst
 
 
-def certificate_residual(cert: Certificate, tol: float = 1e-9) -> float:
+def certificate_residual(cert: Certificate) -> float:
     if isinstance(cert, CommutatorCertificate):
         d = Element.d(cert.s)
         achieved = mul(cert.f, d) - mul(d, cert.f)
         return 0.0 if achieved == cert.target else math.inf
     entries = [(f, c) for f, c in cert.expand().items()]
     entries += [(f, -c) for f, c in cert.target().items()]
-    return _merge_tolerant(entries, tol)
+    return _merge_tolerant(entries)
 
 
-def verify_certificate(cert: Certificate, tol: float = 1e-9) -> bool:
+def verify_certificate(cert: Certificate) -> bool:
     """Re-expand the certificate and compare against its target."""
-    return certificate_residual(cert, tol) < tol
+    return certificate_residual(cert) < _TOL
 
 
 def certificate_dict(cert: Certificate) -> dict:
@@ -276,7 +280,7 @@ def certificate_dict(cert: Certificate) -> dict:
         "items": [
             {"sign": s, "kappa": k, "mu": m} for s, k, m in cert.items
         ],
-        "policy": "residual<1e-9",
+        "policy": _POLICY,
         "residual": residual,
-        "verified": residual < 1e-9,  # verify_certificate at its default tolerance
+        "verified": residual < _TOL,
     }

@@ -36,6 +36,7 @@ from .errors import (
     ScheduleTooShort,
 )
 from .exactnum import (
+    DEFAULT_TABLE,
     AtomTable,
     DilationIndex,
     _exp,
@@ -188,19 +189,16 @@ def _act(x: Element, f: PacketSum, table: AtomTable) -> PacketSum:
     return f.dilate(t).translate(mu).modulate(lam).scale(z[:, None])
 
 
-def apply_element(
-    x: Element, f: PacketSum, table: AtomTable | None = None
-) -> PacketSum:
+def apply_element(x: Element, f: PacketSum, table: AtomTable = DEFAULT_TABLE) -> PacketSum:
     """Act by the concrete operator sum: dilate, then shift, then modulate."""
-    out = _act(x, f, table or AtomTable.default())
+    out = _act(x, f, table)
     return PacketSum._of(*(v.ravel() for v in out._params))
 
 
-def apply_word(word, f: PacketSum, table: AtomTable | None = None) -> PacketSum:
+def apply_word(word, f: PacketSum, table: AtomTable = DEFAULT_TABLE) -> PacketSum:
     """Apply one-term letters c M(lam) D(mu) V(t) literally, rightmost
     factor first: each nonzero index by its packet action, then the
     coefficient, so a generator letter is one action."""
-    table = table or AtomTable.default()
     current = f
     for letter in reversed(list(word)):
         if not isinstance(letter, Element) or len(letter.terms) != 1:
@@ -265,7 +263,7 @@ def norm_lower_bound(
     x: Element,
     trials: int,
     seed: int = 0,
-    table: AtomTable | None = None,
+    table: AtomTable = DEFAULT_TABLE,
 ) -> float:
     """Best Rayleigh quotient over seeded random packets.
 
@@ -279,7 +277,7 @@ def norm_lower_bound(
         raise InvalidParameter("seed must be non-negative")
     a, b, c = sample_widths_centers(np.random.default_rng(seed), trials)
     f = PacketSum._of(*np.array([np.ones(trials), a, b, c], dtype=np.complex128))
-    image = _act(x, f, table or AtomTable.default())
+    image = _act(x, f, table)
     # trial i of every term against trial i of every term
     left = (v[:, None] for v in image._params)
     right = (v[None, :] for v in image._params)
@@ -332,7 +330,7 @@ def lr_apply(
     x: Element,
     v: LRVector,
     grading: Axis | str = Axis.TRANSLATION,
-    table: AtomTable | None = None,
+    table: AtomTable = DEFAULT_TABLE,
 ) -> LRVector:
     """Act on the left regular representation along the chosen grading.
 
@@ -342,7 +340,6 @@ def lr_apply(
     """
     axis = _lr_axis(grading)
     axis.check_support(x)
-    table = table or AtomTable.default()
     out = LRVector()
     translation = axis is Axis.TRANSLATION
     for key, coeff in x.sorted_terms():
@@ -366,7 +363,7 @@ def column_norms(
     x: Element,
     xi: PacketSum,
     grading: Axis | str = Axis.TRANSLATION,
-    table: AtomTable | None = None,
+    table: AtomTable = DEFAULT_TABLE,
 ) -> tuple[float, float]:
     """Both sides of the column norm identity, independently computed.
 
@@ -376,7 +373,6 @@ def column_norms(
     applied to the packet directly.
     """
     axis = _lr_axis(grading)
-    table = table or AtomTable.default()
     lhs = lr_apply(x, LRVector.delta(axis.index_type.zero(), xi), axis, table).norm_sq()
 
     rhs = 0.0
@@ -443,10 +439,9 @@ def wot_compression_demo(
     g: PacketSum,
     mode,
     schedule,
-    table: AtomTable | None = None,
+    table: AtomTable = DEFAULT_TABLE,
 ) -> ConvergenceReport:
     """Track matrix entries of the compressions along a schedule."""
-    table = table or AtomTable.default()
     schedule = [int(n) for n in schedule]
     if len(schedule) < 2:
         raise ScheduleTooShort(

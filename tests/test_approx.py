@@ -1,5 +1,6 @@
 """Bochner-Fejer sums, gauge twists, Cesaro means, recurrence scans."""
 
+import cmath
 import math
 import random
 from fractions import Fraction
@@ -18,7 +19,6 @@ from trisemi import (
     Element,
     Frequency,
     M,
-    NonIntegerLattice,
     Sc,
     Scalar,
     V,
@@ -29,6 +29,7 @@ from trisemi import (
     gauge,
     mul,
     parse_element,
+    parse_frequency,
     rational_basis,
     recurrence_schedule,
     recurrence_search,
@@ -182,8 +183,6 @@ def test_bf_non_integer_lattice_handling():
     assert out.coefficient(key).is_zero()
     kept = (Frequency.zero(), ONE, DilationIndex.zero())
     assert out.coefficient(kept) == Scalar.from_rational(Fraction(1, 2))
-    with pytest.raises(NonIntegerLattice):
-        bochner_fejer(x, spec, strict=True)
 
 
 def test_bf_basis_too_short():
@@ -218,6 +217,17 @@ def test_gauge_pi_flips_the_sign(table):
     key = (Frequency.zero(), ONE, DilationIndex.zero())
     val = out.coefficient(key).numeric(table)
     assert val == pytest.approx(-1.0, abs=1e-12)
+
+
+def test_gauge_rounds_the_angle_of_an_exponent_bearing_index(table):
+    # s2*e has no exact rational value, so the angle rounds through a double
+    idx = parse_frequency("s2@{1}")
+    theta = 0.3
+    out = gauge(Element.d(idx), "translation", theta, table)
+    coeff = out.coefficient((Frequency.zero(), idx, DilationIndex.zero()))
+    assert coeff == Scalar.rational_angle(Fraction(theta * idx.numeric(table)))
+    want = cmath.exp(1j * theta * table.atom_value("s2") * math.e)
+    assert coeff.numeric(table) == pytest.approx(want, abs=1e-12)
 
 
 def test_dilation_grading_basis_reads_the_dilation_table():

@@ -173,6 +173,8 @@ _TINY = ["support", "--algebra", "aph", "M(1/1000000000000)*V(1)"]
         ["sim-norm-bound", "--seed", "-1", "M(1)"],
         # a NaN or negative sign guard would switch refusal off altogether
         *(["--guard", g, *_TINY] for g in ("nan", "inf", "-1")),
+        ["ideal-test", "--ideal", "zz", "M(1)"],
+        ["sim-wot", "--mode", "zz", "--schedule", "1,2", "M(1)"],
     ],
 )
 def test_invalid_parameter_exits_2_with_a_record(capsys, argv):

@@ -60,7 +60,7 @@ _EXPORTS = {
     "errors": """AtomCollisionWarning AxisMismatch BasisTooShort DegeneratePhase
         DivergentPacket DivisionByZero EmptyElement EngineError GroupModeError
         IndeterminateSign InvalidParameter InvalidScale
-        NonIntegerLattice NotFound NotInAmbient NotInDomain
+        NotFound NotInAmbient NotInDomain
         NumericOverflow ParseError ScheduleTooShort UntrustedCharacterWarning""",
     "exactnum": """AtomTable BohrCharacter DilationIndex Frequency FrequencyAtom
         PhaseExponent PhaseMonomial PhaseSum QI Scalar index_sign""",
@@ -275,6 +275,42 @@ def test_the_integer_hot_path_names_no_fraction():
         if words & {"Fraction", "_frac"}:
             named[name] = sorted(words & {"Fraction", "_frac"})
     assert not named, f"Fraction on the integer hot path: {named}"
+
+
+def _is_default_table_call(node: ast.AST) -> bool:
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "default"
+        and getattr(node.func.value, "id", None) == "AtomTable"
+    )
+
+
+def test_each_default_table_and_name_set_has_one_owner():
+    # a table parameter defaults to the one shared table instead of
+    # building a fresh one per call, and the CLI keeps no copy of a name
+    # set that its library owner already validates
+    package = Path(trisemi.__file__).resolve().parent
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in sorted(package.glob("*.py"))}
+    fresh = [
+        f"{name}:{node.lineno}"
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.BoolOp)
+        and isinstance(node.op, ast.Or)
+        and any(_is_default_table_call(v) for v in node.values)
+    ]
+    assert not fresh, "table or AtomTable.default():\n" + "\n".join(fresh)
+    build = next(
+        node for node in ast.walk(trees["cli.py"])
+        if isinstance(node, ast.FunctionDef) and node.name == "_build_parser"
+    )
+    choices = [
+        f"cli.py:{node.value.lineno}"
+        for node in ast.walk(build)
+        if isinstance(node, ast.keyword) and node.arg == "choices"
+    ]
+    assert not choices, "argparse choices in _build_parser:\n" + "\n".join(choices)
 
 
 def _raised_names(path: Path) -> set[str]:

@@ -1,5 +1,6 @@
 """Commutator ideal membership, generator certificates, telescoping."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -164,6 +165,24 @@ def test_jt_reduce_oracles():
     # lam < 1 exercises the negative-step branch
     low = jt_reduce(0.37, 0.9)
     assert verify_certificate(low)
+
+
+@pytest.mark.parametrize(
+    "lam, t", [(0.0036978637164829316, 0.7), (0.8025187979624784, 0.01)]
+)
+def test_jt_reduce_floor_corrections(lam, t):
+    # log(lam)/t rounds onto the wrong side of an integer, so the first
+    # floor leaves rho outside [1, e^t): below 1 for the first input, at
+    # e^t or above for the second
+    n = math.floor(math.log(lam) / t)
+    assert not 1 <= lam * math.exp(-n * t) < math.exp(t)
+    cert = jt_reduce(lam, t)
+    assert verify_certificate(cert)
+    # lam < 1, so the bare generators are rho e^{kt} for k < 0 and the
+    # base crossing rho is one step past the largest; it sits on an edge
+    # of the interval up to rounding
+    rho = max(mu for _, kappa, mu in cert.items if kappa is None) * math.exp(t)
+    assert 1 - 1e-12 <= rho <= math.exp(t) * (1 + 1e-12)
 
 
 def test_jt_reduce_randomized():
