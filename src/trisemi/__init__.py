@@ -102,7 +102,6 @@ _LAZY_MODULES = {
     "characters": (
         "APPoint",
         "DiscPoint",
-        "HalfPlanePoint",
         "TripleCharacter",
         "composite_eval",
         "eval_character",

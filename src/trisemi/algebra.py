@@ -158,7 +158,7 @@ class Element:
     def adjoint(self) -> "Element":
         return adjoint(self)
 
-    def l1_norm(self, table: AtomTable | None = None) -> float:
+    def l1_norm(self, table: AtomTable = DEFAULT_TABLE) -> float:
         return sum(c.modulus(table) for c in self.terms.values())
 
     def __str__(self) -> str:

@@ -19,6 +19,8 @@ from .algebra import Axis, Element
 from .errors import BasisTooShort, InvalidParameter, NotFound
 from .exactnum import _ZERO, DEFAULT_TABLE, AtomTable, DilationIndex, Frequency, Scalar, _frac
 
+# longest recurrence scan: one double per step, so about 0.8 GB at the cap
+_MAX_SCAN = 10**8
 
 # ------------------------------------------------------------ rational basis
 
@@ -269,6 +271,8 @@ def recurrence_schedule(freqs, eps: float, limit: int) -> list[int]:
     limit = int(limit)
     if limit < 1:
         raise InvalidParameter("scan limit must be at least 1")
+    if limit > _MAX_SCAN:
+        raise InvalidParameter(f"scan limit {limit} exceeds {_MAX_SCAN}")
     from . import _kernels
 
     devs = _kernels.recurrence_devs(list(freqs), limit)

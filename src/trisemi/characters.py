@@ -4,8 +4,9 @@ Points of the almost periodic character disc are a Bohr character plus
 an exponential decay rate, with one extra point at infinity reading off
 the constant term.  Triple algebra characters come in five families
 that kill two of the three generator axes in the classified patterns;
-the surviving axis is evaluated through a disc point (integer dilation
-group) or another disc-with-infinity point (real dilation group).
+the surviving axis is evaluated through one point: an AP point on a
+function axis, and on the dilation axis a disc point (integer dilation
+group) or an AP point read as a half-plane point (real dilation group).
 """
 
 from __future__ import annotations
@@ -68,15 +69,19 @@ class APPoint:
         """Evaluation at the origin: trivial character, no decay."""
         return cls.finite()
 
-    def value(self, freq: Frequency, table: AtomTable) -> complex:
-        return self.at(freq, freq.numeric(table))
-
-    def at(self, freq: Frequency, num: float) -> complex:
-        """The value at an index whose angles the character reads off
-        ``freq`` and whose numeric value ``num`` sets the decay."""
+    def value(self, index: Frequency | DilationIndex, table: AtomTable) -> complex:
+        """The value at a frequency or, on the dilation axis, at a
+        dilation index: its angles read UNIT as ONE, and its decay reads
+        the dilation table."""
+        num = index.numeric(table)
+        if isinstance(index, DilationIndex):
+            index = _dil_as_frequency(index)
         if self.at_infinity:
-            return 1.0 if freq.is_zero() else 0.0
-        return self.char.value(freq) * cmath.exp(-num * float(self.decay))
+            return 1.0 if index.is_zero() else 0.0
+        return self.char.value(index) * cmath.exp(-num * float(self.decay))
+
+    def is_vanishing(self) -> bool:
+        return self.at_infinity
 
     def describe(self) -> dict:
         if self.at_infinity:
@@ -95,7 +100,7 @@ class DiscPoint:
     w: complex
 
     def __post_init__(self):
-        if abs(self.w) > 1 + 1e-12:
+        if not abs(self.w) <= 1 + 1e-12:
             raise InvalidParameter("disc point must have modulus at most 1")
 
     def value(self, t: DilationIndex, table: AtomTable | None = None) -> complex:
@@ -118,31 +123,12 @@ class DiscPoint:
         return {"kind": "disc", "re": self.w.real, "im": self.w.imag}
 
 
-@dataclass(frozen=True)
-class HalfPlanePoint:
-    """AP point reused on the dilation axis for the real dilation group."""
-
-    point: APPoint
-
-    def value(self, t: DilationIndex, table: AtomTable) -> complex:
-        # angles read UNIT as ONE; the decay reads the dilation table
-        return self.point.at(_dil_as_frequency(t), t.numeric(table))
-
-    def is_vanishing(self) -> bool:
-        return self.point.at_infinity
-
-    def describe(self) -> dict:
-        out = self.point.describe()
-        out["kind"] = "half-plane-" + out["kind"]
-        return out
-
-
 def vanishing_point(group: str = GROUP_Z):
     """The dilation-side point that kills every V_t with t > 0."""
     if group == GROUP_Z:
         return DiscPoint(0j)
     if group == GROUP_R:
-        return HalfPlanePoint(APPoint.infinity())
+        return APPoint.infinity()
     raise GroupModeError(f"unknown group mode {group!r}")
 
 
@@ -167,18 +153,23 @@ class TripleCharacter:
     two; d2 keeps the translation axis.  d3 and d4 send the kept axis
     to one identically and carry a dilation-side point; chi0 kills both
     function axes.  A chi0 point away from the vanishing point is
-    marked untrusted: it is formally multiplicative on polynomials but
-    its boundedness on the closed algebra is an open point, and every
+    untrusted: it is formally multiplicative on polynomials but its
+    boundedness on the closed algebra is an open point, and every
     evaluation through it warns.
     """
 
     family: str
-    point: APPoint | DiscPoint | HalfPlanePoint
-    trusted: bool = True
+    point: APPoint | DiscPoint
 
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise InvalidParameter(f"unknown character family {self.family!r}")
+        if isinstance(self.point, DiscPoint) and _FAMILIES[self.family][1] is not Axis.DILATION:
+            raise InvalidParameter(f"a {self.family} character reads an AP point, not a disc point")
+
+    @property
+    def trusted(self) -> bool:
+        return self.family != "chi0" or self.point.is_vanishing()
 
     @classmethod
     def d1(cls, p: APPoint) -> "TripleCharacter":
@@ -198,7 +189,7 @@ class TripleCharacter:
 
     @classmethod
     def chi0(cls, v) -> "TripleCharacter":
-        return cls("chi0", v, trusted=v.is_vanishing())
+        return cls("chi0", v)
 
     @classmethod
     def chi_inf(cls, group: str = GROUP_Z) -> "TripleCharacter":
@@ -207,8 +198,11 @@ class TripleCharacter:
 
     def describe(self) -> dict:
         reads = _FAMILIES[self.family][1]
+        point = self.point.describe()
+        if reads is Axis.DILATION and isinstance(self.point, APPoint):
+            point["kind"] = "half-plane-" + point["kind"]
         key = "dilation_point" if reads is Axis.DILATION else "point"
-        return {"family": self.family, "trusted": self.trusted, key: self.point.describe()}
+        return {"family": self.family, "trusted": self.trusted, key: point}
 
 
 def eval_character(

@@ -5,19 +5,23 @@ expression text (see exprs) plus flags.  Output is a human-readable
 table by default or JSON with ``--json``; exact rationals are carried in
 JSON as strings like ``"3/4"`` so nothing is rounded through doubles.
 Errors print a machine-readable record to stderr and exit with code 2,
-usage errors from argument parsing included.  Each handler imports the
-analysis modules it uses, so the exact commands start without numpy.
+usage errors from argument parsing included.  Handlers read analysis
+names through the package's lazy table (``trisemi.gauge``), so the exact
+commands start without numpy.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
+import math
 import sys
 import warnings
 from fractions import Fraction
-from typing import TYPE_CHECKING
+
+import trisemi
 
 from .algebra import (
     AlgebraId,
@@ -43,9 +47,6 @@ from .exprs import (
     parse_frequency,
     scalar_text,
 )
-
-if TYPE_CHECKING:
-    from .characters import APPoint, TripleCharacter
 
 __all__ = ["main", "run"]
 
@@ -85,8 +86,16 @@ def _int_list(text: str) -> list[int]:
     return [int(p) for p in text.split(",") if p.strip()]
 
 
+def _finite(text: str) -> float:
+    """A finite float; argparse turns InvalidParameter, a ValueError, into a usage error."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise InvalidParameter(f"{text!r} is not finite")
+    return value
+
+
 def _float_list(text: str) -> list[float]:
-    return [float(p) for p in text.split(",") if p.strip()]
+    return [_finite(p) for p in text.split(",") if p.strip()]
 
 
 def _freq_list(text: str) -> list:
@@ -118,13 +127,11 @@ def _angles(text: str | None) -> BohrCharacter:
     return BohrCharacter(pairs)
 
 
-def _ap_point(y: str | None, angles: str | None) -> APPoint:
-    from .characters import APPoint
-
+def _ap_point(y: str | None, angles: str | None) -> trisemi.APPoint:
     if y is not None and y.strip().lower() in ("inf", "infinity"):
-        return APPoint.infinity()
+        return trisemi.APPoint.infinity()
     decay = _rational(y, "decay") if y is not None else Fraction(0)
-    return APPoint.finite(_angles(angles), decay)
+    return trisemi.APPoint.finite(_angles(angles), decay)
 
 
 def _disc_w(text: str) -> complex:
@@ -139,22 +146,20 @@ def _disc_w(text: str) -> complex:
     raise ParseError(f"disc point {text!r} is not re or re,im")
 
 
-def _build_character(args, cfg: RunConfig) -> TripleCharacter:
-    from .characters import DiscPoint, HalfPlanePoint, TripleCharacter, vanishing_point
-
+def _build_character(args, cfg: RunConfig) -> trisemi.TripleCharacter:
     fam = args.family
     if fam in ("d1", "d2"):
-        return getattr(TripleCharacter, fam)(_ap_point(args.y, args.angles))
+        return getattr(trisemi.TripleCharacter, fam)(_ap_point(args.y, args.angles))
     if fam in ("d3", "d4", "chi0"):
         if args.w is None:
-            v = vanishing_point(cfg.group)
+            v = trisemi.vanishing_point(cfg.group)
         elif cfg.group == GROUP_R:
-            v = HalfPlanePoint(_ap_point(args.w, args.angles))
+            v = _ap_point(args.w, args.angles)
         else:
-            v = DiscPoint(_disc_w(args.w))
-        return getattr(TripleCharacter, fam)(v)
+            v = trisemi.DiscPoint(_disc_w(args.w))
+        return getattr(trisemi.TripleCharacter, fam)(v)
     if fam == "chi_inf":
-        return TripleCharacter.chi_inf(cfg.group)
+        return trisemi.TripleCharacter.chi_inf(cfg.group)
     raise InvalidParameter(f"unknown character family {fam!r}")
 
 
@@ -200,9 +205,7 @@ def _cmd_support(args, cfg):
 
 
 def _cmd_bf(args, cfg):
-    from .approx import bf_report
-
-    report = bf_report(parse_element(args.expr), args.grading, args.m, cfg.table)
+    report = trisemi.bf_report(parse_element(args.expr), args.grading, args.m, cfg.table)
     axis = Axis.parse(args.grading)
     rows = []
     for entry in report:
@@ -212,32 +215,26 @@ def _cmd_bf(args, cfg):
 
 
 def _cmd_gauge(args, cfg):
-    from .approx import gauge
-
     x = parse_element(args.expr)
     axis = Axis.parse(args.grading)
-    out = _element_payload(gauge(x, axis, args.theta, cfg.table), cfg)
+    out = _element_payload(trisemi.gauge(x, axis, args.theta, cfg.table), cfg)
     out["grading"] = axis.grading
     return out
 
 
 def _cmd_cesaro(args, cfg):
-    from .approx import cesaro_mean
-
     x = parse_element(args.expr)
     axis = Axis.parse(args.grading)
     index = axis.parse_index(args.index)
-    mean = cesaro_mean(x, axis, index, args.T, args.steps, cfg.table)
+    mean = trisemi.cesaro_mean(x, axis, index, args.T, args.steps, cfg.table)
     out = _element_payload(mean, cfg)
     out.update({"grading": axis.grading, "index": args.index, "T": args.T, "steps": args.steps})
     return out
 
 
 def _cmd_kernel(args, cfg):
-    from .approx import bf_kernel_many, rational_basis
-
-    basis = rational_basis(args.freqs)
-    values = bf_kernel_many(basis, args.m, args.t, cfg.table)
+    basis = trisemi.rational_basis(args.freqs)
+    values = trisemi.approx.bf_kernel_many(basis, args.m, args.t, cfg.table)
     rows = [{"t": t, "K": float(v)} for t, v in zip(args.t, values)]
     return {
         "basis": [freq_text(b) for b in basis.basis],
@@ -247,8 +244,6 @@ def _cmd_kernel(args, cfg):
 
 
 def _cmd_recurrence(args, cfg):
-    from .approx import recurrence_schedule, recurrence_search
-
     numeric = [f.numeric(cfg.table) for f in args.freqs]
     out = {
         "freqs": [freq_text(f) for f in args.freqs],
@@ -256,20 +251,18 @@ def _cmd_recurrence(args, cfg):
         "limit": args.limit,
     }
     if args.schedule:
-        out["schedule"] = recurrence_schedule(numeric, args.eps, args.limit)
+        out["schedule"] = trisemi.recurrence_schedule(numeric, args.eps, args.limit)
     else:
-        out["n"] = recurrence_search(numeric, args.eps, args.limit)
+        out["n"] = trisemi.recurrence_search(numeric, args.eps, args.limit)
     return out
 
 
 def _cmd_char_eval(args, cfg):
-    from .characters import eval_character
-
     chi = _build_character(args, cfg)
     x = parse_element(args.expr)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        value = eval_character(chi, x, cfg.table, args.guard)
+        value = trisemi.eval_character(chi, x, cfg.table, args.guard)
     out = {"character": chi.describe(), "value": _cnum(value)}
     if any(issubclass(w.category, UntrustedCharacterWarning) for w in caught):
         out["warning"] = "untrusted character family"
@@ -277,10 +270,8 @@ def _cmd_char_eval(args, cfg):
 
 
 def _cmd_ideal_test(args, cfg):
-    from .ideals import IdealId, in_ideal
-
     x = parse_element(args.expr)
-    member = in_ideal(x, IdealId(args.ideal, args.t), cfg.table, args.guard)
+    member = trisemi.in_ideal(x, trisemi.IdealId(args.ideal, args.t), cfg.table, args.guard)
     out = {"ideal": args.ideal, "member": member}
     if args.t is not None:
         out["t"] = dil_text(args.t)
@@ -288,15 +279,11 @@ def _cmd_ideal_test(args, cfg):
 
 
 def _cmd_cert_commutator(args, cfg):
-    from .ideals import certificate_dict, commutator_certificate
-
-    return certificate_dict(commutator_certificate(args.lam, args.s))
+    return trisemi.certificate_dict(trisemi.commutator_certificate(args.lam, args.s))
 
 
 def _cmd_cert_jt(args, cfg):
-    from .ideals import certificate_dict, jt_reduce
-
-    return certificate_dict(jt_reduce(args.lam, args.t))
+    return trisemi.certificate_dict(trisemi.jt_reduce(args.lam, args.t))
 
 
 def _cmd_auto_apply(args, cfg):
@@ -314,37 +301,26 @@ def _cmd_auto_apply(args, cfg):
 
 
 def _cmd_flip_check(args, cfg):
-    report = check_flip_contradiction(args.k1, args.k2)
-    return {
-        "k1": report.k1,
-        "k2": report.k2,
-        "gap_at_1_1": _rat(report.gap_at_1_1),
-        "gap_at_1_2": _rat(report.gap_at_1_2),
-        "contradiction": report.contradiction,
-    }
+    return dataclasses.asdict(check_flip_contradiction(args.k1, args.k2))
 
 
 def _cmd_sim_residuals(args, cfg):
-    from .l2sim import GaussianPacket, PacketSum, relation_residual
-
-    f = PacketSum.single(GaussianPacket(1.0, 0.8, 0.3, -0.4))
+    f = trisemi.PacketSum.single(trisemi.GaussianPacket(1.0, 0.8, 0.3, -0.4))
     rows = [
         {"relation": "weyl", "params": [args.lam, args.mu],
-         "residual": relation_residual("weyl", (args.lam, args.mu), f)},
+         "residual": trisemi.relation_residual("weyl", (args.lam, args.mu), f)},
         {"relation": "dilM", "params": [args.t, args.lam],
-         "residual": relation_residual("dilM", (args.t, args.lam), f)},
+         "residual": trisemi.relation_residual("dilM", (args.t, args.lam), f)},
         {"relation": "dilD", "params": [args.t, args.mu],
-         "residual": relation_residual("dilD", (args.t, args.mu), f)},
+         "residual": trisemi.relation_residual("dilD", (args.t, args.mu), f)},
     ]
     return {"rows": rows}
 
 
 def _cmd_sim_norm_bound(args, cfg):
-    from .l2sim import norm_lower_bound
-
     x = parse_element(args.expr)
     seed = cfg.seed if args.seed is None else args.seed
-    bound = norm_lower_bound(x, args.trials, seed, cfg.table)
+    bound = trisemi.norm_lower_bound(x, args.trials, seed, cfg.table)
     return {
         "bound": bound,
         "l1": x.l1_norm(cfg.table),
@@ -354,33 +330,27 @@ def _cmd_sim_norm_bound(args, cfg):
 
 
 def _cmd_sim_wot(args, cfg):
-    from .l2sim import GaussianPacket, PacketSum, wot_compression_demo, wot_limit
-
     x = parse_element(args.expr)
-    f = PacketSum.single()
-    g = PacketSum.single(GaussianPacket(1.0, 0.6, 0.2, 0.1))
-    report = wot_compression_demo(x, f, g, args.mode, args.schedule, cfg.table)
+    f = trisemi.PacketSum.single()
+    g = trisemi.PacketSum.single(trisemi.GaussianPacket(1.0, 0.6, 0.2, 0.1))
+    report = trisemi.wot_compression_demo(x, f, g, args.mode, args.schedule, cfg.table)
     out = report.to_dict()
-    out["limit_element"] = element_text(wot_limit(x, args.mode))
+    out["limit_element"] = element_text(trisemi.wot_limit(x, args.mode))
     return out
 
 
 def _cmd_sim_column_identity(args, cfg):
-    from .l2sim import GaussianPacket, PacketSum, column_norms
-
     x = parse_element(args.expr)
     axis = Axis.parse(args.grading)
-    xi = PacketSum.single(GaussianPacket(1.0, 0.9, 0.2, -0.5))
-    lhs, rhs = column_norms(x, xi, axis, cfg.table)
+    xi = trisemi.PacketSum.single(trisemi.GaussianPacket(1.0, 0.9, 0.2, -0.5))
+    lhs, rhs = trisemi.column_norms(x, xi, axis, cfg.table)
     return {"grading": axis.grading, "lhs": lhs, "rhs": rhs, "gap": abs(lhs - rhs)}
 
 
 def _cmd_sim_fourier(args, cfg):
-    from .l2sim import GaussianPacket, PacketSum, fourier_conjugation_check
-
-    f = PacketSum.single()
-    g = PacketSum.single(GaussianPacket(1.0, 0.7, 0.4, -0.3))
-    residual = fourier_conjugation_check(args.lam, f, g, dual=args.dual)
+    f = trisemi.PacketSum.single()
+    g = trisemi.PacketSum.single(trisemi.GaussianPacket(1.0, 0.7, 0.4, -0.3))
+    residual = trisemi.fourier_conjugation_check(args.lam, f, g, dual=args.dual)
     return {"lam": args.lam, "dual": args.dual, "residual": residual}
 
 
@@ -496,9 +466,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k2", type=float, required=True)
 
     p = cmd("sim-residuals", _cmd_sim_residuals, "relation residuals on a packet")
-    p.add_argument("--lam", type=float, default=1.0)
-    p.add_argument("--mu", type=float, default=0.7)
-    p.add_argument("--t", type=float, default=0.3)
+    p.add_argument("--lam", type=_finite, default=1.0)
+    p.add_argument("--mu", type=_finite, default=0.7)
+    p.add_argument("--t", type=_finite, default=0.3)
 
     p = cmd("sim-norm-bound", _cmd_sim_norm_bound, "sampled lower bound for the norm")
     p.add_argument("--trials", type=int, default=500)
@@ -517,7 +487,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("expr")
 
     p = cmd("sim-fourier", _cmd_sim_fourier, "Fourier conjugation residual")
-    p.add_argument("--lam", type=float, required=True)
+    p.add_argument("--lam", type=_finite, required=True)
     p.add_argument("--dual", action="store_true",
                    help="check the shift-to-modulation direction")
 

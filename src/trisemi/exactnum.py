@@ -1038,12 +1038,10 @@ class Scalar:
             value /= den**m
         return value
 
-    def modulus(self, table: "AtomTable | None" = None) -> float:
+    def modulus(self, table: "AtomTable") -> float:
         single = self.single_phase()
         if single is not None:
             return math.sqrt(single[1].abs2())
-        if table is None:
-            raise InvalidParameter("atom table required for a non single phase modulus")
         return abs(self.numeric(table))
 
     def __repr__(self) -> str:

@@ -186,10 +186,10 @@ def _tokenize(text: str) -> list[_Token]:
             toks.append(_Token(ch, ch, i))
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i + 1
             seen_dot = False
-            while j < n and (text[j].isdigit() or (text[j] == "." and not seen_dot)):
+            while j < n and (text[j].isdecimal() or (text[j] == "." and not seen_dot)):
                 if text[j] == ".":
                     seen_dot = True
                 j += 1

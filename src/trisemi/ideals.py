@@ -28,6 +28,7 @@ from .exactnum import (
     _exp,
     index_sign,
 )
+from .exprs import element_text, freq_text
 
 _KINDS = ("cp", "cph", "i0", "jt")
 # most dilation steps a J_t telescope walks; about log(lam)/t are needed
@@ -261,8 +262,6 @@ def verify_certificate(cert: Certificate) -> bool:
 
 def certificate_dict(cert: Certificate) -> dict:
     """Serializable summary for the command line."""
-    from .exprs import element_text, freq_text
-
     if isinstance(cert, CommutatorCertificate):
         return {
             "kind": "commutator",

@@ -397,13 +397,6 @@ class ConvergenceReport:
     relative_errors: tuple
     nonmonotone_fraction: float
 
-    @property
-    def final_relative(self) -> float:
-        return self.relative_errors[-1]
-
-    def ok(self, tol: float = 0.1, slack: float = 0.2) -> bool:
-        return self.final_relative < tol and self.nonmonotone_fraction <= slack
-
     def to_dict(self) -> dict:
         return {
             "mode": self.mode,

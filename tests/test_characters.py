@@ -18,7 +18,6 @@ from trisemi import (
     Element,
     Frequency,
     GroupModeError,
-    HalfPlanePoint,
     InvalidParameter,
     NotInDomain,
     TripleCharacter,
@@ -129,7 +128,7 @@ def test_half_plane_point_reads_dilation_symbols_from_the_dilation_table(atoms):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         table = AtomTable(atoms, {"h": 0.5})
-    chi = TripleCharacter.d3(HalfPlanePoint(APPoint.finite(decay=1)))
+    chi = TripleCharacter.d3(APPoint.finite(decay=1))
     value = eval_character(chi, Element.v(DilationIndex.single("h")), table)
     assert value == pytest.approx(math.exp(-0.5), abs=1e-12)
     assert value == eval_character(chi, Element.v(DilationIndex.unit(Fraction(1, 2))), table)
@@ -193,6 +192,18 @@ def test_untrusted_chi0_warns(table):
     assert any(issubclass(w.category, UntrustedCharacterWarning) for w in caught)
     trusted = TripleCharacter.chi0(vanishing_point("Z"))
     assert trusted.trusted
+    # trust follows the point, also through the public constructor
+    direct = TripleCharacter("chi0", DiscPoint(0.5))
+    assert not direct.trusted
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        eval_character(direct, Element.v(DilationIndex.unit(1)), table)
+    assert any(issubclass(w.category, UntrustedCharacterWarning) for w in caught)
+
+
+def test_a_function_axis_family_refuses_a_disc_point():
+    with pytest.raises(InvalidParameter):
+        TripleCharacter("d1", DiscPoint(0.5))
 
 
 def test_composites_match_families_at_level_zero(table):

@@ -199,6 +199,12 @@ def test_invalid_parameter_exits_2_with_a_record(capsys, argv):
         (["cert-jt", "--lam", "2", "--t", "1000"], "numeric-overflow"),
         # about log(lam)/t = 6.9e7 telescope steps
         (["cert-jt", "--lam", "1e300", "--t", "1e-5"], "invalid-scale"),
+        (["normalize", "M(²)"], "parse"),
+        (["recurrence", "--eps", "0.1", "--limit", "100000000000"], "invalid-parameter"),
+        (["sim-residuals", "--lam", "nan"], "invalid-parameter"),
+        (["sim-fourier", "--lam", "inf"], "invalid-parameter"),
+        (["kernel", "--freqs", "1", "--m", "1", "--t", "nan"], "invalid-parameter"),
+        (["char-eval", "--family", "d3", "--w", "nan", "V(1)"], "invalid-parameter"),
     ],
 )
 def test_degenerate_numbers_exit_2_with_one_record(capsys, argv, code):
@@ -411,6 +417,17 @@ def test_char_eval_untrusted_warns_in_payload(capsys):
     payload = json.loads(out)
     assert payload["character"]["trusted"] is False
     assert payload["warning"] == "untrusted character family"
+
+
+def test_char_eval_reads_a_half_plane_point_under_group_r(tmp_path, capsys):
+    cfg = tmp_path / "r.ini"
+    cfg.write_text("[options]\ngroup = R\n")
+    argv = ["--json", "--config", str(cfg), "char-eval", "--family", "d3", "--w", "1/2", "V(1)"]
+    assert run(argv) == 0
+    out, _ = out_of(capsys)
+    character = json.loads(out)["character"]
+    assert character["dilation_point"] == {"kind": "half-plane-finite", "decay": "1/2", "angles": {}}
+    assert character["trusted"] is True
 
 
 def test_sim_fourier_subcommand(capsys):

@@ -5,6 +5,7 @@ that nothing in it reads, and the test extra declares every third-party
 module the tests import."""
 
 import ast
+import dataclasses
 import importlib
 import json
 import re
@@ -74,7 +75,7 @@ _EXPORTS = {
     "approx": """BFSpec RationalBasis bf_kernel bf_report bochner_fejer
         cesaro_mean gauge rational_basis recurrence_schedule recurrence_search
         section_weights support_basis""",
-    "characters": """APPoint DiscPoint HalfPlanePoint TripleCharacter
+    "characters": """APPoint DiscPoint TripleCharacter
         composite_eval eval_character vanishing_point""",
     "ideals": """CommutatorCertificate IdealId TelescopeCertificate
         certificate_dict certificate_residual commutator_certificate in_ideal
@@ -311,6 +312,24 @@ def test_each_default_table_and_name_set_has_one_owner():
         if isinstance(node, ast.keyword) and node.arg == "choices"
     ]
     assert not choices, "argparse choices in _build_parser:\n" + "\n".join(choices)
+
+
+def test_the_cli_reads_analysis_names_through_the_package():
+    # the package's lazy table is the one name -> module map: no CLI
+    # function imports an analysis module itself; and a character
+    # stores its family and point only, its trust is derived from them
+    tree = ast.parse((Path(trisemi.__file__).resolve().parent / "cli.py").read_text())
+    local = [
+        f"cli.py:{node.lineno}"
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.ImportFrom)
+        and node.module in ("approx", "characters", "ideals", "l2sim")
+    ]
+    assert not local, "function-local analysis imports:\n" + "\n".join(local)
+    fields = tuple(f.name for f in dataclasses.fields(trisemi.TripleCharacter))
+    assert fields == ("family", "point")
 
 
 def _raised_names(path: Path) -> set[str]:

@@ -245,22 +245,6 @@ def test_wot_compression_demo_needs_two_steps(table):
         wot_compression_demo(x, f, f, "translation", [151], table)
 
 
-def test_report_ok_thresholds():
-    from trisemi import ConvergenceReport
-
-    good = ConvergenceReport(
-        mode="translation",
-        schedule=(1, 2),
-        values=(1.0, 1.0),
-        limit_value=1.0,
-        errors=(0.2, 0.01),
-        relative_errors=(0.2, 0.01),
-        nonmonotone_fraction=0.0,
-    )
-    assert good.ok()
-    assert not good.ok(tol=0.001)
-
-
 def test_divergent_packet_rejected():
     with pytest.raises(DivergentPacket):
         GaussianPacket(a=-1.0)
