@@ -22,36 +22,42 @@ def _reduce_half(half):
     return half - np.pi * k, k
 
 
-def recurrence_devs(freqs, m_max):
-    """max_j |e^{i f_j m} - 1| = 2 max_j |sin(f_j m / 2)| for m = 1..m_max."""
+def recurrence_hits(freqs, eps, m_max):
+    """Yield (ms, devs) chunk by chunk, in scan order: the m in [1, m_max]
+    with dev(m) = max_j |e^{i f_j m} - 1| = 2 max_j |sin(f_j m / 2)| < eps.
+
+    dev(m) < eps needs every u = m f_j / 2pi within asin(eps/2)/pi of an
+    integer, so each frequency in turn filters the steps left; only the
+    survivors get sines.  The filter is conservative: eps is widened by
+    1e-9 relatively before the arcsine (the sine is flat near eps = 2),
+    and the width by 1e-9 + 1e-12 |u|max, thousands of times the rounding
+    of u and of the sine's argument.  A survivor's deviation is the same
+    double a full scan makes: m f, times 0.5, sin, abs, maximum over the
+    frequencies from 0, times 2.  A NaN or infinite product fails both
+    tests, and with no frequencies every deviation is 0.
+    """
     freqs = np.asarray(freqs, dtype=np.float64).ravel()
-    out = np.zeros(int(m_max), dtype=np.float64)
-    buf = np.empty(min(_CHUNK, out.size), dtype=np.float64)
-    for start in range(0, out.size, _CHUNK):
-        view = out[start : start + _CHUNK]
-        ms = np.arange(start + 1, start + view.size + 1, dtype=np.float64)
-        dev = buf[: view.size]
+    m_max = int(m_max)
+    width = np.arcsin(np.clip(0.5 * eps * (1.0 + 1e-9), 0.0, 1.0)) / np.pi + 1e-9
+    for start in range(0, m_max, _CHUNK):
+        stop = min(start + _CHUNK, m_max)
+        ms = np.arange(start + 1, stop + 1, dtype=np.float64)
         for f in freqs:
-            # one reused buffer: fresh chunk temporaries cost more than sin
-            np.multiply(ms, f, out=dev)
-            dev *= 0.5
-            np.abs(np.sin(dev, out=dev), out=dev)
-            np.maximum(view, dev, out=view)
-    out *= 2.0
-    return out
-
-
-def successive_minima(devs, eps):
-    """Flags of the entries below eps and below every earlier entry; an
-    entry below eps beats every earlier one at or above eps, so only the
-    entries below eps need the running minimum."""
-    devs = np.asarray(devs, dtype=np.float64)
-    hits = np.flatnonzero(devs < eps)
-    vals = devs[hits]
-    prior = np.concatenate(([np.inf], np.minimum.accumulate(vals)[:-1]))
-    flags = np.zeros(devs.shape, dtype=np.bool_)
-    flags[hits[vals < prior]] = True
-    return flags
+            c = f / (2.0 * np.pi)
+            u = ms * c
+            u -= np.rint(u)
+            ms = ms[np.abs(u, out=u) < width + 1e-12 * abs(c) * stop]
+        devs = np.zeros(ms.size)
+        part = np.empty(ms.size)
+        for f in freqs:
+            np.multiply(ms, f, out=part)
+            part *= 0.5
+            np.abs(np.sin(part, out=part), out=part)
+            np.maximum(devs, part, out=devs)
+        devs *= 2.0
+        keep = devs < eps
+        if keep.any():
+            yield ms[keep].astype(np.int64), devs[keep]
 
 
 def gaussian_inner(amp1, a1, b1, c1, amp2, a2, b2, c2):

@@ -5,8 +5,10 @@ support by one elimination.  ``section_weights`` is the one weight pass
 of a section: support basis, order check and one factorial lattice
 weight per distinct index; ``bochner_fejer`` and ``bf_report`` scale
 terms by those weights.  Also here: summation kernels, numeric gauge
-twists, Cesaro means by trapezoid quadrature, and the recurrence scan,
-whose first successive minimum is the recurrence search.
+twists, Cesaro means by trapezoid quadrature, and the recurrence scan.
+The scan streams the steps below the tolerance chunk by chunk, in
+memory bounded by one chunk: the schedule keeps their running minima,
+and the search, the schedule's head, stops at the first.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from .algebra import Axis, Element
 from .errors import BasisTooShort, InvalidParameter, NotFound
 from .exactnum import _ZERO, DEFAULT_TABLE, AtomTable, DilationIndex, Frequency, Scalar, _frac
 
-# longest recurrence scan: one double per step, so about 0.8 GB at the cap
+# longest recurrence scan: it streams in fixed chunks, so the cap bounds
+# its time (seconds at 10^8), not its memory
 _MAX_SCAN = 10**8
 
 # ------------------------------------------------------------ rational basis
@@ -262,10 +265,9 @@ def bf_kernel_many(basis: RationalBasis, m: int, ts, table: AtomTable = DEFAULT_
 # --------------------------------------------------------------- recurrence
 
 
-def recurrence_schedule(freqs, eps: float, limit: int) -> list[int]:
-    """The successive minima of max_f |e^{i f M} - 1| below eps for M in
-    [1, limit]: recurrence times with strictly improving deviation, in
-    scan order."""
+def _recurrence_hits(freqs, eps: float, limit: int):
+    """The validated scan: (ms, devs) below eps for M in [1, limit], chunk
+    by chunk in scan order."""
     if eps <= 0:
         raise InvalidParameter("tolerance must be positive")
     limit = int(limit)
@@ -275,18 +277,39 @@ def recurrence_schedule(freqs, eps: float, limit: int) -> list[int]:
         raise InvalidParameter(f"scan limit {limit} exceeds {_MAX_SCAN}")
     from . import _kernels
 
-    devs = _kernels.recurrence_devs(list(freqs), limit)
-    ms = (_kernels.successive_minima(devs, eps).nonzero()[0] + 1).tolist()
+    return _kernels.recurrence_hits(list(freqs), eps, limit)
+
+
+def _no_recurrence(eps: float, limit: int) -> NotFound:
+    return NotFound(
+        f"no recurrence time up to {int(limit)} at tolerance {eps}; "
+        "raise the limit or loosen the tolerance"
+    )
+
+
+def recurrence_schedule(freqs, eps: float, limit: int) -> list[int]:
+    """The successive minima of max_f |e^{i f M} - 1| below eps for M in
+    [1, limit]: recurrence times with strictly improving deviation, in
+    scan order.  A hit beats every earlier step at or above eps, so the
+    running minimum runs over the hits only, and over a chunk's hits
+    below the best so far."""
+    ms: list[int] = []
+    best = math.inf
+    for hits, devs in _recurrence_hits(freqs, eps, limit):
+        below = devs < best
+        for m, dev in zip(hits[below].tolist(), devs[below].tolist()):
+            if dev < best:
+                ms.append(m)
+                best = dev
     if not ms:
-        raise NotFound(
-            f"no recurrence time up to {limit} at tolerance {eps}; "
-            "raise the limit or loosen the tolerance"
-        )
+        raise _no_recurrence(eps, limit)
     return ms
 
 
 def recurrence_search(freqs, eps: float, limit: int) -> int:
     """Smallest integer M in [1, limit] with |e^{i f M} - 1| < eps for all
     f: the head of the schedule, since the first deviation below eps is a
-    successive minimum."""
-    return recurrence_schedule(freqs, eps, limit)[0]
+    successive minimum.  The scan stops at that first hit."""
+    for hits, _ in _recurrence_hits(freqs, eps, limit):
+        return int(hits[0])
+    raise _no_recurrence(eps, limit)

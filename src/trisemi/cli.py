@@ -82,20 +82,31 @@ def _element_payload(x: Element, cfg: RunConfig) -> dict:
 # ------------------------------------------------------------- arg parsing
 
 
+# The type functions raise ArgumentTypeError, whose text argparse prints;
+# for a ValueError it prints "invalid <function name> value".
 def _int_list(text: str) -> list[int]:
-    return [int(p) for p in text.split(",") if p.strip()]
+    try:
+        return [int(p) for p in text.split(",") if p.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a comma list of integers, got {text!r}") from None
 
 
 def _finite(text: str) -> float:
-    """A finite float; argparse turns InvalidParameter, a ValueError, into a usage error."""
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
     if not math.isfinite(value):
-        raise InvalidParameter(f"{text!r} is not finite")
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
     return value
 
 
 def _float_list(text: str) -> list[float]:
-    return [_finite(p) for p in text.split(",") if p.strip()]
+    try:
+        return [_finite(p) for p in text.split(",") if p.strip()]
+    except argparse.ArgumentTypeError:
+        message = f"expected a comma list of finite numbers, got {text!r}"
+        raise argparse.ArgumentTypeError(message) from None
 
 
 def _freq_list(text: str) -> list:

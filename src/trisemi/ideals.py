@@ -188,6 +188,23 @@ class TelescopeCertificate:
 Certificate = CommutatorCertificate | TelescopeCertificate
 
 
+def _telescope_split(lam: float, t: float, growth: float) -> tuple[int, float]:
+    """(n, rho) with lam = rho * e^{n t} and rho in [1, growth), growth = e^t."""
+    n = math.floor(math.log(lam) / t)
+    if abs(n) > _MAX_TELESCOPE:
+        raise InvalidScale(f"step {t!r} needs {abs(n)} telescope steps, over {_MAX_TELESCOPE}")
+    rho = lam * math.exp(-n * t)
+    # guard the floor against rounding at the interval edge; the stepped
+    # rho can round onto the opposite edge, so it is clamped into [1, e^t)
+    if rho < 1.0:
+        n -= 1
+        rho = lam * math.exp(-n * t)
+    elif rho >= growth:
+        n += 1
+        rho = lam * math.exp(-n * t)
+    return n, min(max(rho, 1.0), math.nextafter(growth, 0.0))
+
+
 def jt_reduce(lam: float, t: float) -> TelescopeCertificate:
     """Telescope e^{i lam x} - e^{i x} into step-t generators.
 
@@ -202,17 +219,7 @@ def jt_reduce(lam: float, t: float) -> TelescopeCertificate:
     growth = _exp(t)
     if growth == 1.0:
         raise InvalidScale(f"step {t!r} is too small: e^t rounds to 1")
-    n = math.floor(math.log(lam) / t)
-    if abs(n) > _MAX_TELESCOPE:
-        raise InvalidScale(f"step {t!r} needs {abs(n)} telescope steps, over {_MAX_TELESCOPE}")
-    rho = lam * math.exp(-n * t)
-    # guard the floor against rounding at the interval edge
-    if rho < 1.0:
-        n -= 1
-        rho = lam * math.exp(-n * t)
-    elif rho >= growth:
-        n += 1
-        rho = lam * math.exp(-n * t)
+    n, rho = _telescope_split(lam, t, growth)
     items = []
     lam_base = (rho - 1.0) / (growth - 1.0)
     if lam_base > 0:

@@ -52,6 +52,11 @@ _FEW_ULPS = 4 * np.finfo(np.float64).eps
 # range (or underflows to zero) for |t| above this
 _MAX_DILATION = 0.5 * math.log(np.finfo(np.float64).max)
 
+# a relation's phase (lam mu, e^t lam or e^-t mu) above 2^26 is held to no
+# better than 2^-26 ~ 1.5e-8, so a residual there measures the rounding
+# of the phase rather than the relation
+_MAX_PHASE = 2.0**26
+
 
 @dataclass(frozen=True)
 class GaussianPacket:
@@ -214,20 +219,35 @@ def apply_word(word, f: PacketSum, table: AtomTable = DEFAULT_TABLE) -> PacketSu
     return current
 
 
+def _phase(scale, factor) -> float:
+    """The relation phase scale * factor, refused above _MAX_PHASE."""
+    phase = float(scale) * float(factor)
+    if not abs(phase) <= _MAX_PHASE:
+        raise InvalidParameter(
+            f"relation phase {phase:.6g} exceeds 2^26: its rounding would swamp the residual"
+        )
+    return phase
+
+
 def relation_residual(kind: str, params, f: PacketSum) -> float:
-    """Norm of (left side - right side) applied to f for one relation."""
+    """Norm of (left side - right side) applied to f for one relation.
+
+    A phase above _MAX_PHASE is refused; a dilation past the double range
+    raises NumericOverflow first.
+    """
     if kind == "weyl":
         lam, mu = params
+        phase = _phase(lam, mu)
         lhs = f.translate(mu).modulate(lam)
-        rhs = f.modulate(lam).translate(mu).scale(cmath.exp(1j * lam * mu))
+        rhs = f.modulate(lam).translate(mu).scale(cmath.exp(1j * phase))
     elif kind == "dilM":
         t, lam = params
         lhs = f.modulate(lam).dilate(t)
-        rhs = f.dilate(t).modulate(np.exp(t) * lam)
+        rhs = f.dilate(t).modulate(_phase(np.exp(t), lam))
     elif kind == "dilD":
         t, mu = params
         lhs = f.translate(mu).dilate(t)
-        rhs = f.dilate(t).translate(np.exp(-t) * mu)
+        rhs = f.dilate(t).translate(_phase(np.exp(-t), mu))
     else:
         raise InvalidParameter(f"unknown relation {kind!r}")
     # The two sides round the same packet parameters differently, e.g. the

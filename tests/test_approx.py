@@ -332,3 +332,46 @@ def test_recurrence_search_is_the_head_of_the_schedule():
         search = _outcome(recurrence_search, [1.0], eps, limit)
         assert search == _outcome(recurrence_schedule, [1.0], eps, limit)
         assert search[0] is (NotFound if eps > 0 and limit > 0 else InvalidParameter)
+
+
+def test_recurrence_search_stops_at_its_first_hit(monkeypatch):
+    from trisemi import _kernels
+
+    # a scan of the whole limit would hold or compute 10^8 deviations
+    assert recurrence_search([1.0], 0.05, 10**8) == 44
+    scan, pulled = _kernels.recurrence_hits, []
+
+    def counted(*args):
+        for chunk in scan(*args):
+            pulled.append(chunk)
+            yield chunk
+
+    monkeypatch.setattr(_kernels, "recurrence_hits", counted)
+    assert recurrence_search([1.0], 0.05, 10**8) == 44
+    assert len(pulled) == 1
+
+
+def _brute_schedule(freqs, eps, limit):
+    """Brute force: the M with max_f 2|sin(f M / 2)| below eps and below
+    every earlier deviation."""
+    out, best = [], math.inf
+    for m in range(1, limit + 1):
+        dev = max((2.0 * abs(math.sin(0.5 * f * m)) for f in freqs), default=0.0)
+        if dev < eps and dev < best:
+            out.append(m)
+        best = min(best, dev)
+    return out
+
+
+def test_recurrence_schedule_matches_a_brute_force_scan_across_chunks():
+    from trisemi._kernels import _CHUNK
+
+    rng = random.Random("chunk edges")
+    for _ in range(8):
+        freqs = [rng.uniform(-5.0, 5.0) for _ in range(rng.randint(1, 3))]
+        eps = rng.uniform(0.02, 0.6)
+        # limits just below, at and past the first two chunk edges
+        limit = rng.choice([_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 17])
+        want = _brute_schedule(freqs, eps, limit)
+        got = _outcome(recurrence_schedule, freqs, eps, limit)
+        assert got == want if want else got[0] is NotFound

@@ -175,13 +175,20 @@ _TINY = ["support", "--algebra", "aph", "M(1/1000000000000)*V(1)"]
         *(["--guard", g, *_TINY] for g in ("nan", "inf", "-1")),
         ["ideal-test", "--ideal", "zz", "M(1)"],
         ["sim-wot", "--mode", "zz", "--schedule", "1,2", "M(1)"],
+        # malformed numbers: the message names the value expected
+        ["kernel", "--freqs", "1", "--m", "1", "--t", "abc"],
+        ["bf", "--m", "x", "M(1)"],
+        ["sim-residuals", "--lam", "abc"],
     ],
 )
 def test_invalid_parameter_exits_2_with_a_record(capsys, argv):
     assert run(["--json", *argv]) == 2
     out, err = out_of(capsys)
     assert out == ""
-    assert json.loads(err)["error"]["code"] == "invalid-parameter"
+    record = json.loads(err)["error"]
+    assert record["code"] == "invalid-parameter"
+    # argparse names a type function that raises a plain ValueError
+    assert not any(name in record["message"] for name in ("_int_list", "_float_list", "_finite"))
 
 
 @pytest.mark.parametrize(
@@ -205,6 +212,12 @@ def test_invalid_parameter_exits_2_with_a_record(capsys, argv):
         (["sim-fourier", "--lam", "inf"], "invalid-parameter"),
         (["kernel", "--freqs", "1", "--m", "1", "--t", "nan"], "invalid-parameter"),
         (["char-eval", "--family", "d3", "--w", "nan", "V(1)"], "invalid-parameter"),
+        # a relation phase (lam mu, e^t lam, e^-t mu) above 2^26
+        (["sim-residuals", "--lam", "1e300"], "invalid-parameter"),
+        (["sim-residuals", "--lam", "1e200", "--mu", "1e200"], "invalid-parameter"),
+        (["sim-residuals", "--mu", "1e8"], "invalid-parameter"),
+        (["sim-residuals", "--t", "30"], "invalid-parameter"),
+        (["sim-residuals", "--t", "-30", "--mu", "1"], "invalid-parameter"),
     ],
 )
 def test_degenerate_numbers_exit_2_with_one_record(capsys, argv, code):

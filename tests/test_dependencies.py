@@ -378,8 +378,14 @@ def _raise_sites(path: Path):
 
 # outside the EngineError tree: TypeError for an argument of the wrong type
 # (_frac, Element.from_word, apply_word), the AttributeError of the module
-# __getattr__ protocol, and the entry point's process exit
-_PLAIN_RAISES = {("__init__.py", "AttributeError"), ("__main__.py", "SystemExit")}
+# __getattr__ protocol, the ArgumentTypeError of argparse's type-function
+# protocol (argparse turns it into a usage error, an InvalidParameter), and
+# the entry point's process exit
+_PLAIN_RAISES = {
+    ("__init__.py", "AttributeError"),
+    ("cli.py", "ArgumentTypeError"),
+    ("__main__.py", "SystemExit"),
+}
 
 
 def test_every_raise_names_an_engine_error():

@@ -28,6 +28,7 @@ from trisemi import (
     quotient_defect,
     verify_certificate,
 )
+from trisemi.ideals import _telescope_split
 
 from helpers import random_ap_element, random_lone_terms, random_z_element
 
@@ -183,6 +184,24 @@ def test_jt_reduce_floor_corrections(lam, t):
     # of the interval up to rounding
     rho = max(mu for _, kappa, mu in cert.items if kappa is None) * math.exp(t)
     assert 1 - 1e-12 <= rho <= math.exp(t) * (1 + 1e-12)
+
+
+@pytest.mark.parametrize(
+    "lam, t", [(0.0036978637164829316, 0.7), (0.8025187979624784, 0.01)]
+)
+def test_jt_reduce_keeps_rho_inside_the_base_interval(lam, t):
+    # the corrected floor used to land rho on e^t exactly, or one ulp
+    # below 1, where a negative base weight dropped the base item
+    growth = math.exp(t)
+    n, rho = _telescope_split(lam, t, growth)
+    assert 1.0 <= rho < growth
+    assert rho * math.exp(n * t) == pytest.approx(lam, rel=1e-12)
+    cert = jt_reduce(lam, t)
+    assert verify_certificate(cert)
+    # a base crossing weight lies in (0, 1), and exactly when rho > 1
+    weights = [mu for _, kappa, mu in cert.items if kappa is not None]
+    assert len(weights) == (rho > 1.0)
+    assert all(0.0 < mu < 1.0 for mu in weights)
 
 
 def test_jt_reduce_randomized():

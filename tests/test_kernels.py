@@ -6,6 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from trisemi import NotFound, recurrence_schedule
 from trisemi import _kernels as K
 
 
@@ -107,13 +108,43 @@ def outer_product_devs(freqs, m_max):
     return (2.0 * np.abs(np.sin(0.5 * np.outer(ms, freqs)))).max(axis=1)
 
 
+def scanned_hits(freqs, eps, m_max):
+    """The kernel's (ms, devs) chunks joined into two arrays."""
+    chunks = list(K.recurrence_hits(freqs, eps, m_max))
+    assert all(ms.size and ms.size == devs.size for ms, devs in chunks)
+    ms = np.concatenate([np.empty(0, np.int64)] + [ms for ms, _ in chunks])
+    devs = np.concatenate([np.empty(0)] + [devs for _, devs in chunks])
+    return ms, devs
+
+
+def assert_hits_equal_the_outer_product_form(freqs, eps, m_max):
+    want = outer_product_devs(freqs, m_max)
+    below = want < eps
+    ms, devs = scanned_hits(freqs, eps, m_max)
+    assert np.array_equal(ms, np.flatnonzero(below) + 1)
+    assert np.array_equal(devs, want[below])
+
+
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
-def test_recurrence_devs_equal_the_outer_product_form(n):
+def test_recurrence_hits_equal_the_outer_product_form_below_eps(n):
     rng = np.random.default_rng(n)
     freqs = rng.uniform(-6.0, 6.0, n)
-    for m_max in (1, 777, K._CHUNK + 1234):
-        got = K.recurrence_devs(freqs, m_max)
-        assert np.array_equal(got, outer_product_devs(freqs, m_max))
+    # eps >= 2 keeps every step the outer form keeps
+    for eps in (0.005, 0.3, 1.5, 2.0, 7.0):
+        for m_max in (1, 777, K._CHUNK + 1234):
+            for signed in (freqs, -freqs):
+                assert_hits_equal_the_outer_product_form(signed, eps, m_max)
+
+
+@pytest.mark.parametrize(
+    "freqs", [[math.nan], [math.inf, 1.0], [1.0, -math.inf], [0.5, math.nan, 2.0]]
+)
+def test_recurrence_hits_drop_non_finite_deviations(freqs):
+    # the outer form's deviations are NaN at every step, as the scan's were
+    with np.errstate(invalid="ignore"):
+        for eps in (0.3, 3.0):
+            assert_hits_equal_the_outer_product_form(freqs, eps, 777)
+            assert scanned_hits(freqs, eps, 777)[0].size == 0
 
 
 def prefix_minimum_flags(devs, eps):
@@ -125,11 +156,22 @@ def prefix_minimum_flags(devs, eps):
     return flags
 
 
-def test_successive_minima_match_a_prefix_minimum_loop():
+def test_schedule_minima_match_a_prefix_minimum_loop(monkeypatch):
     rng = np.random.default_rng(7)
     for size in (0, 1, 50, 400):
         # rounded values repeat, so ties with the running minimum occur
         devs = np.round(rng.uniform(0.0, 2.0, size), 2)
+        ms = np.arange(1, size + 1)
         for eps in (0.05, 0.6, 3.0):
-            got = K.successive_minima(devs, eps)
-            assert got.tolist() == prefix_minimum_flags(devs, eps)
+            # the hits in chunks of 37 steps, so minima carry across chunks
+            chunks = []
+            for i in range(0, size, 37):
+                m, d = ms[i : i + 37], devs[i : i + 37]
+                chunks.append((m[d < eps], d[d < eps]))
+            monkeypatch.setattr(K, "recurrence_hits", lambda *_: iter(chunks))
+            want = [m for m, flag in zip(ms.tolist(), prefix_minimum_flags(devs, eps)) if flag]
+            if want:
+                assert recurrence_schedule([1.0], eps, max(size, 1)) == want
+            else:
+                with pytest.raises(NotFound):
+                    recurrence_schedule([1.0], eps, max(size, 1))
