@@ -24,6 +24,12 @@ from .exactnum import _ZERO, DEFAULT_TABLE, AtomTable, DilationIndex, Frequency,
 # longest recurrence scan: it streams in fixed chunks, so the cap bounds
 # its time (seconds at 10^8), not its memory
 _MAX_SCAN = 10**8
+# highest section order: the weights are fractions over powers of m!, so
+# the cap bounds their time (about a second at 2*10^4 for a support of rank 1)
+_MAX_ORDER = 2 * 10**4
+# most quadrature panels: the weights are closed forms, O(1) per term
+# whatever the count, so the cap only keeps it an integer a double holds
+_MAX_STEPS = 2**53
 
 # ------------------------------------------------------------ rational basis
 
@@ -109,6 +115,8 @@ class BFSpec:
     def __post_init__(self):
         if self.m < 1:
             raise InvalidParameter("section order m must be at least 1")
+        if self.m > _MAX_ORDER:
+            raise InvalidParameter(f"section order {self.m} exceeds {_MAX_ORDER}")
         object.__setattr__(self, "grading", Axis.parse(self.grading))
 
 
@@ -227,6 +235,8 @@ def cesaro_mean(
         raise InvalidParameter("averaging length T must be finite")
     if steps < 2:
         raise InvalidParameter("need at least two quadrature panels")
+    if steps > _MAX_STEPS:
+        raise InvalidParameter(f"{steps} quadrature panels exceed {_MAX_STEPS}")
     s = axis.as_index(s)
     axis.check_support(x)
     s_num = s.numeric(table)
@@ -268,7 +278,7 @@ def bf_kernel_many(basis: RationalBasis, m: int, ts, table: AtomTable = DEFAULT_
 def _recurrence_hits(freqs, eps: float, limit: int):
     """The validated scan: (ms, devs) below eps for M in [1, limit], chunk
     by chunk in scan order."""
-    if eps <= 0:
+    if not eps > 0:
         raise InvalidParameter("tolerance must be positive")
     limit = int(limit)
     if limit < 1:

@@ -22,6 +22,7 @@ from .errors import (
     GroupModeError,
     InvalidParameter,
     NotInDomain,
+    NumericOverflow,
     UntrustedCharacterWarning,
 )
 from .exactnum import (
@@ -31,6 +32,7 @@ from .exactnum import (
     Frequency,
     _dil_as_frequency,
     _frac,
+    _ratio,
     DEFAULT_GUARD,
     DEFAULT_TABLE,
 )
@@ -78,7 +80,7 @@ class APPoint:
             index = _dil_as_frequency(index)
         if self.at_infinity:
             return 1.0 if index.is_zero() else 0.0
-        return self.char.value(index) * cmath.exp(-num * float(self.decay))
+        return self.char.value(index) * cmath.exp(-num * _ratio(*self.decay.as_integer_ratio()))
 
     def is_vanishing(self) -> bool:
         return self.at_infinity
@@ -114,7 +116,10 @@ class DiscPoint:
             raise NotInDomain("negative dilation power")
         if n == 0:
             return 1.0
-        return self.w**n
+        try:
+            return self.w**n
+        except OverflowError:
+            raise NumericOverflow("the disc point power leaves the double range") from None
 
     def is_vanishing(self) -> bool:
         return self.w == 0

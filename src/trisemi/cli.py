@@ -438,7 +438,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = cmd("recurrence", _cmd_recurrence, "almost-period search by scan")
     p.add_argument("--freqs", type=_freq_list, default=[parse_frequency("1")])
-    p.add_argument("--eps", type=float, required=True)
+    p.add_argument("--eps", type=_finite, required=True)
     p.add_argument("--limit", type=int, required=True)
     p.add_argument("--schedule", action="store_true",
                    help="emit all successive minima instead of the first hit")

@@ -297,23 +297,65 @@ class _Sum:
         return _ZERO
 
     def numeric(self, table: "AtomTable") -> float:
-        # int true division rounds n/d once, as float() of a Fraction does
-        d = self._d
-        return sum(n / d * k.numeric(table) for k, n in self._items)
+        return _evaluate(self, table)[0]
+
+    def exact_numeric(self, table: "AtomTable") -> Fraction | None:
+        """The exact value over the declared doubles, of a dilation index
+        or a sum of atoms; None when a monomial has an exponent (e^t is
+        irrational for rational t != 0) or two atoms."""
+        dil = type(self) is DilationIndex
+        num, den = 0, 1
+        for key, n in self._items:
+            if not dil and (key.exp._items or len(key.bases) > 1):
+                return None
+            value = table.dilation_value(key) if dil else table.atom_value(key.base)
+            a, b = value.as_integer_ratio()
+            num, den = num * b + n * a * den, den * b
+        return Fraction(num, den * self._d)
 
     def __repr__(self) -> str:
         body = " + ".join(f"{q}*{k}" for k, q in self.terms) or "0"
         return f"{type(self).__name__}({body})"
 
 
-def _exact_total(items: tuple, value, d: int) -> Fraction:
-    """The exact rational sum of n * value(key) / d over (key, n) items,
-    for double values."""
-    num, den = 0, 1
-    for key, n in items:
-        a, b = value(key).as_integer_ratio()
-        num, den = num * b + n * a * den, den * b
-    return Fraction(num, den * d)
+def _ratio(n: int, d: int) -> float:
+    """n/d rounded once, as float() of a Fraction: the one exact-ratio-to-double site."""
+    try:
+        return n / d
+    except OverflowError:
+        raise NumericOverflow("an exact ratio leaves the double range") from None
+
+
+def _evaluate(x: _Sum, table: "AtomTable") -> tuple[float, float]:
+    """(value, bound): the double value of a dilation index, frequency or
+    phase exponent and a bound on its distance from the exact value over
+    the declared doubles; NumericOverflow when a double overflows.
+
+    A dilation index's exact value is rounded once: bound 0.  Otherwise a
+    term t_k = (n/d)·(atoms·e^(a_k)) carries at most 5 + |a_k| roundoffs
+    u = 2^-53 relative to |t_k| (the quotient, e^(a_k) through the rounded
+    a_k and the library exp's 2u, two products), and summing N terms adds
+    (N - 1)·u·Σ|t_k| (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, §4.2).  Twice the first-order total (N + 4 + Σ|a_k|)·u·
+    Σ|t_k|, the bound returned, covers the rest.
+    """
+    if type(x) is DilationIndex:
+        return _ratio(*x.exact_numeric(table).as_integer_ratio()), 0.0
+    v = size = spread = 0.0
+    for key, n in x._items:
+        t = 1.0
+        for base in key.bases:
+            t *= table.atom_value(base)
+        if key.exp._items:
+            a = _evaluate(key.exp, table)[0]
+            t *= _exp(a)
+            spread += abs(a)
+        t = _ratio(n, x._d) * t
+        v += t
+        size += abs(t)
+    if not math.isfinite(v):
+        raise NumericOverflow(f"{type(x).__name__} value leaves the double range")
+    return v, (len(x._items) + 4 + spread) * 2.0**-52 * size
 
 
 def _exp(x: float) -> float:
@@ -350,13 +392,6 @@ class DilationIndex(_Sum):
         if len(items) == 1 and self._d == 1 and items[0][0] == UNIT_SYMBOL:
             return items[0][1]
         return None
-
-    def numeric(self, table: "AtomTable") -> float:
-        return float(self.exact_numeric(table))
-
-    def exact_numeric(self, table: "AtomTable") -> Fraction:
-        # Dilation symbol values are doubles, hence exact rationals.
-        return _exact_total(self._items, table.dilation_value, self._d)
 
 
 _DIL_ZERO = DilationIndex._zero = DilationIndex()
@@ -437,14 +472,6 @@ class PhaseMonomial:
             return self
         return PhaseMonomial._canonical(self.bases, self.exp + t)
 
-    def numeric(self, table: "AtomTable") -> float:
-        v = 1.0
-        for b in self.bases:
-            v *= table.atom_value(b)
-        if not self.exp.is_zero():
-            v *= _exp(self.exp.numeric(table))
-        return v
-
     def __repr__(self) -> str:
         return f"PhaseMonomial({self.bases}, {self.exp!r})"
 
@@ -479,13 +506,6 @@ class Frequency(_Sum):
         # The shift maps distinct atoms to distinct atoms, but it can
         # change their order.
         return Frequency._distinct([(a.scaled(t), n) for a, n in self._items], self._d)
-
-    def exact_numeric(self, table: "AtomTable") -> Fraction | None:
-        """Exact rational value, or None when an atom carries a nonzero
-        exponent (e^t is not rational for rational t != 0)."""
-        if any(not a.exp.is_zero() for a, _ in self._items):
-            return None
-        return _exact_total(self._items, lambda a: a.numeric(table), self._d)
 
 
 Frequency._zero = Frequency()
@@ -625,9 +645,6 @@ class QI:
             raise DivisionByZero("inverse of zero amplitude")
         return QI._reduced(self._d * self._a, -self._d * self._b, n)
 
-    def to_complex(self) -> complex:
-        return complex(self._a / self._d) + 1j * complex(self._b / self._d)
-
     def __repr__(self) -> str:
         return f"QI({self.re}, {self.im})"
 
@@ -691,7 +708,8 @@ class PhaseSum(_Sum):
     def numeric(self, table: "AtomTable") -> complex:
         total = 0j
         for pe, amp in self._items:
-            total += amp.to_complex() * cmath.exp(1j * pe.numeric(table))
+            z = complex(_ratio(amp._a, amp._d), _ratio(amp._b, amp._d))
+            total += z * cmath.exp(1j * pe.numeric(table))
         return total
 
 
@@ -1041,7 +1059,7 @@ class Scalar:
     def modulus(self, table: "AtomTable") -> float:
         single = self.single_phase()
         if single is not None:
-            return math.sqrt(single[1].abs2())
+            return math.sqrt(_ratio(*single[1].abs2().as_integer_ratio()))
         return abs(self.numeric(table))
 
     def __repr__(self) -> str:
@@ -1151,10 +1169,10 @@ class BohrCharacter:
             a = lookup.get(atom.base)
             if a is not None:
                 total += n * a
-        return total / f._d
+        return Fraction(total, f._d)
 
     def value(self, f: Frequency) -> complex:
-        return cmath.exp(1j * float(self.angle(f)))
+        return cmath.exp(1j * _ratio(*self.angle(f).as_integer_ratio()))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, BohrCharacter) and self.angles == other.angles
@@ -1166,46 +1184,26 @@ class BohrCharacter:
         return f"BohrCharacter({list(self.angles)!r})"
 
 
-def _rounded_value(x: Frequency, table: AtomTable) -> tuple[float, float]:
-    """The double value of x, summed term by term, and a bound on its
-    distance from the exact value over the declared doubles.
-
-    A term t_k = (n/d)·atom·e^(a_k) carries at most 5 + |a_k| unit
-    roundoffs u = 2^-53 relative to |t_k|: the quotient n/d, e^(a_k)
-    through the rounded a_k (|a_k|) and the library exp (one ulp, 2u),
-    and two products.  Recursive summation of N terms adds
-    (N - 1)·u·Σ|t_k| (Higham, *Accuracy and Stability of Numerical
-    Algorithms*, §4.2).  So (N + 4 + Σ|a_k|)·u·Σ|t_k| bounds the error to
-    first order, and twice that, the bound returned, covers the rest.
-    """
-    d = x._d
-    v = size = spread = 0.0
-    for atom, n in x._items:
-        t = n / d * atom.numeric(table)
-        v += t
-        size += abs(t)
-        if atom.exp._items:
-            spread += abs(atom.exp.numeric(table))
-    return v, (len(x._items) + 4 + spread) * 2.0**-52 * size
-
-
 def index_sign(
     x: Frequency | DilationIndex, table: AtomTable, guard: float = DEFAULT_GUARD
 ) -> int:
-    """Sign of the numeric value of a frequency or dilation index: 0 only
-    for the exact zero.  A value within max(guard, bound) of 0 is refused,
-    where bound is the rounding error bound of the double value.  A
-    dilation value is the correctly rounded double of an exact rational,
-    so its sign is exact and its bound is 0."""
+    """Sign of the value of a frequency or dilation index: 0 only for the
+    exact zero.  A value within max(guard, bound) of 0 is refused, bound
+    being ``_evaluate``'s rounding bound; a dilation index's exact value
+    meets the finite guard as it is, with bound 0, so no double is formed."""
     if x.is_zero():
         return 0
-    if isinstance(x, DilationIndex):
-        v, bound = x.numeric(table), 0.0
+    what = "dilation" if type(x) is DilationIndex else "frequency"
+    if what == "dilation":
+        num, den = x.exact_numeric(table).as_integer_ratio()
+        gn, gd = guard.as_integer_ratio()
+        if abs(num) * gd > gn * den:
+            return 1 if num > 0 else -1
+        v, bound = _ratio(num, den), 0.0
     else:
-        v, bound = _rounded_value(x, table)
-    if abs(v) <= max(guard, bound):
-        what = "dilation" if isinstance(x, DilationIndex) else "frequency"
-        raise IndeterminateSign(
-            f"{what} value {v:.3e} inside guard {guard:.1e} or rounding bound {bound:.1e}"
-        )
-    return 1 if v > 0 else -1
+        v, bound = _evaluate(x, table)
+        if not abs(v) <= max(guard, bound):
+            return 1 if v > 0 else -1
+    raise IndeterminateSign(
+        f"{what} value {v:.3e} inside guard {guard:.1e} or rounding bound {bound:.1e}"
+    )

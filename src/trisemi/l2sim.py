@@ -265,6 +265,10 @@ def relation_residual(kind: str, params, f: PacketSum) -> float:
 
 # ------------------------------------------------------------- norm bounds
 
+# most sampled packets: the Gram arrays hold terms^2 * trials entries, so
+# the cap bounds time and memory (0.07 s and ~35 MB for one term at 10^5)
+_MAX_TRIALS = 10**5
+
 
 def sample_widths_centers(rng, trials: int):
     """The packet sampling law for norm bounds: wide log-uniform widths,
@@ -293,6 +297,8 @@ def norm_lower_bound(
     """
     if trials < 1:
         raise InvalidParameter("need at least one trial")
+    if trials > _MAX_TRIALS:
+        raise InvalidParameter(f"{trials} trials exceed {_MAX_TRIALS}")
     if seed < 0:
         raise InvalidParameter("seed must be non-negative")
     a, b, c = sample_widths_centers(np.random.default_rng(seed), trials)

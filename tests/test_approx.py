@@ -328,7 +328,7 @@ def test_recurrence_search_is_the_head_of_the_schedule():
         schedule = _outcome(recurrence_schedule, freqs, eps, limit)
         assert search == (schedule[0] if isinstance(schedule, list) else schedule)
         assert _first_recurrence(freqs, eps, limit) == (search if isinstance(search, int) else None)
-    for eps, limit in ((0.0, 10), (-1.0, 10), (0.1, 0), (0.1, -3), (0.0, 0), (1e-9, 50)):
+    for eps, limit in ((0.0, 10), (-1.0, 10), (math.nan, 10), (0.1, 0), (0.1, -3), (0.0, 0), (1e-9, 50)):
         search = _outcome(recurrence_search, [1.0], eps, limit)
         assert search == _outcome(recurrence_schedule, [1.0], eps, limit)
         assert search[0] is (NotFound if eps > 0 and limit > 0 else InvalidParameter)

@@ -144,6 +144,8 @@ def test_zero_denominator_exits_2_with_a_parse_record(capsys, text):
 
 # a guard under 1e-12 resolves the sign of M(1e-12)
 _TINY = ["support", "--algebra", "aph", "M(1/1000000000000)*V(1)"]
+# 10^400, beyond the double range; the parser has no power operator
+_HUGE = "1" + "0" * 400
 
 
 @pytest.mark.parametrize(
@@ -218,6 +220,31 @@ def test_invalid_parameter_exits_2_with_a_record(capsys, argv):
         (["sim-residuals", "--mu", "1e8"], "invalid-parameter"),
         (["sim-residuals", "--t", "30"], "invalid-parameter"),
         (["sim-residuals", "--t", "-30", "--mu", "1"], "invalid-parameter"),
+        # a float view of an exact value beyond the double range, the
+        # exact commands' coefficient views included
+        (["normalize", f"{_HUGE}*M(1)"], "numeric-overflow"),
+        (["normalize", f"exp(i*{_HUGE})*M(1)"], "numeric-overflow"),
+        (["support", "--algebra", "aph", f"M({_HUGE})*V(1)"], "numeric-overflow"),
+        (["char-eval", "--family", "d1", f"M({_HUGE})"], "numeric-overflow"),
+        (["char-eval", "--family", "d1", "--y", _HUGE, "M(1)"], "numeric-overflow"),
+        (["char-eval", "--family", "d1", "--angles", f"ONE={_HUGE}", "M(1)"], "numeric-overflow"),
+        (["recurrence", "--freqs", _HUGE, "--eps", "0.1", "--limit", "10"], "numeric-overflow"),
+        # finite factors whose double product overflows: no NaN view, no
+        # scan over an infinite frequency
+        (["normalize", "exp(i*1000000*ONE@{700})*M(1)"], "numeric-overflow"),
+        (["recurrence", "--freqs", "1000000*ONE@{700}", "--eps", "0.1", "--limit", "10"],
+         "numeric-overflow"),
+        (["gauge", "--grading", "dilation", "--theta", "1", f"V({_HUGE})"], "numeric-overflow"),
+        (["cesaro", "--grading", "dilation", "--index", _HUGE, "--T", "1", "V(1)"],
+         "numeric-overflow"),
+        (["sim-norm-bound", f"V({_HUGE})"], "numeric-overflow"),
+        (["bf", "--m", "1", f"{_HUGE}*M(1)*D(1) + D(1/2)"], "numeric-overflow"),
+        (["char-eval", "--family", "d3", "--w", "0.5", f"V({_HUGE})"], "numeric-overflow"),
+        # sizes past their caps are refused before any work
+        (["bf", "--m", _HUGE, "M(1)"], "invalid-parameter"),
+        (["cesaro", "--steps", _HUGE, "--T", "1", "--index", "1", "M(1)"], "invalid-parameter"),
+        (["sim-norm-bound", "--trials", _HUGE, "M(1)"], "invalid-parameter"),
+        (["recurrence", "--eps", "nan", "--limit", "10"], "invalid-parameter"),
     ],
 )
 def test_degenerate_numbers_exit_2_with_one_record(capsys, argv, code):
@@ -239,6 +266,19 @@ def test_support_accepts_every_algebra_name_its_help_lists(capsys, name, value, 
     out, _ = out_of(capsys)
     payload = json.loads(out)
     assert (payload["algebra"], payload["member"]) == (value, member)
+
+
+@pytest.mark.parametrize(
+    "argv, key, want",
+    [
+        (["support", "--algebra", "aph", f"V({_HUGE})"], "member", True),
+        (["char-eval", "--family", "d2", f"V({_HUGE})"], "value", {"re": 0.0, "im": 0.0}),
+        (["ideal-test", "--ideal", "jt", "--t", _HUGE, "M(1)"], "member", False),
+    ],
+)
+def test_a_dilation_beyond_the_double_range_is_signed_exactly(capsys, argv, key, want):
+    assert run(["--json", *argv]) == 0
+    assert json.loads(out_of(capsys)[0])[key] == want
 
 
 def test_help_exits_0(capsys):

@@ -314,6 +314,50 @@ def test_each_default_table_and_name_set_has_one_owner():
     assert not choices, "argparse choices in _build_parser:\n" + "\n".join(choices)
 
 
+def _denominator_names(func: ast.FunctionDef) -> set[str]:
+    """The local names a function binds to a ``._d`` attribute, one by
+    one or in a tuple assignment."""
+    names = set()
+    for node in ast.walk(func):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                pairs = [(target, node.value)]
+                if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                    pairs = zip(target.elts, node.value.elts)
+                names |= {
+                    t.id for t, v in pairs
+                    if isinstance(t, ast.Name) and isinstance(v, ast.Attribute) and v.attr == "_d"
+                }
+    return names
+
+
+def test_exact_ratios_become_doubles_only_in_ratio():
+    # exactnum._ratio is the one place where an exact ratio becomes a
+    # double: no other function divides by a ``._d`` denominator, read
+    # directly or through a local, or takes float() of a field such as a
+    # Fraction decay
+    package = Path(trisemi.__file__).resolve().parent
+    found = set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef) or func.name == "_ratio":
+                continue
+            dens = _denominator_names(func)
+            for node in ast.walk(func):
+                if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
+                    right = node.right
+                    if getattr(right, "attr", None) == "_d" or getattr(right, "id", None) in dens:
+                        found.add(f"{path.name}:{node.lineno}")
+                if (
+                    isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "float"
+                    and any(isinstance(a, ast.Attribute) for a in node.args)
+                ):
+                    found.add(f"{path.name}:{node.lineno}")
+    assert not found, "exact-to-double conversions outside _ratio:\n" + "\n".join(sorted(found))
+
+
 def test_the_cli_reads_analysis_names_through_the_package():
     # the package's lazy table is the one name -> module map: no CLI
     # function imports an analysis module itself; and a character
