@@ -6,7 +6,10 @@ one-term elements: modulations M(lam) (multiply by e^{i lam x}),
 translations D(mu) (shift by mu), dilations V(t) (unitary scaling by e^t)
 and scalars Sc(c).  A word is the product of its letters, and `mul`
 rewrites each product of monomials into normal order with the exact
-commutation phases.  Conjugation by a unitary u is `conjugate(x, u)`.
+commutation phases.  Conjugation by a unitary u is `conjugate(x, u)`;
+conjugation by V(s) is the dilation key map (lam, mu, t) -> (e^-s lam,
+e^s mu, t) with the coefficients kept, which `apply_automorphism`
+shares, and needs no product.
 """
 
 from __future__ import annotations
@@ -83,19 +86,21 @@ class Element:
         return cls({(Frequency.zero(), Frequency.zero(), DilationIndex.zero()): c})
 
     @classmethod
-    def m(cls, freq, coeff=1) -> "Element":
-        key = (as_frequency(freq), Frequency.zero(), DilationIndex.zero())
-        return cls({key: Scalar.from_number(coeff)})
+    def _monomial(cls, key: Key, coeff) -> "Element":
+        c = Scalar.from_number(coeff)
+        return cls() if c.is_zero() else cls._canonical({key: c})
 
     @classmethod
-    def d(cls, freq, coeff=1) -> "Element":
-        key = (Frequency.zero(), as_frequency(freq), DilationIndex.zero())
-        return cls({key: Scalar.from_number(coeff)})
+    def m(cls, freq, coeff=Scalar.one()) -> "Element":
+        return cls._monomial((as_frequency(freq), Frequency.zero(), DilationIndex.zero()), coeff)
 
     @classmethod
-    def v(cls, index, coeff=1) -> "Element":
-        key = (Frequency.zero(), Frequency.zero(), as_dilation(index))
-        return cls({key: Scalar.from_number(coeff)})
+    def d(cls, freq, coeff=Scalar.one()) -> "Element":
+        return cls._monomial((Frequency.zero(), as_frequency(freq), DilationIndex.zero()), coeff)
+
+    @classmethod
+    def v(cls, index, coeff=Scalar.one()) -> "Element":
+        return cls._monomial((Frequency.zero(), Frequency.zero(), as_dilation(index)), coeff)
 
     @classmethod
     def from_word(cls, word: Iterable) -> "Element":
@@ -203,8 +208,27 @@ def adjoint(x: Element) -> Element:
     return Element(items)
 
 
+def _dilated(x: Element, d: DilationIndex) -> Element:
+    """x with every key (lam, mu, t) sent to (e^d lam, e^-d mu, t) and its
+    coefficient kept: V(-d)* x V(-d), the key part of a dilation
+    automorphism.  The map is injective on keys, so nothing merges."""
+    if d.is_zero():
+        return x
+    neg = -d
+    return Element._canonical(
+        {(lam.scale_exp(d), mu.scale_exp(neg), t): c for (lam, mu, t), c in x.terms.items()}
+    )
+
+
 def conjugate(x: Element, u: Element) -> Element:
-    """u* x u: the conjugation of x by the unitary u."""
+    """u* x u: the conjugation of x by the unitary u.
+
+    For u = V(s) every phase of the product is trivial, so the result is
+    the dilation key map by -s; any other u goes through ``mul``."""
+    if len(u.terms) == 1:
+        ((lam, mu, s), c), = u.terms.items()
+        if lam.is_zero() and mu.is_zero() and c == Scalar.one():
+            return _dilated(x, -s)
     return mul(mul(adjoint(u), x), u)
 
 
@@ -413,16 +437,15 @@ class AutomorphismSpec:
 def apply_automorphism(
     x: Element, spec: AutomorphismSpec, table: AtomTable = DEFAULT_TABLE
 ) -> Element:
-    out: dict[Key, Scalar] = {}
+    twisted: dict[Key, Scalar] = {}
     for (lam, mu, t), c in x.terms.items():
         angle = spec.mod_char.angle(lam) + spec.shift_char.angle(mu)
         if spec.v_angle and not t.is_zero():
             angle += spec.v_angle * t.exact_numeric(table)
         if angle:
             c = c * Scalar.rational_angle(angle)
-        key = (lam.scale_exp(spec.dil), mu.scale_exp(-spec.dil), t)
-        out[key] = c
-    return Element(out)
+        twisted[lam, mu, t] = c
+    return _dilated(Element._canonical(twisted), spec.dil)
 
 
 @dataclass(frozen=True)

@@ -45,6 +45,7 @@ from .exprs import (
     parse_dilation,
     parse_element,
     parse_frequency,
+    rational_text,
     scalar_text,
 )
 
@@ -55,7 +56,7 @@ __all__ = ["main", "run"]
 
 
 def _rat(q) -> str:
-    return str(Fraction(q))
+    return rational_text(Fraction(q))
 
 
 def _cnum(z: complex) -> dict:

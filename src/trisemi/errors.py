@@ -33,7 +33,8 @@ class DivisionByZero(EngineError):
 
 class NumericOverflow(EngineError):
     """Numeric evaluation overflowed a double or hit a vanishing
-    denominator."""
+    denominator, or an exact rational has more digits than the
+    interpreter converts to text."""
 
     code = "numeric-overflow"
 

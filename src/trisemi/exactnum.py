@@ -303,6 +303,12 @@ class _Sum:
         """The exact value over the declared doubles, of a dilation index
         or a sum of atoms; None when a monomial has an exponent (e^t is
         irrational for rational t != 0) or two atoms."""
+        ratio = self._exact_ratio(table)
+        return None if ratio is None else Fraction(*ratio)
+
+    def _exact_ratio(self, table: "AtomTable") -> tuple[int, int] | None:
+        """``exact_numeric`` as an integer ratio (num, den), den > 0 and
+        not reduced; None where ``exact_numeric`` is None."""
         dil = type(self) is DilationIndex
         num, den = 0, 1
         for key, n in self._items:
@@ -311,7 +317,7 @@ class _Sum:
             value = table.dilation_value(key) if dil else table.atom_value(key.base)
             a, b = value.as_integer_ratio()
             num, den = num * b + n * a * den, den * b
-        return Fraction(num, den * self._d)
+        return num, den * self._d
 
     def __repr__(self) -> str:
         body = " + ".join(f"{q}*{k}" for k, q in self.terms) or "0"
@@ -319,7 +325,8 @@ class _Sum:
 
 
 def _ratio(n: int, d: int) -> float:
-    """n/d rounded once, as float() of a Fraction: the one exact-ratio-to-double site."""
+    """n/d rounded once, as float() of a Fraction, reduced or not (int/int
+    true division is correctly rounded): the one exact-ratio-to-double site."""
     try:
         return n / d
     except OverflowError:
@@ -339,8 +346,10 @@ def _evaluate(x: _Sum, table: "AtomTable") -> tuple[float, float]:
     Algorithms*, §4.2).  Twice the first-order total (N + 4 + Σ|a_k|)·u·
     Σ|t_k|, the bound returned, covers the rest.
     """
+    if not x._items:
+        return 0.0, 0.0
     if type(x) is DilationIndex:
-        return _ratio(*x.exact_numeric(table).as_integer_ratio()), 0.0
+        return _ratio(*x._exact_ratio(table)), 0.0
     v = size = spread = 0.0
     for key, n in x._items:
         t = 1.0
@@ -378,6 +387,8 @@ class DilationIndex(_Sum):
 
     @classmethod
     def unit(cls, q=1) -> "DilationIndex":
+        if type(q) is int:  # already over denominator 1
+            return cls._canonical(((UNIT_SYMBOL, q),)) if q else cls._zero
         return cls(((UNIT_SYMBOL, q),))
 
     @classmethod
@@ -501,7 +512,7 @@ class Frequency(_Sum):
 
     def scale_exp(self, t: DilationIndex) -> "Frequency":
         """Multiply by e^t, realized exactly as an exponent shift on atoms."""
-        if t.is_zero():
+        if t.is_zero() or not self._items:
             return self
         # The shift maps distinct atoms to distinct atoms, but it can
         # change their order.
@@ -1195,7 +1206,7 @@ def index_sign(
         return 0
     what = "dilation" if type(x) is DilationIndex else "frequency"
     if what == "dilation":
-        num, den = x.exact_numeric(table).as_integer_ratio()
+        num, den = x._exact_ratio(table)
         gn, gd = guard.as_integer_ratio()
         if abs(num) * gd > gn * den:
             return 1 if num > 0 else -1

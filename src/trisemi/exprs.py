@@ -16,10 +16,11 @@ the identity on canonical forms.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 from .algebra import Element, adjoint, mul
-from .errors import ParseError
+from .errors import NumericOverflow, ParseError
 from .exactnum import (
     DilationIndex,
     Frequency,
@@ -44,6 +45,18 @@ def _signed_join(parts: list[tuple[str, bool]]) -> str:
     return "".join(out)
 
 
+def rational_text(q: Fraction) -> str:
+    """``p`` or ``p/q``; NumericOverflow when a part has more digits than
+    the interpreter converts to text (``sys.get_int_max_str_digits``)."""
+    try:
+        return str(q)
+    except ValueError:
+        raise NumericOverflow(
+            f"a rational with a part over {sys.get_int_max_str_digits()} digits, "
+            "the limit of int/str conversion, has no text form"
+        ) from None
+
+
 def _combo_parts(terms, name) -> list[tuple[str, bool]]:
     """Signed summands of a rational combination: ``name(key)`` is the
     key's text, or None for the unit key, which prints as the bare
@@ -53,9 +66,9 @@ def _combo_parts(terms, name) -> list[tuple[str, bool]]:
     for key, q in terms:
         text = name(key)
         if text is None:
-            text = str(abs(q))
+            text = rational_text(abs(q))
         elif abs(q) != 1:
-            text = f"{abs(q)}*{text}"
+            text = f"{rational_text(abs(q))}*{text}"
         parts.append((text, q < 0))
     return parts
 
@@ -240,14 +253,26 @@ class _Parser:
 
     # rationals ------------------------------------------------------
 
+    def _number(self) -> Fraction:
+        """The value of the next token, a number; ParseError on one with
+        more digits than the interpreter converts from text."""
+        tok = self.expect("num")
+        try:
+            return Fraction(tok.text)
+        except ValueError:
+            raise ParseError(
+                f"number of {len(tok.text)} characters exceeds the "
+                f"{sys.get_int_max_str_digits()}-digit limit of int/str conversion",
+                (tok.pos, tok.pos + len(tok.text)),
+            ) from None
+
     def rational(self) -> Fraction:
         """An unsigned ``p`` or ``p/q``; the caller has taken the sign."""
-        tok = self.expect("num")
-        q = Fraction(tok.text)
+        q = self._number()
         if self.peek().kind == "/" and self.peek(1).kind == "num":
             self.advance()
-            den = self.expect("num")
-            d = Fraction(den.text)
+            den = self.peek()
+            d = self._number()
             if not d:
                 raise ParseError("zero denominator", (den.pos, den.pos + len(den.text)))
             q /= d
@@ -383,7 +408,7 @@ class _Parser:
         if tok.kind == "(":
             return self._group(self.advance())
         if tok.kind == "num":
-            return Element.scalar(Scalar.from_rational(Fraction(self.advance().text)))
+            return Element.scalar(Scalar.from_rational(self._number()))
         if tok.kind == "name":
             name = tok.text
             if name == "i":

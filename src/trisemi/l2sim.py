@@ -182,21 +182,26 @@ class PacketSum:
 # --------------------------------------------------------- element action
 
 
-def _act(x: Element, f: PacketSum, table: AtomTable) -> PacketSum:
-    """Every monomial z M(lam) D(mu) V(t) of x applied to every packet of
-    f, as parameter arrays of shape (terms, packets): dilate, then shift,
-    then modulate, then scale.  The dilation touches all four parameters,
-    so each array comes out with the full shape."""
-    terms = x.sorted_terms()
-    z = np.array([c.numeric(table) for _, c in terms], dtype=np.complex128)
-    keys = np.array([[k.numeric(table) for k in key] for key, _ in terms], dtype=np.float64)
-    lam, mu, t = keys.reshape(-1, 3).T[:, :, None]
-    return f.dilate(t).translate(mu).modulate(lam).scale(z[:, None])
+def _act(xs: list[Element], f: PacketSum, table: AtomTable) -> PacketSum:
+    """Every monomial z M(lam) D(mu) V(t) of each x in xs, which all have
+    one number of terms, applied to every packet of f, as parameter
+    arrays of shape (elements, terms, packets): dilate, then shift, then
+    modulate, then scale.  The dilation touches all four parameters, so
+    each array comes out with the full shape."""
+    z, keys = [], []
+    for x in xs:
+        terms = x.sorted_terms()
+        z.append([c.numeric(table) for _, c in terms])
+        keys.append([[k.numeric(table) for k in key] for key, _ in terms])
+    z = np.array(z, dtype=np.complex128).reshape(len(xs), -1)
+    keys = np.array(keys, dtype=np.float64).reshape(len(xs), -1, 3)
+    lam, mu, t = keys.transpose(2, 0, 1)[..., None]
+    return f.dilate(t).translate(mu).modulate(lam).scale(z[..., None])
 
 
 def apply_element(x: Element, f: PacketSum, table: AtomTable = DEFAULT_TABLE) -> PacketSum:
     """Act by the concrete operator sum: dilate, then shift, then modulate."""
-    out = _act(x, f, table)
+    out = _act([x], f, table)
     return PacketSum._of(*(v.ravel() for v in out._params))
 
 
@@ -265,9 +270,13 @@ def relation_residual(kind: str, params, f: PacketSum) -> float:
 
 # ------------------------------------------------------------- norm bounds
 
-# most sampled packets: the Gram arrays hold terms^2 * trials entries, so
-# the cap bounds time and memory (0.07 s and ~35 MB for one term at 10^5)
+# most sampled packets: the cap bounds time (0.07 s for one term at 10^5)
 _MAX_TRIALS = 10**5
+
+# trials per pass of a norm bound: a pass holds terms^2 * chunk Gram
+# entries, so past the three sampled parameters per trial the memory is
+# bounded for any number of trials
+_TRIAL_CHUNK = 1024
 
 
 def sample_widths_centers(rng, trials: int):
@@ -301,18 +310,26 @@ def norm_lower_bound(
         raise InvalidParameter(f"{trials} trials exceed {_MAX_TRIALS}")
     if seed < 0:
         raise InvalidParameter("seed must be non-negative")
-    a, b, c = sample_widths_centers(np.random.default_rng(seed), trials)
-    f = PacketSum._of(*np.array([np.ones(trials), a, b, c], dtype=np.complex128))
-    image = _act(x, f, table)
-    # trial i of every term against trial i of every term
-    left = (v[:, None] for v in image._params)
-    right = (v[None, :] for v in image._params)
-    image_sq = _kernels.gaussian_inner(*left, *right).real.sum(axis=(0, 1))
-    base_sq = _kernels.gaussian_inner(*f._params, *f._params).real
-    ratios = np.sqrt(np.maximum(image_sq, 0.0) / base_sq)
-    if not np.isfinite(ratios).all():
-        raise NumericOverflow("the dilated packets leave the double range")
-    return float(ratios.max())
+    sample = np.array(sample_widths_centers(np.random.default_rng(seed), trials))
+    # the trials in chunks of near-equal length, none a lone trial split
+    # off (its Gram sum would switch to numpy's pairwise order), so every
+    # quotient is bit for bit that of a single pass
+    chunks = -(-trials // _TRIAL_CHUNK)
+    edges = [trials * k // chunks for k in range(chunks + 1)]
+    best = []
+    for lo, hi in zip(edges, edges[1:]):
+        f = PacketSum._of(*np.array([np.ones(hi - lo), *sample[:, lo:hi]], dtype=np.complex128))
+        image = [v[0] for v in _act([x], f, table)._params]
+        # trial i of every term against trial i of every term
+        left = (v[:, None] for v in image)
+        right = (v[None, :] for v in image)
+        image_sq = _kernels.gaussian_inner(*left, *right).real.sum(axis=(0, 1))
+        base_sq = _kernels.gaussian_inner(*f._params, *f._params).real
+        ratios = np.sqrt(np.maximum(image_sq, 0.0) / base_sq)
+        if not np.isfinite(ratios).all():
+            raise NumericOverflow("the dilated packets leave the double range")
+        best.append(ratios.max())
+    return float(max(best))
 
 
 # ------------------------------------------------- left regular representation
@@ -460,7 +477,14 @@ def wot_compression_demo(
     schedule,
     table: AtomTable = DEFAULT_TABLE,
 ) -> ConvergenceReport:
-    """Track matrix entries of the compressions along a schedule."""
+    """Track matrix entries of the compressions along a schedule.
+
+    Each step is compressed exactly.  Conjugation by a unitary monomial
+    maps terms one to one, so every step has the terms of x, and all
+    steps act on f as one (steps, terms, |f|) array and meet g in one
+    inner product: O(steps * terms * |f| * |g|) complex entries, one
+    packet each for f and g from the command line.
+    """
     schedule = [int(n) for n in schedule]
     if len(schedule) < 2:
         raise ScheduleTooShort(
@@ -469,13 +493,11 @@ def wot_compression_demo(
     mode = CompressionMode.parse(mode)
     limit = wot_limit(x, mode)
     limit_value = apply_element(limit, f, table).inner(g)
-    values = []
-    errors = []
-    for n in schedule:
-        y = compress(x, mode, n)
-        val = apply_element(y, f, table).inner(g)
-        values.append(val)
-        errors.append(abs(val - limit_value))
+    images = _act([compress(x, mode, n) for n in schedule], f, table)
+    left = (v.reshape(len(schedule), -1, 1) for v in images._params)
+    inner = _kernels.gaussian_inner(*left, *g._params).reshape(len(schedule), -1)
+    values = [complex(v) for v in inner.sum(axis=1)]
+    errors = [abs(val - limit_value) for val in values]
     scale = abs(limit_value)
     if scale > 1e-9:
         relative = [e / scale for e in errors]

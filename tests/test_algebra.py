@@ -35,13 +35,14 @@ from trisemi import (
     check_flip_contradiction,
     coeff_map,
     compress,
+    conjugate,
     first_coeff,
     mul,
     parse_element,
     support_predicate,
 )
 
-from helpers import random_element, random_word
+from helpers import random_dilation, random_element, random_word
 
 ONE = Frequency.rational(1)
 TWO = Frequency.rational(2)
@@ -332,6 +333,9 @@ def test_compress_modes():
 
 
 def test_compress_is_the_explicit_conjugation():
+    def explicit(x, u):
+        return mul(mul(adjoint(u), x), u)
+
     rng = random.Random(4107)
     for _ in range(20):
         x = random_element(rng)
@@ -341,6 +345,16 @@ def test_compress_is_the_explicit_conjugation():
             assert compress(x, "translation", n) == mul(mul(d, x), adjoint(d))
             assert compress(x, "dilation-in", n) == mul(mul(adjoint(v), x), v)
             assert compress(x, "dilation-out", n) == mul(mul(v, x), adjoint(v))
+        # V(s) for rational s and for s on the symbol h (the group R): the
+        # dilation key map of conjugate is the product, and it is the
+        # dilation automorphism by -s
+        for s in (random_dilation(rng, allow_syms=False), DilationIndex.single("h", Fraction(3, 2))):
+            assert conjugate(x, V(s)) == explicit(x, V(s))
+            assert apply_automorphism(x, AutomorphismSpec(dil=s)) == conjugate(x, V(-s))
+        # no other unitary takes the key map: 2 V(1) scales by 4, D(1) twists
+        for u in (V(1, 2), D(ONE)):
+            assert conjugate(x, u) == explicit(x, u)
+        assert conjugate(x, V(1, 2)) == conjugate(x, V(1)).scale(4)
 
 
 def _no_zero_coefficients(x: Element) -> bool:

@@ -146,6 +146,8 @@ def test_zero_denominator_exits_2_with_a_parse_record(capsys, text):
 _TINY = ["support", "--algebra", "aph", "M(1/1000000000000)*V(1)"]
 # 10^400, beyond the double range; the parser has no power operator
 _HUGE = "1" + "0" * 400
+# past the interpreter's 4300-digit limit on int/str conversion
+_LONG = "7" * 5000
 
 
 @pytest.mark.parametrize(
@@ -245,6 +247,10 @@ def test_invalid_parameter_exits_2_with_a_record(capsys, argv):
         (["cesaro", "--steps", _HUGE, "--T", "1", "--index", "1", "M(1)"], "invalid-parameter"),
         (["sim-norm-bound", "--trials", _HUGE, "M(1)"], "invalid-parameter"),
         (["recurrence", "--eps", "nan", "--limit", "10"], "invalid-parameter"),
+        # a number too long to convert from text, and weights (their
+        # denominators have about 5700 digits) too long to print
+        (["normalize", f"M({_LONG})"], "parse"),
+        (["bf", "--m", "2000", "D(1)+D(1/2)+M(1)*D(1/3)"], "numeric-overflow"),
     ],
 )
 def test_degenerate_numbers_exit_2_with_one_record(capsys, argv, code):

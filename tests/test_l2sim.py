@@ -32,6 +32,9 @@ from trisemi import (
     wot_compression_demo,
     wot_limit,
 )
+from trisemi import algebra, l2sim
+from trisemi._kernels import gaussian_inner
+from trisemi.algebra import compress
 from trisemi.l2sim import sample_widths_centers
 
 from helpers import (
@@ -180,6 +183,29 @@ def test_norm_lower_bound_is_the_rayleigh_quotient_of_apply_element(table):
         assert math.isclose(got, want, rel_tol=1e-10)
 
 
+def test_norm_lower_bound_in_chunks_is_the_single_pass_bound(table, monkeypatch):
+    # more trials than one pass holds: the chunked bound is the
+    # single-pass formula bit for bit
+    x = Element.m(ONE) + mul(Element.d(ONE), Element.v(DilationIndex.unit(1))).scale(2)
+    x = x + Element.v(DilationIndex.single("h", -1))
+
+    def single_pass(trials, seed):
+        a, b, c = sample_widths_centers(np.random.default_rng(seed), trials)
+        f = PacketSum._of(*np.array([np.ones(trials), a, b, c], dtype=np.complex128))
+        image = [v.reshape(len(x.terms), trials) for v in apply_element(x, f, table)._params]
+        gram = gaussian_inner(*(v[:, None] for v in image), *(v[None, :] for v in image))
+        base = gaussian_inner(*f._params, *f._params).real
+        return float(np.sqrt(np.maximum(gram.real.sum(axis=(0, 1)), 0.0) / base).max())
+
+    assert 10**5 > l2sim._TRIAL_CHUNK
+    assert norm_lower_bound(x, 10**5, 7, table) == single_pass(10**5, 7)
+    # chunks of two and three trials: the best trial lies in every chunk
+    # for some seed, the last one included
+    monkeypatch.setattr(l2sim, "_TRIAL_CHUNK", 2)
+    for seed in range(40):
+        assert norm_lower_bound(x, 9, seed, table) == single_pass(9, seed)
+
+
 def test_lr_apply_and_column_norms(table):
     from trisemi import LRVector
 
@@ -236,6 +262,40 @@ def test_wot_compression_demo_report(table):
     assert payload["mode"] == "translation"
     assert len(payload["steps"]) == 2
     assert {"re", "im"} <= set(payload["limit"])
+
+
+def test_wot_compression_demo_is_the_stepwise_inner_product(table):
+    # each value is the compressed element acting on f, met with g, up to
+    # the summation rounding of the inner product's terms
+    rng = random.Random(43)
+    schedule = [-2, 1, 2, 3, 5]
+    for _ in range(8):
+        x = random_element(rng)
+        f, g = (PacketSum([random_packet(rng), random_packet(rng)]) for _ in "fg")
+        for mode in ("translation", "dilation-in", "dilation-out"):
+            report = wot_compression_demo(x, f, g, mode, schedule, table)
+            for n, value in zip(schedule, report.values):
+                image = apply_element(compress(x, mode, n), f, table)
+                terms = gaussian_inner(*(v[:, None] for v in image._params), *g._params)
+                assert abs(value - image.inner(g)) <= 1e-15 * np.abs(terms).sum()
+
+
+def test_wot_compression_demo_dilation_modes_need_no_products(table, monkeypatch):
+    calls = []
+    product = algebra.mul
+
+    def counted(x, y):
+        calls.append(1)
+        return product(x, y)
+
+    monkeypatch.setattr(algebra, "mul", counted)
+    x = mul(Element.m(ONE), Element.v(DilationIndex.unit(1))) + Element.d(ONE)
+    f = PacketSum.single()
+    for mode in ("dilation-in", "dilation-out"):
+        wot_compression_demo(x, f, f, mode, range(1, 13), table)
+    assert not calls
+    wot_compression_demo(x, f, f, "translation", [1, 2], table)
+    assert calls
 
 
 def test_wot_compression_demo_needs_two_steps(table):
