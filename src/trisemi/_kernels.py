@@ -2,10 +2,14 @@
 
 The Fejér and trapezoid kernels are closed-form ratios of sines, O(1) per
 point, evaluated on the half-angle reduced modulo pi: there the ratio is
-accurate and its removable singularity has an exact limit.
+accurate and its removable singularity has an exact limit.  The
+recurrence scan lists only the steps where one frequency can recur,
+residue class by residue class, before any sine is taken.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -22,26 +26,106 @@ def _reduce_half(half):
     return half - np.pi * k, k
 
 
+def _near_integer_steps(c, width, start, stop):
+    """The steps m in [start + 1, stop] where m c may lie within `width`
+    of an integer, sorted and each once: an int64 array holding every m
+    with |m c - n| < width for an integer n, and a few neighbours.  None
+    when they number more than 2 _CHUNK.
+
+    Dirichlet: some q <= sqrt(L) has ||q c|| < 1/sqrt(L), L = stop - start,
+    and the q minimising L ||q c|| + q is taken.  On the residue class
+    m = start + 1 + j + q k, m c moves by delta = q c - rint(q c) per step
+    of k, so its hits near each integer n form one interval of k, widened
+    here to whole steps.  With delta == 0 a class keeps all of the chunk
+    or none of it.  The work is O(sqrt(L) + candidates); the rounding is
+    a few ulps of |c| stop, which the caller's width must cover.
+    """
+    size = stop - start
+    c -= np.rint(c)
+    qs = np.arange(1, math.isqrt(size) + 1)
+    drift = qs * c
+    drift -= np.rint(drift)
+    q = int(np.argmin(size * np.abs(drift) + qs)) + 1
+    delta = drift[q - 1]
+    js = np.arange(q)
+    last = (size - 1 - js) // q
+    x = (start + 1 + js) * c
+    x -= np.rint(x)
+    if delta == 0.0:
+        js = js[np.abs(x) < width]
+        k_lo, k_hi = np.zeros(js.size, np.int64), last[js]
+    else:
+        end = x + last * delta
+        n_lo = np.ceil(np.minimum(x, end) - width).astype(np.int64)
+        count = np.floor(np.maximum(x, end) + width).astype(np.int64) - n_lo + 1
+        js = np.repeat(js, count)
+        n = np.repeat(n_lo - (np.cumsum(count) - count), count) + np.arange(js.size)
+        a = (n - width - x[js]) / delta
+        b = (n + width - x[js]) / delta
+        # the clips keep every length at 0 or more
+        k_lo = np.clip(np.floor(np.minimum(a, b)), 0, last[js] + 1).astype(np.int64)
+        k_hi = np.clip(np.ceil(np.maximum(a, b)), -1, last[js]).astype(np.int64)
+    length = k_hi - k_lo + 1
+    total = int(length.sum())
+    if total > 2 * _CHUNK:
+        return None
+    first = start + 1 + js + q * k_lo
+    ms = np.repeat(first - q * (np.cumsum(length) - length), length) + q * np.arange(total)
+    ms.sort()
+    # the widened intervals of one class may share an end step
+    return ms[np.diff(ms, prepend=-1) != 0]
+
+
+def _scan_chunks(freqs, width, m_max):
+    """Yield (ms, stop) in scan order: float steps in (start, stop] that
+    cover every step passing the filters of recurrence_hits.
+
+    The finite frequency with the smallest widened width lists its
+    candidates; the width adds 1e-9 + 1e-12 |c| m_max to the filter's
+    threshold, far above the rounding of either side.  A span then
+    holds about _CHUNK candidates.  Plain ranges of _CHUNK steps are
+    scanned when no frequency can list them: none given, one not finite,
+    a widened width of 1/4 or more (half the steps or more would be
+    listed), or a span with too many candidates.
+    """
+    cs = freqs / (2.0 * np.pi)
+    listed = cs.size > 0 and bool(np.isfinite(cs).all())
+    if listed:
+        c = cs[np.argmin(np.abs(cs))]
+        wide = width + 1e-9 + 2e-12 * abs(c) * m_max
+        listed = wide < 0.25
+    span = max(_CHUNK, math.ceil(_CHUNK / (2.0 * wide))) if listed else _CHUNK
+    for start in range(0, m_max, span):
+        stop = min(start + span, m_max)
+        ms = _near_integer_steps(c, wide, start, stop) if listed else None
+        if ms is not None:
+            yield ms.astype(np.float64), stop
+            continue
+        for lo in range(start, stop, _CHUNK):
+            hi = min(lo + _CHUNK, stop)
+            yield np.arange(lo + 1, hi + 1, dtype=np.float64), hi
+
+
 def recurrence_hits(freqs, eps, m_max):
     """Yield (ms, devs) chunk by chunk, in scan order: the m in [1, m_max]
     with dev(m) = max_j |e^{i f_j m} - 1| = 2 max_j |sin(f_j m / 2)| < eps.
 
     dev(m) < eps needs every u = m f_j / 2pi within asin(eps/2)/pi of an
-    integer, so each frequency in turn filters the steps left; only the
-    survivors get sines.  The filter is conservative: eps is widened by
-    1e-9 relatively before the arcsine (the sine is flat near eps = 2),
-    and the width by 1e-9 + 1e-12 |u|max, thousands of times the rounding
-    of u and of the sine's argument.  A survivor's deviation is the same
-    double a full scan makes: m f, times 0.5, sin, abs, maximum over the
-    frequencies from 0, times 2.  A NaN or infinite product fails both
-    tests, and with no frequencies every deviation is 0.
+    integer.  One frequency lists the steps where that can hold, residue
+    class by residue class (``_near_integer_steps``), and each frequency
+    in turn filters them; only the survivors get sines.  The filter is
+    conservative: eps is widened by 1e-9 relatively before the arcsine
+    (the sine is flat near eps = 2), and the width by 1e-9 + 1e-12 |u|max,
+    thousands of times the rounding of u and of the sine's argument.  A
+    survivor's deviation is the same double a full scan makes: m f, times
+    0.5, sin, abs, maximum over the frequencies from 0, times 2.  A NaN or
+    infinite product fails both tests, and with no frequencies every
+    deviation is 0.
     """
     freqs = np.asarray(freqs, dtype=np.float64).ravel()
     m_max = int(m_max)
     width = np.arcsin(np.clip(0.5 * eps * (1.0 + 1e-9), 0.0, 1.0)) / np.pi + 1e-9
-    for start in range(0, m_max, _CHUNK):
-        stop = min(start + _CHUNK, m_max)
-        ms = np.arange(start + 1, stop + 1, dtype=np.float64)
+    for ms, stop in _scan_chunks(freqs, width, m_max):
         for f in freqs:
             c = f / (2.0 * np.pi)
             u = ms * c
@@ -62,13 +146,22 @@ def recurrence_hits(freqs, eps, m_max):
 
 def gaussian_inner(amp1, a1, b1, c1, amp2, a2, b2, c2):
     """Integral of amp1 e^{-a1 (x-b1)^2 + i c1 x} times the conjugate of
-    amp2 e^{-a2 (x-b2)^2 + i c2 x}, broadcasting over the arguments."""
+    amp2 e^{-a2 (x-b2)^2 + i c2 x}, broadcasting over the arguments.
+
+    With p = a1 + conj(a2) and k = c1 - conj(c2) the exponent is
+    i k (a1 b1 + conj(a2 b2)) / p - k^2 / 4p - a1 conj(a2) (b1 - conj(b2))^2 / p,
+    free of the cancellation of expanding the square.  For packets so far
+    apart that the square overflows, the real part of the exponent is
+    -inf (the other part may be NaN), and exp makes the entry exactly 0.
+    """
     aa = np.conj(a2)
     bb = np.conj(b2)
     p = a1 + aa
-    q = 2.0 * a1 * b1 + 2.0 * aa * bb + 1j * (c1 - np.conj(c2))
-    r = -(a1 * b1 * b1 + aa * bb * bb)
-    return amp1 * np.conj(amp2) * np.sqrt(np.pi / p) * np.exp(q * q / (4.0 * p) + r)
+    k = c1 - np.conj(c2)
+    d = b1 - bb
+    with np.errstate(over="ignore", invalid="ignore"):
+        expo = k * (1j * (a1 * b1 + aa * bb) - 0.25 * k) / p - a1 * (aa / p) * (d * d)
+    return amp1 * np.conj(amp2) * np.sqrt(np.pi / p) * np.exp(expo)
 
 
 def phase_mean_weights(deltas, T, steps):

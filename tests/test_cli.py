@@ -328,6 +328,33 @@ def test_sim_column_identity_prints_the_same_bytes_under_every_hash_seed(tmp_pat
 @pytest.mark.parametrize(
     "argv",
     [
+        ["sim-wot", "--mode", "dilation-in", "--schedule", "151,622", "D(1)*V(1)"],
+        ["sim-wot", "--mode", "dilation-out", "--schedule", "151,622", "M(1)*V(1)"],
+    ],
+)
+def test_far_apart_packets_meet_in_zero_without_warnings(tmp_path, argv):
+    # the dilated packet sits ~1e270 away from g: every entry underflows to 0
+    src = Path(trisemi.__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-B", "-m", "trisemi", "--json", *argv],
+        cwd=tmp_path,
+        env={"PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0
+    assert done.stderr == ""
+
+    def finite(text):
+        raise AssertionError(f"non-finite JSON number {text}")
+
+    payload = json.loads(done.stdout, parse_constant=finite)
+    assert [step["value"] for step in payload["steps"]] == [{"re": 0.0, "im": 0.0}] * 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["normalize", "D(1)*V(1000)*M(1)"],
         ["sim-norm-bound", "V(1000)"],
         ["sim-wot", "--mode", "dilation-in", "--schedule", "1,2", "V(-1000)"],

@@ -1,6 +1,7 @@
 """Closed-form numeric kernels against brute-force and high-precision oracles."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -98,6 +99,42 @@ def test_fejer_kernel_at_its_peaks_matches_mpmath(fac, beta):
     assert np.max(np.abs(got - want)) <= 1e-13 * big
 
 
+# ------------------------------------------------------ Gaussian packets
+
+
+def expanded_square_inner(amp1, a1, b1, c1, amp2, a2, b2, c2):
+    """The inner product with the square of the exponent expanded."""
+    aa, bb = np.conj(a2), np.conj(b2)
+    p = a1 + aa
+    q = 2.0 * a1 * b1 + 2.0 * aa * bb + 1j * (c1 - np.conj(c2))
+    r = -(a1 * b1 * b1 + aa * bb * bb)
+    return amp1 * np.conj(amp2) * np.sqrt(np.pi / p) * np.exp(q * q / (4.0 * p) + r)
+
+
+def test_gaussian_inner_matches_the_expanded_square():
+    rng = np.random.default_rng(3)
+
+    def packets(n=4000):
+        amp = rng.uniform(-1.0, 1.0, n) + 1j * rng.uniform(-1.0, 1.0, n)
+        a = rng.uniform(0.2, 2.5, n) + 1j * rng.uniform(-1.0, 1.0, n)
+        return amp, a, rng.uniform(-3.0, 3.0, n), rng.uniform(-3.0, 3.0, n)
+
+    f, g = packets(), packets()
+    scale = np.abs(f[0] * g[0]) * np.sqrt(np.pi / np.abs(f[1] + np.conj(g[1])))
+    err = np.abs(K.gaussian_inner(*f, *g) - expanded_square_inner(*f, *g)) / scale
+    assert err.max() <= 1e-13
+
+
+def test_gaussian_inner_of_far_apart_packets_is_zero():
+    b = np.array([0.0, 1e10, 1e155, 1e270, -1e300])
+    for a in (7.0, 7.0 - 2.0j):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = K.gaussian_inner(1.0, a, b, 0.0, 1.0 + 1j, 0.6, 0.2, 0.1)
+        assert got[0] != 0.0
+        assert np.array_equal(got[1:], np.zeros(4))
+
+
 # --------------------------------------------------------- recurrence scan
 
 
@@ -117,23 +154,79 @@ def scanned_hits(freqs, eps, m_max):
     return ms, devs
 
 
-def assert_hits_equal_the_outer_product_form(freqs, eps, m_max):
-    want = outer_product_devs(freqs, m_max)
-    below = want < eps
+def assert_hits_equal_the_outer_product_form(freqs, eps, m_max, want=None):
+    if want is None:
+        want = outer_product_devs(freqs, m_max)
+    below = want[:m_max] < eps
     ms, devs = scanned_hits(freqs, eps, m_max)
     assert np.array_equal(ms, np.flatnonzero(below) + 1)
-    assert np.array_equal(devs, want[below])
+    assert np.array_equal(devs, want[:m_max][below])
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 3])
-def test_recurrence_hits_equal_the_outer_product_form_below_eps(n):
-    rng = np.random.default_rng(n)
-    freqs = rng.uniform(-6.0, 6.0, n)
-    # eps >= 2 keeps every step the outer form keeps
-    for eps in (0.005, 0.3, 1.5, 2.0, 7.0):
-        for m_max in (1, 777, K._CHUNK + 1234):
-            for signed in (freqs, -freqs):
-                assert_hits_equal_the_outer_product_form(signed, eps, m_max)
+# 0, pi and 2pi/3 have rational f/2pi, so some residue class keeps all of a
+# span or none of it; +-1e-9 keep long runs; 1e6 widens the width past 1/4
+EDGE_FREQS = {
+    "zero": 0.0,
+    "pi": math.pi,
+    "2pi/3": 2 * math.pi / 3,
+    "1e-9": 1e-9,
+    "-1e-9": -1e-9,
+    "1e6": 1e6,
+}
+SCAN_FREQS = [
+    pytest.param(np.random.default_rng(n).uniform(-6.0, 6.0, n), id=str(n)) for n in range(4)
+] + [
+    pytest.param(np.array([e, *more]), id=name + tail)
+    for name, e in EDGE_FREQS.items()
+    for more, tail in (([], ""), ([2.5], "+2.5"))
+]
+
+
+@pytest.mark.parametrize("freqs", SCAN_FREQS)
+def test_recurrence_hits_equal_the_outer_product_form_below_eps(freqs):
+    # at eps = 1 the steps listed lie within about 1/6 of an integer, so a
+    # span is about 3 _CHUNK steps: the last limits straddle one and two spans
+    span = 3 * K._CHUNK
+    edges = (span - 7, span + 7, 2 * span + 7)
+    for signed in (freqs, -freqs):
+        want = outer_product_devs(signed, edges[-1])
+        # eps >= 2 keeps every step the outer form keeps
+        for eps in (0.005, 0.3, 1.0, 1.5, 2.0, 7.0):
+            for m_max in (1, 777, K._CHUNK + 1234) + (edges if eps == 1.0 else ()):
+                assert_hits_equal_the_outer_product_form(signed, eps, m_max, want)
+
+
+def test_near_integer_steps_hold_every_step_near_an_integer():
+    rng = np.random.default_rng(11)
+    specials = [0.0, 0.5, 0.25, 1 / 3, -2 / 3, 1e-10, 3.0]
+    for i in range(300):
+        c = specials[i] if i < len(specials) else rng.uniform(-4.0, 4.0)
+        w = 10 ** rng.uniform(-7.0, math.log10(0.24))
+        start = int(rng.integers(1, 10**5))
+        stop = start + int(rng.integers(1, 10**5 + 1))
+        listed = K._near_integer_steps(c, w, start, stop)
+        assert np.all(np.diff(listed) > 0)
+        assert listed.size == 0 or (listed[0] > start and listed[-1] <= stop)
+        ms = np.arange(start + 1, stop + 1, dtype=np.float64)
+        u = ms * c
+        near = ms[np.abs(u - np.rint(u)) < w - 1e-9].astype(np.int64)
+        assert np.isin(near, listed).all(), (c, w, start, stop)
+
+
+def test_recurrence_scan_lists_about_the_steps_near_integers(monkeypatch):
+    scan, sizes = K._scan_chunks, []
+
+    def counted(*args):
+        for ms, stop in scan(*args):
+            sizes.append(ms.size)
+            yield ms, stop
+
+    monkeypatch.setattr(K, "_scan_chunks", counted)
+    recurrence_schedule([1.0], 0.05, 10**6)
+    # a sweep would hand the filters all 10^6 steps, not the ~2w 10^6 near
+    # an integer and two per interval of a residue class
+    w = math.asin(0.025) / math.pi
+    assert 0 < sum(sizes) <= 2 * (2 * w * 10**6) + 4 * 10**3
 
 
 @pytest.mark.parametrize(
