@@ -2,9 +2,10 @@
 
 The Fejér and trapezoid kernels are closed-form ratios of sines, O(1) per
 point, evaluated on the half-angle reduced modulo pi: there the ratio is
-accurate and its removable singularity has an exact limit.  The
-recurrence scan lists only the steps where one frequency can recur,
-residue class by residue class, before any sine is taken.
+accurate and its removable singularity has an exact limit.  Past a short
+head swept whole, the recurrence scan lists only the steps where one
+frequency can recur, residue class by residue class, before any sine is
+taken.
 """
 
 from __future__ import annotations
@@ -14,6 +15,10 @@ import math
 import numpy as np
 
 _CHUNK = 1 << 16
+# steps swept whole before any listing: planning a listing takes some forty
+# numpy calls (~0.1 ms) whatever its length, a sweep of the head a few
+# microseconds per frequency, and a search's first hit mostly lies inside it
+_HEAD = 1 << 12
 
 
 def active_backend() -> str:
@@ -26,19 +31,19 @@ def _reduce_half(half):
     return half - np.pi * k, k
 
 
-def _near_integer_steps(c, width, start, stop):
-    """The steps m in [start + 1, stop] where m c may lie within `width`
-    of an integer, sorted and each once: an int64 array holding every m
-    with |m c - n| < width for an integer n, and a few neighbours.  None
-    when they number more than 2 _CHUNK.
+def _classes(c, width, start, stop):
+    """Residue-class intervals holding every step m in [start + 1, stop]
+    where m c may lie within `width` of an integer: (first, q, length),
+    interval i being the steps first[i] + q k for 0 <= k < length[i].
 
     Dirichlet: some q <= sqrt(L) has ||q c|| < 1/sqrt(L), L = stop - start,
     and the q minimising L ||q c|| + q is taken.  On the residue class
     m = start + 1 + j + q k, m c moves by delta = q c - rint(q c) per step
     of k, so its hits near each integer n form one interval of k, widened
-    here to whole steps.  With delta == 0 a class keeps all of the chunk
-    or none of it.  The work is O(sqrt(L) + candidates); the rounding is
-    a few ulps of |c| stop, which the caller's width must cover.
+    here to whole steps.  With delta == 0 a class keeps all of the span
+    or none of it.  The work is O(sqrt(L)), and the lengths' sum is the
+    count a listing would hold; the rounding is a few ulps of |c| stop,
+    which the caller's width must cover.
     """
     size = stop - start
     c -= np.rint(c)
@@ -65,39 +70,74 @@ def _near_integer_steps(c, width, start, stop):
         # the clips keep every length at 0 or more
         k_lo = np.clip(np.floor(np.minimum(a, b)), 0, last[js] + 1).astype(np.int64)
         k_hi = np.clip(np.ceil(np.maximum(a, b)), -1, last[js]).astype(np.int64)
-    length = k_hi - k_lo + 1
+    return start + 1 + js + q * k_lo, q, k_hi - k_lo + 1
+
+
+def _near_integer_steps(c, width, start, stop):
+    """The steps m in [start + 1, stop] where m c may lie within `width`
+    of an integer, sorted and each once: an int64 array holding every m
+    with |m c - n| < width for an integer n, and a few neighbours.  None
+    when they number more than 2 _CHUNK."""
+    first, q, length = _classes(c, width, start, stop)
     total = int(length.sum())
     if total > 2 * _CHUNK:
         return None
-    first = start + 1 + js + q * k_lo
     ms = np.repeat(first - q * (np.cumsum(length) - length), length) + q * np.arange(total)
     ms.sort()
     # the widened intervals of one class may share an end step
     return ms[np.diff(ms, prepend=-1) != 0]
 
 
+def _listing(freqs, width, start, m_max):
+    """(c, wide, span) of the frequency that lists the fewest candidates
+    per step over its first span past `start`, or None when no frequency
+    can list.
+
+    A frequency's widened width adds 1e-9 + 2e-12 |c| m_max to the
+    filter's threshold, far above the rounding of either side; at 1/4 or
+    more half the steps or more would be listed, and it lists none.  Its
+    span, about _CHUNK / (2 wide) steps, holds about _CHUNK candidates
+    when c is far from a rational of small denominator.  A frequency near
+    one (0, pi, 2 pi/3, 1e-9) lists a third of the steps or long runs,
+    which its count, O(sqrt(span)) to get, shows.
+    """
+    listable = []
+    for f in freqs:
+        c = f / (2.0 * np.pi)
+        wide = width + 1e-9 + 2e-12 * abs(c) * m_max
+        if wide < 0.25:
+            listable.append((c, wide, max(_CHUNK, math.ceil(_CHUNK / (2.0 * wide)))))
+    if len(listable) < 2:
+        return listable[0] if listable else None
+
+    def per_step(plan):
+        c, wide, span = plan
+        stop = min(start + span, m_max)
+        return _classes(c, wide, start, stop)[2].sum() / (stop - start)
+
+    return min(listable, key=per_step)
+
+
 def _scan_chunks(freqs, width, m_max):
     """Yield (ms, stop) in scan order: float steps in (start, stop] that
-    cover every step passing the filters of recurrence_hits.
+    cover every step passing the filters of recurrence_hits, for finite
+    frequencies.
 
-    The finite frequency with the smallest widened width lists its
-    candidates; the width adds 1e-9 + 1e-12 |c| m_max to the filter's
-    threshold, far above the rounding of either side.  A span then
-    holds about _CHUNK candidates.  Plain ranges of _CHUNK steps are
-    scanned when no frequency can list them: none given, one not finite,
-    a widened width of 1/4 or more (half the steps or more would be
-    listed), or a span with too many candidates.
+    The first _HEAD steps are swept as one range: a listing costs some
+    forty numpy calls whatever its length, and most searches end inside
+    the head.  Past it, the frequency of ``_listing`` lists its
+    candidates span by span.  Plain ranges of _CHUNK steps are scanned
+    when no frequency can list (none given, or every widened width 1/4
+    or more), and for a span with too many candidates.
     """
-    cs = freqs / (2.0 * np.pi)
-    listed = cs.size > 0 and bool(np.isfinite(cs).all())
-    if listed:
-        c = cs[np.argmin(np.abs(cs))]
-        wide = width + 1e-9 + 2e-12 * abs(c) * m_max
-        listed = wide < 0.25
-    span = max(_CHUNK, math.ceil(_CHUNK / (2.0 * wide))) if listed else _CHUNK
-    for start in range(0, m_max, span):
+    head = min(_HEAD, m_max)
+    if head:
+        yield np.arange(1, head + 1, dtype=np.float64), head
+    listing = _listing(freqs, width, head, m_max) if head < m_max else None
+    c, wide, span = listing or (None, None, _CHUNK)
+    for start in range(head, m_max, span):
         stop = min(start + span, m_max)
-        ms = _near_integer_steps(c, wide, start, stop) if listed else None
+        ms = _near_integer_steps(c, wide, start, stop) if listing else None
         if ms is not None:
             yield ms.astype(np.float64), stop
             continue
@@ -111,18 +151,22 @@ def recurrence_hits(freqs, eps, m_max):
     with dev(m) = max_j |e^{i f_j m} - 1| = 2 max_j |sin(f_j m / 2)| < eps.
 
     dev(m) < eps needs every u = m f_j / 2pi within asin(eps/2)/pi of an
-    integer.  One frequency lists the steps where that can hold, residue
-    class by residue class (``_near_integer_steps``), and each frequency
-    in turn filters them; only the survivors get sines.  The filter is
+    integer.  After a short head swept whole, the frequency that lists
+    the fewest steps where that can hold lists them, residue class by
+    residue class (``_scan_chunks``), and each frequency in turn filters
+    them; only the survivors get sines.  The filter is
     conservative: eps is widened by 1e-9 relatively before the arcsine
     (the sine is flat near eps = 2), and the width by 1e-9 + 1e-12 |u|max,
     thousands of times the rounding of u and of the sine's argument.  A
     survivor's deviation is the same double a full scan makes: m f, times
     0.5, sin, abs, maximum over the frequencies from 0, times 2.  A NaN or
-    infinite product fails both tests, and with no frequencies every
-    deviation is 0.
+    infinite product fails both tests, so a frequency that is not finite
+    leaves no step and the scan yields nothing at once.  With no
+    frequencies every deviation is 0.
     """
     freqs = np.asarray(freqs, dtype=np.float64).ravel()
+    if not np.isfinite(freqs).all():
+        return
     m_max = int(m_max)
     width = np.arcsin(np.clip(0.5 * eps * (1.0 + 1e-9), 0.0, 1.0)) / np.pi + 1e-9
     for ms, stop in _scan_chunks(freqs, width, m_max):

@@ -208,16 +208,20 @@ def adjoint(x: Element) -> Element:
     return Element(items)
 
 
-def _dilated(x: Element, d: DilationIndex) -> Element:
-    """x with every key (lam, mu, t) sent to (e^d lam, e^-d mu, t) and its
-    coefficient kept: V(-d)* x V(-d), the key part of a dilation
+def _dilated_terms(terms: Iterable[tuple], d: DilationIndex) -> list[tuple[Key, Scalar]]:
+    """The (key, coefficient) items with every key (lam, mu, t) sent to
+    (e^d lam, e^-d mu, t), in their order and with their coefficient
+    objects: V(-d)* x V(-d) on the terms of x, the key part of a dilation
     automorphism.  The map is injective on keys, so nothing merges."""
+    neg = -d
+    return [((lam.scale_exp(d), mu.scale_exp(neg), t), c) for (lam, mu, t), c in terms]
+
+
+def _dilated(x: Element, d: DilationIndex) -> Element:
+    """x under the dilation key map of ``_dilated_terms``."""
     if d.is_zero():
         return x
-    neg = -d
-    return Element._canonical(
-        {(lam.scale_exp(d), mu.scale_exp(neg), t): c for (lam, mu, t), c in x.terms.items()}
-    )
+    return Element._canonical(dict(_dilated_terms(x.terms.items(), d)))
 
 
 def conjugate(x: Element, u: Element) -> Element:
@@ -502,3 +506,19 @@ def compress(x: Element, mode: CompressionMode | str, n: int) -> Element:
     """Unitary conjugation used in the weak limit demonstrations."""
     axis, sign = _COMPRESSIONS[CompressionMode.parse(mode)]
     return conjugate(x, axis.generator(sign * n))
+
+
+def compression_steps(x: Element, mode: CompressionMode | str, schedule) -> list[list[tuple]]:
+    """The terms of compress(x, mode, n) for each integer n of the schedule.
+
+    In a dilation mode u = V(sign n) and u* x u is the key map of
+    ``_dilated_terms`` by -sign n on x's sorted terms, so every list has
+    x's order and x's coefficient objects, and no step builds an element
+    or sorts.  Translation goes through ``compress``, one sorted element
+    per step: the split that ``conjugate`` makes.
+    """
+    axis, sign = _COMPRESSIONS[CompressionMode.parse(mode)]
+    if axis is Axis.DILATION:
+        terms = x.sorted_terms()
+        return [_dilated_terms(terms, DilationIndex.unit(-sign * n)) for n in schedule]
+    return [compress(x, mode, n).sorted_terms() for n in schedule]

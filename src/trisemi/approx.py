@@ -7,11 +7,11 @@ weight per distinct index; ``bochner_fejer`` and ``bf_report`` scale
 terms by those weights.  Also here: summation kernels, numeric gauge
 twists, Cesaro means by trapezoid quadrature, and the recurrence scan.
 The scan streams the steps below the tolerance chunk by chunk, in
-memory bounded by one chunk: each chunk lists only the steps where one
-frequency lies near a multiple of 2 pi, residue class by residue class,
-so it touches about 2 asin(eps/2)/pi of the steps.  The schedule keeps
-the running minima of the hits, and the search, the schedule's head,
-stops at the first.
+memory bounded by one chunk: past a short head swept whole, each chunk
+lists only the steps where one frequency lies near a multiple of 2 pi,
+residue class by residue class, so it touches about 2 asin(eps/2)/pi of
+the steps.  The schedule keeps the running minima of the hits, and the
+search, the schedule's head, stops at the first.
 """
 
 from __future__ import annotations
@@ -169,7 +169,7 @@ def section_weights(x: Element, spec: BFSpec) -> dict:
 def _weighted(x: Element, axis: Axis, weights: dict) -> Element:
     """x with each coefficient times its index's weight; weight 0 drops the term."""
     scaled = ((key, coeff, weights[axis.index(key)]) for key, coeff in x.terms.items())
-    return Element({key: coeff * Scalar.from_rational(w) for key, coeff, w in scaled if w})
+    return Element({key: coeff.times_rational(w) for key, coeff, w in scaled if w})
 
 
 def bochner_fejer(x: Element, spec: BFSpec) -> Element:
@@ -231,7 +231,10 @@ def cesaro_mean(
     """Trapezoid quadrature of the gauge integral at grading index s.
 
     Converges to the coefficient map at s with error of order 1/T; the
-    result carries the stripped keys of the matching axis map.
+    result carries the stripped keys of the matching axis map.  Each
+    coefficient is scaled in place by the exact binary value of its
+    double weight (``Scalar.times_rational``), and a weight of 0 drops
+    its term.
     """
     axis = Axis.parse(grading)
     if not T > 0:
@@ -254,8 +257,8 @@ def cesaro_mean(
 
     weights = _kernels.phase_mean_weights(deltas, float(T), int(steps))
     return Element(
-        (stripped, coeff * Scalar.from_rational(_frac(float(w))))
-        for (stripped, coeff), w in zip(entries, weights)
+        (stripped, coeff.times_rational(w))
+        for (stripped, coeff), w in zip(entries, weights.tolist())
     )
 
 

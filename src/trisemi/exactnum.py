@@ -1005,6 +1005,20 @@ class Scalar:
             merged[f] = merged.get(f, 0) + m
         return Scalar._reduce(num, tuple(sorted(merged.items(), key=_factor_order)))
 
+    def times_rational(self, q) -> "Scalar":
+        """This scalar times the exact value of q, an int, Fraction or
+        finite double (read by ``as_integer_ratio``): each numerator
+        amplitude is scaled and the factors are kept, since a nonzero
+        rational is a unit.  The same scalar as the product with
+        ``Scalar.from_rational(q)``, without building it."""
+        try:
+            n, d = q.as_integer_ratio()
+        except (ValueError, OverflowError):
+            raise InvalidParameter(f"{q!r} is not a finite rational") from None
+        if not n:
+            return _SC_ZERO
+        return Scalar._canonical(self.num.scale(QI._canonical(n, 0, d)), self.factors)
+
     def rotate(self, pe: PhaseExponent) -> "Scalar":
         """This scalar times the unimodular phase e^{i*pe}.
 

@@ -25,7 +25,7 @@ from .algebra import (
     CompressionMode,
     Element,
     coeff_map,
-    compress,
+    compression_steps,
     conjugate,
     side_sums,
 )
@@ -182,26 +182,36 @@ class PacketSum:
 # --------------------------------------------------------- element action
 
 
-def _act(xs: list[Element], f: PacketSum, table: AtomTable) -> PacketSum:
-    """Every monomial z M(lam) D(mu) V(t) of each x in xs, which all have
-    one number of terms, applied to every packet of f, as parameter
-    arrays of shape (elements, terms, packets): dilate, then shift, then
+def _act(steps: list[list[tuple]], f: PacketSum, table: AtomTable) -> PacketSum:
+    """Every monomial z M(lam) D(mu) V(t) of each term list in steps, which
+    all have one length, applied to every packet of f, as parameter
+    arrays of shape (steps, terms, packets): dilate, then shift, then
     modulate, then scale.  The dilation touches all four parameters, so
-    each array comes out with the full shape."""
-    z, keys = [], []
-    for x in xs:
-        terms = x.sorted_terms()
-        z.append([c.numeric(table) for _, c in terms])
-        keys.append([[k.numeric(table) for k in key] for key, _ in terms])
-    z = np.array(z, dtype=np.complex128).reshape(len(xs), -1)
-    keys = np.array(keys, dtype=np.float64).reshape(len(xs), -1, 3)
+    each array comes out with the full shape.
+
+    Each distinct exact object is read once per call: lists that share a
+    coefficient, an index or the zero frequency share its double."""
+    seen: dict = {}
+
+    def value(obj):
+        v = seen.get(id(obj))
+        if v is None:
+            v = seen[id(obj)] = obj.numeric(table)
+        return v
+
+    z = np.array(
+        [[value(c) for _, c in terms] for terms in steps], dtype=np.complex128
+    ).reshape(len(steps), -1)
+    keys = np.array(
+        [[[value(k) for k in key] for key, _ in terms] for terms in steps], dtype=np.float64
+    ).reshape(len(steps), -1, 3)
     lam, mu, t = keys.transpose(2, 0, 1)[..., None]
     return f.dilate(t).translate(mu).modulate(lam).scale(z[..., None])
 
 
 def apply_element(x: Element, f: PacketSum, table: AtomTable = DEFAULT_TABLE) -> PacketSum:
     """Act by the concrete operator sum: dilate, then shift, then modulate."""
-    out = _act([x], f, table)
+    out = _act([x.sorted_terms()], f, table)
     return PacketSum._of(*(v.ravel() for v in out._params))
 
 
@@ -319,7 +329,7 @@ def norm_lower_bound(
     best = []
     for lo, hi in zip(edges, edges[1:]):
         f = PacketSum._of(*np.array([np.ones(hi - lo), *sample[:, lo:hi]], dtype=np.complex128))
-        image = [v[0] for v in _act([x], f, table)._params]
+        image = [v[0] for v in _act([x.sorted_terms()], f, table)._params]
         # trial i of every term against trial i of every term
         left = (v[:, None] for v in image)
         right = (v[None, :] for v in image)
@@ -483,7 +493,12 @@ def wot_compression_demo(
     maps terms one to one, so every step has the terms of x, and all
     steps act on f as one (steps, terms, |f|) array and meet g in one
     inner product: O(steps * terms * |f| * |g|) complex entries, one
-    packet each for f and g from the command line.
+    packet each for f and g from the command line.  In a dilation mode
+    the steps are x's sorted terms under the dilation key map
+    (``compression_steps``), with x's coefficient and dilation index
+    objects, so ``_act`` evaluates each coefficient, each kept index and
+    the zero frequency once for all steps, and only the scaled key
+    components once per step.
     """
     schedule = [int(n) for n in schedule]
     if len(schedule) < 2:
@@ -493,7 +508,7 @@ def wot_compression_demo(
     mode = CompressionMode.parse(mode)
     limit = wot_limit(x, mode)
     limit_value = apply_element(limit, f, table).inner(g)
-    images = _act([compress(x, mode, n) for n in schedule], f, table)
+    images = _act(compression_steps(x, mode, schedule), f, table)
     left = (v.reshape(len(schedule), -1, 1) for v in images._params)
     inner = _kernels.gaussian_inner(*left, *g._params).reshape(len(schedule), -1)
     values = [complex(v) for v in inner.sum(axis=1)]

@@ -5,6 +5,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from trisemi import (
@@ -275,6 +276,61 @@ def test_cesaro_dilation_grading(table):
     assert not out.coefficient((ONE, Frequency.zero(), DilationIndex.zero())).is_zero()
     with pytest.raises(AxisMismatch):
         cesaro_mean(x, "translation", ONE, 40.0, 512, table)
+
+
+def _weighted_by_products(x, axis, weights):
+    """Each coefficient times the scalar of its weight's exact value, the
+    terms on their stripped keys: the Cesaro mean built by products."""
+    return Element(
+        (axis.strip(key), coeff * Scalar.from_rational(Fraction(w)))
+        for (key, coeff), w in zip(x.terms.items(), weights)
+    )
+
+
+def _assert_same_terms(got, want):
+    assert got == want
+    for key, c in want.terms.items():
+        assert got.terms[key].num._items == c.num._items
+        assert got.terms[key].factors == c.factors
+
+
+# a binomial denominator, a two-term numerator over a binomial, plain terms
+CESARO_TEXT = (
+    "M(1)*D(1) + 2*M(s2)*D(1/2) + (3/(1 + exp(i*1)))*D(1)"
+    " + ((1 - i)*exp(i*2/3) + 5)/(2 + exp(i*1/3))*M(s3)*D(2) + D(s2) + (2 + i)*M(1/2)"
+)
+
+
+def test_cesaro_mean_scales_by_the_exact_weights(table):
+    from trisemi import _kernels
+    from trisemi.algebra import Axis
+
+    rng = random.Random("cesaro weights")
+    axis = Axis.TRANSLATION
+    xs = [parse_element(CESARO_TEXT)] + [random_ap_element(rng, 6) for _ in range(12)]
+    assert any(c.factors for c in xs[0].terms.values())
+    for x in xs:
+        for s in dict.fromkeys(axis.index(key) for key in x.terms):
+            for T, steps in ((3.0, 4), (50.0, 1024), (400.0, 65536)):
+                deltas = [axis.index(key).numeric(table) - s.numeric(table) for key in x.terms]
+                weights = _kernels.phase_mean_weights(deltas, T, steps)
+                want = _weighted_by_products(x, axis, weights.tolist())
+                _assert_same_terms(cesaro_mean(x, axis, s, T, steps, table), want)
+
+
+def test_cesaro_mean_drops_zero_weights_and_keeps_subnormal_ones(table, monkeypatch):
+    from trisemi import _kernels
+    from trisemi.algebra import Axis
+
+    x = parse_element(CESARO_TEXT)
+    weights = [0.0, 5e-324, -2.2250738585072014e-308, -0.0, 1e-310, 0.75][: len(x.terms)]
+    assert len(weights) == len(x.terms)
+    monkeypatch.setattr(_kernels, "phase_mean_weights", lambda *_: np.array(weights))
+    got = cesaro_mean(x, "translation", ONE, 50.0, 1024, table)
+    _assert_same_terms(got, _weighted_by_products(x, Axis.TRANSLATION, weights))
+    # the two zero weights drop their terms, every other term stays
+    kept = {Axis.TRANSLATION.strip(key) for key, w in zip(x.terms, weights) if w}
+    assert set(got.terms) == kept and len(kept) < len(set(map(Axis.TRANSLATION.strip, x.terms)))
 
 
 def test_recurrence_search_unit_frequency():

@@ -24,6 +24,7 @@ from trisemi import (
     Frequency,
     FrequencyAtom,
     IndeterminateSign,
+    InvalidParameter,
     PhaseExponent,
     PhaseMonomial,
     PhaseSum,
@@ -557,6 +558,25 @@ def test_fractions_obey_the_field_laws():
             (x.conj().numeric(table), x.numeric(table).conjugate()),
         ):
             assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+
+def test_times_rational_is_the_product_with_the_rational_scalar():
+    rng = random.Random(2518)
+    dens = [ONE_MINUS_U, _poly({0: 1, 1: 2}), _poly({0: 2, 1: 1, 2: -1})]
+    qs = [0.0, -0.0, 5e-324, -1e-310, 2.2250738585072014e-308, 0.1, -0.75, 3.0, 1e300,
+          Fraction(-7, 12), Fraction(0), 5, 0]
+    for i in range(40):
+        c = random_scalar(rng) * Scalar.phase(THETA.scale(rng.randint(-2, 2)))
+        # a binomial, an opaque factor or both, on all but every fourth
+        for den in dens[i % 4 : i % 4 + 1 + i % 2]:
+            c = c / Scalar(den)
+        for q in qs:
+            got, want = c.times_rational(q), c * Scalar.from_rational(Fraction(q))
+            assert got == want
+            assert got.num._items == want.num._items and got.factors == want.factors
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidParameter, match="not a finite rational"):
+            Scalar.one().times_rational(bad)
 
 
 def test_one_canonical_key_per_monomial():

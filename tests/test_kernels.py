@@ -7,7 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from trisemi import NotFound, recurrence_schedule
+from trisemi import NotFound, recurrence_schedule, recurrence_search
 from trisemi import _kernels as K
 
 
@@ -227,6 +227,84 @@ def test_recurrence_scan_lists_about_the_steps_near_integers(monkeypatch):
     # an integer and two per interval of a residue class
     w = math.asin(0.025) / math.pi
     assert 0 < sum(sizes) <= 2 * (2 * w * 10**6) + 4 * 10**3
+
+
+def scan_sizes(monkeypatch, fn, *args):
+    """fn(*args) and the sizes of the chunks its scan handed the filters,
+    and the stops of those chunks."""
+    scan, sizes, stops = K._scan_chunks, [], []
+
+    def counted(*scan_args):
+        for ms, stop in scan(*scan_args):
+            sizes.append(ms.size)
+            stops.append(stop)
+            yield ms, stop
+
+    monkeypatch.setattr(K, "_scan_chunks", counted)
+    out = fn(*args)
+    monkeypatch.setattr(K, "_scan_chunks", scan)
+    return out, sizes, stops
+
+
+@pytest.mark.parametrize("freqs", [[1.0], [2.5, -1.3], [math.pi, 2.5], [0.7, 4.1, -2.2]])
+def test_recurrence_hits_equal_the_outer_product_form_at_the_head_and_span_edges(
+    freqs, monkeypatch
+):
+    freqs = np.array(freqs)
+    for eps in (0.3, 1.0):
+        # the first listed span ends where the second chunk of a long scan stops
+        _, _, stops = scan_sizes(monkeypatch, list, K.recurrence_hits(freqs, eps, 10**6))
+        head, span = stops[0], stops[1] - stops[0]
+        assert head == K._HEAD < span
+        limits = (head - 1, head, head + 1, head + span - 1, head + span, head + span + 1)
+        want = outer_product_devs(freqs, limits[-1])
+        for m_max in limits:
+            assert_hits_equal_the_outer_product_form(freqs, eps, m_max, want)
+
+
+def test_a_scan_inside_the_head_is_the_full_scan(monkeypatch):
+    def listed(*args):
+        raise AssertionError("a scan inside the head lists nothing")
+
+    monkeypatch.setattr(K, "_near_integer_steps", listed)
+    assert_hits_equal_the_outer_product_form([1.0], 0.05, 2000)
+    devs = outer_product_devs([1.0], 2000)
+    assert recurrence_search([1.0], 0.05, 2000) == 1 + int(np.flatnonzero(devs < 0.05)[0]) == 44
+
+
+def test_a_search_that_hits_inside_the_head_lists_nothing(monkeypatch):
+    listing, calls = K._near_integer_steps, []
+
+    def counted(*args):
+        calls.append(args)
+        return listing(*args)
+
+    monkeypatch.setattr(K, "_near_integer_steps", counted)
+    assert recurrence_search([1.0], 0.05, 10**8) == 44
+    assert recurrence_search([2.5, 0.7], 0.3, 10**6) < K._HEAD
+    assert not calls
+    # past the head the scan lists
+    recurrence_schedule([1.0], 0.05, 10**6)
+    assert calls
+
+
+@pytest.mark.parametrize("edge", [2 * math.pi / 3, 1e-9])
+def test_the_listing_frequency_is_the_one_that_lists_fewest_steps(edge, monkeypatch):
+    # f/2pi near 1/3 or 0 lists a third of the steps or long runs; 2.5
+    # lists about 2 asin(eps/2)/pi of them, and so does the pair
+    alone = scan_sizes(monkeypatch, recurrence_schedule, [2.5], 1e-3, 10**7)
+    pair = scan_sizes(monkeypatch, recurrence_schedule, [edge, 2.5], 1e-3, 10**7)
+    assert sum(pair[1]) <= 2 * sum(alone[1]) < 10**5
+    for freqs in ([edge, 2.5], [2.5, edge]):
+        assert_hits_equal_the_outer_product_form(np.array(freqs), 1e-3, 10**6)
+
+
+def test_a_non_finite_frequency_ends_the_scan_at_once(monkeypatch):
+    for freqs in ([math.nan], [1.0, math.inf]):
+        hits, sizes, _ = scan_sizes(monkeypatch, list, K.recurrence_hits(freqs, 0.1, 10**8))
+        assert hits == [] and sizes == []
+        with pytest.raises(NotFound):
+            recurrence_search(freqs, 0.1, 10**8)
 
 
 @pytest.mark.parametrize(

@@ -298,6 +298,28 @@ def test_wot_compression_demo_dilation_modes_need_no_products(table, monkeypatch
     assert calls
 
 
+def test_wot_compression_demo_dilation_modes_read_each_coefficient_once(table, monkeypatch):
+    reads = []
+    numeric = Scalar.numeric
+
+    def counted(self, tab):
+        reads.append(self)
+        return numeric(self, tab)
+
+    monkeypatch.setattr(Scalar, "numeric", counted)
+    one, two = ONE, Frequency.rational(2)
+    v1, v2 = (Element.v(DilationIndex.unit(k)) for k in (1, 2))
+    x = (
+        mul(Element.m(one), v1) + mul(Element.d(one), v1) + mul(Element.m(two), v2)
+        + mul(Element.d(two), v2) + Element.m(one) + Element.d(one)
+    ).scale(Scalar.gaussian(3, -2))
+    f = PacketSum.single()
+    for mode in ("dilation-in", "dilation-out"):
+        reads.clear()
+        wot_compression_demo(x, f, f, mode, range(1, 13), table)
+        assert len(reads) == len(x.terms) + len(wot_limit(x, mode).terms)
+
+
 def test_wot_compression_demo_needs_two_steps(table):
     x = Element.m(ONE)
     f = PacketSum.single()
