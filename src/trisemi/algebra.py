@@ -176,16 +176,34 @@ class Element:
 
 
 def mul(x: Element, y: Element) -> Element:
-    """Product in the algebra, one exact phase per monomial pair."""
+    """Product in the algebra, one exact phase per monomial pair.
+
+    y's column at each dilation level t1 of x (keys scaled by e^{+-t1},
+    levels shifted by t1) is built once.  Two one-phase coefficients
+    over denominator 1 multiply in one step, any other pair by the
+    Scalar product and rotation; a product of nonzero scalars is
+    nonzero, so terms merge only where two keys meet.
+    """
+    columns: dict[DilationIndex, list] = {}
     items = []
     for (lam1, mu1, t1), c1 in x.terms.items():
-        neg_mu1, neg_t1 = -mu1, -t1
-        for (lam2, mu2, t2), c2 in y.terms.items():
-            scaled = lam2.scale_exp(t1)
-            c = (c1 * c2).rotate(PhaseExponent.product(scaled, neg_mu1))
-            key = (lam1 + scaled, mu1 + mu2.scale_exp(neg_t1), t1 + t2)
-            items.append((key, c))
-    return Element(items)
+        column = columns.get(t1)
+        if column is None:
+            neg_t1 = -t1
+            column = columns[t1] = [
+                (lam2.scale_exp(t1), mu2.scale_exp(neg_t1), t1 + t2, c2, c2.single_phase())
+                for (lam2, mu2, t2), c2 in y.terms.items()
+            ]
+        neg_mu1, one1 = -mu1, c1.single_phase()
+        for lam2, mu2, t, c2, one2 in column:
+            phase = PhaseExponent.product(lam2, neg_mu1)
+            if one1 is None or one2 is None:
+                c = (c1 * c2).rotate(phase)
+            else:
+                c = Scalar._term(one1[0] + one2[0] + phase, one1[1] * one2[1])
+            items.append(((lam1 + lam2, mu1 + mu2, t), c))
+    terms = dict(items)
+    return Element._canonical(terms) if len(terms) == len(items) else Element(items)
 
 
 # the generator letters are their one-term elements
@@ -197,15 +215,22 @@ def adjoint(x: Element) -> Element:
 
     (c M(lam) D(mu) V(t))* = conj(c) V(-t) D(-mu) M(-lam), whose normal
     form is conj(c) e^{i <e^-t (-lam), e^t mu>} M(-e^-t lam) D(-e^t mu) V(-t):
-    the word rewritten in place, without building its letters.
+    the word rewritten in place, without building its letters.  A
+    coefficient a e^{i pe} over denominator 1 becomes conj(a) e^{i (phase
+    - pe)} in one step.  The key map is injective, so nothing merges.
     """
     items = []
     for (lam, mu, t), c in x.terms.items():
         back = mu.scale_exp(t)
         mod = (-lam).scale_exp(-t)
-        coeff = c.conj().rotate(PhaseExponent.product(mod, back))
+        phase = PhaseExponent.product(mod, back)
+        one = c.single_phase()
+        if one is None:
+            coeff = c.conj().rotate(phase)
+        else:
+            coeff = Scalar._term(phase - one[0], one[1].conj())
         items.append(((mod, -back, -t), coeff))
-    return Element(items)
+    return Element._canonical(dict(items))
 
 
 def _dilated_terms(terms: Iterable[tuple], d: DilationIndex) -> list[tuple[Key, Scalar]]:

@@ -234,6 +234,19 @@ class _Sum:
             return self
         cls = type(self)
         d, e = self._d, other._d
+        if len(xs) == 1 and len(ys) == 1:
+            # the commonest sum, one term a side: the merge step without a pass
+            x, y = xs[0], ys[0]
+            if d != e:
+                g = math.gcd(d, e)
+                x, y, d = (x[0], x[1] * (e // g)), (y[0], y[1] * (d // g)), d // g * e
+            kx, ky = cls._order(x), cls._order(y)
+            if kx == ky:
+                total = x[1] + y[1]
+                if cls._coeff_is_zero(total):
+                    return cls._zero
+                return cls._canonical(*_lowest(((x[0], total),), d))
+            return cls._canonical((x, y) if kx < ky else (y, x), d)
         if d != e:
             # bring both over lcm(d, e)
             g = math.gcd(d, e)
@@ -917,6 +930,12 @@ class Scalar:
         obj.num = num
         obj.factors = factors
         return obj
+
+    @classmethod
+    def _term(cls, pe: PhaseExponent, amp: QI) -> "Scalar":
+        """Trusted constructor for the one-term scalar amp * e^{i*pe} with
+        amp nonzero: one-phase products and conjugates in one step."""
+        return cls._canonical(PhaseSum._canonical(((pe, amp),)), ())
 
     @classmethod
     def _reduce(cls, num: PhaseSum, factors: tuple) -> "Scalar":

@@ -34,6 +34,7 @@ from trisemi import (
     apply_automorphism,
     check_flip_contradiction,
     coeff_map,
+    commutator_certificate,
     compress,
     conjugate,
     first_coeff,
@@ -122,6 +123,108 @@ def test_involution_is_an_antihomomorphism(x, y):
     assert adjoint(mul(x, y)) == mul(adjoint(y), adjoint(x))
     assert adjoint(adjoint(x)) == x
     assert adjoint(x + y) == adjoint(x) + adjoint(y)
+
+
+def pairwise_mul(x: Element, y: Element) -> Element:
+    """The product one monomial pair at a time: the Scalar product and
+    rotation by the exchange phase for every pair, then the general
+    constructor's merge."""
+    items = []
+    for (lam1, mu1, t1), c1 in x.terms.items():
+        for (lam2, mu2, t2), c2 in y.terms.items():
+            scaled = lam2.scale_exp(t1)
+            c = (c1 * c2).rotate(PhaseExponent.product(scaled, -mu1))
+            items.append(((lam1 + scaled, mu1 + mu2.scale_exp(-t1), t1 + t2), c))
+    return Element(items)
+
+
+def termwise_adjoint(x: Element) -> Element:
+    """The adjoint one monomial at a time: conjugate, then rotate."""
+    items = []
+    for (lam, mu, t), c in x.terms.items():
+        back, mod = mu.scale_exp(t), (-lam).scale_exp(-t)
+        items.append(((mod, -back, -t), c.conj().rotate(PhaseExponent.product(mod, back))))
+    return Element(items)
+
+
+def assert_identical(got: Element, want: Element) -> None:
+    """Same keys in the same order, and every key component and
+    coefficient stored alike."""
+    assert list(got.terms) == list(want.terms)
+    for (key, c), (ref_key, ref) in zip(got.terms.items(), want.terms.items()):
+        for part, ref_part in zip(key, ref_key):
+            assert (part._d, part._items) == (ref_part._d, ref_part._items)
+        assert c == ref
+        assert (c.num._d, c.num._items, c.factors) == (ref.num._d, ref.num._items, ref.factors)
+
+
+def test_mul_and_adjoint_equal_the_pairwise_formula_exactly():
+    rng = random.Random(2606)
+    general = 0
+    for _ in range(60):
+        x, y, z = (random_element(rng, 4) for _ in range(3))
+        # xy and yx share the keys of their dilation-free pairs, so their
+        # sum has coefficients of two phases
+        both = mul(x, y) + mul(y, x)
+        for a, b in ((x, y), (x + y, z), (both, z), (z, both), (mul(z, both), x)):
+            assert_identical(mul(a, b), pairwise_mul(a, b))
+            assert_identical(adjoint(a), termwise_adjoint(a))
+            general += sum(c.single_phase() is None for c in a.terms.values())
+    assert general > 100
+    # keys that meet to cancel (on M(3)) and to add (on M(2)) go through
+    # the merge, in order
+    a = Element.m(1) + Element.d(1) + Element.m(2)
+    for b in (Element.m(2) - Element.m(1), Element.m(1) + Element.identity()):
+        assert len(mul(a, b).terms) < len(a.terms) * len(b.terms)
+        assert_identical(mul(a, b), pairwise_mul(a, b))
+
+
+def test_certificate_chains_equal_the_pairwise_formula_exactly():
+    s2, s3 = Frequency.atom("s2"), Frequency.atom("s3")
+    for lam, s in ((ONE, s2), (s2, s3), (Frequency.atom("s3", Fraction(1, 2)), TWO)):
+        cert = commutator_certificate(lam, s)
+        step = cert.f + Element.d(s)
+        chain = cert.f
+        for _ in range(4):
+            assert_identical(mul(chain, step), pairwise_mul(chain, step))
+            assert_identical(adjoint(chain), termwise_adjoint(chain))
+            chain = mul(chain, step)
+        assert any(c.factors for c in chain.terms.values())
+        h = Element.from_word([V(DilationIndex.single("h", Fraction(1, 2))), M(s)])
+        for a, b in ((chain, h), (h, chain), (mul(h, chain), adjoint(h))):
+            assert_identical(mul(a, b), pairwise_mul(a, b))
+
+
+def test_mul_reads_each_column_once_per_dilation_level(monkeypatch):
+    rng = random.Random(77)
+    levels = [DilationIndex.zero(), DilationIndex.unit(1), DilationIndex.single("h", Fraction(-1, 2))]
+    x = Element.zero()
+    for t in levels:
+        for _ in range(3):
+            word = [M(Frequency.rational(rng.randint(-3, 3))), D(Frequency.atom("s2", rng.randint(1, 3)))]
+            x = x + Element.from_word(word + [V(t)]).scale(Scalar.gaussian(0, rng.randint(1, 4)))
+    y = random_element(rng, 5, single_phase=True)
+    assert {t for _, _, t in x.terms} == set(levels) and len(x.terms) > len(levels)
+    assert all(c.single_phase() for c in [*x.terms.values(), *y.terms.values()])
+    want = pairwise_mul(x, y)
+    calls = {"scale_exp": 0, "__mul__": 0, "rotate": 0}
+
+    def counting(cls, name):
+        inner = getattr(cls, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(cls, name, counted)
+
+    counting(Frequency, "scale_exp")
+    counting(Scalar, "__mul__")
+    counting(Scalar, "rotate")
+    got = mul(x, y)
+    assert calls["__mul__"] == calls["rotate"] == 0
+    assert calls["scale_exp"] <= 2 * len(levels) * len(y.terms)
+    assert got == want
 
 
 def test_adjoint_on_letters():

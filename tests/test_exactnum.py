@@ -428,6 +428,65 @@ def test_general_constructor_canonicalizes_scrambled_items(cls):
         _assert_same(x - x, cls.zero())
 
 
+def _one_term(cls, rng, key=None):
+    """A sum of one term; its key is drawn from a pool of two or three, so
+    that two draws often share one, or is ``key`` when given."""
+    if cls is PhaseSum:
+        amp = _random_qi(rng)
+        pe = key or PhaseExponent.rational(rng.randint(0, 1))
+        return PhaseSum([(pe, QI(1) if amp.is_zero() else amp)])
+    if key is None:
+        if cls is DilationIndex:
+            key = rng.choice(("UNIT", "h"))
+        else:
+            bases = rng.choice(((), ("s2",)) if cls is Frequency else ((), ("s2",), ("s2", "s3")))
+            key = PhaseMonomial(bases, rng.choice((None, DilationIndex.single("h", 1))))
+    return cls([(key, random_fraction(rng, 6, 6) or Fraction(1, 3))])
+
+
+def _assert_sum_is_general(a, b):
+    general = type(a)(a.terms + b.terms)
+    for total in (a + b, b + a):
+        _assert_same(total, general)
+        assert (total._d, total._items) == (general._d, general._items)
+        assert not general.is_zero() or (total is type(a)._zero and total._d == 1)
+
+
+@pytest.mark.parametrize("cls", _SUM_KINDS, ids=lambda c: c.__name__)
+def test_one_term_sums_match_the_general_constructor(cls):
+    rng = random.Random(2604)
+    for _ in range(300):
+        a = _one_term(cls, rng)
+        key = a._items[0][0]
+        # a random draw (equal or distinct keys, either order, any
+        # denominators), a cancelling term, and another coefficient at a's key
+        for b in (_one_term(cls, rng), -a, _one_term(cls, rng, key)):
+            _assert_sum_is_general(a, b)
+
+
+_KEY_PAIRS = {
+    DilationIndex: ("UNIT", "h"),
+    Frequency: (PhaseMonomial(), PhaseMonomial(("s2",))),
+    PhaseExponent: (PhaseMonomial(("s2",)), PhaseMonomial(("s2", "s3"))),
+}
+
+
+@pytest.mark.parametrize("cls", list(_KEY_PAIRS), ids=lambda c: c.__name__)
+def test_one_term_sums_over_unequal_denominators(cls):
+    k1, k2 = _KEY_PAIRS[cls]
+
+    def term(key, n, d):
+        return cls([(key, Fraction(n, d))])
+
+    # equal keys: 1/4 + 1/4 = 1/2 and 1/6 + 1/3 = 1/2 share a factor with
+    # the common denominator, 1/2 + 1/3 does not; then distinct keys
+    for a, b, d in ((term(k1, 1, 4), term(k1, 1, 4), 2), (term(k1, 1, 6), term(k1, 1, 3), 2),
+                    (term(k1, 1, 2), term(k1, 1, 3), 6), (term(k1, 1, 2), term(k2, 1, 3), 6),
+                    (term(k1, 3, 4), term(k2, -1, 4), 4), (term(k1, 1, 6), term(k1, -1, 6), 1)):
+        _assert_sum_is_general(a, b)
+        assert (a + b)._d == d
+
+
 def test_sums_share_one_canonical_core():
     shared = {"__init__", "_canonical", "is_zero", "__add__", "__neg__", "__sub__",
               "__eq__", "__hash__"}

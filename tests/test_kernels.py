@@ -185,9 +185,10 @@ SCAN_FREQS = [
 @pytest.mark.parametrize("freqs", SCAN_FREQS)
 def test_recurrence_hits_equal_the_outer_product_form_below_eps(freqs):
     # at eps = 1 the steps listed lie within about 1/6 of an integer, so a
-    # span is about 3 _CHUNK steps: the last limits straddle one and two spans
+    # span is about 3 _CHUNK steps, and the spans begin after the _HEAD
+    # steps swept whole: the last limits straddle the ends of one and two spans
     span = 3 * K._CHUNK
-    edges = (span - 7, span + 7, 2 * span + 7)
+    edges = (K._HEAD + span - 7, K._HEAD + span + 7, K._HEAD + 2 * span + 7)
     for signed in (freqs, -freqs):
         want = outer_product_devs(signed, edges[-1])
         # eps >= 2 keeps every step the outer form keeps

@@ -21,6 +21,7 @@ from trisemi import (
     PacketSum,
     ScheduleTooShort,
     Scalar,
+    adjoint,
     apply_element,
     apply_word,
     column_norms,
@@ -154,6 +155,34 @@ def test_apply_element_matches_letterwise_action(table):
         via_word = apply_word(word, f, table)
         via_element = apply_element(Element.from_word(word), f, table)
         assert mp_diff_norm(via_word, via_element) < 1e-10 * (1 + float(mp_norm(via_word)))
+
+
+def adjoint_gaps(table, adj):
+    """Per seed, |<x f, g> - <f, adj(x) g>| over l1(x) ||f|| ||g||, for
+    300 seeded elements x and packet sums f and g."""
+    gaps = []
+    for seed in range(300):
+        rng = random.Random(seed)
+        x = random_element(rng)
+        f, g = random_packet_sum(rng, 2), random_packet_sum(rng, 2)
+        lhs = apply_element(x, f, table).inner(g)
+        rhs = f.inner(apply_element(adj(x), g, table))
+        gaps.append(abs(lhs - rhs) / (x.l1_norm(table) * f.norm() * g.norm()))
+    return gaps
+
+
+def test_adjoint_is_the_hilbert_space_adjoint(table):
+    assert max(adjoint_gaps(table, adjoint)) <= 1e-14
+
+
+def test_an_adjoint_without_its_exchange_phase_is_caught(table):
+    def unphased(x):
+        return Element(
+            ((-lam.scale_exp(-t), -mu.scale_exp(t), -t), c.conj())
+            for (lam, mu, t), c in x.terms.items()
+        )
+
+    assert max(adjoint_gaps(table, unphased)) > 1e-3
 
 
 def test_norm_lower_bound_respects_l1(table):
