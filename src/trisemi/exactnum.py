@@ -21,6 +21,14 @@ denominator in lowest terms.  Products, sums, equality and hashing on the
 rewriting path are integer arithmetic; ``terms`` reads a sum back as
 (key, Fraction) items on demand, in the same canonical order.  Phase sums
 ride the same core with Gaussian rational amplitudes over denominator 1.
+
+Dilation indices and phase monomials are interned (hash-consed): every
+constructor returns the one live object of its value, so their equality
+and hashing are identity, run in C.  Each table keeps one entry per
+distinct value the process has seen, a few hundred over a benchmark run,
+since indices and monomials come from few values.  Frequencies and phase
+exponents are not interned: a ring operation makes hundreds of them, many
+never seen before, so a table of them would grow with the run.
 """
 
 from __future__ import annotations
@@ -140,12 +148,7 @@ _SYM_ORDER = itemgetter(0)
 
 
 def _key_order(kv):
-    # a monomial's sort key is built on its first sort, not with it
-    m = kv[0]
-    k = m._key
-    if k is None:
-        k = m._key = (m.bases, m.exp.key())
-    return k
+    return kv[0]._key
 
 
 def _exp_order(kv):
@@ -169,7 +172,9 @@ class _Sum:
     maths.  A coercion of None means coefficients arrive in their final
     type and are stored as they are, over denominator 1, and ``terms`` is
     then ``_items`` itself.  These four are plain class attributes, read
-    through the class so that functions among them stay unbound.
+    through the class so that functions among them stay unbound.  A
+    subclass that sets an ``_interned`` dict gets one object per value
+    from every constructor, so it may compare and hash by identity.
     """
 
     __slots__ = ("_d", "_items", "_key", "_hash")
@@ -178,29 +183,41 @@ class _Sum:
     _coerce = _frac
     _coeff_is_zero = not_
     _zero: "_Sum"
+    _interned: dict | None = None
 
-    def __init__(self, terms: Mapping | Iterable[tuple] = ()):
-        cls = type(self)
+    def __new__(cls, terms: Mapping | Iterable[tuple] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
         d = 1
         if cls._coerce is not None:
             qs = [(k, cls._coerce(q)) for k, q in items]
             d = math.lcm(*[q.denominator for _, q in qs])
             items = [(k, q.numerator * (d // q.denominator)) for k, q in qs]
-        self._items, self._d = _collected(cls, items, d)
-        self._key = None
-        self._hash = None
+        return cls._canonical(*_collected(cls, items, d))
 
     @classmethod
     def _canonical(cls, items: tuple, d: int = 1):
         """Trusted constructor for numerators over d that are already
-        merged, sorted, free of zeros and in lowest terms."""
+        merged, sorted, free of zeros and in lowest terms.  A class with
+        an ``_interned`` table returns the one object of that value."""
+        table = cls._interned
+        if table is not None:
+            obj = table.get((d, items))
+            if obj is not None:
+                return obj
         obj = object.__new__(cls)
         obj._items = items
         obj._d = d
         obj._key = None
         obj._hash = None
+        if table is not None:
+            # setdefault, not a store: a value never gets a second object
+            return table.setdefault((d, items), obj)
         return obj
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, never by
+        # writing slots into a fresh (for an interned class, shared) object
+        return type(self), (self.terms,)
 
     @classmethod
     def _distinct(cls, items: list, d: int = 1):
@@ -397,6 +414,10 @@ class DilationIndex(_Sum):
 
     __slots__ = ()
     _order = _SYM_ORDER
+    _interned = {}
+    # interned: one object per value, so equality and hashing are identity
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     @classmethod
     def unit(cls, q=1) -> "DilationIndex":
@@ -430,19 +451,19 @@ class PhaseMonomial:
     two factors are pooled, so numerically equal products of exponent
     shifted atoms share one canonical key.  The empty monomial with zero
     exponent has value 1 and carries the plain rational part of a
-    frequency or phase.
+    frequency or phase.  Monomials are interned like dilation indices:
+    one object per value, compared and hashed by identity, with its sort
+    key ``_key`` built once on creation.
     """
 
-    __slots__ = ("bases", "exp", "_key", "_hash")
+    __slots__ = ("bases", "exp", "_key")
+    _interned: dict = {}
 
-    def __init__(self, bases: tuple[str, ...] = (), exp: DilationIndex | None = None):
+    def __new__(cls, bases: tuple[str, ...] = (), exp: DilationIndex | None = None):
         bases = tuple(sorted(b for b in bases if b != ONE_ATOM))
         if len(bases) > 2:
             raise InvalidParameter("phase monomial degree above two")
-        self.bases = bases
-        self.exp = _DIL_ZERO if exp is None else exp
-        self._key = None
-        self._hash = None
+        return cls._canonical(bases, _DIL_ZERO if exp is None else exp)
 
     @classmethod
     def empty(cls) -> "PhaseMonomial":
@@ -465,30 +486,24 @@ class PhaseMonomial:
     @classmethod
     def _canonical(cls, bases: tuple[str, ...], exp: DilationIndex) -> "PhaseMonomial":
         """Trusted constructor for bases that are already sorted, free of
-        ONE and at most two long."""
-        obj = object.__new__(cls)
-        obj.bases = bases
-        obj.exp = exp
-        obj._key = None
-        obj._hash = None
+        ONE and at most two long: the one monomial of that value."""
+        obj = cls._interned.get((bases, exp))
+        if obj is None:
+            obj = object.__new__(cls)
+            obj.bases = bases
+            obj.exp = exp
+            obj._key = (bases, exp.key())
+            obj = cls._interned.setdefault((bases, exp), obj)
         return obj
+
+    def __reduce__(self):
+        return PhaseMonomial, (self.bases, self.exp)
 
     @property
     def base(self) -> str:
         """The bases joined by ``*``: an atom's symbol, ONE for the empty
         monomial."""
         return "*".join(self.bases) or ONE_ATOM
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not PhaseMonomial or self.bases != other.bases:
-            return False
-        return self.exp is other.exp or self.exp == other.exp
-
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = self._hash = hash((self.bases, self.exp))
-        return h
 
     def scaled(self, t: DilationIndex) -> "PhaseMonomial":
         """This monomial times e^t."""

@@ -249,9 +249,10 @@ def test_every_private_module_name_is_read():
 # Sort keys (`_Sum.key`) stay Fractions over a denominator above 1, so that
 # order is unchanged; they are built once per object, on its first sort.
 _INTEGER_HOT_PATH = (
-    "_Sum.__add__", "_Sum.__neg__", "_Sum.__eq__", "_Sum.__hash__", "_merge_sorted",
-    "Frequency.scale_exp", "PhaseExponent.product", "PhaseMonomial.__init__",
-    "PhaseMonomial._canonical", "PhaseMonomial.product", "PhaseMonomial.scaled",
+    "_Sum.__add__", "_Sum.__neg__", "_Sum.__eq__", "_Sum.__hash__", "_Sum._canonical",
+    "_merge_sorted", "_key_order", "Frequency.scale_exp", "PhaseExponent.product",
+    "PhaseMonomial.__new__", "PhaseMonomial._canonical", "PhaseMonomial.product",
+    "PhaseMonomial.scaled",
 )
 
 

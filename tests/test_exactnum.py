@@ -2,7 +2,9 @@
 
 import ast
 import cmath
+import copy
 import math
+import pickle
 import random
 import warnings
 from fractions import Fraction
@@ -32,6 +34,7 @@ from trisemi import (
     exactnum,
     index_sign,
 )
+from trisemi.exprs import parse_dilation, parse_frequency
 
 fractions = st.fractions(min_value=-8, max_value=8, max_denominator=6)
 
@@ -488,10 +491,14 @@ def test_one_term_sums_over_unequal_denominators(cls):
 
 
 def test_sums_share_one_canonical_core():
-    shared = {"__init__", "_canonical", "is_zero", "__add__", "__neg__", "__sub__",
-              "__eq__", "__hash__"}
-    for cls in _SUM_KINDS:
+    shared = {"__new__", "__init__", "_canonical", "is_zero", "__add__", "__neg__", "__sub__",
+              "__eq__", "__hash__", "__reduce__"}
+    for cls in (Frequency, PhaseExponent, PhaseSum):
         assert not shared & set(vars(cls)), cls.__name__
+    # the interned index keeps the core and only swaps in identity
+    assert shared & set(vars(DilationIndex)) == {"__eq__", "__hash__"}
+    assert DilationIndex.__eq__ is object.__eq__
+    assert DilationIndex.__hash__ is object.__hash__
 
 
 # ------------------------------------- factored denominators and binomials
@@ -642,20 +649,22 @@ def test_one_canonical_key_per_monomial():
     empty = PhaseMonomial.empty()
     for key, same in [
         (PhaseMonomial(("ONE",)), empty),
-        (PhaseExponent([(PhaseMonomial(("ONE",)), 1)]), PhaseExponent.rational(1)),
         (FrequencyAtom("s2"), PhaseMonomial(("s2",))),
         (FrequencyAtom("ONE"), empty),
         (FrequencyAtom("s2", DilationIndex.unit(1)), PhaseMonomial(("s2", "ONE"), DilationIndex.unit(1))),
     ]:
-        assert key == same
-        assert hash(key) == hash(same)
+        assert key is same
+    exp, same = PhaseExponent([(PhaseMonomial(("ONE",)), 1)]), PhaseExponent.rational(1)
+    assert exp == same
+    assert hash(exp) == hash(same)
+    assert exp._items[0][0] is same._items[0][0] is empty
     rng = random.Random(14)
     for _ in range(200):
         f = random_frequency(rng).scale_exp(random_dilation(rng))
         for key, _ in f.terms + random_frequency(rng).terms:
             assert type(key) is PhaseMonomial and len(key.bases) <= 1
-    # the sums, the one monomial key, amplitudes and characters hash; no
-    # second key class does
+    # the sums, amplitudes and characters hash; the one monomial key is
+    # interned and hashes by identity, and no second key class hashes
     tree = ast.parse(Path(exactnum.__file__).read_text())
     hashing = {
         node.name
@@ -663,7 +672,89 @@ def test_one_canonical_key_per_monomial():
         if isinstance(node, ast.ClassDef)
         and any(isinstance(f, ast.FunctionDef) and f.name == "__hash__" for f in node.body)
     }
-    assert hashing == {"_Sum", "PhaseMonomial", "QI", "BohrCharacter"}
+    assert hashing == {"_Sum", "QI", "BohrCharacter"}
+
+
+# ------------------------------- interned dilation indices and monomials
+
+
+def test_every_route_to_an_index_or_monomial_gives_the_interned_object():
+    h = DilationIndex.single("h", Fraction(1, 2))
+    one = DilationIndex.unit(1)
+    indices = [
+        DilationIndex([("h", Fraction(1, 2)), ("UNIT", 1)]),
+        DilationIndex({"UNIT": Fraction(2, 2), "h": Fraction(1, 2)}),
+        DilationIndex([("UNIT", 3), ("h", 1), ("UNIT", -2), ("h", Fraction(-1, 2))]),
+        h + one,
+        one + h,
+        (h + h + one) - h,
+        -(-(h + one)),
+        (h.scale(2) + one.scale(2)).scale(Fraction(1, 2)),
+        DilationIndex._distinct([("UNIT", 1), ("h", 1)], 2).scale(1) + DilationIndex.unit(Fraction(1, 2)),
+        parse_dilation("1 + 1/2*h"),
+    ]
+    assert all(t is indices[0] for t in indices)
+    assert DilationIndex.unit(1) is DilationIndex.unit(Fraction(1)) is DilationIndex.single("UNIT")
+    assert DilationIndex.unit(0) is (h - h) is h.scale(0) is DilationIndex.zero() is DilationIndex()
+
+    t = DilationIndex.single("h")
+    mono = PhaseMonomial(("s2",), t)
+    monomials = [
+        PhaseMonomial(("ONE", "s2"), DilationIndex.single("h")),
+        FrequencyAtom("s2", t),
+        PhaseMonomial(("s2",)).scaled(t),
+        PhaseMonomial(("s2",), t - one).scaled(one),
+        PhaseMonomial.product(PhaseMonomial((), t), PhaseMonomial(("s2",))),
+        Frequency.atom("s2", 3, t)._items[0][0],
+        Frequency.atom("s2").scale_exp(t)._items[0][0],
+        parse_frequency("s2@{h}")._items[0][0],
+    ]
+    assert all(m is mono for m in monomials)
+    pair = PhaseMonomial(("s3", "s2"))
+    assert pair is PhaseMonomial.product(PhaseMonomial(("s3",)), PhaseMonomial(("s2",)))
+    assert pair is PhaseExponent.product(Frequency.atom("s2"), Frequency.atom("s3"))._items[0][0]
+    assert PhaseMonomial() is PhaseMonomial(("ONE",)) is PhaseMonomial.empty()
+    assert exactnum._dil_as_frequency(DilationIndex.single("h"))._items[0][0] is PhaseMonomial(("h",))
+
+
+def test_equal_values_are_one_object():
+    rng = random.Random(2705)
+    for _ in range(500):
+        a, b = random_dilation(rng), random_dilation(rng)
+        assert (a - b).is_zero() == (a is b)
+        assert (a == b) == (a is b)
+        f = random_frequency(rng).scale_exp(a)
+        g = random_frequency(rng).scale_exp(b)
+        for m, _ in f._items:
+            for n, _ in g._items:
+                same = m.bases == n.bases and (m.exp - n.exp).is_zero()
+                assert same == (m is n)
+
+
+def test_copies_and_pickles_return_the_interned_object():
+    t = DilationIndex.single("h", Fraction(-3, 2)) + DilationIndex.unit(2)
+    m = PhaseMonomial(("s2", "s3"), t)
+    zero = DilationIndex.zero()
+    for x in (t, m, zero, PhaseMonomial.empty()):
+        assert copy.copy(x) is x
+        assert copy.deepcopy(x) is x
+        assert pickle.loads(pickle.dumps(x)) is x
+    assert zero.is_zero() and zero._d == 1 and DilationIndex.zero() is zero
+    # the sums that are not interned copy to an equal value
+    f = Frequency.atom("s2", Fraction(1, 3), t) + Frequency.rational(2)
+    for y in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+        assert y == f and y._items[0][0] is f._items[0][0]
+
+
+def test_an_index_outside_the_table_is_not_its_twin():
+    # what the invariant guards: built around the table, an equal value
+    # is a second object, and identity equality tells the two apart
+    twin = DilationIndex.unit(1)
+    stray = object.__new__(DilationIndex)
+    stray._items, stray._d, stray._key, stray._hash = twin._items, twin._d, None, None
+    assert (stray - twin).is_zero()
+    assert stray != twin
+    assert len({stray, twin}) == 2
 
 
 # ------------------------- integer numerators over one common denominator
