@@ -51,6 +51,7 @@ from .algebra import (
     AlgebraId,
     AutomorphismSpec,
     Axis,
+    AxisMap,
     CompressionMode,
     D,
     Element,

@@ -8,14 +8,15 @@ and scalars Sc(c).  A word is the product of its letters, and `mul`
 rewrites each product of monomials into normal order with the exact
 commutation phases.  Conjugation by a unitary u is `conjugate(x, u)`;
 conjugation by V(s) is the dilation key map (lam, mu, t) -> (e^-s lam,
-e^s mu, t) with the coefficients kept, which `apply_automorphism`
-shares, and needs no product.
+e^s mu, t) with the coefficients kept, which `AxisMap` shares, and needs
+no product.  `AxisMap` is every map that sends each generator semigroup
+to a one-parameter semigroup on an axis.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
@@ -33,6 +34,7 @@ from .exactnum import (
     DilationIndex,
     Frequency,
     PhaseExponent,
+    PhaseMonomial,
     Scalar,
     _merged,
     index_sign,
@@ -242,22 +244,18 @@ def _dilated_terms(terms: Iterable[tuple], d: DilationIndex) -> list[tuple[Key, 
     return [((lam.scale_exp(d), mu.scale_exp(neg), t), c) for (lam, mu, t), c in terms]
 
 
-def _dilated(x: Element, d: DilationIndex) -> Element:
-    """x under the dilation key map of ``_dilated_terms``."""
-    if d.is_zero():
-        return x
-    return Element._canonical(dict(_dilated_terms(x.terms.items(), d)))
-
-
 def conjugate(x: Element, u: Element) -> Element:
     """u* x u: the conjugation of x by the unitary u.
 
     For u = V(s) every phase of the product is trivial, so the result is
-    the dilation key map by -s; any other u goes through ``mul``."""
+    ``AxisMap(dil=-s)(x)``, taken here straight from the dilation key map
+    by -s; any other u goes through ``mul``."""
     if len(u.terms) == 1:
         ((lam, mu, s), c), = u.terms.items()
         if lam.is_zero() and mu.is_zero() and c == Scalar.one():
-            return _dilated(x, -s)
+            if s.is_zero():
+                return x
+            return Element._canonical(dict(_dilated_terms(x.terms.items(), -s)))
     return mul(mul(adjoint(u), x), u)
 
 
@@ -447,34 +445,104 @@ def side_sums(x: Element, killed: Axis) -> Element:
 
 
 @dataclass(frozen=True)
-class AutomorphismSpec:
-    """Twisted dilation conjugation.
+class AxisMap:
+    """A map that sends each generator semigroup to a one-parameter
+    semigroup on an axis, with exact coefficient twists.
 
-    Sends coeff*M(lam)D(mu)V(s) to
-    coeff * modchar(lam) * shiftchar(mu) * e^{i v_angle s.exact_numeric(table)}
-          * M(e^dil lam) D(e^-dil mu) V(s).
-    The twist angles are exact rationals, so the map stays inside the
-    exact layer.
+    M(lam) goes to e^{i mod_char(lam)} M(m_scale e^dil lam), or, when
+    ``swap``, to e^{i mod_char(lam)} D(m_scale e^-dil lam); D(mu) goes to
+    the other function axis in the same way, with ``shift_char`` and
+    ``d_scale``; V(t) goes to e^{i v_angle t} V(t), t read at its exact
+    value over the table.  A term c M(lam)D(mu)V(t) goes to c times the
+    ``mul`` product of its three images.  The twist angles are exact
+    rationals, so the map stays inside the exact layer.  The scales must
+    be nonzero rationals (a negative one reverses its axis); the map does
+    not check them, so a caller that takes scales from outside refuses a
+    zero one itself, as ``check_flip_contradiction`` does.
+
+    With no swap the map is multiplicative exactly when m_scale d_scale
+    = 1; no swapped map is, since V would have to be reversed.  With no
+    swap and unit scales, the twisted dilations, the map is conjugation
+    by V(-dil) followed by the twists, and the images of a term are
+    already in normal order: the twist and the dilation key map
+    ``_dilated_terms``, with no product.  Only these maps compose and
+    invert here.
     """
 
-    dil: DilationIndex = field(default_factory=DilationIndex.zero)
-    mod_char: BohrCharacter = field(default_factory=BohrCharacter.trivial)
-    shift_char: BohrCharacter = field(default_factory=BohrCharacter.trivial)
+    dil: DilationIndex = DilationIndex.zero()
+    mod_char: BohrCharacter = BohrCharacter.trivial()
+    shift_char: BohrCharacter = BohrCharacter.trivial()
     v_angle: Fraction = Fraction(0)
+    swap: bool = False
+    m_scale: Fraction = Fraction(1)
+    d_scale: Fraction = Fraction(1)
+
+    def __call__(self, x: Element, table: AtomTable = DEFAULT_TABLE) -> Element:
+        twisted = self.mod_char.angles or self.shift_char.angles or self.v_angle
+        items = self._twisted(x.terms.items(), table) if twisted else x.terms.items()
+        if not self.swap and self.m_scale == self.d_scale == 1:
+            if self.dil.is_zero():
+                return Element._canonical(dict(items)) if twisted else x
+            return Element._canonical(dict(_dilated_terms(items, self.dil)))
+        # the generator and dilation exponent of the axis that M and D land on
+        on_m, on_d = (Element.m, self.dil), (Element.d, -self.dil)
+        if self.swap:
+            on_m, on_d = on_d, on_m
+        (gm, em), (gd, ed) = on_m, on_d
+        out = []
+        for (lam, mu, t), c in items:
+            m_image = gm(lam.scale(self.m_scale).scale_exp(em))
+            d_image = gd(mu.scale(self.d_scale).scale_exp(ed))
+            ((key, phase),) = mul(mul(m_image, d_image), Element.v(t)).terms.items()
+            out.append((key, c * phase))
+        return Element(out)
+
+    def _twisted(self, items, table: AtomTable) -> list[tuple[Key, Scalar]]:
+        """The items with each coefficient rotated by its twist angle."""
+        mod, shift, theta = self.mod_char.angle, self.shift_char.angle, self.v_angle
+        out = []
+        for key, c in items:
+            lam, mu, t = key
+            angle = mod(lam) + shift(mu)
+            if theta and not t.is_zero():
+                angle += theta * t.exact_numeric(table)
+            out.append((key, c.rotate(PhaseExponent.rational(angle)) if angle else c))
+        return out
+
+    def _dilation_only(self) -> None:
+        if self.swap or self.m_scale != 1 or self.d_scale != 1:
+            raise InvalidParameter("only maps with no swap and unit scales compose and invert")
+
+    def compose(self, then: "AxisMap") -> "AxisMap":
+        """The map x -> then(self(x)).  Characters are keyed by atom base,
+        so the dilation of self leaves the angles of then unchanged and
+        every parameter adds."""
+        self._dilation_only()
+        then._dilation_only()
+        return AxisMap(
+            dil=self.dil + then.dil,
+            mod_char=BohrCharacter(self.mod_char.angles + then.mod_char.angles),
+            shift_char=BohrCharacter(self.shift_char.angles + then.shift_char.angles),
+            v_angle=self.v_angle + then.v_angle,
+        )
+
+    def inverse(self) -> "AxisMap":
+        """The map b with self.compose(b) == b.compose(self) == AxisMap()."""
+        self._dilation_only()
+        return AxisMap(
+            dil=-self.dil,
+            mod_char=BohrCharacter((base, -q) for base, q in self.mod_char.angles),
+            shift_char=BohrCharacter((base, -q) for base, q in self.shift_char.angles),
+            v_angle=-self.v_angle,
+        )
 
 
-def apply_automorphism(
-    x: Element, spec: AutomorphismSpec, table: AtomTable = DEFAULT_TABLE
-) -> Element:
-    twisted: dict[Key, Scalar] = {}
-    for (lam, mu, t), c in x.terms.items():
-        angle = spec.mod_char.angle(lam) + spec.shift_char.angle(mu)
-        if spec.v_angle and not t.is_zero():
-            angle += spec.v_angle * t.exact_numeric(table)
-        if angle:
-            c = c * Scalar.rational_angle(angle)
-        twisted[lam, mu, t] = c
-    return _dilated(Element._canonical(twisted), spec.dil)
+# the twisted dilation conjugations: the maps with no swap and unit scales
+AutomorphismSpec = AxisMap
+
+
+def apply_automorphism(x: Element, spec: AxisMap, table: AtomTable = DEFAULT_TABLE) -> Element:
+    return spec(x, table)
 
 
 @dataclass(frozen=True)
@@ -492,18 +560,27 @@ def check_flip_contradiction(k1: float, k2: float) -> FlipReport:
     """Show that M(lam) -> D(k1 lam), D(mu) -> M(k2 mu) cannot extend to a
     homomorphism for positive scales.
 
-    Equality of the two images of the commutation identity would force the
-    phase e^{i lam mu (1 + k1 k2)} to be 1; the check evaluates the exact
-    phase gap lam*mu*(1 + k1*k2) at (1, 1) and (1, 2) and both are
-    nonzero, since 1 + k1 k2 > 1.
+    The swapped map with those scales is applied to both sides of
+    D(mu)M(lam) = e^{-i lam mu} M(lam)D(mu).  The product of the images
+    is M(k2 mu)D(k1 lam); the image of the normal form is
+    e^{-i lam mu} D(k1 lam)M(k2 mu) = e^{-i lam mu (1 + k1 k2)} M(k2 mu)D(k1 lam).
+    The gap is the exact phase between the two, lam mu (1 + k1 k2), read
+    at (1, 1) and (1, 2); both are nonzero, since 1 + k1 k2 > 1.
     """
     for k in (k1, k2):
         kf = float(k)
         if not math.isfinite(kf) or kf <= 0.0:
             raise InvalidScale(f"scale {k!r} must be positive and finite")
-    phi = 1 + Fraction(float(k1)) * Fraction(float(k2))
-    gap11 = phi
-    gap12 = 2 * phi
+    flip = AxisMap(swap=True, m_scale=Fraction(float(k1)), d_scale=Fraction(float(k2)))
+
+    def gap(lam: int, mu: int) -> Fraction:
+        m, d = M(lam), D(mu)
+        (images,) = mul(flip(d), flip(m)).terms.values()  # the word, letter by letter
+        (normal,) = flip(mul(d, m)).terms.values()  # its normal form
+        phase = images.single_phase()[0] - normal.single_phase()[0]
+        return phase.coefficient(PhaseMonomial.empty())
+
+    gap11, gap12 = gap(1, 1), gap(1, 2)
     return FlipReport(float(k1), float(k2), gap11, gap12, gap11 != 0 or gap12 != 0)
 
 

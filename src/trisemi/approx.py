@@ -22,7 +22,15 @@ from fractions import Fraction
 
 from .algebra import Axis, Element
 from .errors import BasisTooShort, InvalidParameter, NotFound
-from .exactnum import _ZERO, DEFAULT_TABLE, AtomTable, DilationIndex, Frequency, Scalar, _frac
+from .exactnum import (
+    _ZERO,
+    DEFAULT_TABLE,
+    AtomTable,
+    DilationIndex,
+    Frequency,
+    PhaseExponent,
+    _frac,
+)
 
 # longest recurrence scan: it streams in chunks of bounded size, so the cap
 # bounds its time, not its memory.  At 10^8 a scan that lists its steps
@@ -216,8 +224,9 @@ def gauge(x: Element, grading, theta, table: AtomTable = DEFAULT_TABLE) -> Eleme
             angle = theta_q * exact
         else:
             angle = _frac(float(theta_q) * idx.numeric(table))
-        out[key] = coeff * Scalar.rational_angle(angle)
-    return Element(out)
+        out[key] = coeff.rotate(PhaseExponent.rational(angle)) if angle else coeff
+    # a rotation keeps every key and every nonzero coefficient
+    return Element._canonical(out)
 
 
 def cesaro_mean(

@@ -1075,14 +1075,13 @@ class Scalar:
         num = self.num.conj()
         if not self.factors:
             return Scalar._canonical(num, ())
-        # conj(f) = amp * e^{i*pe} * g with g canonical: the unit moves to
-        # the numerator, and conjugation keeps numerators reduced
+        # conj(f) = amp * e^{i*pe} * g with g canonical: the unit's m-th
+        # power moves to the numerator in one shift and one scale, and
+        # conjugation keeps numerators reduced
         factors = []
         for f, m in self.factors:
             pe, amp, g = _unit_split(f.conj())
-            inv = amp.inverse()
-            for _ in range(m):
-                num = num.shift(-pe).scale(inv)
+            num = num.shift(pe.scale(-m)).scale(_qi_pow(amp.inverse(), m))
             factors.append((g, m))
         factors.sort(key=_factor_order)
         return Scalar._canonical(num, tuple(factors))

@@ -341,34 +341,17 @@ def test_c10_chirality():
             assert not support_predicate(image, AlgebraId.APH_G_PLUS_ADJOINT, TABLE)
 
 
-def _composed(a, b):
-    """The spec of applying a, then b.  Characters are keyed by atom base,
-    so the dilation of a leaves the angles of b unchanged and every
-    parameter adds."""
-    return AutomorphismSpec(
-        dil=a.dil + b.dil,
-        mod_char=BohrCharacter(a.mod_char.angles + b.mod_char.angles),
-        shift_char=BohrCharacter(a.shift_char.angles + b.shift_char.angles),
-        v_angle=a.v_angle + b.v_angle,
-    )
-
-
-def _inverse(a):
-    return AutomorphismSpec(
-        dil=-a.dil,
-        mod_char=BohrCharacter((base, -q) for base, q in a.mod_char.angles),
-        shift_char=BohrCharacter((base, -q) for base, q in a.shift_char.angles),
-        v_angle=-a.v_angle,
-    )
-
-
 def test_automorphisms_compose_by_adding_parameters():
-    # the c09 specs, each composed with the next and with its inverse
+    # the c09 specs, each composed with the next and with its inverse;
+    # characters are keyed by atom base, so the parameters add
     rng = random.Random(1009)
     specs = [_random_spec(rng) for _ in range(10)]
     elements = [random_z_element(rng, 3) for _ in range(50)]
     for a, b in zip(specs, specs[1:] + specs[:1]):
-        ab, inv = _composed(a, b), _inverse(a)
+        ab, inv = a.compose(b), a.inverse()
+        assert ab.dil == a.dil + b.dil and ab.v_angle == a.v_angle + b.v_angle
+        assert ab.mod_char == BohrCharacter(a.mod_char.angles + b.mod_char.angles)
+        assert a.compose(inv) == inv.compose(a) == AutomorphismSpec()
         for x in elements:
             fx = apply_automorphism(x, a, TABLE)
             assert apply_automorphism(fx, b, TABLE) == apply_automorphism(x, ab, TABLE)

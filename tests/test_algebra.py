@@ -12,6 +12,7 @@ from trisemi import (
     AlgebraId,
     AutomorphismSpec,
     Axis,
+    AxisMap,
     AxisMismatch,
     BohrCharacter,
     CompressionMode,
@@ -43,7 +44,7 @@ from trisemi import (
     support_predicate,
 )
 
-from helpers import random_dilation, random_element, random_word
+from helpers import random_dilation, random_element, random_fraction, random_word
 
 ONE = Frequency.rational(1)
 TWO = Frequency.rational(2)
@@ -109,7 +110,7 @@ def test_word_fold_matches_pairwise_products():
         assert folded == stepwise
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(small_elements(), small_elements(), small_elements())
 def test_ring_laws(x, y, z):
     assert mul(mul(x, y), z) == mul(x, mul(y, z))
@@ -117,7 +118,7 @@ def test_ring_laws(x, y, z):
     assert mul(x + y, z) == mul(x, z) + mul(y, z)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(small_elements(), small_elements())
 def test_involution_is_an_antihomomorphism(x, y):
     assert adjoint(mul(x, y)) == mul(adjoint(y), adjoint(x))
@@ -375,7 +376,7 @@ def test_l1_norm(table):
     assert y.l1_norm(table) == pytest.approx(1.0)
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(small_elements(), small_elements())
 def test_automorphism_is_a_homomorphism(table, x, y):
     spec = AutomorphismSpec(
@@ -420,6 +421,62 @@ def test_flip_contradiction_gaps():
         check_flip_contradiction(-1.0, 2.0)
     with pytest.raises(InvalidScale):
         check_flip_contradiction(1.0, 0.0)
+
+
+# R, the reflection (lam, mu, t) -> (-lam, -mu, t), goes through mul term by term
+R = AxisMap(m_scale=-1, d_scale=-1)
+
+
+def _pairs(seed: int, n: int = 150) -> list[tuple[Element, Element]]:
+    rng = random.Random(seed)
+    return [(random_element(rng), random_element(rng)) for _ in range(n)]
+
+
+def test_the_reflection_is_multiplicative(table):
+    for x, y in _pairs(2801):
+        assert R(mul(x, y), table) == mul(R(x, table), R(y, table))
+        assert R(R(x, table), table) == x
+
+
+def _twisted_dilation(rng: random.Random) -> AxisMap:
+    chars = [BohrCharacter({b: random_fraction(rng) for b in ("ONE", "s2")}) for _ in range(2)]
+    return AxisMap(random_dilation(rng), *chars, random_fraction(rng))
+
+
+def test_compose_is_sequential_application_and_inverse_round_trips(table):
+    rng = random.Random(2802)
+    for _ in range(40):
+        a, b = _twisted_dilation(rng), _twisted_dilation(rng)
+        ab = a.compose(b)
+        assert a.compose(a.inverse()) == a.inverse().compose(a) == AxisMap()
+        assert a.inverse().inverse() == a
+        for _ in range(4):
+            x = random_element(rng)
+            assert ab(x, table) == b(a(x, table), table)
+            assert b.inverse()(b(x, table), table) == x
+
+
+@pytest.mark.parametrize("other", [R, AxisMap(swap=True, d_scale=-1)], ids=["scaled", "swapped"])
+def test_only_twisted_dilations_compose_and_invert(other):
+    with pytest.raises(InvalidParameter, match="compose and invert"):
+        other.inverse()
+    with pytest.raises(InvalidParameter, match="compose and invert"):
+        AxisMap().compose(other)
+    with pytest.raises(InvalidParameter, match="compose and invert"):
+        other.compose(AxisMap())
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        AxisMap(swap=True, d_scale=-1),
+        AxisMap(m_scale=2, d_scale=2),
+        AxisMap(swap=True, m_scale=Fraction(1, 10), d_scale=3),
+    ],
+    ids=["swap-keeping-v", "scales-2-2", "swap-positive-scales"],
+)
+def test_a_map_that_breaks_an_exchange_relation_is_not_multiplicative(table, bad):
+    assert any(bad(mul(x, y), table) != mul(bad(x, table), bad(y, table)) for x, y in _pairs(2803))
 
 
 def test_compress_modes():
@@ -485,3 +542,11 @@ def test_cancellation_leaves_no_zero_coefficient_keys():
     assert prod == Element.m(4) - Element.m(2)
     assert (Frequency.rational(3), Frequency.zero(), DilationIndex.zero()) not in prod.terms
     assert _no_zero_coefficients(prod)
+
+
+def test_coeff_map_refuses_an_index_of_the_wrong_type():
+    x = Element.m(ONE) + Element.d(TWO)
+    with pytest.raises(AxisMismatch, match="expects a Frequency"):
+        coeff_map(x, "translation", DilationIndex.unit(1))
+    with pytest.raises(AxisMismatch, match="expects a DilationIndex"):
+        coeff_map(x, "dilation", ONE)

@@ -431,3 +431,7 @@ def test_recurrence_schedule_matches_a_brute_force_scan_across_chunks():
         want = _brute_schedule(freqs, eps, limit)
         got = _outcome(recurrence_schedule, freqs, eps, limit)
         assert got == want if want else got[0] is NotFound
+
+
+def test_cesaro_mean_of_zero_is_zero(table):
+    assert cesaro_mean(Element.zero(), "translation", 1, 10.0, table=table) == Element.zero()

@@ -272,3 +272,17 @@ def test_arens_automorphism_is_isometric(table):
         fy = apply_automorphism(y, spec, table)
         assert apply_automorphism(mul(x, y), spec, table) == mul(fx, fy)
         assert fx.l1_norm(table) == pytest.approx(x.l1_norm(table), rel=1e-12)
+
+
+def test_chi0_reads_a_half_plane_point_under_the_real_group(table):
+    # under group R the dilation-side point of chi0 is an AP point: at
+    # infinity it keeps the constant term, at a finite point it decays
+    x = Element.identity().scale(2) + Element.v(DilationIndex.unit(1)) + Element.m(ONE)
+    chi_inf = TripleCharacter.chi_inf("R")
+    assert chi_inf.trusted and chi_inf.point == APPoint.infinity()
+    assert eval_character(chi_inf, x, table) == 2
+    chi = TripleCharacter.chi0(APPoint.finite(decay=1))
+    assert not chi.trusted
+    with pytest.warns(UntrustedCharacterWarning):
+        value = eval_character(chi, x, table)
+    assert value == pytest.approx(2 + math.exp(-1.0))

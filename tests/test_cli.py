@@ -622,13 +622,13 @@ def _parses_or_raises_a_parse_error_and_the_cli_exits_0_or_2(text):
         assert run(["--json", "normalize", "--", text]) in (0, 2)
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100)
 @given(_GRAMMAR)
 def test_fuzz_grammar_texts_parse_or_raise_and_the_cli_exits_0_or_2(text):
     _parses_or_raises_a_parse_error_and_the_cli_exits_0_or_2(text)
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100)
 @given(_MANGLED)
 def test_fuzz_mangled_texts_parse_or_raise_and_the_cli_exits_0_or_2(text):
     _parses_or_raises_a_parse_error_and_the_cli_exits_0_or_2(text)

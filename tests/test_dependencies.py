@@ -65,7 +65,7 @@ _EXPORTS = {
         NumericOverflow ParseError ScheduleTooShort UntrustedCharacterWarning""",
     "exactnum": """AtomTable BohrCharacter DilationIndex Frequency FrequencyAtom
         PhaseExponent PhaseMonomial PhaseSum QI Scalar index_sign""",
-    "algebra": """AlgebraId AutomorphismSpec Axis CompressionMode D Element
+    "algebra": """AlgebraId AutomorphismSpec Axis AxisMap CompressionMode D Element
         FlipReport M Sc V adjoint apply_automorphism check_flip_contradiction
         coeff_map compress conjugate first_coeff mul side_sums
         support_predicate""",

@@ -188,3 +188,9 @@ def test_malformed_summands_report_message_and_span(text, message, span):
         parse_element(text)
     assert str(info.value) == message
     assert info.value.span == span
+
+
+def test_a_one_term_divisor_must_be_a_scalar():
+    with pytest.raises(ParseError, match="nonzero scalar divisor"):
+        parse_element("M(1)/M(1)")
+    assert parse_element("M(1)/2") == Element.m(1).scale(Fraction(1, 2))

@@ -57,6 +57,13 @@ def test_cp_rejects_elements_outside_the_ambient(table):
         in_ideal(Element.m(Frequency.rational(-1)), IdealId.cp(), table)
 
 
+def test_cph_and_i0_reject_elements_outside_the_ambient(table):
+    with pytest.raises(NotInAmbient):
+        in_ideal(Element.v(DilationIndex.unit(-1)), IdealId.cph_g(), table)
+    with pytest.raises(NotInAmbient):
+        in_ideal(Element.v(DilationIndex.unit(1)), IdealId.i0(), table)
+
+
 def test_cph_membership_oracles(table):
     v1 = Element.v(DilationIndex.unit(1))
     x = mul(Element.m(ONE), v1) - mul(Element.m(TWO), v1)
