@@ -10,7 +10,8 @@ commutation phases.  Conjugation by a unitary u is `conjugate(x, u)`;
 conjugation by V(s) is the dilation key map (lam, mu, t) -> (e^-s lam,
 e^s mu, t) with the coefficients kept, which `AxisMap` shares, and needs
 no product.  `AxisMap` is every map that sends each generator semigroup
-to a one-parameter semigroup on an axis.
+to a one-parameter semigroup on an axis, applied term by term in one
+closed form, also without a product.
 """
 
 from __future__ import annotations
@@ -454,18 +455,18 @@ class AxisMap:
     the other function axis in the same way, with ``shift_char`` and
     ``d_scale``; V(t) goes to e^{i v_angle t} V(t), t read at its exact
     value over the table.  A term c M(lam)D(mu)V(t) goes to c times the
-    ``mul`` product of its three images.  The twist angles are exact
-    rationals, so the map stays inside the exact layer.  The scales must
-    be nonzero rationals (a negative one reverses its axis); the map does
-    not check them, so a caller that takes scales from outside refuses a
-    zero one itself, as ``check_flip_contradiction`` does.
+    product of its three images, in one closed form: the twist rotates c,
+    the scales multiply lam and mu, a swap exchanges them and rotates c
+    by -a b lam mu, since D(a lam)M(b mu) = e^{-i a b lam mu} M(b mu)D(a lam),
+    and the dilation key map ``_dilated_terms`` by dil comes last.  The
+    twist angles are exact rationals, so the map stays inside the exact
+    layer.  The scales are nonzero rationals (a negative one reverses
+    its axis), so the key map is injective and nothing merges.
 
     With no swap the map is multiplicative exactly when m_scale d_scale
     = 1; no swapped map is, since V would have to be reversed.  With no
     swap and unit scales, the twisted dilations, the map is conjugation
-    by V(-dil) followed by the twists, and the images of a term are
-    already in normal order: the twist and the dilation key map
-    ``_dilated_terms``, with no product.  Only these maps compose and
+    by V(-dil) followed by the twists.  Only these maps compose and
     invert here.
     """
 
@@ -477,37 +478,37 @@ class AxisMap:
     m_scale: Fraction = Fraction(1)
     d_scale: Fraction = Fraction(1)
 
+    def __post_init__(self):
+        if not self.m_scale or not self.d_scale:
+            raise InvalidParameter("the scales of an axis map must be nonzero")
+
     def __call__(self, x: Element, table: AtomTable = DEFAULT_TABLE) -> Element:
         twisted = self.mod_char.angles or self.shift_char.angles or self.v_angle
-        items = self._twisted(x.terms.items(), table) if twisted else x.terms.items()
-        if not self.swap and self.m_scale == self.d_scale == 1:
-            if self.dil.is_zero():
-                return Element._canonical(dict(items)) if twisted else x
-            return Element._canonical(dict(_dilated_terms(items, self.dil)))
-        # the generator and dilation exponent of the axis that M and D land on
-        on_m, on_d = (Element.m, self.dil), (Element.d, -self.dil)
-        if self.swap:
-            on_m, on_d = on_d, on_m
-        (gm, em), (gd, ed) = on_m, on_d
-        out = []
-        for (lam, mu, t), c in items:
-            m_image = gm(lam.scale(self.m_scale).scale_exp(em))
-            d_image = gd(mu.scale(self.d_scale).scale_exp(ed))
-            ((key, phase),) = mul(mul(m_image, d_image), Element.v(t)).terms.items()
-            out.append((key, c * phase))
-        return Element(out)
-
-    def _twisted(self, items, table: AtomTable) -> list[tuple[Key, Scalar]]:
-        """The items with each coefficient rotated by its twist angle."""
-        mod, shift, theta = self.mod_char.angle, self.shift_char.angle, self.v_angle
-        out = []
-        for key, c in items:
-            lam, mu, t = key
-            angle = mod(lam) + shift(mu)
-            if theta and not t.is_zero():
-                angle += theta * t.exact_numeric(table)
-            out.append((key, c.rotate(PhaseExponent.rational(angle)) if angle else c))
-        return out
+        m_scale, d_scale, swap = self.m_scale, self.d_scale, self.swap
+        scaled = m_scale != 1 or d_scale != 1
+        dil, items = self.dil, x.terms.items()
+        if twisted or scaled or swap:
+            mod, shift, theta = self.mod_char.angle, self.shift_char.angle, self.v_angle
+            out = []
+            for (lam, mu, t), c in items:
+                if twisted:
+                    angle = mod(lam) + shift(mu)
+                    if theta and not t.is_zero():
+                        angle += theta * t.exact_numeric(table)
+                    if angle:
+                        c = c.rotate(PhaseExponent.rational(angle))
+                if scaled:
+                    lam, mu = lam.scale(m_scale), mu.scale(d_scale)
+                if swap:
+                    c = c.rotate(-PhaseExponent.product(lam, mu))
+                    lam, mu = mu, lam
+                out.append(((lam, mu, t), c))
+            items = out
+        elif dil.is_zero():
+            return x
+        if not dil.is_zero():
+            items = _dilated_terms(items, dil)
+        return Element._canonical(dict(items))
 
     def _dilation_only(self) -> None:
         if self.swap or self.m_scale != 1 or self.d_scale != 1:
@@ -560,9 +561,10 @@ def check_flip_contradiction(k1: float, k2: float) -> FlipReport:
     """Show that M(lam) -> D(k1 lam), D(mu) -> M(k2 mu) cannot extend to a
     homomorphism for positive scales.
 
-    The swapped map with those scales is applied to both sides of
-    D(mu)M(lam) = e^{-i lam mu} M(lam)D(mu).  The product of the images
-    is M(k2 mu)D(k1 lam); the image of the normal form is
+    The swapped map with those scales, a closed form with no product, is
+    applied to both sides of D(mu)M(lam) = e^{-i lam mu} M(lam)D(mu).
+    The ``mul`` product of the letters' images is M(k2 mu)D(k1 lam); the
+    image of the normal form is
     e^{-i lam mu} D(k1 lam)M(k2 mu) = e^{-i lam mu (1 + k1 k2)} M(k2 mu)D(k1 lam).
     The gap is the exact phase between the two, lam mu (1 + k1 k2), read
     at (1, 1) and (1, 2); both are nonzero, since 1 + k1 k2 > 1.

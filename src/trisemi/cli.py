@@ -25,11 +25,10 @@ import trisemi
 
 from .algebra import (
     AlgebraId,
-    AutomorphismSpec,
     Axis,
+    AxisMap,
     Element,
     adjoint,
-    apply_automorphism,
     check_flip_contradiction,
     coeff_map,
     mul,
@@ -299,14 +298,14 @@ def _cmd_cert_jt(args, cfg):
 
 
 def _cmd_auto_apply(args, cfg):
-    spec = AutomorphismSpec(
+    automorphism = AxisMap(
         dil=args.t,
         mod_char=_angles(args.angles),
         shift_char=_angles(args.shift_angles),
         v_angle=args.theta,
     )
     x = parse_element(args.expr)
-    out = _element_payload(apply_automorphism(x, spec, cfg.table), cfg)
+    out = _element_payload(automorphism(x, cfg.table), cfg)
     out["t"] = dil_text(args.t)
     out["theta"] = _rat(args.theta)
     return out

@@ -22,6 +22,7 @@ import numpy as np
 from . import _kernels
 from .algebra import (
     Axis,
+    AxisMap,
     CompressionMode,
     Element,
     coeff_map,
@@ -536,18 +537,20 @@ def wot_compression_demo(
 # ------------------------------------------------------------ Fourier duality
 
 
+# F's action on the function axes: x -> F x F^{-1} sends M(lam) to D(lam)
+# and D(mu) to M(-mu)
+_FOURIER_AXES = AxisMap(swap=True, d_scale=-1)
+
+
 def fourier_conjugation_check(
     lam: float, f: PacketSum, g: PacketSum, dual: bool = False
 ) -> float:
     """Matrix-entry gap for conjugation by the Fourier transform.
 
-    Default: compare F M_lam F^{-1} against D_lam.  Dual form: compare
-    F D_lam F^{-1} against M_{-lam}.
+    x is M_lam, or D_lam in the dual form; F x F^{-1} f is compared with
+    the swapped map's image of x applied to f: D_lam, or M_{-lam}.
     """
-    if dual:
-        conjugated = f.inv_fourier().translate(lam).fourier()
-        direct = f.modulate(-lam)
-    else:
-        conjugated = f.inv_fourier().modulate(lam).fourier()
-        direct = f.translate(lam)
+    x = (Element.d if dual else Element.m)(lam)
+    conjugated = apply_element(x, f.inv_fourier()).fourier()
+    direct = apply_element(_FOURIER_AXES(x), f)
     return abs((conjugated - direct).inner(g))

@@ -423,7 +423,7 @@ def test_flip_contradiction_gaps():
         check_flip_contradiction(1.0, 0.0)
 
 
-# R, the reflection (lam, mu, t) -> (-lam, -mu, t), goes through mul term by term
+# R, the reflection (lam, mu, t) -> (-lam, -mu, t)
 R = AxisMap(m_scale=-1, d_scale=-1)
 
 
@@ -477,6 +477,70 @@ def test_only_twisted_dilations_compose_and_invert(other):
 )
 def test_a_map_that_breaks_an_exchange_relation_is_not_multiplicative(table, bad):
     assert any(bad(mul(x, y), table) != mul(bad(x, table), bad(y, table)) for x, y in _pairs(2803))
+
+
+@pytest.mark.parametrize("scales", [(0, 1), (1, Fraction(0)), (0.0, -1)], ids=["m", "d", "float"])
+def test_an_axis_map_refuses_a_zero_scale(scales):
+    # a zero scale would send every frequency of its axis to 0, where
+    # M(1) + M(2) merges into the scalar 2
+    with pytest.raises(InvalidParameter, match="nonzero"):
+        AxisMap(m_scale=scales[0], d_scale=scales[1])
+
+
+def _by_products(f: AxisMap, x: Element, table) -> Element:
+    """f(x) from its definition: each coefficient times the ``mul``
+    product of the term's three twisted generator images."""
+    on_m, on_d = (Element.m, f.dil), (Element.d, -f.dil)
+    if f.swap:
+        on_m, on_d = on_d, on_m
+    (gm, em), (gd, ed) = on_m, on_d
+    out = []
+    for (lam, mu, t), c in x.terms.items():
+        m_image = gm(
+            lam.scale(f.m_scale).scale_exp(em), Scalar.rational_angle(f.mod_char.angle(lam))
+        )
+        d_image = gd(
+            mu.scale(f.d_scale).scale_exp(ed), Scalar.rational_angle(f.shift_char.angle(mu))
+        )
+        v_angle = 0 if t.is_zero() else f.v_angle * t.exact_numeric(table)
+        v_image = Element.v(t, Scalar.rational_angle(v_angle))
+        ((key, phase),) = mul(mul(m_image, d_image), v_image).terms.items()
+        out.append((key, c * phase))
+    return Element(out)
+
+
+_TWISTS = dict(
+    mod_char=BohrCharacter({"ONE": Fraction(1, 3), "s2": Fraction(-2, 5)}),
+    shift_char=BohrCharacter({"s3": Fraction(3, 7), "ONE": Fraction(1, 2)}),
+    v_angle=Fraction(-1, 4),
+)
+_H = DilationIndex.single("h", Fraction(3, 2))
+_CLOSED_FORMS = {
+    "identity": AxisMap(),
+    "swapped-scaled": AxisMap(swap=True, m_scale=Fraction(3, 2), d_scale=Fraction(1, 7)),
+    "reflection": R,
+    "fourier-axes": AxisMap(swap=True, d_scale=-1),
+    "scaled-dilated": AxisMap(m_scale=2, d_scale=Fraction(1, 2), dil=DilationIndex.unit(1)),
+    "swapped-dilated-twisted": AxisMap(swap=True, dil=_H, **_TWISTS),
+    "swapped-scaled-dilated-twisted": AxisMap(
+        swap=True, m_scale=Fraction(-5, 3), d_scale=7, dil=DilationIndex.unit(2), **_TWISTS
+    ),
+    "twisted-dilation": AxisMap(dil=DilationIndex.unit(Fraction(-3, 2)), **_TWISTS),
+    "twisted": AxisMap(**_TWISTS),
+}
+
+
+@pytest.mark.parametrize("f", list(_CLOSED_FORMS.values()), ids=list(_CLOSED_FORMS))
+def test_an_axis_map_is_the_product_of_its_generator_images(table, f):
+    # seeded elements with h dilations, every fifth with a factored
+    # coefficient 1/(1 + e^{i/3}); the closed form keeps the key order
+    rng = random.Random(2901)
+    factored = Scalar.one() / (Scalar.one() + Scalar.rational_angle(Fraction(1, 3)))
+    for i in range(60):
+        x = random_element(rng)
+        if i % 5 == 0:
+            x = x.scale(factored)
+        assert_identical(f(x, table), _by_products(f, x, table))
 
 
 def test_compress_modes():

@@ -526,6 +526,122 @@ def test_sim_fourier_subcommand(capsys):
     assert json.loads(out)["residual"] < 1e-8
 
 
+def _payload(capsys, argv) -> dict:
+    assert run(["--json", *argv]) == 0
+    out, err = out_of(capsys)
+    assert err == ""
+    return json.loads(out)
+
+
+def _human(capsys, argv) -> list[str]:
+    assert run(argv) == 0
+    out, err = out_of(capsys)
+    assert err == ""
+    return out.splitlines()
+
+
+_AUTO_APPLY = ["auto-apply", "--t", "1", "--theta", "1/2", "--angles", "s2=1/3",
+               "--shift-angles", "s2=1/5", "M(1)*D(1)*V(1) + D(2)"]
+_AUTO_APPLY_IMAGE = "D(2*ONE@{-1}) + exp(i*1/2) * M(ONE@{1}) * D(ONE@{-1}) * V(1)"
+
+
+def test_auto_apply_twists_and_dilates_every_term(capsys):
+    # the twists read the atom s2 only, so the rational frequencies keep
+    # their coefficients and V(1) picks up exp(i*1/2)
+    payload = _payload(capsys, _AUTO_APPLY)
+    assert payload["element"] == _AUTO_APPLY_IMAGE
+    assert [(t["coeff"], t["m"], t["d"], t["v"]) for t in payload["terms"]] == [
+        ("1", "0", "2*ONE@{-1}", "0"),
+        ("exp(i*1/2)", "ONE@{1}", "ONE@{-1}", "1"),
+    ]
+    assert (payload["t"], payload["theta"]) == ("1", "1/2")
+    assert _human(capsys, _AUTO_APPLY) == [f"element: {_AUTO_APPLY_IMAGE}", "t: 1", "theta: 1/2"]
+
+
+def test_flip_check_reports_the_exact_gaps(capsys):
+    payload = _payload(capsys, ["flip-check", "--k1", "1", "--k2", "2"])
+    assert payload == {
+        "k1": 1.0, "k2": 2.0, "gap_at_1_1": "3", "gap_at_1_2": "6", "contradiction": True,
+    }
+    assert _human(capsys, ["flip-check", "--k1", "1", "--k2", "2"])[-1] == "contradiction: true"
+    # a zero scale is refused before any map is built
+    assert run(["--json", "flip-check", "--k1", "0", "--k2", "2"]) == 2
+    out, err = out_of(capsys)
+    assert out == "" and json.loads(err)["error"]["code"] == "invalid-scale"
+
+
+def test_kernel_prints_one_row_per_point(tmp_path, capsys):
+    cfg = tmp_path / "s2.ini"
+    cfg.write_text("[atoms]\ns2 = 1.4142135623730951\n")
+    argv = ["--config", str(cfg), "kernel", "--freqs", "1,s2", "--m", "2", "--t", "0,1"]
+    payload = _payload(capsys, argv)
+    assert payload["basis"] == ["1", "s2"] and payload["m"] == 2
+    assert [row["t"] for row in payload["rows"]] == [0.0, 1.0]
+    assert payload["rows"][0]["K"] == pytest.approx(16.0)
+    assert payload["rows"][1]["K"] == pytest.approx(5.8845696700709285)
+    # no points: the human table prints as empty
+    lines = _human(capsys, ["kernel", "--freqs", "1", "--m", "1", "--t", ""])
+    assert lines == ['basis: ["1"]', "m: 1", "(empty)"]
+
+
+def test_recurrence_schedule_lists_the_successive_minima(capsys):
+    argv = ["recurrence", "--freqs", "1,1/3", "--eps", "0.5", "--limit", "40", "--schedule"]
+    payload = _payload(capsys, argv)
+    assert payload == {"freqs": ["1", "1/3"], "eps": 0.5, "limit": 40, "schedule": [19]}
+
+
+def test_cert_commutator_prints_a_verified_certificate(capsys):
+    payload = _payload(capsys, ["cert-commutator", "--lam", "1", "--s", "2"])
+    assert payload["kind"] == "commutator"
+    assert payload["multiplier"] == "(-exp(i*2))/(1 - exp(i*2)) * M(1)"
+    assert (payload["shift"], payload["target"]) == ("2", "M(1) * D(2)")
+    assert payload["verified"] is True
+
+
+def test_sim_norm_bound_reports_its_trials_and_seed(capsys):
+    argv = ["sim-norm-bound", "--trials", "50", "--seed", "3", "M(1) + D(1)"]
+    payload = _payload(capsys, argv)
+    assert (payload["l1"], payload["trials"], payload["seed"]) == (2.0, 50, 3)
+    assert 1.0 < payload["bound"] <= payload["l1"]
+    assert _human(capsys, argv)[1:] == ["l1: 2", "trials: 50", "seed: 3"]
+
+
+def test_sim_wot_reports_every_step_in_process(capsys):
+    argv = ["sim-wot", "--mode", "dilation-in", "--schedule", "1,2", "M(1)*V(1)"]
+    payload = _payload(capsys, argv)
+    assert [step["n"] for step in payload["steps"]] == [1, 2]
+    assert payload["limit_element"] == "V(1)"
+    assert payload["steps"][1]["error"] < payload["steps"][0]["error"] < 1e-2
+    assert payload["nonmonotone_fraction"] == 0
+
+
+@pytest.mark.parametrize(
+    "options, value",
+    [
+        (["--family", "d1", "--y", "inf"], "2+0i"),
+        (["--family", "d3", "--w", "0.5,0.25"], "2.5+0.25i"),
+        (["--family", "d3"], "2+0i"),
+        (["--family", "chi_inf"], "2+0i"),
+    ],
+    ids=["y-inf", "w-re-im", "w-default", "chi-inf"],
+)
+def test_char_eval_prints_a_complex_value(capsys, options, value):
+    # d1 at infinity and the vanishing point read the constant term; the
+    # disc point w reads V(1) as w
+    lines = _human(capsys, ["char-eval", *options, "V(1) + 2"])
+    assert lines[-1] == f"value: {value}"
+
+
+@pytest.mark.parametrize("w", ["1,2,3", "x"])
+def test_char_eval_refuses_a_malformed_disc_point(capsys, w):
+    assert run(["--json", "char-eval", "--family", "d3", "--w", w, "V(1)"]) == 2
+    out, err = out_of(capsys)
+    assert out == ""
+    assert json.loads(err)["error"] == {
+        "code": "parse", "message": f"disc point {w!r} is not re or re,im",
+    }
+
+
 def test_sim_residuals_weyl_row_is_a_true_residual(capsys):
     assert run(["--json", "sim-residuals"]) == 0
     out, _ = out_of(capsys)

@@ -279,6 +279,31 @@ def test_the_integer_hot_path_names_no_fraction():
     assert not named, f"Fraction on the integer hot path: {named}"
 
 
+def test_an_axis_map_takes_no_product():
+    # every AxisMap is one closed form per term: no method names mul or
+    # a generator, or builds an Element by the merging constructor
+    path = Path(trisemi.__file__).resolve().parent / "algebra.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    (axis_map,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "AxisMap"]
+    named = {}
+    for method in axis_map.body:
+        if not isinstance(method, ast.FunctionDef):
+            continue
+        words = {
+            n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(method)
+            if isinstance(n, (ast.Name, ast.Attribute))
+        }
+        builds = any(
+            isinstance(n, ast.Call) and getattr(n.func, "id", None) == "Element"
+            for n in ast.walk(method)
+        )
+        bad = sorted(words & {"mul", "__mul__", "from_word", "M", "D", "V", "m", "d", "v"})
+        if bad or builds:
+            named[method.name] = bad + ["Element(...)"] * builds
+    assert not named, f"AxisMap methods that take a product: {named}"
+
+
 def _is_default_table_call(node: ast.AST) -> bool:
     return (
         isinstance(node, ast.Call)

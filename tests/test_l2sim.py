@@ -10,6 +10,7 @@ from scipy.integrate import quad
 
 from trisemi import (
     AtomTable,
+    AxisMap,
     DilationIndex,
     DivergentPacket,
     Element,
@@ -145,6 +146,39 @@ def test_fourier_conjugation():
             f, g = random_packet_sum(rng, 2), random_packet_sum(rng, 2)
             assert fourier_conjugation_check(lam, f, g) < 1e-8
             assert fourier_conjugation_check(lam, f, g, dual=True) < 1e-8
+
+
+def fourier_gaps(table, axes):
+    """Per seed, |<F x F^-1 f, g> - <axes(x) f, g>| over l1(x) ||f|| ||g||,
+    for 300 seeded elements x with no dilation part and packet sums f, g."""
+    gaps = []
+    for seed in range(300):
+        rng = random.Random(seed)
+        x = random_element(rng, with_v=False)
+        f, g = random_packet_sum(rng, 2), random_packet_sum(rng, 2)
+        lhs = apply_element(x, f.inv_fourier(), table).fourier().inner(g)
+        rhs = apply_element(axes(x, table), f, table).inner(g)
+        gaps.append(abs(lhs - rhs) / (x.l1_norm(table) * f.norm() * g.norm()))
+    return gaps
+
+
+def test_the_swapped_map_is_fourier_conjugation_on_packets(table):
+    # every term, exchange phase included, not only one generator
+    assert max(fourier_gaps(table, l2sim._FOURIER_AXES)) <= 1e-14
+
+
+def test_a_swap_that_keeps_the_translation_orientation_is_caught(table, monkeypatch):
+    assert max(fourier_gaps(table, AxisMap(swap=True))) > 1e-3
+    # the same map read by the one-generator check: D(lam) goes to M(lam),
+    # not M(-lam)
+    rng = random.Random(2902)
+    cases = [
+        (rng.uniform(0.5, 3), random_packet_sum(rng), random_packet_sum(rng)) for _ in range(20)
+    ]
+    assert max(fourier_conjugation_check(lam, f, g, dual=True) for lam, f, g in cases) < 1e-8
+    monkeypatch.setattr(l2sim, "_FOURIER_AXES", AxisMap(swap=True))
+    assert fourier_conjugation_check(1.0, *cases[0][1:]) < 1e-8
+    assert max(fourier_conjugation_check(lam, f, g, dual=True) for lam, f, g in cases) > 1e-3
 
 
 def test_apply_element_matches_letterwise_action(table):
