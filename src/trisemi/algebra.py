@@ -183,9 +183,10 @@ def mul(x: Element, y: Element) -> Element:
 
     y's column at each dilation level t1 of x (keys scaled by e^{+-t1},
     levels shifted by t1) is built once.  Two one-phase coefficients
-    over denominator 1 multiply in one step, any other pair by the
-    Scalar product and rotation; a product of nonzero scalars is
-    nonzero, so terms merge only where two keys meet.
+    over denominator 1 multiply in one step, their two exponents and the
+    pair's phase summed in one ``PhaseExponent.product``; any other pair
+    goes by the Scalar product and rotation.  A product of nonzero
+    scalars is nonzero, so terms merge only where two keys meet.
     """
     columns: dict[DilationIndex, list] = {}
     items = []
@@ -199,11 +200,12 @@ def mul(x: Element, y: Element) -> Element:
             ]
         neg_mu1, one1 = -mu1, c1.single_phase()
         for lam2, mu2, t, c2, one2 in column:
-            phase = PhaseExponent.product(lam2, neg_mu1)
             if one1 is None or one2 is None:
-                c = (c1 * c2).rotate(phase)
+                c = (c1 * c2).rotate(PhaseExponent.product(lam2, neg_mu1))
             else:
-                c = Scalar._term(one1[0] + one2[0] + phase, one1[1] * one2[1])
+                c = Scalar._term(
+                    PhaseExponent.product(lam2, neg_mu1, one1[0], one2[0]), one1[1] * one2[1]
+                )
             items.append(((lam1 + lam2, mu1 + mu2, t), c))
     terms = dict(items)
     return Element._canonical(terms) if len(terms) == len(items) else Element(items)
@@ -220,18 +222,18 @@ def adjoint(x: Element) -> Element:
     form is conj(c) e^{i <e^-t (-lam), e^t mu>} M(-e^-t lam) D(-e^t mu) V(-t):
     the word rewritten in place, without building its letters.  A
     coefficient a e^{i pe} over denominator 1 becomes conj(a) e^{i (phase
-    - pe)} in one step.  The key map is injective, so nothing merges.
+    - pe)} in one step, the exponent built in one ``PhaseExponent.product``.
+    The key map is injective, so nothing merges.
     """
     items = []
     for (lam, mu, t), c in x.terms.items():
         back = mu.scale_exp(t)
         mod = (-lam).scale_exp(-t)
-        phase = PhaseExponent.product(mod, back)
         one = c.single_phase()
         if one is None:
-            coeff = c.conj().rotate(phase)
+            coeff = c.conj().rotate(PhaseExponent.product(mod, back))
         else:
-            coeff = Scalar._term(phase - one[0], one[1].conj())
+            coeff = Scalar._term(PhaseExponent.product(mod, back, -one[0]), one[1].conj())
         items.append(((mod, -back, -t), coeff))
     return Element._canonical(dict(items))
 

@@ -26,9 +26,14 @@ Dilation indices and phase monomials are interned (hash-consed): every
 constructor returns the one live object of its value, so their equality
 and hashing are identity, run in C.  Each table keeps one entry per
 distinct value the process has seen, a few hundred over a benchmark run,
-since indices and monomials come from few values.  Frequencies and phase
-exponents are not interned: a ring operation makes hundreds of them, many
-never seen before, so a table of them would grow with the run.
+since indices and monomials come from few values.  Two more tables,
+``_MONO_PRODUCTS`` and ``_MONO_SCALED``, hold the product of two monomials
+and a monomial times e^t, keyed by the pair of interned operands: a
+lookup hashes two identities, and the tables stay small (a few thousand
+entries) because their keys are pairs drawn from those few values.
+Frequencies and phase exponents are not interned: a ring operation makes
+hundreds of them, many never seen before, so a table of them, or one
+keyed by them, would grow with the run.
 """
 
 from __future__ import annotations
@@ -128,14 +133,6 @@ def _lowest(items: tuple, d: int) -> tuple[tuple, int]:
     return tuple([(k, n // g) for k, n in items]), d // g
 
 
-def _collected(cls, items: Iterable[tuple], d: int) -> tuple[tuple, int]:
-    """(key, numerator) items over d, which may repeat keys, cancel or
-    come in any order, as the canonical items and denominator of a sum of
-    class cls."""
-    acc = _merged(items, cls._coeff_is_zero)
-    return _lowest(tuple(sorted(acc.items(), key=cls._order)), d)
-
-
 def _times(items: tuple, m: int) -> tuple:
     """Every numerator times the integer m."""
     if m == 1:
@@ -192,7 +189,8 @@ class _Sum:
             qs = [(k, cls._coerce(q)) for k, q in items]
             d = math.lcm(*[q.denominator for _, q in qs])
             items = [(k, q.numerator * (d // q.denominator)) for k, q in qs]
-        return cls._canonical(*_collected(cls, items, d))
+        acc = _merged(items, cls._coeff_is_zero)
+        return cls._canonical(*_lowest(tuple(sorted(acc.items(), key=cls._order)), d))
 
     @classmethod
     def _canonical(cls, items: tuple, d: int = 1):
@@ -453,7 +451,11 @@ class PhaseMonomial:
     exponent has value 1 and carries the plain rational part of a
     frequency or phase.  Monomials are interned like dilation indices:
     one object per value, compared and hashed by identity, with its sort
-    key ``_key`` built once on creation.
+    key ``_key`` built once on creation.  ``product`` and ``scaled`` read
+    their result from ``_MONO_PRODUCTS`` and ``_MONO_SCALED``, keyed by
+    the pair of interned operands, so the dilation index sum behind each
+    runs once per distinct pair; the tables stay small because monomials
+    and indices come from few values.
     """
 
     __slots__ = ("bases", "exp", "_key")
@@ -471,17 +473,11 @@ class PhaseMonomial:
 
     @classmethod
     def product(cls, a: "PhaseMonomial", b: "PhaseMonomial") -> "PhaseMonomial":
-        """The product of two atoms."""
-        ea, eb = a.exp, b.exp
-        if not b.bases and not eb._items:
-            return a  # b is the monomial 1
-        if not a.bases and not ea._items:
-            return b  # a is the monomial 1
-        exp = ea + eb
-        bases = a.bases + b.bases
-        if len(bases) == 2 and bases[1] < bases[0]:
-            bases = (bases[1], bases[0])
-        return cls._canonical(bases, exp)
+        """The product of two monomials, read from ``_MONO_PRODUCTS``."""
+        out = _MONO_PRODUCTS.get((a, b))
+        if out is None:
+            out = _MONO_PRODUCTS[a, b] = _monomial_product(a, b)
+        return out
 
     @classmethod
     def _canonical(cls, bases: tuple[str, ...], exp: DilationIndex) -> "PhaseMonomial":
@@ -506,15 +502,42 @@ class PhaseMonomial:
         return "*".join(self.bases) or ONE_ATOM
 
     def scaled(self, t: DilationIndex) -> "PhaseMonomial":
-        """This monomial times e^t."""
-        if t.is_zero():
-            return self
-        return PhaseMonomial._canonical(self.bases, self.exp + t)
+        """This monomial times e^t, read from ``_MONO_SCALED``."""
+        out = _MONO_SCALED.get((self, t))
+        if out is None:
+            out = _MONO_SCALED[self, t] = _monomial_scaled(self, t)
+        return out
 
     def __repr__(self) -> str:
         return f"PhaseMonomial({self.bases}, {self.exp!r})"
 
 
+def _monomial_product(a: PhaseMonomial, b: PhaseMonomial) -> PhaseMonomial:
+    """The product of two monomials, computed: ``PhaseMonomial.product``
+    on a table miss."""
+    ea, eb = a.exp, b.exp
+    if not b.bases and not eb._items:
+        return a  # b is the monomial 1
+    if not a.bases and not ea._items:
+        return b  # a is the monomial 1
+    bases = a.bases + b.bases
+    if len(bases) == 2 and bases[1] < bases[0]:
+        bases = (bases[1], bases[0])
+    return PhaseMonomial._canonical(bases, ea + eb)
+
+
+def _monomial_scaled(m: PhaseMonomial, t: DilationIndex) -> PhaseMonomial:
+    """m times e^t, computed: ``PhaseMonomial.scaled`` on a table miss."""
+    if t.is_zero():
+        return m
+    return PhaseMonomial._canonical(m.bases, m.exp + t)
+
+
+# The products and e^t shifts of monomials, keyed by their interned
+# operands, so a key hashes and compares by identity in C.  Every call
+# after the first of one operand pair is one lookup.
+_MONO_PRODUCTS: dict = {}
+_MONO_SCALED: dict = {}
 _MONO_EMPTY = PhaseMonomial()
 
 
@@ -570,18 +593,38 @@ class PhaseExponent(_Sum):
         return cls(((_MONO_EMPTY, q),))
 
     @classmethod
-    def product(cls, f: Frequency, g: Frequency) -> "PhaseExponent":
+    def product(cls, f: Frequency, g: Frequency, *addends: "PhaseExponent") -> "PhaseExponent":
         """The bilinear pairing of two frequencies, exponent of the
-        commutation phase."""
+        commutation phase, plus the addends.  What ``product(f, g) +
+        sum(addends)`` builds one sum at a time is one canonical
+        construction here: one integer accumulator keyed by monomial over
+        the lcm of the denominators, one sort and one ``_lowest``."""
         fs, gs = f._items, g._items
+        parts = [e for e in addends if e._items]
         if not fs or not gs:
+            if len(parts) < 2:
+                return parts[0] if parts else cls._zero
+            fs, d = (), 1
+        else:
+            d = f._d * g._d
+            if not parts and len(fs) == 1 and len(gs) == 1:
+                (a, na), (b, nb) = fs[0], gs[0]
+                return cls._canonical(*_lowest(((PhaseMonomial.product(a, b), na * nb),), d))
+        den = math.lcm(d, *[e._d for e in parts])
+        m, acc = den // d, {}
+        for a, na in fs:
+            for b, nb in gs:
+                k = PhaseMonomial.product(a, b)
+                acc[k] = acc.get(k, 0) + na * nb * m
+        for e in parts:
+            m = den // e._d
+            for k, n in e._items:
+                acc[k] = acc.get(k, 0) + n * m
+        items = [kv for kv in acc.items() if kv[1]]
+        if not items:
             return cls._zero
-        d = f._d * g._d
-        if len(fs) == 1 and len(gs) == 1:
-            (a, na), (b, nb) = fs[0], gs[0]
-            return cls._canonical(*_lowest(((PhaseMonomial.product(a, b), na * nb),), d))
-        items = [(PhaseMonomial.product(a, b), na * nb) for a, na in fs for b, nb in gs]
-        return cls._canonical(*_collected(cls, items, d))
+        items.sort(key=cls._order)
+        return cls._canonical(*_lowest(tuple(items), den))
 
     def leading_sign(self) -> int:
         """Sign of the coefficient at the smallest monomial, a group
@@ -1206,7 +1249,7 @@ class BohrCharacter:
     multiplicative on the full triple algebra.
     """
 
-    __slots__ = ("angles",)
+    __slots__ = ("angles", "_nums", "_den")
 
     def __init__(self, angles: Mapping | Iterable[tuple] = ()):
         items = angles.items() if isinstance(angles, Mapping) else angles
@@ -1215,19 +1258,22 @@ class BohrCharacter:
             for key, q in items
         )
         self.angles = tuple(sorted(acc.items()))
+        # the angles as integer numerators over one common denominator
+        den = self._den = math.lcm(*[q.denominator for q in acc.values()])
+        self._nums = {base: q.numerator * (den // q.denominator) for base, q in self.angles}
 
     @classmethod
     def trivial(cls) -> "BohrCharacter":
         return cls()
 
     def angle(self, f: Frequency) -> Fraction:
-        lookup = dict(self.angles)
-        total = _ZERO
+        nums = self._nums
+        total = 0
         for atom, n in f._items:
-            a = lookup.get(atom.base)
+            a = nums.get(atom.base)
             if a is not None:
                 total += n * a
-        return Fraction(total, f._d)
+        return Fraction(total, f._d * self._den)
 
     def value(self, f: Frequency) -> complex:
         return cmath.exp(1j * _ratio(*self.angle(f).as_integer_ratio()))

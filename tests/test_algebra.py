@@ -2,6 +2,7 @@
 expectations, automorphisms."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -38,6 +39,7 @@ from trisemi import (
     commutator_certificate,
     compress,
     conjugate,
+    exactnum,
     first_coeff,
     mul,
     parse_element,
@@ -226,6 +228,35 @@ def test_mul_reads_each_column_once_per_dilation_level(monkeypatch):
     assert calls["__mul__"] == calls["rotate"] == 0
     assert calls["scale_exp"] <= 2 * len(levels) * len(y.terms)
     assert got == want
+
+
+def test_one_phase_products_add_no_phase_exponents(monkeypatch):
+    # each one-phase pair's two exponents and commutation phase are summed
+    # in one PhaseExponent.product, never by adding exponents
+    rng = random.Random(3001)
+    pairs = []
+    while len(pairs) < 40:
+        x, y = random_element(rng, 4, single_phase=True), random_element(rng, 4, single_phase=True)
+        coeffs = [*x.terms.values(), *y.terms.values()]
+        if all(c.single_phase() for c in coeffs):
+            pairs.append((x, y))
+    phased = sum(not c.single_phase()[0].is_zero() for x, _ in pairs for c in x.terms.values())
+    assert phased > 20
+    wants = [pairwise_mul(x, y) for x, y in pairs]
+    added = Counter()
+    add = exactnum._Sum.__add__
+
+    def counted(a, b):
+        added[type(a), type(b)] += 1
+        return add(a, b)
+
+    monkeypatch.setattr(exactnum._Sum, "__add__", counted)
+    gots = [mul(x, y) for x, y in pairs]
+    monkeypatch.undo()
+    assert added[PhaseExponent, PhaseExponent] == 0
+    assert added[Frequency, Frequency] > 0  # the key sums are counted
+    for got, want in zip(gots, wants):
+        assert_identical(got, want)
 
 
 def test_adjoint_on_letters():

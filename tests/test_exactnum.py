@@ -12,7 +12,13 @@ from pathlib import Path
 from types import MappingProxyType
 
 import pytest
-from helpers import random_dilation, random_fraction, random_frequency, random_scalar
+from helpers import (
+    random_dilation,
+    random_element,
+    random_fraction,
+    random_frequency,
+    random_scalar,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,6 +37,7 @@ from trisemi import (
     PhaseMonomial,
     PhaseSum,
     Scalar,
+    adjoint,
     commutator_certificate,
     exactnum,
     index_sign,
@@ -217,6 +224,29 @@ def test_bohr_character_commutes_with_dilation_scaling():
     f = Frequency.atom("s2", Fraction(1, 2)) + Frequency.rational(3)
     for t in (DilationIndex.unit(1), DilationIndex.single("h", Fraction(-3, 2))):
         assert chi.angle(f.scale_exp(t)) == chi.angle(f)
+
+
+def test_character_angle_equals_the_fraction_reference():
+    rng = random.Random(3030)
+    chars = [BohrCharacter.trivial()]
+    for _ in range(40):
+        bases = rng.choices(("ONE", "s2", "s3"), k=rng.randint(1, 3))
+        chars.append(BohrCharacter((base, random_fraction(rng)) for base in bases))
+    missing = 0
+    for _ in range(400):
+        chi = rng.choice(chars)
+        f = random_frequency(rng, max_parts=3).scale_exp(random_dilation(rng))
+        angles = dict(chi.angles)
+        missing += any(atom.base not in angles for atom, _ in f.terms)
+        want = sum((q * angles.get(atom.base, 0) for atom, q in f.terms), Fraction(0))
+        got = chi.angle(f)
+        assert type(got) is Fraction and got == want
+    assert missing > 100
+    assert BohrCharacter.trivial().angle(Frequency.zero()) == 0
+    chi = BohrCharacter({"s2": Fraction(2, 3), "ONE": Fraction(-1, 4), "s3": 0})
+    assert chi.angles == (("ONE", Fraction(-1, 4)), ("s2", Fraction(2, 3)))
+    assert repr(chi) == "BohrCharacter([('ONE', Fraction(-1, 4)), ('s2', Fraction(2, 3))])"
+    assert chi.angle(Frequency.atom("s3", 5)) == 0
 
 
 # ------------------------------------------- fast paths and lazy hashes
@@ -746,6 +776,80 @@ def test_copies_and_pickles_return_the_interned_object():
     f = Frequency.atom("s2", Fraction(1, 3), t) + Frequency.rational(2)
     for y in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
         assert y == f and y._items[0][0] is f._items[0][0]
+
+
+_BASES = st.sampled_from([(), ("s2",), ("s3",), ("s2", "s3"), ("s2", "s2")])
+_EXPS = st.sampled_from(
+    [DilationIndex.zero(), DilationIndex.unit(1), DilationIndex.single("h", Fraction(-1, 2))]
+)
+
+
+def _frequencies():
+    """Sums of up to three atoms: zero, one term or several, with mixed
+    denominators."""
+    atom = st.builds(Frequency.atom, st.sampled_from(["ONE", "s2", "s3"]), fractions, _EXPS)
+    return st.lists(atom, max_size=3).map(lambda parts: sum(parts, Frequency.zero()))
+
+
+def _phase_exponents():
+    term = st.tuples(st.builds(PhaseMonomial, _BASES, _EXPS), fractions)
+    return st.lists(term, max_size=3).map(PhaseExponent)
+
+
+@settings(max_examples=300)
+@given(_frequencies(), _frequencies(), st.lists(_phase_exponents(), max_size=3))
+def test_the_fused_phase_equals_the_sum_of_its_parts(f, g, addends):
+    got = PhaseExponent.product(f, g, *addends)
+    want = PhaseExponent.product(f, g)
+    for e in addends:
+        want = want + e
+    assert (got._d, got._items) == (want._d, want._items)
+    if got.is_zero():
+        assert got is PhaseExponent.zero()
+
+
+def test_a_cancelling_fused_phase_is_the_zero_object():
+    f = Frequency.atom("s2", Fraction(3, 2), DilationIndex.unit(1)) + Frequency.rational(
+        Fraction(1, 3)
+    )
+    g = Frequency.atom("s3", Fraction(-2, 5)) + Frequency.rational(4)
+    p = PhaseExponent.product(f, g)
+    half = p.scale(Fraction(1, 2)) + PhaseExponent.rational(Fraction(5, 7))
+    zero = PhaseExponent.zero()
+    assert len(p._items) == 4
+    assert PhaseExponent.product(f, g, -p) is zero
+    assert PhaseExponent.product(f, g, -half, half - p, zero) is zero
+    assert PhaseExponent.product(Frequency.zero(), g, half, -half) is zero
+    assert PhaseExponent.product(f, Frequency.zero()) is zero
+    # a lone nonzero addend of a zero pairing is that addend
+    assert PhaseExponent.product(Frequency.zero(), g, zero, half) is half
+
+
+def test_the_monomial_tables_hold_the_interned_results():
+    # a prefix of the ring-law criterion c01, at its seed and sizes
+    rng = random.Random(1001)
+    for _ in range(40):
+        x, y, z = (random_element(rng, max_terms=5) for _ in range(3))
+        assert mul(mul(x, y), z) == mul(x, mul(y, z))
+        assert adjoint(mul(x, y)) == mul(adjoint(y), adjoint(x))
+    products, scaled = exactnum._MONO_PRODUCTS, exactnum._MONO_SCALED
+    assert len(products) > 100 and len(scaled) > 100
+    for (a, b), m in products.items():
+        assert type(a) is type(b) is PhaseMonomial
+        assert m is exactnum._monomial_product(a, b)
+    for (m, t), out in scaled.items():
+        assert type(m) is PhaseMonomial and type(t) is DilationIndex
+        assert out is exactnum._monomial_scaled(m, t)
+    # a copied or unpickled monomial is the interned one, so its products
+    # and shifts hit the entries already there
+    (a, b), (m, t) = next(iter(products)), next(iter(scaled))
+    sizes = len(products), len(scaled)
+    for clone in (copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
+        c, u = clone(a), clone(m)
+        assert c is a and u is m
+        assert PhaseMonomial.product(c, b) is products[a, b]
+        assert u.scaled(clone(t)) is scaled[m, t]
+    assert (len(products), len(scaled)) == sizes
 
 
 def test_an_index_outside_the_table_is_not_its_twin():
