@@ -185,8 +185,9 @@ def mul(x: Element, y: Element) -> Element:
     levels shifted by t1) is built once.  Two one-phase coefficients
     over denominator 1 multiply in one step, their two exponents and the
     pair's phase summed in one ``PhaseExponent.product``; any other pair
-    goes by the Scalar product and rotation.  A product of nonzero
-    scalars is nonzero, so terms merge only where two keys meet.
+    is one ``Scalar.rotated_product`` call with the pair's phase as its
+    rotation.  A product of nonzero scalars is nonzero, so terms merge
+    only where two keys meet.
     """
     columns: dict[DilationIndex, list] = {}
     items = []
@@ -201,7 +202,7 @@ def mul(x: Element, y: Element) -> Element:
         neg_mu1, one1 = -mu1, c1.single_phase()
         for lam2, mu2, t, c2, one2 in column:
             if one1 is None or one2 is None:
-                c = (c1 * c2).rotate(PhaseExponent.product(lam2, neg_mu1))
+                c = c1.rotated_product(c2, PhaseExponent.product(lam2, neg_mu1))
             else:
                 c = Scalar._term(
                     PhaseExponent.product(lam2, neg_mu1, one1[0], one2[0]), one1[1] * one2[1]

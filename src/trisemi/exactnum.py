@@ -956,6 +956,9 @@ class Scalar:
     - a factor of three or more terms is opaque: it cancels only against
       a numerator that is a unit times that same factor.
 
+    ``rotated_product`` is the one product, ``*`` with no rotation.  A
+    unit (one-term numerator) side whose factors are all factors of the
+    other side leaves the product reduced, so it is not reduced again.
     Sums bring both numerators over the least common multiple of the two
     factor multisets.  Reduction is with respect to a scalar's own
     factors only: 1 - e^{i*theta} over 1 - e^{2i*theta} stays as it is,
@@ -1067,14 +1070,35 @@ class Scalar:
         return self + (-other)
 
     def __mul__(self, other: "Scalar") -> "Scalar":
+        return self.rotated_product(other, _EXP_ZERO)
+
+    def rotated_product(self, other: "Scalar", pe: PhaseExponent) -> "Scalar":
+        """self * other * e^{i*pe}, the one Scalar product.
+
+        When a numerator is one term a*e^{i*alpha}, a unit, the other
+        numerator is shifted by alpha + pe and scaled by a in one pass.  A
+        unit changes no term count, so each factor divides the product
+        exactly when it divides the other numerator, which is reduced: if
+        every factor of the unit side is a factor of the other side,
+        nothing cancels and the reduction is skipped.
+        """
+        xs, ys = self.num._items, other.num._items
+        if not xs or not ys:
+            return _SC_ZERO
         fs, fo = self.factors, other.factors
-        num = self.num * other.num
-        if not fs and not fo:
-            return Scalar._canonical(num, ())
-        if not fo and len(other.num._items) == 1:
-            return Scalar._canonical(num, fs)  # a unit keeps num reduced
-        if not fs and len(self.num._items) == 1:
-            return Scalar._canonical(num, fo)
+        if len(xs) > 1 and len(ys) > 1:
+            num = (self.num * other.num).shift(pe)
+        else:
+            # the unit side: the one-term numerator, or of two the one with fewer factors
+            unit_other = (len(ys), len(fo)) <= (len(xs), len(fs))
+            (alpha, a), rest, fr, fu = (ys[0], xs, fs, fo) if unit_other else (xs[0], ys, fo, fs)
+            alpha = alpha + pe
+            num = PhaseSum._distinct([(p + alpha, c * a) for p, c in rest])
+            if not fu:
+                return Scalar._canonical(num, fr)
+            extra = dict(fu)
+            if extra.keys() <= dict(fr).keys():
+                return Scalar._canonical(num, tuple([(f, m + extra.get(f, 0)) for f, m in fr]))
         if not fs or not fo:
             return Scalar._reduce(num, fs or fo)
         merged = dict(fs)

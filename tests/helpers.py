@@ -1,4 +1,5 @@
-"""Shared generators and a high-precision inner product for the tests.
+"""Shared generators, a high-precision inner product and an exact packet
+orbit for the tests.
 
 Norms of tiny differences between packet sums cannot be trusted in
 double precision: the bilinear expansion of ||f - g||^2 cancels down to
@@ -22,9 +23,11 @@ from trisemi import (
     GaussianPacket,
     M,
     PacketSum,
+    PhaseExponent,
     Sc,
     Scalar,
     V,
+    exactnum,
 )
 
 MP_DPS = 40
@@ -60,6 +63,47 @@ def mp_norm(f: PacketSum) -> mp.mpf:
 
 def mp_diff_norm(f: PacketSum, g: PacketSum) -> float:
     return float(mp_norm(f - g))
+
+
+# ------------------------------------------------------------ exact orbit
+
+# f0(x) = e^{-x^2/2}: the packet (T, b, c) = (0, 0, 0) with coefficient 1
+F0 = {(DilationIndex.zero(), Frequency.zero(), Frequency.zero()): Scalar.one()}
+
+
+def orbit(x: Element, packets: dict = F0) -> dict:
+    """x applied exactly to a sum of packets on the orbit of f0.
+
+    A packet e^{T/2} A exp(-1/2 e^{2T} (x - b)^2 + icx) is the item
+    (T, b, c): A, with T a DilationIndex, b and c Frequencies and A a
+    nonzero Scalar.  A term A' M(lam) D(mu) V(t) acts on it by l2sim's
+    own parameter maps, rightmost first:
+    - V(t) sends (T, b, c) to (T + t, e^{-t} b, e^t c);
+    - D(mu) sends b to b + mu and multiplies A by e^{-i c mu};
+    - M(lam) sends c to c + lam, and the coefficient multiplies A by A'.
+    Packets that land on one key add, and zero sums drop.  Gaussians of
+    distinct parameters are linearly independent and x f0 has one packet
+    per term of x, so two elements act alike on the orbit exactly when
+    their packet dicts are equal.
+    """
+    out: dict = {}
+    for (lam, mu, t), coeff in x.terms.items():
+        for (big_t, b, c), amp in packets.items():
+            c = c.scale_exp(t)
+            amp = (coeff * amp).rotate(PhaseExponent.product(c, -mu))
+            key = (big_t + t, b.scale_exp(-t) + mu, c + lam)
+            out[key] = out[key] + amp if key in out else amp
+    return {key: amp for key, amp in out.items() if not amp.is_zero()}
+
+
+def reduced_product(c1: Scalar, c2: Scalar) -> Scalar:
+    """c1 * c2 with the numerators multiplied out and reduced over the
+    merged factors every time, never skipping the reduction: the
+    reference for the Scalar product."""
+    merged = dict(c1.factors)
+    for f, m in c2.factors:
+        merged[f] = merged.get(f, 0) + m
+    return Scalar._reduce(c1.num * c2.num, tuple(sorted(merged.items(), key=exactnum._factor_order)))
 
 
 # ----------------------------------------------------------------- random

@@ -1,6 +1,7 @@
 """Words as products of one-term letters, Element ring laws,
 expectations, automorphisms."""
 
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -46,7 +47,14 @@ from trisemi import (
     support_predicate,
 )
 
-from helpers import random_dilation, random_element, random_fraction, random_word
+from helpers import (
+    orbit,
+    random_dilation,
+    random_element,
+    random_fraction,
+    random_word,
+    reduced_product,
+)
 
 ONE = Frequency.rational(1)
 TWO = Frequency.rational(2)
@@ -129,14 +137,14 @@ def test_involution_is_an_antihomomorphism(x, y):
 
 
 def pairwise_mul(x: Element, y: Element) -> Element:
-    """The product one monomial pair at a time: the Scalar product and
-    rotation by the exchange phase for every pair, then the general
-    constructor's merge."""
+    """The product one monomial pair at a time: the reduced product of
+    the two coefficients and rotation by the exchange phase for every
+    pair, then the general constructor's merge."""
     items = []
     for (lam1, mu1, t1), c1 in x.terms.items():
         for (lam2, mu2, t2), c2 in y.terms.items():
             scaled = lam2.scale_exp(t1)
-            c = (c1 * c2).rotate(PhaseExponent.product(scaled, -mu1))
+            c = reduced_product(c1, c2).rotate(PhaseExponent.product(scaled, -mu1))
             items.append(((lam1 + scaled, mu1 + mu2.scale_exp(-t1), t1 + t2), c))
     return Element(items)
 
@@ -183,12 +191,18 @@ def test_mul_and_adjoint_equal_the_pairwise_formula_exactly():
 
 
 def test_certificate_chains_equal_the_pairwise_formula_exactly():
-    s2, s3 = Frequency.atom("s2"), Frequency.atom("s3")
-    for lam, s in ((ONE, s2), (s2, s3), (Frequency.atom("s3", Fraction(1, 2)), TWO)):
+    # the nine atom pairings of the coeff-swell chains, each with a seeded
+    # rational multiple, to depth 6
+    rng = random.Random(3101)
+    for lam_atom, s_atom in itertools.product(("ONE", "s2", "s3"), repeat=2):
+        lam, s = (
+            Frequency.atom(atom, Fraction(rng.randint(1, 6), rng.randint(1, 3)) * rng.choice((1, -1)))
+            for atom in (lam_atom, s_atom)
+        )
         cert = commutator_certificate(lam, s)
         step = cert.f + Element.d(s)
         chain = cert.f
-        for _ in range(4):
+        for _ in range(6):
             assert_identical(mul(chain, step), pairwise_mul(chain, step))
             assert_identical(adjoint(chain), termwise_adjoint(chain))
             chain = mul(chain, step)
@@ -196,6 +210,49 @@ def test_certificate_chains_equal_the_pairwise_formula_exactly():
         h = Element.from_word([V(DilationIndex.single("h", Fraction(1, 2))), M(s)])
         for a, b in ((chain, h), (h, chain), (mul(h, chain), adjoint(h))):
             assert_identical(mul(a, b), pairwise_mul(a, b))
+
+
+def general_flipped_mul(x: Element, y: Element) -> Element:
+    """The pairwise product with the exchange phase conjugated on every
+    pair that ``mul`` sends through the Scalar product: a wrong product
+    that the orbit must catch."""
+    items = []
+    for (lam1, mu1, t1), c1 in x.terms.items():
+        for (lam2, mu2, t2), c2 in y.terms.items():
+            scaled = lam2.scale_exp(t1)
+            flip = c1.single_phase() is None or c2.single_phase() is None
+            c = (c1 * c2).rotate(PhaseExponent.product(scaled, mu1 if flip else -mu1))
+            items.append(((lam1 + scaled, mu1 + mu2.scale_exp(-t1), t1 + t2), c))
+    return Element(items)
+
+
+def test_products_act_on_the_packet_orbit_as_composed_operators():
+    # mul(x, y) f0 == x (y f0) exactly, on certificate chains and on
+    # random elements with two-phase and factored coefficients, whose
+    # pairs go through the Scalar product
+    rng = random.Random(3102)
+    s2, s3 = Frequency.atom("s2"), Frequency.atom("s3")
+    unit_over = Scalar.one() / (Scalar.one() - Scalar.phase(PhaseExponent.product(s2, ONE)))
+    pairs = []
+    for lam, s in ((ONE, s2), (s2, s3), (s3, TWO)):
+        f = commutator_certificate(lam, s).f
+        chain, step = f, f + Element.d(s)
+        for _ in range(4):
+            pairs.append((chain, step))
+            chain = mul(chain, step)
+        pairs += [(chain, random_element(rng, 3)), (random_element(rng, 3), chain)]
+    for _ in range(30):
+        x, y = random_element(rng, 3), random_element(rng, 3)
+        two_phase = mul(x, y) + mul(y, x)
+        factored = random_element(rng, 3).scale(unit_over) + random_element(rng, 2)
+        pairs += [(x, y), (two_phase, factored), (factored, two_phase)]
+    caught = 0
+    for x, y in pairs:
+        product, composed = orbit(mul(x, y)), orbit(x, orbit(y))
+        assert product == composed
+        assert len(orbit(x)) == len(x.terms)
+        caught += orbit(general_flipped_mul(x, y)) != composed
+    assert caught > len(pairs) // 2
 
 
 def test_mul_reads_each_column_once_per_dilation_level(monkeypatch):
@@ -210,7 +267,7 @@ def test_mul_reads_each_column_once_per_dilation_level(monkeypatch):
     assert {t for _, _, t in x.terms} == set(levels) and len(x.terms) > len(levels)
     assert all(c.single_phase() for c in [*x.terms.values(), *y.terms.values()])
     want = pairwise_mul(x, y)
-    calls = {"scale_exp": 0, "__mul__": 0, "rotate": 0}
+    calls = {"scale_exp": 0, "rotated_product": 0, "rotate": 0}
 
     def counting(cls, name):
         inner = getattr(cls, name)
@@ -222,10 +279,10 @@ def test_mul_reads_each_column_once_per_dilation_level(monkeypatch):
         monkeypatch.setattr(cls, name, counted)
 
     counting(Frequency, "scale_exp")
-    counting(Scalar, "__mul__")
+    counting(Scalar, "rotated_product")
     counting(Scalar, "rotate")
     got = mul(x, y)
-    assert calls["__mul__"] == calls["rotate"] == 0
+    assert calls["rotated_product"] == calls["rotate"] == 0
     assert calls["scale_exp"] <= 2 * len(levels) * len(y.terms)
     assert got == want
 

@@ -18,6 +18,7 @@ from helpers import (
     random_fraction,
     random_frequency,
     random_scalar,
+    reduced_product,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -630,6 +631,75 @@ def test_opaque_factor_cancels_only_against_itself():
     assert mult == 1 and len(factor.terms) == 3
     assert (x * Scalar(opaque.shift(OTHER))).single_phase() == (OTHER, QI(1))
     assert (x * x).factors == ((factor, 2),)
+
+
+def test_a_unit_whose_factors_the_other_side_has_skips_the_reduction(monkeypatch):
+    opaque = _poly({0: 2, 1: 1, Fraction(1, 3): 1})
+    unit = PhaseSum.phase(OTHER).scale(QI(2, -1))
+    cases = (
+        # a unit over 1 - u times a numerator already reduced by 1 - u
+        (Scalar(unit, ONE_MINUS_U), Scalar(_poly({0: 1, 2: 1}), ONE_MINUS_U)),
+        # the unit's multiplicity above the other side's
+        (_fraction(unit, ONE_MINUS_U, ONE_MINUS_U, ONE_MINUS_U), Scalar(_poly({0: 1, 2: 1}), ONE_MINUS_U)),
+        # an opaque three-term factor on both sides
+        (Scalar(unit, opaque), _fraction(_poly({0: 1, 1: 3, 2: 1}), opaque, ONE_MINUS_U)),
+        # two units: the one without factors is the unit side
+        (Scalar(PhaseSum.rational(3)), Scalar(unit, ONE_MINUS_U)),
+    )
+    calls = []
+    divide = exactnum._divide_binomial
+    monkeypatch.setattr(exactnum, "_divide_binomial", lambda *a: calls.append(a) or divide(*a))
+    for x, y in cases:
+        assert len(x.num.terms) == 1
+        for pe in (exactnum._EXP_ZERO, THETA.scale(3)):
+            for a, b in ((x, y), (y, x)):
+                before = len(calls)
+                want = reduced_product(a, b).rotate(pe)
+                tried = len(calls)
+                got = a.rotated_product(b, pe)
+                # the forced reduction tries 1 - u, the product nothing
+                assert tried > before and len(calls) == tried
+                assert (got.num._d, got.num._items, got.factors) == (want.num._d, want.num._items, want.factors)
+                assert got.factors
+
+
+def test_a_certificate_chain_divides_only_in_sums(monkeypatch):
+    # f (f + D(s))^6 at (s2, s3): every general-path product has a unit
+    # side whose factors the other side has, so no product tries a division
+    s = Frequency.atom("s3")
+    f = commutator_certificate(Frequency.atom("s2"), s).f
+    step, chain = f + Element.d(s), f
+    calls, depth = {"product": 0, "other": 0}, [0]
+    divide, product = exactnum._divide_binomial, Scalar.rotated_product
+
+    def counted_divide(*args):
+        calls["product" if depth[0] else "other"] += 1
+        return divide(*args)
+
+    def counted_product(*args):
+        depth[0] += 1
+        try:
+            return product(*args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(exactnum, "_divide_binomial", counted_divide)
+    monkeypatch.setattr(Scalar, "rotated_product", counted_product)
+    for _ in range(6):
+        chain = mul(chain, step)
+    assert any(c.factors for c in chain.terms.values())
+    # the merges of keys that meet are sums, and those still divide
+    assert calls["product"] == 0 and calls["other"] > 0
+
+
+def test_a_unit_that_brings_a_factor_is_reduced():
+    # u/(1 - u) * (1 - u) w: the factor divides, and only the reduction finds it
+    w = PhaseSum.phase(OTHER) + PhaseSum.rational(3)
+    x, y = Scalar(_poly({1: 1}), ONE_MINUS_U), Scalar(ONE_MINUS_U * w)
+    for a, b in ((x, y), (y, x)):
+        got, want = a * b, reduced_product(a, b)
+        assert (got.num._d, got.num._items, got.factors) == (want.num._d, want.num._items, want.factors)
+        assert got.factors == () and got.num == _poly({1: 1}) * w
 
 
 def test_fractions_obey_the_field_laws():
