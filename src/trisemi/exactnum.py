@@ -835,8 +835,27 @@ def _divide_binomial(num: PhaseSum, factor: PhaseSum) -> PhaseSum | None:
     last value q_hi = p(-1/a) * (-a)^hi, the remainder.  Across a gap in
     p a nonzero carry adds one quotient term per power, so the length
     bound also bounds the work on sparse numerators.
+
+    No binomial divides a one-term numerator.  Before the cosets, p(-1/a)
+    summed over all of them must vanish.  For 1 - e^{i*theta} (a = -1)
+    the root is u = 1 and that sum is the sum of num's amplitudes, one
+    integer pass with no exponent work; for any other binomial it is
+    Horner's scheme over the sorted powers.
     """
+    if len(num._items) < 2:
+        return None
     (theta, a), = factor._items[1:]
+    unit_root = a._a == -1 and not a._b and a._d == 1
+    if unit_root:
+        re, im, den = 0, 0, 1
+        for _, c in num._items:
+            d = c._d
+            if d == den:
+                re, im = re + c._a, im + c._b
+            else:
+                re, im, den = re * d + c._a * den, im * d + c._b * den, den * d
+        if re or im:
+            return None
     lead, c0 = theta._items[0]
 
     def power(pe: PhaseExponent) -> int:
@@ -848,19 +867,19 @@ def _divide_binomial(num: PhaseSum, factor: PhaseSum) -> PhaseSum | None:
     powers = [(power(pe), c, pe) for pe, c in num._items]
     powers.sort(key=itemgetter(0))
     limit = len(num._items)
-    # A cheap first test: p(-1/a) summed over all cosets must vanish.
-    # Horner's scheme from the lowest power up yields (-a)^hi p(-1/a); it
-    # is skipped across a gap longer than the numerator, where the powers
-    # of -a would be the larger part of the work.
-    r, total, at = -a, QI_ZERO, powers[0][0]
-    for n, c, _ in powers:
-        if n - at > limit:
-            break
-        total = total * _qi_pow(r, n - at) + c
-        at = n
-    else:
-        if not total.is_zero():
-            return None
+    if not unit_root:
+        # Horner's scheme from the lowest power up yields (-a)^hi p(-1/a);
+        # it is skipped across a gap longer than the numerator, where the
+        # powers of -a would be the larger part of the work.
+        r, total, at = -a, QI_ZERO, powers[0][0]
+        for n, c, _ in powers:
+            if n - at > limit:
+                break
+            total = total * _qi_pow(r, n - at) + c
+            at = n
+        else:
+            if not total.is_zero():
+                return None
     cosets: dict = {}
     for n, c, pe in powers:
         cosets.setdefault(pe - theta.scale(n) if n else pe, []).append((n, c, pe))
@@ -952,7 +971,9 @@ class Scalar:
     - a binomial factor 1 + a*e^{i*theta} is cancelled from the
       numerator as often as it divides it exactly, after every product,
       sum and construction, as long as the quotient is no longer than the
-      numerator;
+      numerator; before the exact pass, 1 - e^{i*theta} is refuted by a
+      nonzero sum of the numerator's amplitudes, its value at
+      e^{i*theta} = 1, and any other binomial by Horner's scheme;
     - a factor of three or more terms is opaque: it cancels only against
       a numerator that is a unit times that same factor.
 

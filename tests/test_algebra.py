@@ -52,6 +52,7 @@ from helpers import (
     random_dilation,
     random_element,
     random_fraction,
+    random_frequency,
     random_word,
     reduced_product,
 )
@@ -253,6 +254,25 @@ def test_products_act_on_the_packet_orbit_as_composed_operators():
         assert len(orbit(x)) == len(x.terms)
         caught += orbit(general_flipped_mul(x, y)) != composed
     assert caught > len(pairs) // 2
+
+
+def test_conjugation_acts_on_the_packet_orbit_as_u_star_x_u():
+    # conjugate(x, u) f0 == u* (x (u f0)) exactly for u = V(s), whose
+    # conjugation is a key map, and for u = D(s) and M(s), which go
+    # through mul; leaving out the adjoint, u x u, must be caught
+    rng = random.Random(3201)
+    caught = Counter()
+    for _ in range(20):
+        x = random_element(rng, 3)
+        for kind, u in (
+            ("V", Element.v(random_dilation(rng))),
+            ("D", Element.d(random_frequency(rng))),
+            ("M", Element.m(random_frequency(rng))),
+        ):
+            composed = orbit(adjoint(u), orbit(x, orbit(u)))
+            assert orbit(conjugate(x, u)) == composed
+            caught[kind] += orbit(mul(mul(u, x), u)) != composed
+    assert all(caught[kind] for kind in "VDM")
 
 
 def test_mul_reads_each_column_once_per_dilation_level(monkeypatch):

@@ -252,7 +252,8 @@ _INTEGER_HOT_PATH = (
     "_Sum.__add__", "_Sum.__neg__", "_Sum.__eq__", "_Sum.__hash__", "_Sum._canonical",
     "_merge_sorted", "_key_order", "Frequency.scale_exp", "PhaseExponent.product",
     "PhaseMonomial.__new__", "PhaseMonomial._canonical", "PhaseMonomial.product",
-    "PhaseMonomial.scaled", "_monomial_product", "_monomial_scaled",
+    "PhaseMonomial.scaled", "_monomial_product", "_monomial_scaled", "_divide_binomial",
+    "_reduced",
 )
 
 

@@ -692,6 +692,127 @@ def test_a_certificate_chain_divides_only_in_sums(monkeypatch):
     assert calls["product"] == 0 and calls["other"] > 0
 
 
+def test_a_certificate_chains_key_merges_run_no_horner_scheme(monkeypatch):
+    # the key merges of f (f + D(s))^6 at (s2, s3) try 1 - e^{i*theta} and
+    # fail, each on a nonzero amplitude sum, so no power of -a is taken
+    s = Frequency.atom("s3")
+    f = commutator_certificate(Frequency.atom("s2"), s).f
+    step, chain = f + Element.d(s), f
+    divisions, pows = [], []
+    divide, qi_pow = exactnum._divide_binomial, exactnum._qi_pow
+    monkeypatch.setattr(exactnum, "_divide_binomial", lambda *a: divisions.append(a) or divide(*a))
+    monkeypatch.setattr(exactnum, "_qi_pow", lambda *a: pows.append(a) or qi_pow(*a))
+    for _ in range(6):
+        chain = mul(chain, step)
+    assert divisions and not pows
+
+
+# cosets of Z*THETA: 0 and THETA/2 differ by no integer power of u, and
+# neither does OTHER or 2 OTHER
+_COSET_REPS = (exactnum._EXP_ZERO, THETA.scale(Fraction(1, 2)), OTHER, OTHER.scale(2))
+QI_ZERO = exactnum.QI_ZERO
+# (a + b*i)/d, nonzero, with denominators that differ from term to term
+_AMPLITUDES = st.builds(
+    lambda a, b, d: QI(Fraction(a or 1, d), Fraction(b, d)),
+    st.integers(-4, 4), st.integers(-4, 4), st.integers(1, 3),
+)
+
+
+@st.composite
+def _coset_polys(draw):
+    """Two or more (rep, {power: amplitude}) cosets.  A coset may be made
+    divisible by 1 - u, and a numerator may be balanced so that its
+    amplitudes sum to 0 over all cosets while single cosets do not."""
+    reps = draw(st.lists(st.sampled_from(_COSET_REPS), min_size=2, max_size=4, unique=True))
+    cosets = []
+    for rep in reps:
+        poly = draw(st.dictionaries(st.integers(-3, 3), _AMPLITUDES, min_size=1, max_size=4))
+        if draw(st.booleans()):
+            times = {}
+            for n, c in poly.items():
+                times[n] = times.get(n, QI_ZERO) + c
+                times[n + 1] = times.get(n + 1, QI_ZERO) - c
+            poly = times
+        cosets.append((rep, poly))
+    if draw(st.booleans()):
+        rep, poly = cosets[0]
+        total = QI_ZERO
+        for _, p in cosets:
+            for c in p.values():
+                total = total + c
+        low = min(poly)
+        poly[low] = poly[low] - total
+    return [(rep, {n: c for n, c in poly.items() if not c.is_zero()}) for rep, poly in cosets]
+
+
+def _coset_quotient(cosets: list) -> list | None:
+    """The quotient by 1 - u one coset at a time: its coefficient at u^n
+    is the sum of the numerator's coefficients up to u^n, and the last
+    sum, the coset's p(1), must vanish."""
+    out = []
+    for rep, poly in cosets:
+        if not poly:
+            continue
+        run, powers = QI_ZERO, sorted(poly)
+        for n in range(powers[0], powers[-1] + 1):
+            run = run + poly.get(n, QI_ZERO)
+            if n < powers[-1] and not run.is_zero():
+                out.append((rep + THETA.scale(n), run))
+        if not run.is_zero():
+            return None
+    return out
+
+
+@settings(max_examples=100)
+@given(_coset_polys())
+def test_the_binomial_division_equals_the_division_coset_by_coset(cosets):
+    num = PhaseSum([(rep + THETA.scale(n), c) for rep, poly in cosets for n, c in poly.items()])
+    got = exactnum._divide_binomial(num, ONE_MINUS_U)
+    quotient = _coset_quotient(cosets)
+    if quotient is None or len(quotient) > len(num.terms):
+        assert got is None
+    else:
+        _assert_same(got, PhaseSum(quotient))
+        assert got * ONE_MINUS_U == num
+
+
+def test_a_nonzero_amplitude_sum_refutes_before_any_power(monkeypatch):
+    # the coset pass is the only caller of theta.scale, and for 1 - u
+    # Horner's scheme, the only caller of _qi_pow, does not run at all
+    pows, scales = [], []
+    qi_pow, scale = exactnum._qi_pow, PhaseExponent.scale
+    monkeypatch.setattr(exactnum, "_qi_pow", lambda *a: pows.append(a) or qi_pow(*a))
+    monkeypatch.setattr(PhaseExponent, "scale", lambda self, c: scales.append(c) or scale(self, c))
+
+    def divide(num):
+        pows.clear()
+        scales.clear()
+        return exactnum._divide_binomial(num, ONE_MINUS_U)
+
+    # (1 + u)(e^{i*OTHER} - 1): the total is 0 though neither coset's sum
+    # is, so the refutation lets it through and the coset pass refuses it
+    assert divide(_poly({0: 1, 1: 1}) * (PhaseSum.phase(OTHER) - PhaseSum.one())) is None
+    assert scales and not pows
+    # totals of 2 and 5/6 over mixed denominators, one across a gap of
+    # 10: refuted before the cosets are formed
+    for num in (_poly({0: 1, 10: 1}), _poly({0: Fraction(1, 2), 1: Fraction(1, 3)})):
+        assert divide(num) is None and not scales and not pows
+    # one term: no binomial divides a unit
+    assert exactnum._divide_binomial(_poly({0: 3}), _poly({0: 1, 1: 2})) is None
+    # only a = -1 is refuted by the sum: 1 - u^2/4 sums to 3/4, yet
+    # 1 - u/2 divides it
+    _assert_same(
+        exactnum._divide_binomial(_poly({0: 1, 2: Fraction(-1, 4)}), _poly({0: 1, 1: Fraction(-1, 2)})),
+        _poly({0: 1, 1: Fraction(1, 2)}),
+    )
+    # (1 - u^2)/(1 - u) = 1 + u, and 1/2 + 1/3 u - 5/6 u^2 over 1 - u
+    _assert_same(divide(_poly({0: 1, 2: -1})), _poly({0: 1, 1: 1}))
+    _assert_same(
+        divide(_poly({0: Fraction(1, 2), 1: Fraction(1, 3), 2: Fraction(-5, 6)})),
+        _poly({0: Fraction(1, 2), 1: Fraction(5, 6)}),
+    )
+
+
 def test_a_unit_that_brings_a_factor_is_reduced():
     # u/(1 - u) * (1 - u) w: the factor divides, and only the reduction finds it
     w = PhaseSum.phase(OTHER) + PhaseSum.rational(3)
