@@ -507,8 +507,6 @@ class AxisMap:
                     lam, mu = mu, lam
                 out.append(((lam, mu, t), c))
             items = out
-        elif dil.is_zero():
-            return x
         if not dil.is_zero():
             items = _dilated_terms(items, dil)
         return Element._canonical(dict(items))

@@ -528,8 +528,6 @@ def _monomial_product(a: PhaseMonomial, b: PhaseMonomial) -> PhaseMonomial:
 
 def _monomial_scaled(m: PhaseMonomial, t: DilationIndex) -> PhaseMonomial:
     """m times e^t, computed: ``PhaseMonomial.scaled`` on a table miss."""
-    if t.is_zero():
-        return m
     return PhaseMonomial._canonical(m.bases, m.exp + t)
 
 
@@ -761,14 +759,9 @@ class PhaseSum(_Sum):
         return cls(((pe, QI_ONE),))
 
     def __mul__(self, other: "PhaseSum") -> "PhaseSum":
-        out = [
+        return PhaseSum(
             (pe1 + pe2, a1 * a2) for pe1, a1 in self._items for pe2, a2 in other._items
-        ]
-        if len(self._items) == 1 or len(other._items) == 1:
-            # One factor is a single phase: the exponents stay distinct and
-            # the amplitudes nonzero, so only the order can change.
-            return PhaseSum._distinct(out)
-        return PhaseSum(out)
+        )
 
     def shift(self, pe: PhaseExponent) -> "PhaseSum":
         """Multiply by the unimodular phase e^{i*pe}."""
@@ -836,17 +829,16 @@ def _divide_binomial(num: PhaseSum, factor: PhaseSum) -> PhaseSum | None:
     p a nonzero carry adds one quotient term per power, so the length
     bound also bounds the work on sparse numerators.
 
-    No binomial divides a one-term numerator.  Before the cosets, p(-1/a)
-    summed over all of them must vanish.  For 1 - e^{i*theta} (a = -1)
-    the root is u = 1 and that sum is the sum of num's amplitudes, one
-    integer pass with no exponent work; for any other binomial it is
-    Horner's scheme over the sorted powers.
+    No binomial divides a one-term numerator.  For 1 - e^{i*theta}
+    (a = -1) the root is u = 1, so p(1) summed over all cosets, the sum
+    of num's amplitudes, must vanish: one integer pass with no exponent
+    work refutes a nonzero sum before the cosets are formed.  Any other
+    binomial goes straight to the coset pass.
     """
     if len(num._items) < 2:
         return None
     (theta, a), = factor._items[1:]
-    unit_root = a._a == -1 and not a._b and a._d == 1
-    if unit_root:
+    if a._a == -1 and not a._b and a._d == 1:
         re, im, den = 0, 0, 1
         for _, c in num._items:
             d = c._d
@@ -867,26 +859,11 @@ def _divide_binomial(num: PhaseSum, factor: PhaseSum) -> PhaseSum | None:
     powers = [(power(pe), c, pe) for pe, c in num._items]
     powers.sort(key=itemgetter(0))
     limit = len(num._items)
-    if not unit_root:
-        # Horner's scheme from the lowest power up yields (-a)^hi p(-1/a);
-        # it is skipped across a gap longer than the numerator, where the
-        # powers of -a would be the larger part of the work.
-        r, total, at = -a, QI_ZERO, powers[0][0]
-        for n, c, _ in powers:
-            if n - at > limit:
-                break
-            total = total * _qi_pow(r, n - at) + c
-            at = n
-        else:
-            if not total.is_zero():
-                return None
     cosets: dict = {}
     for n, c, pe in powers:
         cosets.setdefault(pe - theta.scale(n) if n else pe, []).append((n, c, pe))
     out = []
     for rep, poly in cosets.items():
-        if len(poly) == 1:
-            return None
         carry, at = QI_ZERO, None
         for n, c, pe in poly:
             if not carry.is_zero():
@@ -973,7 +950,7 @@ class Scalar:
       sum and construction, as long as the quotient is no longer than the
       numerator; before the exact pass, 1 - e^{i*theta} is refuted by a
       nonzero sum of the numerator's amplitudes, its value at
-      e^{i*theta} = 1, and any other binomial by Horner's scheme;
+      e^{i*theta} = 1, and any other binomial goes straight to it;
     - a factor of three or more terms is opaque: it cancels only against
       a numerator that is a unit times that same factor.
 
@@ -1120,8 +1097,6 @@ class Scalar:
             extra = dict(fu)
             if extra.keys() <= dict(fr).keys():
                 return Scalar._canonical(num, tuple([(f, m + extra.get(f, 0)) for f, m in fr]))
-        if not fs or not fo:
-            return Scalar._reduce(num, fs or fo)
         merged = dict(fs)
         for f, m in fo:
             merged[f] = merged.get(f, 0) + m

@@ -106,6 +106,20 @@ def reduced_product(c1: Scalar, c2: Scalar) -> Scalar:
     return Scalar._reduce(c1.num * c2.num, tuple(sorted(merged.items(), key=exactnum._factor_order)))
 
 
+# ---------------------------------------------------------------- generic
+
+
+def generic(i: int, coeff: Scalar = Scalar.one()) -> Element:
+    """coeff M(l_i) D(m_i) V(h_i), with the undeclared atoms l_i and m_i
+    and the undeclared dilation symbol h_i.  mul, adjoint and AxisMap
+    read no atom table, so these act as free symbols, and a law that
+    holds exactly on generic monomials holds for every value of the
+    parameters, as long as the engine branches on the shape of a
+    coefficient and never on a value."""
+    word = [M(Frequency.atom(f"l{i}")), D(Frequency.atom(f"m{i}")), V(DilationIndex.single(f"h{i}", 1))]
+    return Element.from_word([Sc(coeff), *word])
+
+
 # ----------------------------------------------------------------- random
 
 

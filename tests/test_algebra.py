@@ -1,6 +1,7 @@
 """Words as products of one-term letters, Element ring laws,
 expectations, automorphisms."""
 
+import functools
 import itertools
 import random
 from collections import Counter
@@ -48,6 +49,7 @@ from trisemi import (
 )
 
 from helpers import (
+    generic,
     orbit,
     random_dilation,
     random_element,
@@ -273,6 +275,41 @@ def test_conjugation_acts_on_the_packet_orbit_as_u_star_x_u():
             assert orbit(conjugate(x, u)) == composed
             caught[kind] += orbit(mul(mul(u, x), u)) != composed
     assert all(caught[kind] for kind in "VDM")
+
+
+def _mutant_mul(x: Element, y: Element, mutation: str) -> Element:
+    """The pairwise product with one mutation: the key's lambda scaled by
+    e^{-t1} ("key"), the exchange phase read on the unscaled lambda
+    ("unscaled") or its sign flipped ("sign")."""
+    items = []
+    for (lam1, mu1, t1), c1 in x.terms.items():
+        for (lam2, mu2, t2), c2 in y.terms.items():
+            scaled = lam2.scale_exp(-t1 if mutation == "key" else t1)
+            read = lam2 if mutation == "unscaled" else scaled
+            c = (c1 * c2).rotate(PhaseExponent.product(read, mu1 if mutation == "sign" else -mu1))
+            items.append(((lam1 + scaled, mu1 + mu2.scale_exp(-t1), t1 + t2), c))
+    return Element(items)
+
+
+def test_the_laws_hold_on_generic_instances():
+    # one exact check on generic monomials decides each law for all
+    # parameters, with coefficient 1, with two phases and with a factor
+    p1, p2 = (Scalar.phase(PhaseExponent.product(Frequency.atom(p), ONE)) for p in ("p1", "p2"))
+    s = DilationIndex.single("h0", 1)
+    v = Element.v(s)
+    for coeff in (Scalar.one(), Scalar.from_rational(2) + p1, Scalar.one() / (Scalar.one() - p2)):
+        x, y, z = (generic(i, coeff) for i in (1, 2, 3))
+        assert mul(mul(x, y), z) == mul(x, mul(y, z))
+        assert adjoint(mul(x, y)) == mul(adjoint(y), adjoint(x))
+        assert adjoint(adjoint(x)) == x
+        assert conjugate(x, v) == AxisMap(dil=-s)(x) == mul(mul(adjoint(v), x), v)
+        # a key or phase mutant breaks associativity; a flipped exchange
+        # phase keeps it, being a consistently conjugated product, and
+        # breaks the adjoint law instead
+        for mutation, associative in (("key", False), ("unscaled", False), ("sign", True)):
+            prod = functools.partial(_mutant_mul, mutation=mutation)
+            assert (prod(prod(x, y), z) == prod(x, prod(y, z))) is associative
+            assert adjoint(prod(x, y)) != prod(adjoint(y), adjoint(x))
 
 
 def test_mul_reads_each_column_once_per_dilation_level(monkeypatch):

@@ -20,6 +20,7 @@ from trisemi import (
     M,
     NumericOverflow,
     PacketSum,
+    PhaseExponent,
     ScheduleTooShort,
     Scalar,
     adjoint,
@@ -42,6 +43,7 @@ from trisemi.l2sim import sample_widths_centers
 from helpers import (
     mp_diff_norm,
     mp_norm,
+    orbit,
     random_element,
     random_packet,
     random_packet_sum,
@@ -189,6 +191,70 @@ def test_apply_element_matches_letterwise_action(table):
         via_word = apply_word(word, f, table)
         via_element = apply_element(Element.from_word(word), f, table)
         assert mp_diff_norm(via_word, via_element) < 1e-10 * (1 + float(mp_norm(via_word)))
+
+
+def _orbit_in_doubles(packets: dict, table) -> list:
+    """The exact orbit's packets (T, b, c): A as (amp, a, b, c) doubles:
+    e^{T/2} A exp(-1/2 e^{2T} (x - b)^2 + icx)."""
+    out = []
+    for (big_t, b, c), amp in packets.items():
+        t = big_t.numeric(table)
+        out.append((math.exp(t / 2) * amp.numeric(table), 0.5 * math.exp(2 * t), b.numeric(table), c.numeric(table)))
+    return out
+
+
+def _close(u, v, tol=1e-12) -> bool:
+    """Every entry of u within tol of v's, relative."""
+    return all(abs(p - q) <= tol * max(abs(p), abs(q)) for p, q in zip(u, v))
+
+
+def _packets_by_parameters(f: PacketSum) -> dict:
+    """f's amplitudes keyed by (a, b, c): packets whose parameters agree
+    to 1e-12 relative summed into one, and sums that cancel to 1e-12 of
+    their parts dropped."""
+    sums = {}
+    for p in f.packets:
+        params = (p.a, p.b, p.c)
+        key = next((k for k in sums if _close(k, params)), params)
+        total = sums.setdefault(key, [0j, 0.0])
+        total[0] += p.amp
+        total[1] += abs(p.amp)
+    return {key: amp for key, (amp, size) in sums.items() if abs(amp) > 1e-12 * size}
+
+
+def test_the_float_backend_acts_as_the_exact_orbit(table):
+    # x (y f0) in doubles is the exact orbit evaluated in doubles, packet
+    # by packet, every parameter to 1e-12 relative.  The composed action
+    # matters: on f0 alone b = c = 0, and the exchange phase never runs.
+    # An orbit with the phase e^{+icmu} must miss in L2.
+    rng = random.Random(3301)
+    f0 = PacketSum.single(GaussianPacket(1, 0.5, 0, 0))
+    missed = 0
+    for _ in range(100):
+        x, y = random_element(rng, 3), random_element(rng, 3)
+        got = apply_element(x, apply_element(y, f0, table), table)
+        amps = _packets_by_parameters(got)
+        want = _orbit_in_doubles(orbit(x, orbit(y)), table)
+        assert len(amps) == len(want)
+        for amp, *params in want:
+            (key,) = [k for k in amps if _close(k, params)]
+            assert _close((amps[key],), (amp,))
+        flipped = _orbit_in_doubles(_phase_flipped_orbit(x, orbit(y)), table)
+        wrong = PacketSum(GaussianPacket(*p) for p in flipped)
+        missed += (got - wrong).norm() > 1e-3 * got.norm()
+    assert missed > 50
+
+
+def _phase_flipped_orbit(x: Element, packets: dict) -> dict:
+    """helpers.orbit with D(mu)'s phase e^{+icmu}: a wrong orbit."""
+    out: dict = {}
+    for (lam, mu, t), coeff in x.terms.items():
+        for (big_t, b, c), amp in packets.items():
+            c = c.scale_exp(t)
+            amp = (coeff * amp).rotate(PhaseExponent.product(c, mu))
+            key = (big_t + t, b.scale_exp(-t) + mu, c + lam)
+            out[key] = out[key] + amp if key in out else amp
+    return {key: amp for key, amp in out.items() if not amp.is_zero()}
 
 
 def adjoint_gaps(table, adj):
