@@ -7,11 +7,11 @@ translations D(mu) (shift by mu), dilations V(t) (unitary scaling by e^t)
 and scalars Sc(c).  A word is the product of its letters, and `mul`
 rewrites each product of monomials into normal order with the exact
 commutation phases.  Conjugation by a unitary u is `conjugate(x, u)`;
-conjugation by V(s) is the dilation key map (lam, mu, t) -> (e^-s lam,
-e^s mu, t) with the coefficients kept, which `AxisMap` shares, and needs
-no product.  `AxisMap` is every map that sends each generator semigroup
-to a one-parameter semigroup on an axis, applied term by term in one
-closed form, also without a product.
+`conjugate(x, V(s))` is `AxisMap(dil=-s)(x)`, the dilation key map
+(lam, mu, t) -> (e^-s lam, e^s mu, t) with the coefficients kept, and
+needs no product.  `AxisMap` is every map that sends each generator
+semigroup to a one-parameter semigroup on an axis, applied term by term
+in one closed form, also without a product.
 """
 
 from __future__ import annotations
@@ -147,8 +147,6 @@ class Element:
 
     def scale(self, z) -> "Element":
         c = Scalar.from_number(z)
-        if c.is_zero():
-            return Element()
         return Element({k: v * c for k, v in self.terms.items()})
 
     def __mul__(self, other: "Element") -> "Element":
@@ -252,14 +250,11 @@ def conjugate(x: Element, u: Element) -> Element:
     """u* x u: the conjugation of x by the unitary u.
 
     For u = V(s) every phase of the product is trivial, so the result is
-    ``AxisMap(dil=-s)(x)``, taken here straight from the dilation key map
-    by -s; any other u goes through ``mul``."""
+    ``AxisMap(dil=-s)(x)``; any other u goes through ``mul``."""
     if len(u.terms) == 1:
         ((lam, mu, s), c), = u.terms.items()
         if lam.is_zero() and mu.is_zero() and c == Scalar.one():
-            if s.is_zero():
-                return x
-            return Element._canonical(dict(_dilated_terms(x.terms.items(), -s)))
+            return AxisMap(dil=-s)(x)
     return mul(mul(adjoint(u), x), u)
 
 
@@ -498,8 +493,7 @@ class AxisMap:
                     angle = mod(lam) + shift(mu)
                     if theta and not t.is_zero():
                         angle += theta * t.exact_numeric(table)
-                    if angle:
-                        c = c.rotate(PhaseExponent.rational(angle))
+                    c = c.rotate(PhaseExponent.rational(angle))
                 if scaled:
                     lam, mu = lam.scale(m_scale), mu.scale(d_scale)
                 if swap:

@@ -64,35 +64,30 @@ class RationalBasis:
 
     def __init__(self, freqs: list[Frequency] | list[DilationIndex]):
         basis: list = []
-        # each row: (pivot key, reduced terms, expansion {basis position: q})
-        self._rows: list[tuple[object, dict, dict]] = []
+        # each row: (pivot key, reduced sum, expansion {basis position: q})
+        self._rows: list[tuple[object, object, dict]] = []
         self._coords: dict = {}
         for f in freqs:
             reduced, combo = self._reduce(f)
-            if reduced:
+            if not reduced.is_zero():
                 expansion = {j: -q for j, q in combo.items()}
                 expansion[len(basis)] = Fraction(1)
-                self._rows.append((next(iter(reduced)), reduced, expansion))
+                self._rows.append((reduced.terms[0][0], reduced, expansion))
                 combo = {len(basis): Fraction(1)}
                 basis.append(f)
             self._coords[f] = combo
         self.basis = tuple(basis)
 
-    def _reduce(self, f) -> tuple[dict, dict]:
-        """The remainder of f against the rows, and the combination of
-        basis vectors taken away."""
-        rem = dict(f.terms)
+    def _reduce(self, f):
+        """The remainder of f against the rows, a sum of f's kind, and the
+        combination of basis vectors taken away."""
+        rem = f
         combo: dict = {}
         for pivot, red, expansion in self._rows:
-            head = rem.get(pivot)
+            head = rem.coefficient(pivot)
             if head:
-                factor = head / red[pivot]
-                for atom, q in red.items():
-                    val = rem.get(atom, _ZERO) - factor * q
-                    if val:
-                        rem[atom] = val
-                    else:
-                        rem.pop(atom, None)
+                factor = head / red.coefficient(pivot)
+                rem = rem - red.scale(factor)
                 for j, q in expansion.items():
                     combo[j] = combo.get(j, _ZERO) + factor * q
         return rem, combo
@@ -105,7 +100,7 @@ class RationalBasis:
         combo = self._coords.get(f)
         if combo is None:
             rem, combo = self._reduce(f)
-            if rem:
+            if not rem.is_zero():
                 return None
         return tuple(combo.get(j, _ZERO) for j in range(len(self.basis)))
 
@@ -224,7 +219,7 @@ def gauge(x: Element, grading, theta, table: AtomTable = DEFAULT_TABLE) -> Eleme
             angle = theta_q * exact
         else:
             angle = _frac(float(theta_q) * idx.numeric(table))
-        out[key] = coeff.rotate(PhaseExponent.rational(angle)) if angle else coeff
+        out[key] = coeff.rotate(PhaseExponent.rational(angle))
     # a rotation keeps every key and every nonzero coefficient
     return Element._canonical(out)
 

@@ -1,7 +1,7 @@
 """Command-line surface.
 
-Every engine operation is exposed as a subcommand taking canonical
-expression text (see exprs) plus flags.  Output is a human-readable
+Every engine operation is a subcommand taking canonical expression
+text (see exprs, parsed by the argument parser) plus flags.  Output is a human-readable
 table by default or JSON with ``--json``; exact rationals are carried in
 JSON as strings like ``"3/4"`` so nothing is rounded through doubles.
 Errors print a machine-readable record to stderr and exit with code 2,
@@ -48,7 +48,7 @@ from .exprs import (
     scalar_text,
 )
 
-__all__ = ["main", "run"]
+__all__ = ["run"]
 
 
 # ------------------------------------------------------------ serialization
@@ -178,45 +178,41 @@ def _build_character(args, cfg: RunConfig) -> trisemi.TripleCharacter:
 
 
 def _cmd_normalize(args, cfg):
-    return _element_payload(parse_element(args.expr), cfg)
+    return _element_payload(args.expr, cfg)
 
 
 def _cmd_mul(args, cfg):
-    x = parse_element(args.left)
-    y = parse_element(args.right)
-    return _element_payload(mul(x, y), cfg)
+    return _element_payload(mul(args.left, args.right), cfg)
 
 
 def _cmd_adjoint(args, cfg):
-    return _element_payload(adjoint(parse_element(args.expr)), cfg)
+    return _element_payload(adjoint(args.expr), cfg)
 
 
 def _cmd_coeff(args, cfg):
-    x = parse_element(args.expr)
     axis = Axis.parse(args.axis)
     index = axis.parse_index(args.index)
-    out = _element_payload(coeff_map(x, axis, index), cfg)
+    out = _element_payload(coeff_map(args.expr, axis, index), cfg)
     out["axis"] = axis.value
     out["index"] = args.index
     return out
 
 
 def _cmd_support(args, cfg):
-    x = parse_element(args.expr)
     rows = [
         {"m": freq_text(lam), "d": freq_text(mu), "v": dil_text(t)}
-        for (lam, mu, t), _ in x.sorted_terms()
+        for (lam, mu, t), _ in args.expr.sorted_terms()
     ]
     out = {"rows": rows}
     if args.algebra:
         algebra = AlgebraId.parse(args.algebra)
         out["algebra"] = algebra.value
-        out["member"] = support_predicate(x, algebra, cfg.table, args.guard)
+        out["member"] = support_predicate(args.expr, algebra, cfg.table, args.guard)
     return out
 
 
 def _cmd_bf(args, cfg):
-    report = trisemi.bf_report(parse_element(args.expr), args.grading, args.m, cfg.table)
+    report = trisemi.bf_report(args.expr, args.grading, args.m, cfg.table)
     axis = Axis.parse(args.grading)
     rows = []
     for entry in report:
@@ -226,18 +222,16 @@ def _cmd_bf(args, cfg):
 
 
 def _cmd_gauge(args, cfg):
-    x = parse_element(args.expr)
     axis = Axis.parse(args.grading)
-    out = _element_payload(trisemi.gauge(x, axis, args.theta, cfg.table), cfg)
+    out = _element_payload(trisemi.gauge(args.expr, axis, args.theta, cfg.table), cfg)
     out["grading"] = axis.grading
     return out
 
 
 def _cmd_cesaro(args, cfg):
-    x = parse_element(args.expr)
     axis = Axis.parse(args.grading)
     index = axis.parse_index(args.index)
-    mean = trisemi.cesaro_mean(x, axis, index, args.T, args.steps, cfg.table)
+    mean = trisemi.cesaro_mean(args.expr, axis, index, args.T, args.steps, cfg.table)
     out = _element_payload(mean, cfg)
     out.update({"grading": axis.grading, "index": args.index, "T": args.T, "steps": args.steps})
     return out
@@ -270,10 +264,9 @@ def _cmd_recurrence(args, cfg):
 
 def _cmd_char_eval(args, cfg):
     chi = _build_character(args, cfg)
-    x = parse_element(args.expr)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        value = trisemi.eval_character(chi, x, cfg.table, args.guard)
+        value = trisemi.eval_character(chi, args.expr, cfg.table, args.guard)
     out = {"character": chi.describe(), "value": _cnum(value)}
     if any(issubclass(w.category, UntrustedCharacterWarning) for w in caught):
         out["warning"] = "untrusted character family"
@@ -281,8 +274,8 @@ def _cmd_char_eval(args, cfg):
 
 
 def _cmd_ideal_test(args, cfg):
-    x = parse_element(args.expr)
-    member = trisemi.in_ideal(x, trisemi.IdealId(args.ideal, args.t), cfg.table, args.guard)
+    ideal = trisemi.IdealId(args.ideal, args.t)
+    member = trisemi.in_ideal(args.expr, ideal, cfg.table, args.guard)
     out = {"ideal": args.ideal, "member": member}
     if args.t is not None:
         out["t"] = dil_text(args.t)
@@ -304,8 +297,7 @@ def _cmd_auto_apply(args, cfg):
         shift_char=_angles(args.shift_angles),
         v_angle=args.theta,
     )
-    x = parse_element(args.expr)
-    out = _element_payload(automorphism(x, cfg.table), cfg)
+    out = _element_payload(automorphism(args.expr, cfg.table), cfg)
     out["t"] = dil_text(args.t)
     out["theta"] = _rat(args.theta)
     return out
@@ -329,32 +321,29 @@ def _cmd_sim_residuals(args, cfg):
 
 
 def _cmd_sim_norm_bound(args, cfg):
-    x = parse_element(args.expr)
     seed = cfg.seed if args.seed is None else args.seed
-    bound = trisemi.norm_lower_bound(x, args.trials, seed, cfg.table)
+    bound = trisemi.norm_lower_bound(args.expr, args.trials, seed, cfg.table)
     return {
         "bound": bound,
-        "l1": x.l1_norm(cfg.table),
+        "l1": args.expr.l1_norm(cfg.table),
         "trials": args.trials,
         "seed": seed,
     }
 
 
 def _cmd_sim_wot(args, cfg):
-    x = parse_element(args.expr)
     f = trisemi.PacketSum.single()
     g = trisemi.PacketSum.single(trisemi.GaussianPacket(1.0, 0.6, 0.2, 0.1))
-    report = trisemi.wot_compression_demo(x, f, g, args.mode, args.schedule, cfg.table)
+    report = trisemi.wot_compression_demo(args.expr, f, g, args.mode, args.schedule, cfg.table)
     out = report.to_dict()
-    out["limit_element"] = element_text(trisemi.wot_limit(x, args.mode))
+    out["limit_element"] = element_text(trisemi.wot_limit(args.expr, args.mode))
     return out
 
 
 def _cmd_sim_column_identity(args, cfg):
-    x = parse_element(args.expr)
     axis = Axis.parse(args.grading)
     xi = trisemi.PacketSum.single(trisemi.GaussianPacket(1.0, 0.9, 0.2, -0.5))
-    lhs, rhs = trisemi.column_norms(x, xi, axis, cfg.table)
+    lhs, rhs = trisemi.column_norms(args.expr, xi, axis, cfg.table)
     return {"grading": axis.grading, "lhs": lhs, "rhs": rhs, "gap": abs(lhs - rhs)}
 
 
@@ -396,40 +385,40 @@ def _build_parser() -> argparse.ArgumentParser:
         return p
 
     p = cmd("normalize", _cmd_normalize, "parse and print the canonical form")
-    p.add_argument("expr")
+    p.add_argument("expr", type=parse_element)
 
     p = cmd("mul", _cmd_mul, "product of two elements")
-    p.add_argument("left")
-    p.add_argument("right")
+    p.add_argument("left", type=parse_element)
+    p.add_argument("right", type=parse_element)
 
     p = cmd("adjoint", _cmd_adjoint, "adjoint of an element")
-    p.add_argument("expr")
+    p.add_argument("expr", type=parse_element)
 
     p = cmd("coeff", _cmd_coeff, "Fourier coefficient along one axis")
     p.add_argument("--axis", required=True, help="E, Z or H, or a grading name")
     p.add_argument("--index", required=True)
-    p.add_argument("expr")
+    p.add_argument("expr", type=parse_element)
 
     p = cmd("support", _cmd_support, "support triples, optionally membership")
-    p.add_argument("--algebra", help="bp, ap, aph_g_plus, or aph_g_plus_adjoint")
-    p.add_argument("expr")
+    p.add_argument("--algebra", help="bp, ap, bph, aph or aph-adj")
+    p.add_argument("expr", type=parse_element)
 
     p = cmd("bf", _cmd_bf, "Bochner-Fejer convergence table")
     p.add_argument("--m", type=_int_list, required=True, help="comma list of orders")
     p.add_argument("--grading", default="translation")
-    p.add_argument("expr")
+    p.add_argument("expr", type=parse_element)
 
     p = cmd("gauge", _cmd_gauge, "point evaluation of the gauge action")
     p.add_argument("--grading", default="translation")
     p.add_argument("--theta", type=float, required=True)
-    p.add_argument("expr")
+    p.add_argument("expr", type=parse_element)
 
     p = cmd("cesaro", _cmd_cesaro, "Cesaro mean extracting one grading fiber")
     p.add_argument("--grading", default="translation")
     p.add_argument("--index", required=True)
     p.add_argument("--T", type=float, required=True)
     p.add_argument("--steps", type=int, default=4096)
-    p.add_argument("expr")
+    p.add_argument("expr", type=parse_element)
 
     p = cmd("kernel", _cmd_kernel, "Bochner-Fejer kernel values")
     p.add_argument("--freqs", type=_freq_list, required=True)
@@ -448,12 +437,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y", help="decay, a rational or 'inf' (d1/d2)")
     p.add_argument("--angles", help="atom=p/q,... exact character angles")
     p.add_argument("--w", help="dilation point: re[,im] for Z, decay or 'inf' for R")
-    p.add_argument("expr")
+    p.add_argument("expr", type=parse_element)
 
     p = cmd("ideal-test", _cmd_ideal_test, "polynomial ideal membership")
     p.add_argument("--ideal", required=True, help="cp, cph, i0 or jt")
     p.add_argument("--t", type=parse_dilation, help="dilation step for jt")
-    p.add_argument("expr")
+    p.add_argument("expr", type=parse_element)
 
     p = cmd("cert-commutator", _cmd_cert_commutator,
             "exact f with f*D(s) - D(s)*f = M(lam)*D(s)")
@@ -470,7 +459,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="rational V-twist angle")
     p.add_argument("--angles", help="atom=p/q,... modulation twist")
     p.add_argument("--shift-angles", help="atom=p/q,... translation twist")
-    p.add_argument("expr")
+    p.add_argument("expr", type=parse_element)
 
     p = cmd("flip-check", _cmd_flip_check, "generator-exchange contradiction gaps")
     p.add_argument("--k1", type=float, required=True)
@@ -484,18 +473,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p = cmd("sim-norm-bound", _cmd_sim_norm_bound, "sampled lower bound for the norm")
     p.add_argument("--trials", type=int, default=500)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("expr")
+    p.add_argument("expr", type=parse_element)
 
     p = cmd("sim-wot", _cmd_sim_wot, "compression convergence toward the WOT limit")
     p.add_argument("--mode", required=True, help="translation, dilation-in or dilation-out")
     p.add_argument("--schedule", type=_int_list, required=True)
-    p.add_argument("expr")
+    p.add_argument("expr", type=parse_element)
 
     p = cmd("sim-column-identity", _cmd_sim_column_identity,
             "column norm identity for the left regular picture")
     p.add_argument("--grading", default="translation",
                    help="translation (E) or dilation (H)")
-    p.add_argument("expr")
+    p.add_argument("expr", type=parse_element)
 
     p = cmd("sim-fourier", _cmd_sim_fourier, "Fourier conjugation residual")
     p.add_argument("--lam", type=_finite, required=True)
@@ -551,7 +540,7 @@ def _render_human(payload: dict, out) -> None:
 
 def run(argv=None) -> int:
     try:
-        # typed options parse inside the try, so their ParseError is reported
+        # typed options and operands parse inside the try, so their ParseError is reported
         args = _build_parser().parse_args(argv)
         cfg = load_config(args.config)
         args.guard = cfg.guard if args.guard is None else checked_guard(args.guard)
@@ -568,11 +557,3 @@ def run(argv=None) -> int:
     else:
         _render_human(payload, sys.stdout)
     return 0
-
-
-def main(argv=None) -> int:
-    return run(argv)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -143,8 +143,6 @@ def commutator_certificate(lam: Frequency, s: Frequency) -> CommutatorCertificat
     if lam.is_zero() or s.is_zero():
         raise DegeneratePhase("both frequencies must be nonzero")
     theta = PhaseExponent.product(lam, s)
-    if theta.is_zero():
-        raise DegeneratePhase("the pairing phase vanished")
     den = PhaseSum.one() + (-PhaseSum.phase(-theta))
     f = Element.m(lam).scale(Scalar(PhaseSum.one(), den))
     target = mul(Element.m(lam), Element.d(s))

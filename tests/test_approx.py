@@ -255,6 +255,13 @@ def test_gauge_respects_the_grading_sum(table):
     assert out.coefficient((ONE, Frequency.zero(), DilationIndex.zero())) == Scalar.one()
 
 
+def test_cesaro_mean_and_the_kernel_refuse_too_few_panels_or_order(table):
+    with pytest.raises(InvalidParameter, match="two quadrature panels"):
+        cesaro_mean(Element.d(ONE), "translation", ONE, 30.0, 1, table)
+    with pytest.raises(InvalidParameter, match="at least 1"):
+        bf_kernel_many(rational_basis([ONE]), 0, [0.5], table)
+
+
 def test_cesaro_single_fiber_is_exact(table):
     x = Element.d(ONE)
     out = cesaro_mean(x, "translation", ONE, 30.0, 512, table)

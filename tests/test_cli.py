@@ -251,6 +251,9 @@ def test_invalid_parameter_exits_2_with_a_record(capsys, argv):
         # denominators have about 5700 digits) too long to print
         (["normalize", f"M({_LONG})"], "parse"),
         (["bf", "--m", "2000", "D(1)+D(1/2)+M(1)*D(1/3)"], "numeric-overflow"),
+        # a divisor must be a nonzero scalar
+        (["normalize", "M(1)/0"], "parse"),
+        (["normalize", "M(1)/M(2)"], "parse"),
     ],
 )
 def test_degenerate_numbers_exit_2_with_one_record(capsys, argv, code):
@@ -429,6 +432,45 @@ def test_load_config_rejects_unknown_keys(tmp_path):
     bad.write_text("[options]\ncolour = blue\n")
     with pytest.raises(ParseError):
         load_config(str(bad))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "s2 = 1.5\n",  # no section header
+        "[atoms]\ns2 = abc\n",
+        "[options]\nguard = abc\n",
+        "[options]\nseed = 1.5\n",
+    ],
+)
+def test_load_config_rejects_malformed_files(tmp_path, text):
+    bad = tmp_path / "bad.ini"
+    bad.write_text(text)
+    with pytest.raises(ParseError):
+        load_config(str(bad))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--config", "missing.ini", "normalize", "M(1"],
+        ["char-eval", "--family", "zz", "M(1"],
+        ["auto-apply", "--angles", "=1", "M(1"],
+        # usage errors that argparse finds after it has parsed the operand
+        ["mul", "M(1"],
+        ["normalize", "M(1", "extra"],
+    ],
+)
+def test_a_malformed_operand_is_reported_before_any_other_fault(tmp_path, capsys, argv):
+    # the argument parser parses expression operands, so their parse error
+    # comes before a missing or extra argument is found and before the
+    # config file, --family and --angles are read
+    assert run(["--json", "normalize", "M(1"]) == 2
+    alone = out_of(capsys)[1]
+    argv = [str(tmp_path / a) if a == "missing.ini" else a for a in argv]
+    assert run(["--json", *argv]) == 2
+    assert out_of(capsys) == ("", alone)
+    assert json.loads(alone)["error"]["code"] == "parse"
 
 
 def test_config_guard_nan_exits_2_with_one_record(tmp_path, capsys):

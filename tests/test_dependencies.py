@@ -496,6 +496,19 @@ def _test_imports() -> set[str]:
 
 
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
+def test_every_script_entry_point_resolves_to_a_callable():
+    import tomllib
+
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    assert scripts
+    for name, target in scripts.items():
+        module, _, attr = target.partition(":")
+        assert module.partition(".")[0] == "trisemi", name
+        assert callable(getattr(importlib.import_module(module), attr)), name
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
 def test_test_extra_declares_every_third_party_test_import():
     # `pip install .[test]` must bring every package a test imports, or
     # the test fails to collect or silently skips

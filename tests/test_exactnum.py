@@ -1177,6 +1177,14 @@ def test_adding_zero_to_a_factored_scalar_returns_it():
     assert Scalar.zero() + c is c
 
 
+def test_a_factored_scalar_minus_itself_is_the_zero_scalar():
+    c = Scalar.one() / (Scalar.one() + Scalar.rational_angle(Fraction(1, 3)))
+    assert c.factors
+    zero = c - c
+    assert zero is Scalar.zero()
+    assert not zero.factors
+
+
 def test_index_sign_refuses_a_dilation_index_inside_the_guard(table):
     tiny = DilationIndex.unit(Fraction(1, 10**12))
     with pytest.raises(IndeterminateSign, match="dilation value 1.000e-12"):

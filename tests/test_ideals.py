@@ -64,6 +64,14 @@ def test_cph_and_i0_reject_elements_outside_the_ambient(table):
         in_ideal(Element.v(DilationIndex.unit(1)), IdealId.i0(), table)
 
 
+@pytest.mark.parametrize("ideal", [IdealId.i0(), IdealId.jt(DilationIndex.unit(1))], ids=["i0", "jt"])
+def test_the_function_ideals_reject_a_translation_term(table, ideal):
+    # M(1) + D(1) lies in the parabolic algebra but not in the
+    # multiplication polynomials, where the function ideals live
+    with pytest.raises(NotInAmbient, match="multiplication polynomials"):
+        in_ideal(Element.m(ONE) + Element.d(ONE), ideal, table)
+
+
 def test_cph_membership_oracles(table):
     v1 = Element.v(DilationIndex.unit(1))
     x = mul(Element.m(ONE), v1) - mul(Element.m(TWO), v1)
@@ -209,6 +217,12 @@ def test_jt_reduce_keeps_rho_inside_the_base_interval(lam, t):
     weights = [mu for _, kappa, mu in cert.items if kappa is not None]
     assert len(weights) == (rho > 1.0)
     assert all(0.0 < mu < 1.0 for mu in weights)
+
+
+@pytest.mark.parametrize("lam, t", [(0.0, 1.0), (-2.0, 1.0), (2.0, 0.0), (2.0, -1.0)])
+def test_jt_reduce_rejects_a_nonpositive_frequency_or_step(lam, t):
+    with pytest.raises(InvalidScale, match="must be positive"):
+        jt_reduce(lam, t)
 
 
 def test_jt_reduce_randomized():
