@@ -83,10 +83,7 @@ class Element:
 
     @classmethod
     def scalar(cls, z) -> "Element":
-        c = Scalar.from_number(z)
-        if c.is_zero():
-            return cls()
-        return cls({(Frequency.zero(), Frequency.zero(), DilationIndex.zero()): c})
+        return cls._monomial((Frequency.zero(), Frequency.zero(), DilationIndex.zero()), z)
 
     @classmethod
     def _monomial(cls, key: Key, coeff) -> "Element":

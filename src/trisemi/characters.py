@@ -60,7 +60,7 @@ class APPoint:
 
     @classmethod
     def finite(cls, char: BohrCharacter | None = None, decay=0) -> "APPoint":
-        return cls(False, char or BohrCharacter.trivial(), _frac(decay))
+        return cls(False, char or BohrCharacter.trivial(), decay)
 
     @classmethod
     def infinity(cls) -> "APPoint":

@@ -63,17 +63,20 @@ def _cnum(z: complex) -> dict:
     return {"re": z.real, "im": z.imag}
 
 
+def _key_record(key) -> dict:
+    lam, mu, t = key
+    return {"m": freq_text(lam), "d": freq_text(mu), "v": dil_text(t)}
+
+
 def _element_payload(x: Element, cfg: RunConfig) -> dict:
     terms = []
-    for (lam, mu, t), coeff in x.sorted_terms():
+    for key, coeff in x.sorted_terms():
         val = coeff.numeric(cfg.table)
         terms.append(
             {
                 "coeff": scalar_text(coeff, atomic=True),
                 "coeff_value": _cnum(val),
-                "m": freq_text(lam),
-                "d": freq_text(mu),
-                "v": dil_text(t),
+                **_key_record(key),
             }
         )
     return {"element": element_text(x), "terms": terms}
@@ -199,11 +202,7 @@ def _cmd_coeff(args, cfg):
 
 
 def _cmd_support(args, cfg):
-    rows = [
-        {"m": freq_text(lam), "d": freq_text(mu), "v": dil_text(t)}
-        for (lam, mu, t), _ in args.expr.sorted_terms()
-    ]
-    out = {"rows": rows}
+    out = {"rows": [_key_record(key) for key, _ in args.expr.sorted_terms()]}
     if args.algebra:
         algebra = AlgebraId.parse(args.algebra)
         out["algebra"] = algebra.value
@@ -309,13 +308,11 @@ def _cmd_flip_check(args, cfg):
 
 def _cmd_sim_residuals(args, cfg):
     f = trisemi.PacketSum.single(trisemi.GaussianPacket(1.0, 0.8, 0.3, -0.4))
+    relations = [("weyl", [args.lam, args.mu]), ("dilM", [args.t, args.lam]),
+                 ("dilD", [args.t, args.mu])]
     rows = [
-        {"relation": "weyl", "params": [args.lam, args.mu],
-         "residual": trisemi.relation_residual("weyl", (args.lam, args.mu), f)},
-        {"relation": "dilM", "params": [args.t, args.lam],
-         "residual": trisemi.relation_residual("dilM", (args.t, args.lam), f)},
-        {"relation": "dilD", "params": [args.t, args.mu],
-         "residual": trisemi.relation_residual("dilD", (args.t, args.mu), f)},
+        {"relation": rel, "params": params, "residual": trisemi.relation_residual(rel, params, f)}
+        for rel, params in relations
     ]
     return {"rows": rows}
 
@@ -502,11 +499,9 @@ def _human_value(value) -> str:
         return "true" if value else "false"
     if isinstance(value, float):
         return f"{value:.12g}"
-    if isinstance(value, dict):
-        if set(value) == {"re", "im"}:
-            return f"{value['re']:.12g}{value['im']:+.12g}i"
-        return json.dumps(value, default=str)
-    if isinstance(value, list):
+    if isinstance(value, dict) and set(value) == {"re", "im"}:
+        return f"{value['re']:.12g}{value['im']:+.12g}i"
+    if isinstance(value, (dict, list)):
         return json.dumps(value, default=str)
     return str(value)
 
@@ -529,9 +524,7 @@ def _render_human(payload: dict, out) -> None:
         print(payload["element"], file=out)
         return
     for key, value in payload.items():
-        if key == "rows":
-            continue
-        if key == "terms":
+        if key in ("rows", "terms"):
             continue
         print(f"{key}: {_human_value(value)}", file=out)
     if "rows" in payload:

@@ -1210,21 +1210,20 @@ class AtomTable:
     ):
         self.atoms = {ONE_ATOM: 1.0}
         self.dilation = {UNIT_SYMBOL: 1.0}
-        for name, value in (atoms or {}).items():
-            self._check_value(name, value)
-            self.atoms[name] = float(value)
-        for name, value in (dilation or {}).items():
-            self._check_value(name, value)
-            self.dilation[name] = float(value)
+        given = (("atom", atoms, self.atoms), ("dilation symbol", dilation, self.dilation))
+        for noun, values, out in given:
+            for name, value in (values or {}).items():
+                out[name] = self._checked(noun, name, value)
         if self.atoms[ONE_ATOM] != 1.0 or self.dilation[UNIT_SYMBOL] != 1.0:
             raise InvalidParameter("ONE and UNIT are reserved with value 1")
         self._warn_collisions()
 
     @staticmethod
-    def _check_value(name: str, value) -> None:
+    def _checked(noun: str, name: str, value) -> float:
         v = float(value)
         if not math.isfinite(v) or v <= 0.0:
-            raise InvalidParameter(f"atom {name!r} must have a positive finite value")
+            raise InvalidParameter(f"{noun} {name!r} must have a positive finite value")
+        return v
 
     def _warn_collisions(self) -> None:
         for (n1, v1), (n2, v2) in combinations(sorted(self.atoms.items()), 2):

@@ -115,17 +115,13 @@ def _amp_parts(a: QI) -> tuple[str, bool]:
 
 
 def _phase_sum_parts(ps: PhaseSum) -> list[tuple[str, bool]]:
+    """An amplitude of +-1 before a phase factor lends only its sign."""
     parts = []
     for pe, amp in ps.terms:
-        if pe.is_zero():
-            parts.append(_amp_parts(amp))
-        elif amp == QI(1):
-            parts.append((_phase_factor(pe), False))
-        elif amp == QI(-1):
-            parts.append((_phase_factor(pe), True))
-        else:
-            body, neg = _amp_parts(amp)
-            parts.append((f"{body}*{_phase_factor(pe)}", neg))
+        body, neg = _amp_parts(amp)
+        if not pe.is_zero():
+            body = _phase_factor(pe) if body == "1" else f"{body}*{_phase_factor(pe)}"
+        parts.append((body, neg))
     return parts
 
 
@@ -241,10 +237,7 @@ class _Parser:
     def expect(self, kind: str) -> _Token:
         tok = self.peek()
         if tok.kind != kind:
-            raise ParseError(
-                f"expected {kind!r}, found {tok.text or 'end of input'!r}",
-                (tok.pos, tok.pos + max(1, len(tok.text))),
-            )
+            raise self.fail(f"expected {kind!r}, found {tok.text or 'end of input'!r}")
         return self.advance()
 
     def fail(self, message: str) -> ParseError:
@@ -414,25 +407,19 @@ class _Parser:
             if name == "i":
                 self.advance()
                 return Element.scalar(Scalar.gaussian(0, 1))
-            if name in ("M", "D"):
+            if name in ("M", "D", "V"):
                 self.advance()
                 self.expect("(")
-                f = self.frequency()
+                index = self.dilation() if name == "V" else self.frequency()
                 self.expect(")")
-                return Element.m(f) if name == "M" else Element.d(f)
-            if name == "V":
-                self.advance()
-                self.expect("(")
-                t = self.dilation()
-                self.expect(")")
-                return Element.v(t)
+                return getattr(Element, name.lower())(index)
             if name == "adj":
                 self.advance()
                 return adjoint(self._group(self.expect("(")))
             if name == "exp":
                 self.advance()
                 return self._exp_call()
-            raise ParseError(f"unknown name {name!r}", (tok.pos, tok.pos + len(name)))
+            raise self.fail(f"unknown name {name!r}")
         raise self.fail("expected an expression")
 
 
@@ -448,33 +435,25 @@ def _pure_scalar(x: Element) -> Scalar | None:
     return None
 
 
-def _finish(parser: _Parser):
+def _parse(text: str, rule):
+    """``rule`` applied to a parser over ``text``, which it must consume."""
+    parser = _Parser(text)
+    out = rule(parser)
     tok = parser.peek()
     if tok.kind != "end":
-        raise ParseError(
-            f"unexpected trailing input {tok.text!r}",
-            (tok.pos, tok.pos + max(1, len(tok.text))),
-        )
+        raise parser.fail(f"unexpected trailing input {tok.text!r}")
+    return out
 
 
 def parse_element(text: str) -> Element:
     if not text.strip():
         return Element.identity()
-    parser = _Parser(text)
-    out = parser.element()
-    _finish(parser)
-    return out
+    return _parse(text, _Parser.element)
 
 
 def parse_frequency(text: str) -> Frequency:
-    parser = _Parser(text)
-    out = parser.frequency()
-    _finish(parser)
-    return out
+    return _parse(text, _Parser.frequency)
 
 
 def parse_dilation(text: str) -> DilationIndex:
-    parser = _Parser(text)
-    out = parser.dilation()
-    _finish(parser)
-    return out
+    return _parse(text, _Parser.dilation)

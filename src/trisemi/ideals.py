@@ -82,13 +82,6 @@ def in_ideal(
     guard: float = DEFAULT_GUARD,
 ) -> bool:
     """Exact coefficient test for membership in the given ideal."""
-    if ideal.kind == "cp":
-        if not support_predicate(x, AlgebraId.AP, table, guard):
-            raise NotInAmbient("element leaves the parabolic algebra")
-        # both axis-zero fibers must vanish identically
-        return all(
-            not mu.is_zero() and not lam.is_zero() for lam, mu, _ in x.terms
-        )
     if ideal.kind == "cph":
         if not support_predicate(x, AlgebraId.APH_G_PLUS, table, guard):
             raise NotInAmbient("element leaves the triple semigroup algebra")
@@ -99,10 +92,15 @@ def in_ideal(
         return all(side_sums(x, a).is_zero() for a in (Axis.TRANSLATION, Axis.MULTIPLICATION))
     if ideal.kind == "jt" and index_sign(ideal.t, table, guard) <= 0:
         raise InvalidScale("the telescoping ideal needs a positive step")
-    # i0 and jt share the same membership conditions: vanishing at the
-    # origin and at infinity (the telescoping lemma collapses jt to i0).
     if not support_predicate(x, AlgebraId.AP, table, guard):
         raise NotInAmbient("element leaves the parabolic algebra")
+    if ideal.kind == "cp":
+        # both axis-zero fibers must vanish identically
+        return all(
+            not mu.is_zero() and not lam.is_zero() for lam, mu, _ in x.terms
+        )
+    # i0 and jt share the same membership conditions: vanishing at the
+    # origin and at infinity (the telescoping lemma collapses jt to i0).
     _require_m_only(x)
     # on a multiplication polynomial the level-0 side sum is the value at
     # the origin and the zero-key coefficient the value at infinity
@@ -222,12 +220,10 @@ def jt_reduce(lam: float, t: float) -> TelescopeCertificate:
     lam_base = (rho - 1.0) / (growth - 1.0)
     if lam_base > 0:
         items.append((-1, 1.0 - lam_base, lam_base))
-    if n >= 0:
-        for k in range(n):
-            items.append((-1, None, rho * math.exp(k * t)))
-    else:
-        for k in range(n, 0):
-            items.append((1, None, rho * math.exp(k * t)))
+    # n steps up are subtracted, -n steps down added back
+    sign = -1 if n >= 0 else 1
+    for k in range(min(n, 0), max(n, 0)):
+        items.append((sign, None, rho * math.exp(k * t)))
     return TelescopeCertificate(lam=lam, t=t, items=tuple(items))
 
 

@@ -484,6 +484,17 @@ def test_config_guard_nan_exits_2_with_one_record(tmp_path, capsys):
     assert json.loads(err)["error"]["code"] == "invalid-parameter"
 
 
+def test_a_bad_dilation_value_in_the_config_is_a_parse_record(tmp_path, capsys):
+    cfg = tmp_path / "dil.ini"
+    cfg.write_text("[dilation]\nh = -1\n")
+    assert run(["--json", "--config", str(cfg), "normalize", "V(h)"]) == 2
+    out, err = out_of(capsys)
+    assert out == ""
+    assert json.loads(err)["error"] == {
+        "code": "parse", "message": "dilation symbol 'h' must have a positive finite value",
+    }
+
+
 def test_guard_zero_stays_legal_and_the_default_guard_refuses(capsys):
     assert run(["--json", "--guard", "0", *_TINY]) == 0
     assert json.loads(out_of(capsys)[0])["member"] is True
@@ -689,6 +700,17 @@ def test_sim_residuals_weyl_row_is_a_true_residual(capsys):
     out, _ = out_of(capsys)
     rows = {row["relation"]: row for row in json.loads(out)["rows"]}
     assert rows["weyl"]["residual"] < 1e-15
+
+
+def test_sim_residuals_rows_follow_the_relation_table(capsys):
+    assert run(["--json", "sim-residuals", "--lam", "2", "--mu", "0.5", "--t", "0.25"]) == 0
+    out, _ = out_of(capsys)
+    rows = json.loads(out)["rows"]
+    assert [(row["relation"], row["params"]) for row in rows] == [
+        ("weyl", [2.0, 0.5]),
+        ("dilM", [0.25, 2.0]),
+        ("dilD", [0.25, 0.5]),
+    ]
 
 
 @pytest.mark.parametrize("t", ["0.3", "0.7", "1.1"])

@@ -211,6 +211,16 @@ def test_atom_table_guards():
     assert any(issubclass(w.category, AtomCollisionWarning) for w in caught)
 
 
+@pytest.mark.parametrize("value", [-1.0, 0.0, math.nan, math.inf])
+def test_atom_table_names_the_kind_of_a_bad_value(value):
+    with pytest.raises(InvalidParameter) as info:
+        AtomTable({}, {"h": value})
+    assert str(info.value) == "dilation symbol 'h' must have a positive finite value"
+    with pytest.raises(InvalidParameter) as info:
+        AtomTable({"a": value}, {})
+    assert str(info.value) == "atom 'a' must have a positive finite value"
+
+
 def test_bohr_character_extends_linearly():
     chi = BohrCharacter([(FrequencyAtom("s2"), Fraction(1, 3))])
     f = Frequency.atom("s2", Fraction(3, 2)) + Frequency.rational(7)

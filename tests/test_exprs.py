@@ -190,6 +190,25 @@ def test_malformed_summands_report_message_and_span(text, message, span):
     assert info.value.span == span
 
 
+@pytest.mark.parametrize(
+    "parse, text, message, span",
+    [
+        (parse_element, "M(1) x", "unexpected trailing input 'x'", (5, 6)),
+        (parse_element, "M(1))", "unexpected trailing input ')'", (4, 5)),
+        (parse_frequency, "1 s2", "unexpected trailing input 's2'", (2, 4)),
+        (parse_dilation, "1/2 h", "unexpected trailing input 'h'", (4, 5)),
+        (parse_element, "M(1", "expected ')', found 'end of input'", (3, 4)),
+        (parse_element, "V(1", "expected ')', found 'end of input'", (3, 4)),
+        (parse_element, "exp(i*1", "expected ')', found 'end of input'", (7, 8)),
+    ],
+)
+def test_end_of_input_errors_report_message_and_span(parse, text, message, span):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert str(info.value) == message
+    assert info.value.span == span
+
+
 def test_a_one_term_divisor_must_be_a_scalar():
     with pytest.raises(ParseError, match="nonzero scalar divisor"):
         parse_element("M(1)/M(1)")

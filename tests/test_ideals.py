@@ -64,6 +64,22 @@ def test_cph_and_i0_reject_elements_outside_the_ambient(table):
         in_ideal(Element.v(DilationIndex.unit(1)), IdealId.i0(), table)
 
 
+@pytest.mark.parametrize(
+    "ideal",
+    [IdealId.cp(), IdealId.i0(), IdealId.jt(DilationIndex.unit(1))],
+    ids=["cp", "i0", "jt"],
+)
+def test_the_parabolic_ideals_share_one_ambient_check(table, ideal):
+    with pytest.raises(NotInAmbient) as info:
+        in_ideal(Element.v(DilationIndex.unit(1)), ideal, table)
+    assert str(info.value) == "element leaves the parabolic algebra"
+
+
+def test_the_jt_step_is_checked_before_the_ambient(table):
+    with pytest.raises(InvalidScale):
+        in_ideal(Element.v(DilationIndex.unit(1)), IdealId.jt(DilationIndex.zero()), table)
+
+
 @pytest.mark.parametrize("ideal", [IdealId.i0(), IdealId.jt(DilationIndex.unit(1))], ids=["i0", "jt"])
 def test_the_function_ideals_reject_a_translation_term(table, ideal):
     # M(1) + D(1) lies in the parabolic algebra but not in the
