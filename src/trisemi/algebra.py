@@ -158,9 +158,6 @@ class Element:
 
     __hash__ = None
 
-    def adjoint(self) -> "Element":
-        return adjoint(self)
-
     def l1_norm(self, table: AtomTable = DEFAULT_TABLE) -> float:
         return sum(c.modulus(table) for c in self.terms.values())
 

@@ -4,7 +4,7 @@
 support by one elimination.  ``section_weights`` is the one weight pass
 of a section: support basis, order check and one factorial lattice
 weight per distinct index; ``bochner_fejer`` and ``bf_report`` scale
-terms by those weights.  Also here: summation kernels, numeric gauge
+terms by those weights.  Also here: summation kernels, exact gauge
 twists, Cesaro means by trapezoid quadrature, and the recurrence scan.
 The scan streams the steps below the tolerance chunk by chunk, in
 memory bounded by one chunk: past a short head swept whole, each chunk
@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Axis, Element
+from .algebra import Axis, AxisMap, Element
 from .errors import BasisTooShort, InvalidParameter, NotFound
 from .exactnum import (
     _ZERO,
@@ -204,24 +204,21 @@ def bf_report(x: Element, grading, m_values, table: AtomTable = DEFAULT_TABLE):
 def gauge(x: Element, grading, theta, table: AtomTable = DEFAULT_TABLE) -> Element:
     """Twist each coefficient by the unimodular e^{i theta * index}.
 
-    Angles are exact rational multiples whenever the grading index has
-    an exact numeric value (always true for dilation indices and for
-    exponent-free frequencies), so the twist is then a homomorphism on
-    the nose; otherwise the angle rounds through a double.
+    On E and Z the phase is the symbolic product theta * index, one
+    ``PhaseExponent.product`` that reads no table, so the twist is a
+    homomorphism on the V-free part for every value of the atoms.  On H
+    it is ``AxisMap(v_angle=theta)``, which rotates by theta times the
+    exact value of t over the declared doubles.
     """
     axis = Axis.parse(grading)
     theta_q = _frac(theta)
-    out: dict = {}
-    for key, coeff in x.terms.items():
-        idx = axis.index(key)
-        exact = idx.exact_numeric(table)
-        if exact is not None:
-            angle = theta_q * exact
-        else:
-            angle = _frac(float(theta_q) * idx.numeric(table))
-        out[key] = coeff.rotate(PhaseExponent.rational(angle))
+    if axis is Axis.DILATION:
+        return AxisMap(v_angle=theta_q)(x, table)
+    theta_f = Frequency.rational(theta_q)
     # a rotation keeps every key and every nonzero coefficient
-    return Element._canonical(out)
+    return Element._canonical(
+        {key: c.rotate(PhaseExponent.product(theta_f, axis.index(key))) for key, c in x.terms.items()}
+    )
 
 
 def cesaro_mean(

@@ -257,6 +257,6 @@ def composite_eval(
     killed = _SIDES.get(side)
     if killed is None:
         raise InvalidParameter("side must be 'm' or 'd'")
-    t = t if t is not None else DilationIndex.zero()
+    t = Axis.DILATION.as_index(0 if t is None else t)
     zero = Frequency.zero()
     return side_sums(x, killed).coefficient((zero, zero, t)).numeric(table)

@@ -5,7 +5,10 @@ positive real symbol scaled by e raised to a dilation index, and a dilation
 index is a rational combination of dilation symbols (the reserved symbol
 UNIT has value 1).  Equality is decided in the free model: distinct atoms
 are treated as rationally independent, and numeric values enter only
-through sign queries (guarded) and explicit numeric conversion.
+through sign queries (guarded) and explicit numeric conversion, atom
+values through ``_evaluate`` alone.  The one other place a declared value
+enters the exact layer is the V twist: its angle is a rational times the
+exact value of a dilation index over the declared doubles.
 
 Scalars live in the fraction field of the phase ring: finite sums of
 unimodular phases e^{i*theta} with Gaussian rational amplitudes, where the
@@ -327,26 +330,6 @@ class _Sum:
     def numeric(self, table: "AtomTable") -> float:
         return _evaluate(self, table)[0]
 
-    def exact_numeric(self, table: "AtomTable") -> Fraction | None:
-        """The exact value over the declared doubles, of a dilation index
-        or a sum of atoms; None when a monomial has an exponent (e^t is
-        irrational for rational t != 0) or two atoms."""
-        ratio = self._exact_ratio(table)
-        return None if ratio is None else Fraction(*ratio)
-
-    def _exact_ratio(self, table: "AtomTable") -> tuple[int, int] | None:
-        """``exact_numeric`` as an integer ratio (num, den), den > 0 and
-        not reduced; None where ``exact_numeric`` is None."""
-        dil = type(self) is DilationIndex
-        num, den = 0, 1
-        for key, n in self._items:
-            if not dil and (key.exp._items or len(key.bases) > 1):
-                return None
-            value = table.dilation_value(key) if dil else table.atom_value(key.base)
-            a, b = value.as_integer_ratio()
-            num, den = num * b + n * a * den, den * b
-        return num, den * self._d
-
     def __repr__(self) -> str:
         body = " + ".join(f"{q}*{k}" for k, q in self.terms) or "0"
         return f"{type(self).__name__}({body})"
@@ -426,6 +409,19 @@ class DilationIndex(_Sum):
     @classmethod
     def single(cls, sym: str, q=1) -> "DilationIndex":
         return cls(((sym, q),))
+
+    def exact_numeric(self, table: "AtomTable") -> Fraction:
+        """The exact value over the declared doubles of the symbols."""
+        return Fraction(*self._exact_ratio(table))
+
+    def _exact_ratio(self, table: "AtomTable") -> tuple[int, int]:
+        """``exact_numeric`` as an integer ratio (num, den), den > 0 and
+        not reduced."""
+        num, den = 0, 1
+        for sym, n in self._items:
+            a, b = table.dilation_value(sym).as_integer_ratio()
+            num, den = num * b + n * a * den, den * b
+        return num, den * self._d
 
     def integer_unit(self) -> int | None:
         """The index as a plain integer, or None when symbols intrude."""

@@ -10,6 +10,7 @@ import pytest
 
 from trisemi import (
     AtomTable,
+    AxisMap,
     InvalidParameter,
     NotFound,
     AxisMismatch,
@@ -19,7 +20,11 @@ from trisemi import (
     DilationIndex,
     Element,
     Frequency,
+    FrequencyAtom,
     M,
+    PhaseExponent,
+    PhaseMonomial,
+    QI,
     Sc,
     Scalar,
     V,
@@ -39,7 +44,7 @@ from trisemi import (
 )
 from trisemi.approx import bf_kernel_many
 
-from helpers import random_ap_element, random_fraction
+from helpers import ATOMS, random_ap_element, random_element, random_fraction, random_scalar
 
 ONE = Frequency.rational(1)
 SQRT2 = Frequency.atom("s2")
@@ -220,15 +225,85 @@ def test_gauge_pi_flips_the_sign(table):
     assert val == pytest.approx(-1.0, abs=1e-12)
 
 
-def test_gauge_rounds_the_angle_of_an_exponent_bearing_index(table):
-    # s2*e has no exact rational value, so the angle rounds through a double
+def test_gauge_gives_an_exponent_bearing_index_its_exact_phase(table):
+    # s2*e has no exact rational value: the phase is theta*s2*e itself,
+    # with theta read at its exact binary value
     idx = parse_frequency("s2@{1}")
     theta = 0.3
     out = gauge(Element.d(idx), "translation", theta, table)
     coeff = out.coefficient((Frequency.zero(), idx, DilationIndex.zero()))
-    assert coeff == Scalar.rational_angle(Fraction(theta * idx.numeric(table)))
+    phase = PhaseExponent(((FrequencyAtom("s2", DilationIndex.unit(1)), Fraction(theta)),))
+    assert coeff.single_phase() == (phase, QI(1, 0))
     want = cmath.exp(1j * theta * table.atom_value("s2") * math.e)
     assert coeff.numeric(table) == pytest.approx(want, abs=1e-12)
+
+
+def _twisted_index(rng: random.Random, degree: int) -> Frequency:
+    """A frequency whose monomials have at most ``degree`` atoms: a
+    rational part, atoms, atoms scaled by e^t, and at degree 2 products
+    of two atoms."""
+    parts = [(PhaseMonomial(), random_fraction(rng))]
+    for _ in range(rng.randint(0, 2) if degree else 0):
+        bases = rng.sample(ATOMS, rng.randint(1, degree))
+        exp = DilationIndex.unit(rng.randint(-2, 2)) if len(bases) == 1 else None
+        parts.append((PhaseMonomial(tuple(bases), exp), random_fraction(rng)))
+    return Frequency(parts)
+
+
+def _twisted_pair(rng: random.Random):
+    """Two V-free elements whose indices carry exponents or two atoms.
+    The product's phases pair a modulation with a translation index, so
+    a side with two-atom indices meets a rational other side: every
+    phase monomial keeps at most two atoms."""
+    lam_deg, mu_deg = rng.choice(((1, 1), (2, 0), (0, 2)))
+    pair = []
+    for _ in range(2):
+        x = Element.zero()
+        for _ in range(rng.randint(1, 3)):
+            lam, mu = _twisted_index(rng, lam_deg), _twisted_index(rng, mu_deg)
+            x = x + Element.from_word([Sc(random_scalar(rng)), M(lam), D(mu)])
+        pair.append(x)
+    return pair
+
+
+@pytest.mark.parametrize("grading", ["translation", "multiplication"])
+def test_gauge_is_exactly_multiplicative_on_v_free_pairs(grading, table):
+    # the phase theta*index is symbolic, so the twist is a homomorphism
+    # over the atoms, exponent-bearing and two-atom indices included
+    rng = random.Random(f"gauge-pairs:{grading}")
+    for _ in range(200):
+        x, y = _twisted_pair(rng)
+        theta = random_fraction(rng, max_num=7, max_den=5)
+        twisted = [gauge(z, grading, theta, table) for z in (x, y)]
+        assert gauge(mul(x, y), grading, theta, table) == mul(*twisted)
+
+
+@pytest.mark.parametrize("grading", ["translation", "multiplication"])
+def test_gauge_is_exactly_multiplicative_on_generic_v_free_monomials(grading):
+    # c M(l_i) D(m_i) with undeclared atoms: free symbols, no table
+    coeffs = (Scalar.one(), Scalar.gaussian(2, -1), Scalar.rational_angle(Fraction(1, 3)))
+    xs = [
+        Element.from_word([Sc(c), M(Frequency.atom(f"l{i}")), D(Frequency.atom(f"m{i}"))])
+        for i, c in enumerate(coeffs)
+    ]
+    xs.append(xs[1] + xs[2])
+    theta = Fraction(5, 7)
+    for x in xs:
+        for y in xs:
+            twisted = [gauge(z, grading, theta) for z in (x, y)]
+            assert gauge(mul(x, y), grading, theta) == mul(*twisted)
+    # theta*m_i is a phase in the atom itself
+    (coeff,) = gauge(xs[0], grading, theta).terms.values()
+    atom = "m0" if grading == "translation" else "l0"
+    assert coeff.single_phase() == (PhaseExponent(((FrequencyAtom(atom), theta),)), QI(1, 0))
+
+
+def test_the_dilation_gauge_is_the_v_twisted_axis_map(rng, table):
+    for _ in range(100):
+        h = DilationIndex.single("h", rng.choice((1, -2, Fraction(1, 2))))
+        x = random_element(rng) + mul(random_element(rng), Element.v(h))
+        theta = random_fraction(rng)
+        assert gauge(x, "dilation", theta, table) == AxisMap(v_angle=theta)(x, table)
 
 
 def test_dilation_grading_basis_reads_the_dilation_table():

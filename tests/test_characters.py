@@ -234,6 +234,15 @@ def test_composites_match_the_per_term_level_sums(table, rng):
                 assert abs(composite_eval(x, side, t, table) - expected) < 1e-12
 
 
+def test_composite_eval_reads_a_number_as_a_dilation_level(table):
+    # a number t is the level V(t), as cesaro_mean reads its index
+    x = mul(Element.m(ONE, 2), Element.v(1)) + Element.v(1, 3) + Element.d(TWO)
+    for t in (1, Fraction(1), DilationIndex.unit(1)):
+        assert composite_eval(x, "m", t, table) == 5
+    assert composite_eval(x, "d", 0, table) == composite_eval(x, "d", None, table) == 1
+    assert composite_eval(x, "m", 0, table) == 0
+
+
 def test_composite_eval_refuses_an_unknown_side(table):
     with pytest.raises(InvalidParameter):
         composite_eval(Element.identity(), "q", None, table)

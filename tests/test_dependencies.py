@@ -305,6 +305,25 @@ def test_an_axis_map_takes_no_product():
     assert not named, f"AxisMap methods that take a product: {named}"
 
 
+def test_atom_values_are_read_only_by_evaluate():
+    # a declared atom value reaches the exact layer through one door,
+    # exactnum._evaluate: no twist, sign test or exact ratio reads one
+    package = Path(trisemi.__file__).resolve().parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = set()
+        if path.name == "exactnum.py":
+            (evaluate,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_evaluate"]
+            allowed = {id(n) for n in ast.walk(evaluate)}
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "atom_value" and id(node) not in allowed
+        ]
+    assert not found, "atom_value read outside exactnum._evaluate:\n" + "\n".join(found)
+
+
 def _is_default_table_call(node: ast.AST) -> bool:
     return (
         isinstance(node, ast.Call)

@@ -118,13 +118,14 @@ def test_frequency_scale_exp_shifts_atom_exponents():
     assert shifted.scale_exp(DilationIndex.unit(-1)) == f
 
 
-def test_exact_numeric_on_dilation_free_frequencies():
-    table = AtomTable({"s2": math.sqrt(2)}, {})
-    f = Frequency.rational(Fraction(1, 4)) + Frequency.atom("s2", 2)
-    exact = f.exact_numeric(table)
-    assert exact == Fraction(1, 4) + 2 * Fraction(math.sqrt(2))
-    shifted = f.scale_exp(DilationIndex.unit(1))
-    assert shifted.exact_numeric(table) is None
+def test_exact_numeric_on_dilation_indices():
+    # the declared doubles read as exact binary rationals; a frequency has
+    # no exact value, its atoms reach numbers through _evaluate only
+    table = AtomTable({"h": math.e}, {"h": math.sqrt(2)})
+    t = DilationIndex.unit(Fraction(1, 4)) + DilationIndex.single("h", 2)
+    assert t.exact_numeric(table) == Fraction(1, 4) + 2 * Fraction(math.sqrt(2))
+    assert t.numeric(table) == float(t.exact_numeric(table))
+    assert not hasattr(Frequency.rational(1), "exact_numeric")
 
 
 def test_dilation_integer_unit():
@@ -166,7 +167,8 @@ def test_sign_decisions_respect_the_rounding_bound(table):
     # declared doubles, |a| log-uniform in [1, 10^12].  The double sum is
     # off by up to ~1e-4 at |a| ~ 10^12, far outside the guard: a sign is
     # either right or refused.
-    s2, s3 = Fraction(table.atom_value("s2")), Fraction(table.atom_value("s3"))
+    values = {name: Fraction(v) for name, v in table.atoms.items()}
+    s2, s3 = values["s2"], values["s3"]
     rng = random.Random("sign-sweep")
     decided = wrong = 0
     for _ in range(2000):
@@ -174,7 +176,7 @@ def test_sign_decisions_respect_the_rounding_bound(table):
         b = -round(a * math.sqrt(2) / math.sqrt(3))
         want = rng.choice((-1, 1)) * Fraction(1, 10 ** rng.randint(4, 8))
         x = Frequency.atom("s2", a) + Frequency.atom("s3", b) + Frequency.rational(want - a * s2 - b * s3)
-        assert x.exact_numeric(table) == want
+        assert sum(q * values[k.base] for k, q in x.terms) == want
         for guard in (exactnum.DEFAULT_GUARD, 0.0):
             try:
                 sign = index_sign(x, table, guard)
