@@ -599,19 +599,3 @@ def compress(x: Element, mode: CompressionMode | str, n: int) -> Element:
     """Unitary conjugation used in the weak limit demonstrations."""
     axis, sign = _COMPRESSIONS[CompressionMode.parse(mode)]
     return conjugate(x, axis.generator(sign * n))
-
-
-def compression_steps(x: Element, mode: CompressionMode | str, schedule) -> list[list[tuple]]:
-    """The terms of compress(x, mode, n) for each integer n of the schedule.
-
-    In a dilation mode u = V(sign n) and u* x u is the key map of
-    ``_dilated_terms`` by -sign n on x's sorted terms, so every list has
-    x's order and x's coefficient objects, and no step builds an element
-    or sorts.  Translation goes through ``compress``, one sorted element
-    per step: the split that ``conjugate`` makes.
-    """
-    axis, sign = _COMPRESSIONS[CompressionMode.parse(mode)]
-    if axis is Axis.DILATION:
-        terms = x.sorted_terms()
-        return [_dilated_terms(terms, DilationIndex.unit(-sign * n)) for n in schedule]
-    return [compress(x, mode, n).sorted_terms() for n in schedule]

@@ -36,7 +36,10 @@ lookup hashes two identities, and the tables stay small (a few thousand
 entries) because their keys are pairs drawn from those few values.
 Frequencies and phase exponents are not interned: a ring operation makes
 hundreds of them, many never seen before, so a table of them, or one
-keyed by them, would grow with the run.
+keyed by them, would grow with the run.  Each ``AtomTable`` keeps the
+double value of every monomial ``_evaluate`` has read against it, keyed
+by the interned monomial, so it is bounded by the monomial table and dies
+with its table.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from itertools import combinations
 from operator import itemgetter, not_
+from types import MappingProxyType
 
 from .errors import (
     AtomCollisionWarning,
@@ -344,7 +348,7 @@ def _ratio(n: int, d: int) -> float:
         raise NumericOverflow("an exact ratio leaves the double range") from None
 
 
-def _evaluate(x: _Sum, table: "AtomTable") -> tuple[float, float]:
+def _evaluate(x: _Sum, table: "AtomTable", shift=None) -> tuple[float, float]:
     """(value, bound): the double value of a dilation index, frequency or
     phase exponent and a bound on its distance from the exact value over
     the declared doubles; NumericOverflow when a double overflows.
@@ -356,26 +360,40 @@ def _evaluate(x: _Sum, table: "AtomTable") -> tuple[float, float]:
     (N - 1)·u·Σ|t_k| (Higham, *Accuracy and Stability of Numerical
     Algorithms*, §4.2).  Twice the first-order total (N + 4 + Σ|a_k|)·u·
     Σ|t_k|, the bound returned, covers the rest.
+
+    A monomial's atoms·e^(a) and |a| are kept in the table's memo on its
+    first read; a failed read keeps nothing.  With a dilation shift s the
+    sum read is x·e^s, each m as m.scaled(s) in the canonical order of the
+    scaled monomials, which a shift can change: bitwise ``x.scale_exp(s)``.
     """
-    if not x._items:
-        return 0.0, 0.0
     if type(x) is DilationIndex:
         return _ratio(*x._exact_ratio(table)), 0.0
+    items = x._items
+    if not items:
+        return 0.0, 0.0
+    if shift is not None:
+        items = [(m.scaled(shift), n) for m, n in items]
+        if len(items) > 1:
+            items.sort(key=_key_order)
+    memo, d = table._monomial_values, x._d
     v = size = spread = 0.0
-    for key, n in x._items:
-        t = 1.0
-        for base in key.bases:
-            t *= table.atom_value(base)
-        if key.exp._items:
-            a = _evaluate(key.exp, table)[0]
-            t *= _exp(a)
-            spread += abs(a)
-        t = _ratio(n, x._d) * t
+    for key, n in items:
+        known = memo.get(key)
+        if known is None:
+            t, a = 1.0, 0.0
+            for base in key.bases:
+                t *= table.atom_value(base)
+            if key.exp._items:
+                a = _evaluate(key.exp, table)[0]
+                t *= _exp(a)
+            known = memo[key] = (t, abs(a))
+        t = _ratio(n, d) * known[0]
         v += t
         size += abs(t)
+        spread += known[1]
     if not math.isfinite(v):
         raise NumericOverflow(f"{type(x).__name__} value leaves the double range")
-    return v, (len(x._items) + 4 + spread) * 2.0**-52 * size
+    return v, (len(items) + 4 + spread) * 2.0**-52 * size
 
 
 def _exp(x: float) -> float:
@@ -563,6 +581,11 @@ class Frequency(_Sum):
         # change their order.
         return Frequency._distinct([(a.scaled(t), n) for a, n in self._items], self._d)
 
+    def numeric_at(self, shifts: Iterable[DilationIndex], table: "AtomTable") -> list[float]:
+        """The double of self·e^s for each s of shifts, bitwise
+        ``self.scale_exp(s).numeric(table)`` with no scaled frequency built."""
+        return [_evaluate(self, table, s)[0] for s in shifts]
+
 
 Frequency._zero = Frequency()
 
@@ -584,6 +607,8 @@ class PhaseExponent(_Sum):
 
     @classmethod
     def rational(cls, q) -> "PhaseExponent":
+        if not q:
+            return cls._zero
         return cls(((_MONO_EMPTY, q),))
 
     @classmethod
@@ -1195,23 +1220,26 @@ class AtomTable:
     present with value 1.  On construction, pairs of atom values whose
     ratio sits within 1e-9 of a rational with denominator at most 100 get
     a collision warning; the free model treats them as independent anyway.
+    ``atoms`` and ``dilation`` are read-only views, so the monomial values
+    that ``_evaluate`` keeps per table never go stale.
     """
 
-    __slots__ = ("atoms", "dilation")
+    __slots__ = ("atoms", "dilation", "_monomial_values")
 
     def __init__(
         self,
         atoms: Mapping[str, float] | None = None,
         dilation: Mapping[str, float] | None = None,
     ):
-        self.atoms = {ONE_ATOM: 1.0}
-        self.dilation = {UNIT_SYMBOL: 1.0}
-        given = (("atom", atoms, self.atoms), ("dilation symbol", dilation, self.dilation))
+        atom_values, dilation_values = {ONE_ATOM: 1.0}, {UNIT_SYMBOL: 1.0}
+        self.atoms, self.dilation = MappingProxyType(atom_values), MappingProxyType(dilation_values)
+        given = (("atom", atoms, atom_values), ("dilation symbol", dilation, dilation_values))
         for noun, values, out in given:
             for name, value in (values or {}).items():
                 out[name] = self._checked(noun, name, value)
         if self.atoms[ONE_ATOM] != 1.0 or self.dilation[UNIT_SYMBOL] != 1.0:
             raise InvalidParameter("ONE and UNIT are reserved with value 1")
+        self._monomial_values = {}
         self._warn_collisions()
 
     @staticmethod
@@ -1249,7 +1277,7 @@ class AtomTable:
             raise NotFound(f"dilation symbol {sym!r} is not declared") from None
 
 
-# the default of every table parameter; shared, so nothing writes to it
+# the default of every table parameter, shared: its values are read-only
 DEFAULT_TABLE = AtomTable()
 
 

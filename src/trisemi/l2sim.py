@@ -16,17 +16,19 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
 from . import _kernels
 from .algebra import (
+    _COMPRESSIONS,
     Axis,
     AxisMap,
     CompressionMode,
     Element,
     coeff_map,
-    compression_steps,
+    compress,
     conjugate,
     side_sums,
 )
@@ -183,36 +185,44 @@ class PacketSum:
 # --------------------------------------------------------- element action
 
 
-def _act(steps: list[list[tuple]], f: PacketSum, table: AtomTable) -> PacketSum:
-    """Every monomial z M(lam) D(mu) V(t) of each term list in steps, which
-    all have one length, applied to every packet of f, as parameter
-    arrays of shape (steps, terms, packets): dilate, then shift, then
-    modulate, then scale.  The dilation touches all four parameters, so
-    each array comes out with the full shape.
+def _act(steps: list[tuple[list, DilationIndex]], f: PacketSum, table: AtomTable) -> PacketSum:
+    """Every monomial z M(lam) D(mu) V(t) of each step applied to every
+    packet of f, as parameter arrays of shape (steps, terms, packets):
+    dilate, then shift, then modulate, then scale.  The dilation touches
+    all four parameters, so each array comes out with the full shape.
 
-    Each distinct exact object is read once per call: lists that share a
-    coefficient, an index or the zero frequency share its double."""
+    A step is a term list and a dilation shift s: the terms with each key
+    (lam, mu, t) sent to (e^s lam, e^-s mu, t), and all lists have one
+    length.  Consecutive steps that share a list are read together: each
+    distinct coefficient and index once, each distinct frequency once for
+    all their shifts (``Frequency.numeric_at``), and no scaled key built."""
     seen: dict = {}
 
-    def value(obj):
-        v = seen.get(id(obj))
+    def value(obj, shifts=None):
+        key = id(obj) if shifts is None else (id(obj), shifts)
+        v = seen.get(key)
         if v is None:
-            v = seen[id(obj)] = obj.numeric(table)
+            v = seen[key] = obj.numeric(table) if shifts is None else obj.numeric_at(shifts, table)
         return v
 
-    z = np.array(
-        [[value(c) for _, c in terms] for terms in steps], dtype=np.complex128
-    ).reshape(len(steps), -1)
-    keys = np.array(
-        [[[value(k) for k in key] for key, _ in terms] for terms in steps], dtype=np.float64
-    ).reshape(len(steps), -1, 3)
+    z, keys = [], []
+    for _, group in groupby(steps, key=lambda step: id(step[0])):
+        group = list(group)
+        terms = group[0][0]
+        ups = tuple([s for _, s in group])
+        downs = tuple([-s for s in ups])
+        z += [[value(c) for _, c in terms]] * len(ups)
+        cols = [(value(lam, ups), value(mu, downs), value(t)) for (lam, mu, t), _ in terms]
+        keys += [[(lams[i], mus[i], tv) for lams, mus, tv in cols] for i in range(len(ups))]
+    z = np.array(z, dtype=np.complex128).reshape(len(steps), -1)
+    keys = np.array(keys, dtype=np.float64).reshape(len(steps), -1, 3)
     lam, mu, t = keys.transpose(2, 0, 1)[..., None]
     return f.dilate(t).translate(mu).modulate(lam).scale(z[..., None])
 
 
 def apply_element(x: Element, f: PacketSum, table: AtomTable = DEFAULT_TABLE) -> PacketSum:
     """Act by the concrete operator sum: dilate, then shift, then modulate."""
-    out = _act([x.sorted_terms()], f, table)
+    out = _act([(x.sorted_terms(), DilationIndex.zero())], f, table)
     return PacketSum._of(*(v.ravel() for v in out._params))
 
 
@@ -330,7 +340,7 @@ def norm_lower_bound(
     best = []
     for lo, hi in zip(edges, edges[1:]):
         f = PacketSum._of(*np.array([np.ones(hi - lo), *sample[:, lo:hi]], dtype=np.complex128))
-        image = [v[0] for v in _act([x.sorted_terms()], f, table)._params]
+        image = [v[0] for v in _act([(x.sorted_terms(), DilationIndex.zero())], f, table)._params]
         # trial i of every term against trial i of every term
         left = (v[:, None] for v in image)
         right = (v[None, :] for v in image)
@@ -494,12 +504,12 @@ def wot_compression_demo(
     maps terms one to one, so every step has the terms of x, and all
     steps act on f as one (steps, terms, |f|) array and meet g in one
     inner product: O(steps * terms * |f| * |g|) complex entries, one
-    packet each for f and g from the command line.  In a dilation mode
-    the steps are x's sorted terms under the dilation key map
-    (``compression_steps``), with x's coefficient and dilation index
-    objects, so ``_act`` evaluates each coefficient, each kept index and
-    the zero frequency once for all steps, and only the scaled key
-    components once per step.
+    packet each for f and g from the command line.  In a dilation mode,
+    u = V(sign n) and u* x u is x's keys under e^-(sign n), so every step
+    is x's sorted terms at that shift: ``_act`` reads each coefficient
+    and index once for all steps, and each frequency at every shift
+    without building a scaled key.  Translation steps are the sorted
+    terms of ``compress``, one element per step, at shift 0.
     """
     schedule = [int(n) for n in schedule]
     if len(schedule) < 2:
@@ -509,7 +519,13 @@ def wot_compression_demo(
     mode = CompressionMode.parse(mode)
     limit = wot_limit(x, mode)
     limit_value = apply_element(limit, f, table).inner(g)
-    images = _act(compression_steps(x, mode, schedule), f, table)
+    axis, sign = _COMPRESSIONS[mode]
+    if axis is Axis.DILATION:
+        terms = x.sorted_terms()
+        steps = [(terms, DilationIndex.unit(-sign * n)) for n in schedule]
+    else:
+        steps = [(compress(x, mode, n).sorted_terms(), DilationIndex.zero()) for n in schedule]
+    images = _act(steps, f, table)
     left = (v.reshape(len(schedule), -1, 1) for v in images._params)
     inner = _kernels.gaussian_inner(*left, *g._params).reshape(len(schedule), -1)
     values = [complex(v) for v in inner.sum(axis=1)]

@@ -307,7 +307,9 @@ def test_an_axis_map_takes_no_product():
 
 def test_atom_values_are_read_only_by_evaluate():
     # a declared atom value reaches the exact layer through one door,
-    # exactnum._evaluate: no twist, sign test or exact ratio reads one
+    # exactnum._evaluate: no twist, sign test or exact ratio reads one.
+    # The table's memo of monomial values is read and written there too;
+    # the table's constructor only creates it empty
     package = Path(trisemi.__file__).resolve().parent
     found = []
     for path in sorted(package.glob("*.py")):
@@ -316,12 +318,22 @@ def test_atom_values_are_read_only_by_evaluate():
         if path.name == "exactnum.py":
             (evaluate,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_evaluate"]
             allowed = {id(n) for n in ast.walk(evaluate)}
+            (table,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "AtomTable"]
+            (init,) = [n for n in table.body if isinstance(n, ast.FunctionDef) and n.name == "__init__"]
+            created = [
+                n for n in ast.walk(init)
+                if isinstance(n, ast.Assign) and getattr(n.targets[0], "attr", None) == "_monomial_values"
+            ]
+            assert [ast.unparse(n) for n in created] == ["self._monomial_values = {}"]
+            allowed.add(id(created[0].targets[0]))
         found += [
-            f"{path.name}:{node.lineno}"
+            f"{path.name}:{node.lineno}: {node.attr}"
             for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and node.attr == "atom_value" and id(node) not in allowed
+            if isinstance(node, ast.Attribute)
+            and node.attr in ("atom_value", "_monomial_values")
+            and id(node) not in allowed
         ]
-    assert not found, "atom_value read outside exactnum._evaluate:\n" + "\n".join(found)
+    assert not found, "atom values or the memo read outside exactnum._evaluate:\n" + "\n".join(found)
 
 
 def _is_default_table_call(node: ast.AST) -> bool:

@@ -8,6 +8,8 @@ import pickle
 import random
 import warnings
 from fractions import Fraction
+from functools import reduce
+from operator import add
 from pathlib import Path
 from types import MappingProxyType
 
@@ -34,6 +36,8 @@ from trisemi import (
     FrequencyAtom,
     IndeterminateSign,
     InvalidParameter,
+    NotFound,
+    NumericOverflow,
     PhaseExponent,
     PhaseMonomial,
     PhaseSum,
@@ -1074,6 +1078,107 @@ def test_an_index_outside_the_table_is_not_its_twin():
     assert (stray - twin).is_zero()
     assert stray != twin
     assert len({stray, twin}) == 2
+
+
+# ------------------------------------------- monomial values, kept per table
+
+
+def _written_out(x, table):
+    """``_evaluate``'s (value, bound), each monomial computed afresh, with
+    the same double operations in the same order."""
+    v = size = spread = 0.0
+    for key, n in x._items:
+        t = 1.0
+        for base in key.bases:
+            t *= table.atoms[base]
+        if key.exp._items:
+            a = key.exp.numeric(table)
+            t *= math.exp(a)
+            spread += abs(a)
+        t = n / x._d * t
+        v += t
+        size += abs(t)
+    return v, (len(x._items) + 4 + spread) * 2.0**-52 * size
+
+
+def _bits(pair):
+    return tuple(v.hex() for v in pair)
+
+
+def test_kept_monomial_values_read_as_a_fresh_table_does(table):
+    # seeded frequencies and phase exponents, exponent-bearing ones
+    # included: the second read, from the kept values, is bitwise the
+    # first, a fresh table's and the formula written out
+    rng = random.Random("monomial-values")
+    for _ in range(300):
+        f = random_frequency(rng) + random_frequency(rng).scale_exp(random_dilation(rng))
+        pe = PhaseExponent.product(f, random_frequency(rng).scale_exp(random_dilation(rng)))
+        for x in (f, pe):
+            first = _bits(exactnum._evaluate(x, table))
+            fresh = AtomTable(dict(table.atoms), dict(table.dilation))
+            assert _bits(exactnum._evaluate(x, table)) == first
+            assert _bits(exactnum._evaluate(x, fresh)) == first
+            assert _bits(_written_out(x, table)) == first
+
+
+def test_a_failed_monomial_read_is_not_kept():
+    table = AtomTable({"s2": math.sqrt(2)})
+    undeclared = Frequency.atom("s7")
+    huge = Frequency.atom("s2", 1, DilationIndex.unit(800))
+    for _ in range(2):
+        with pytest.raises(NotFound):
+            undeclared.numeric(table)
+        with pytest.raises(NumericOverflow):
+            huge.numeric(table)
+
+
+def test_monomial_values_are_kept_per_table():
+    root2, root3 = AtomTable({"s2": math.sqrt(2)}), AtomTable({"s2": math.sqrt(3)})
+    x = Frequency.atom("s2", 1, DilationIndex.unit(1))
+    for _ in range(2):
+        assert x.numeric(root2) == math.sqrt(2) * math.e
+        assert x.numeric(root3) == math.sqrt(3) * math.e
+
+
+def test_the_declared_values_are_read_only():
+    table = AtomTable({"s2": math.sqrt(2)}, {"h": 0.5})
+    with pytest.raises(TypeError):
+        table.atoms["s2"] = 1.5
+    with pytest.raises(TypeError):
+        table.dilation["h"] = 0.25
+    assert dict(table.atoms) == {"ONE": 1.0, "s2": math.sqrt(2)}
+    assert dict(table.dilation) == {"UNIT": 1.0, "h": 0.5}
+
+
+def test_the_zero_rational_angle_is_the_zero_exponent():
+    assert PhaseExponent.rational(0) is PhaseExponent.zero()
+    assert PhaseExponent.rational(Fraction(0)) is PhaseExponent.zero()
+    assert PhaseExponent.rational(Fraction(1, 2)).coefficient(PhaseMonomial.empty()) == Fraction(1, 2)
+
+
+def test_a_frequency_read_at_shifts_is_its_scaled_copy_read(table):
+    rng = random.Random("shift-read")
+    for _ in range(200):
+        f = reduce(add, [random_frequency(rng).scale_exp(random_dilation(rng)) for _ in range(3)])
+        shifts = [random_dilation(rng) for _ in range(4)] + [DilationIndex.zero()]
+        want = [f.scale_exp(s).numeric(table).hex() for s in shifts]
+        assert [v.hex() for v in f.numeric_at(shifts, table)] == want
+
+
+def test_a_shift_read_sums_in_the_scaled_order(table):
+    # under e^-h the exponents 0, UNIT and h become -h, UNIT - h and 0:
+    # the scaled monomials sort the other way round, and summed in the
+    # old order the double differs in its last bit
+    s = -DilationIndex.single("h")
+    f = (
+        Frequency.rational(1)
+        + Frequency.atom("ONE", 1, DilationIndex.unit(1))
+        + Frequency.atom("ONE", Fraction(2, 3), DilationIndex.single("h"))
+    )
+    parts = [Frequency([(m.scaled(s), q)]).numeric(table) for m, q in f.terms]
+    (value,) = f.numeric_at([s], table)
+    assert value == f.scale_exp(s).numeric(table)
+    assert value == reduce(add, reversed(parts), 0.0) != reduce(add, parts, 0.0)
 
 
 # ------------------------- integer numerators over one common denominator

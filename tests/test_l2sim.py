@@ -409,6 +409,24 @@ def test_wot_compression_demo_is_the_stepwise_inner_product(table):
                 assert abs(value - image.inner(g)) <= 1e-15 * np.abs(terms).sum()
 
 
+def test_wot_compression_demo_dilation_steps_read_as_the_compressed_elements(table):
+    # a dilation step is x's terms read at a shift: the values are bitwise
+    # those of the compressed elements themselves, read at shift 0 and
+    # met with g in the same inner product
+    rng = random.Random(47)
+    schedule = [-2, 1, 2, 3, 5]
+    for _ in range(8):
+        x = random_element(rng)
+        f, g = (PacketSum([random_packet(rng), random_packet(rng)]) for _ in "fg")
+        for mode in ("dilation-in", "dilation-out"):
+            report = wot_compression_demo(x, f, g, mode, schedule, table)
+            steps = [(compress(x, mode, n).sorted_terms(), DilationIndex.zero()) for n in schedule]
+            images = l2sim._act(steps, f, table)
+            left = (v.reshape(len(schedule), -1, 1) for v in images._params)
+            inner = gaussian_inner(*left, *g._params).reshape(len(schedule), -1)
+            assert report.values == tuple(complex(v) for v in inner.sum(axis=1))
+
+
 def test_wot_compression_demo_dilation_modes_need_no_products(table, monkeypatch):
     calls = []
     product = algebra.mul
