@@ -30,7 +30,6 @@ from .errors import (
 from .exactnum import (
     AtomTable,
     BohrCharacter,
-    DEFAULT_GUARD,
     DEFAULT_TABLE,
     DilationIndex,
     Frequency,
@@ -350,19 +349,17 @@ def coeff_map(x: Element, axis: Axis | str, index) -> Element:
     return Element((axis.strip(key), c) for key, c in x.terms.items() if axis.index(key) == index)
 
 
-def first_coeff(
-    x: Element, table: AtomTable, guard: float = DEFAULT_GUARD
-) -> tuple[Frequency, Element]:
+def first_coeff(x: Element, table: AtomTable) -> tuple[Frequency, Element]:
     """Smallest translation frequency in the support together with its
     fiber.  The frequencies are walked in canonical key order, and each
     comparison is one ``index_sign`` of a difference, so a difference
-    within max(guard, rounding bound) of 0 raises IndeterminateSign."""
+    within max(table.guard, rounding bound) of 0 raises IndeterminateSign."""
     if x.is_zero():
         raise EmptyElement("first coefficient of the zero element")
     freqs = sorted({mu for (_lam, mu, _t) in x.terms}, key=Frequency.key)
     best = freqs[0]
     for f in freqs[1:]:
-        if index_sign(f - best, table, guard) < 0:
+        if index_sign(f - best, table) < 0:
             best = f
     return best, coeff_map(x, Axis.TRANSLATION, best)
 
@@ -404,24 +401,19 @@ _CONES = {
 }
 
 
-def support_predicate(
-    x: Element,
-    algebra: AlgebraId | str,
-    table: AtomTable,
-    guard: float = DEFAULT_GUARD,
-) -> bool:
+def support_predicate(x: Element, algebra: AlgebraId | str, table: AtomTable) -> bool:
     """Whether every monomial of x sits in the stated support cone.
 
     A term's vanishing components are checked before any sign is decided.
-    Signs are decided numerically behind the guard band; the exact zero
-    counts as nonnegative and nonpositive.
+    Signs are decided numerically behind the table's guard band; the
+    exact zero counts as nonnegative and nonpositive.
     """
     cone = _CONES[AlgebraId.parse(algebra)]
     vanish = [i for i, s in enumerate(cone) if s == 0]
     signed = [(i, s) for i, s in enumerate(cone) if s]
     for key in x.terms:
         if any(not key[i].is_zero() for i in vanish) or any(
-            index_sign(key[i], table, guard) * s < 0 for i, s in signed
+            index_sign(key[i], table) * s < 0 for i, s in signed
         ):
             return False
     return True

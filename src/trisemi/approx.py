@@ -29,6 +29,7 @@ from .exactnum import (
     DilationIndex,
     Frequency,
     PhaseExponent,
+    _count,
     _frac,
 )
 
@@ -121,10 +122,7 @@ class BFSpec:
     grading: Axis = Axis.TRANSLATION
 
     def __post_init__(self):
-        if self.m < 1:
-            raise InvalidParameter("section order m must be at least 1")
-        if self.m > _MAX_ORDER:
-            raise InvalidParameter(f"section order {self.m} exceeds {_MAX_ORDER}")
+        object.__setattr__(self, "m", _count(self.m, "section order m", 1, _MAX_ORDER))
         object.__setattr__(self, "grading", Axis.parse(self.grading))
 
 
@@ -242,10 +240,7 @@ def cesaro_mean(
         raise InvalidParameter("averaging length T must be positive")
     if T == math.inf:
         raise InvalidParameter("averaging length T must be finite")
-    if steps < 2:
-        raise InvalidParameter("need at least two quadrature panels")
-    if steps > _MAX_STEPS:
-        raise InvalidParameter(f"{steps} quadrature panels exceed {_MAX_STEPS}")
+    steps = _count(steps, "quadrature panels", 2, _MAX_STEPS)
     s = axis.as_index(s)
     axis.check_support(x)
     s_num = s.numeric(table)
@@ -271,9 +266,7 @@ def bf_kernel(basis: RationalBasis, m: int, t: float, table: AtomTable = DEFAULT
 
 
 def bf_kernel_many(basis: RationalBasis, m: int, ts, table: AtomTable = DEFAULT_TABLE):
-    if m < 1:
-        raise InvalidParameter("kernel order m must be at least 1")
-    if m > len(basis):
+    if _count(m, "kernel order m", 1) > len(basis):
         raise BasisTooShort(f"kernel order {m} exceeds basis length {len(basis)}")
     from . import _kernels
 
@@ -289,11 +282,7 @@ def _recurrence_hits(freqs, eps: float, limit: int):
     by chunk in scan order."""
     if not eps > 0:
         raise InvalidParameter("tolerance must be positive")
-    limit = int(limit)
-    if limit < 1:
-        raise InvalidParameter("scan limit must be at least 1")
-    if limit > _MAX_SCAN:
-        raise InvalidParameter(f"scan limit {limit} exceeds {_MAX_SCAN}")
+    limit = _count(limit, "scan limit", 1, _MAX_SCAN)
     from . import _kernels
 
     return _kernels.recurrence_hits(list(freqs), eps, limit)

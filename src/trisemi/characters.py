@@ -33,7 +33,6 @@ from .exactnum import (
     _dil_as_frequency,
     _frac,
     _ratio,
-    DEFAULT_GUARD,
     DEFAULT_TABLE,
 )
 
@@ -210,14 +209,9 @@ class TripleCharacter:
         return {"family": self.family, "trusted": self.trusted, key: point}
 
 
-def eval_character(
-    chi: TripleCharacter,
-    x: Element,
-    table: AtomTable = DEFAULT_TABLE,
-    guard: float = DEFAULT_GUARD,
-) -> complex:
+def eval_character(chi: TripleCharacter, x: Element, table: AtomTable = DEFAULT_TABLE) -> complex:
     """Multiplicative-linear extension of the family rule to a polynomial."""
-    if not support_predicate(x, AlgebraId.APH_G_PLUS, table, guard):
+    if not support_predicate(x, AlgebraId.APH_G_PLUS, table):
         raise NotInDomain("element leaves the triple semigroup algebra")
     if not chi.trusted:
         warnings.warn(

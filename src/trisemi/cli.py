@@ -34,7 +34,7 @@ from .algebra import (
     mul,
     support_predicate,
 )
-from .config import GROUP_R, RunConfig, checked_guard, load_config
+from .config import GROUP_R, RunConfig, load_config
 from .errors import EngineError, InvalidParameter, ParseError, UntrustedCharacterWarning
 from .exactnum import BohrCharacter
 from .exprs import (
@@ -206,7 +206,7 @@ def _cmd_support(args, cfg):
     if args.algebra:
         algebra = AlgebraId.parse(args.algebra)
         out["algebra"] = algebra.value
-        out["member"] = support_predicate(args.expr, algebra, cfg.table, args.guard)
+        out["member"] = support_predicate(args.expr, algebra, cfg.table)
     return out
 
 
@@ -265,7 +265,7 @@ def _cmd_char_eval(args, cfg):
     chi = _build_character(args, cfg)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        value = trisemi.eval_character(chi, args.expr, cfg.table, args.guard)
+        value = trisemi.eval_character(chi, args.expr, cfg.table)
     out = {"character": chi.describe(), "value": _cnum(value)}
     if any(issubclass(w.category, UntrustedCharacterWarning) for w in caught):
         out["warning"] = "untrusted character family"
@@ -274,7 +274,7 @@ def _cmd_char_eval(args, cfg):
 
 def _cmd_ideal_test(args, cfg):
     ideal = trisemi.IdealId(args.ideal, args.t)
-    member = trisemi.in_ideal(args.expr, ideal, cfg.table, args.guard)
+    member = trisemi.in_ideal(args.expr, ideal, cfg.table)
     out = {"ideal": args.ideal, "member": member}
     if args.t is not None:
         out["t"] = dil_text(args.t)
@@ -536,7 +536,8 @@ def run(argv=None) -> int:
         # typed options and operands parse inside the try, so their ParseError is reported
         args = _build_parser().parse_args(argv)
         cfg = load_config(args.config)
-        args.guard = cfg.guard if args.guard is None else checked_guard(args.guard)
+        if args.guard is not None:
+            cfg = dataclasses.replace(cfg, table=cfg.table.with_guard(args.guard))
         payload = args.handler(args, cfg)
     except EngineError as exc:
         record = {"error": {"code": exc.code, "message": str(exc)}}

@@ -15,31 +15,22 @@ Config files are INI text with three sections::
     seed = 0
 
 All sections are optional; an empty file yields the default table (ONE
-and UNIT only), group mode Z, guard 1e-9, seed 0.  The guard must be a
-finite, non-negative number.
+and UNIT only), group mode Z, guard 1e-9, seed 0.  ``AtomTable.with_guard``
+puts the guard on the table and refuses a NaN, infinite or negative one.
 """
 
 from __future__ import annotations
 
 import configparser
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .errors import GroupModeError, InvalidParameter, ParseError
-from .exactnum import DEFAULT_GUARD, DEFAULT_TABLE, AtomTable
+from .errors import GroupModeError, ParseError
+from .exactnum import DEFAULT_TABLE, AtomTable
 
 __all__ = ["RunConfig", "load_config", "GROUP_Z", "GROUP_R"]
 
 GROUP_Z = "Z"
 GROUP_R = "R"
-
-
-def checked_guard(guard: float) -> float:
-    """A sign guard as given, refused unless finite and non-negative: a NaN
-    or negative guard would switch refusal off without a word."""
-    if not math.isfinite(guard) or guard < 0:
-        raise InvalidParameter(f"sign guard must be finite and non-negative, got {guard!r}")
-    return guard
 
 
 @dataclass(frozen=True)
@@ -48,13 +39,11 @@ class RunConfig:
 
     table: AtomTable = DEFAULT_TABLE
     group: str = GROUP_Z
-    guard: float = DEFAULT_GUARD
     seed: int = 0
 
     def __post_init__(self):
         if self.group not in (GROUP_Z, GROUP_R):
             raise GroupModeError(f"group mode must be Z or R, got {self.group!r}")
-        checked_guard(self.guard)
 
 
 def load_config(path: str | None = None) -> RunConfig:
@@ -89,7 +78,7 @@ def load_config(path: str | None = None) -> RunConfig:
         raise ParseError(str(exc)) from None
 
     group = GROUP_Z
-    guard = DEFAULT_GUARD
+    guard = table.guard
     seed = 0
     if parser.has_section("options"):
         opts = dict(parser.items("options"))
@@ -107,4 +96,5 @@ def load_config(path: str | None = None) -> RunConfig:
         if opts:
             unknown = ", ".join(sorted(opts))
             raise ParseError(f"unknown [options] keys: {unknown}")
-    return RunConfig(table=table, group=group, guard=guard, seed=seed)
+    # RunConfig checks the group mode before the table checks the guard
+    return replace(RunConfig(group=group, seed=seed), table=table.with_guard(guard))

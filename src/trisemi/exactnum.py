@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 import warnings
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
@@ -81,6 +82,16 @@ def _frac(x) -> Fraction:
         except (ValueError, OverflowError):
             raise InvalidParameter(f"{x!r} is not a finite rational") from None
     raise TypeError(f"not an exact rational: {x!r}")
+
+
+def _count(n, what: str, low: int, high: float = math.inf) -> int:
+    """``operator.index(n)``, refused unless an integer in [low, high]."""
+    try:
+        if low <= (k := operator.index(n)) <= high:
+            return k
+    except TypeError:
+        pass
+    raise InvalidParameter(f"{what} must be an integer in [{low}, {high}], got {n!r}")
 
 
 def _merged(items: Iterable[tuple], is_zero=not_, acc: dict | None = None) -> dict:
@@ -1221,10 +1232,11 @@ class AtomTable:
     ratio sits within 1e-9 of a rational with denominator at most 100 get
     a collision warning; the free model treats them as independent anyway.
     ``atoms`` and ``dilation`` are read-only views, so the monomial values
-    that ``_evaluate`` keeps per table never go stale.
+    that ``_evaluate`` keeps per table never go stale.  ``guard``, the sign
+    guard of ``index_sign``, is read-only: ``with_guard`` swaps it.
     """
 
-    __slots__ = ("atoms", "dilation", "_monomial_values")
+    __slots__ = ("atoms", "dilation", "_guard", "_monomial_values")
 
     def __init__(
         self,
@@ -1239,8 +1251,22 @@ class AtomTable:
                 out[name] = self._checked(noun, name, value)
         if self.atoms[ONE_ATOM] != 1.0 or self.dilation[UNIT_SYMBOL] != 1.0:
             raise InvalidParameter("ONE and UNIT are reserved with value 1")
+        self._guard = DEFAULT_GUARD
         self._monomial_values = {}
         self._warn_collisions()
+
+    guard = property(operator.attrgetter("_guard"), doc="the sign guard of ``index_sign``")
+
+    def with_guard(self, guard: float) -> "AtomTable":
+        """These values under a guard that is finite and non-negative (a NaN or
+        negative one would switch refusal off unseen).  The views are shared,
+        so nothing is checked or warned about again; the memo starts empty."""
+        if not math.isfinite(guard) or guard < 0:
+            raise InvalidParameter(f"sign guard must be finite and non-negative, got {guard!r}")
+        table = object.__new__(type(self))
+        table.atoms, table.dilation, table._guard = self.atoms, self.dilation, guard
+        table._monomial_values = {}
+        return table
 
     @staticmethod
     def _checked(noun: str, name: str, value) -> float:
@@ -1331,15 +1357,14 @@ class BohrCharacter:
         return f"BohrCharacter({list(self.angles)!r})"
 
 
-def index_sign(
-    x: Frequency | DilationIndex, table: AtomTable, guard: float = DEFAULT_GUARD
-) -> int:
+def index_sign(x: Frequency | DilationIndex, table: AtomTable) -> int:
     """Sign of the value of a frequency or dilation index: 0 only for the
-    exact zero.  A value within max(guard, bound) of 0 is refused, bound
-    being ``_evaluate``'s rounding bound; a dilation index's exact value
-    meets the finite guard as it is, with bound 0, so no double is formed."""
+    exact zero.  A value within max(table.guard, bound) of 0 is refused,
+    bound being ``_evaluate``'s rounding bound; a dilation index's exact
+    value meets the guard as it is, with bound 0: no double is formed."""
     if x.is_zero():
         return 0
+    guard = table.guard
     what = "dilation" if type(x) is DilationIndex else "frequency"
     if what == "dilation":
         num, den = x._exact_ratio(table)

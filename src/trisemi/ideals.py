@@ -18,7 +18,6 @@ from .algebra import AlgebraId, Axis, Element, coeff_map, mul, side_sums, suppor
 from .errors import DegeneratePhase, InvalidParameter, InvalidScale, NotInAmbient
 from .exactnum import (
     AtomTable,
-    DEFAULT_GUARD,
     DEFAULT_TABLE,
     DilationIndex,
     Frequency,
@@ -75,24 +74,19 @@ def _require_m_only(x: Element):
             )
 
 
-def in_ideal(
-    x: Element,
-    ideal: IdealId,
-    table: AtomTable = DEFAULT_TABLE,
-    guard: float = DEFAULT_GUARD,
-) -> bool:
+def in_ideal(x: Element, ideal: IdealId, table: AtomTable = DEFAULT_TABLE) -> bool:
     """Exact coefficient test for membership in the given ideal."""
     if ideal.kind == "cph":
-        if not support_predicate(x, AlgebraId.APH_G_PLUS, table, guard):
+        if not support_predicate(x, AlgebraId.APH_G_PLUS, table):
             raise NotInAmbient("element leaves the triple semigroup algebra")
         # a term on one generator axis alone, or the constant, is never a commutator
         if any(sum(i.is_zero() for i in key) >= 2 for key in x.terms):
             return False
         # the multiplication and translation side sums vanish at every level
         return all(side_sums(x, a).is_zero() for a in (Axis.TRANSLATION, Axis.MULTIPLICATION))
-    if ideal.kind == "jt" and index_sign(ideal.t, table, guard) <= 0:
+    if ideal.kind == "jt" and index_sign(ideal.t, table) <= 0:
         raise InvalidScale("the telescoping ideal needs a positive step")
-    if not support_predicate(x, AlgebraId.AP, table, guard):
+    if not support_predicate(x, AlgebraId.AP, table):
         raise NotInAmbient("element leaves the parabolic algebra")
     if ideal.kind == "cp":
         # both axis-zero fibers must vanish identically
@@ -189,15 +183,15 @@ def _telescope_split(lam: float, t: float, growth: float) -> tuple[int, float]:
     n = math.floor(math.log(lam) / t)
     if abs(n) > _MAX_TELESCOPE:
         raise InvalidScale(f"step {t!r} needs {abs(n)} telescope steps, over {_MAX_TELESCOPE}")
-    rho = lam * math.exp(-n * t)
+    rho = lam * _exp(-n * t)
     # guard the floor against rounding at the interval edge; the stepped
     # rho can round onto the opposite edge, so it is clamped into [1, e^t)
     if rho < 1.0:
         n -= 1
-        rho = lam * math.exp(-n * t)
+        rho = lam * _exp(-n * t)
     elif rho >= growth:
         n += 1
-        rho = lam * math.exp(-n * t)
+        rho = lam * _exp(-n * t)
     return n, min(max(rho, 1.0), math.nextafter(growth, 0.0))
 
 

@@ -42,6 +42,7 @@ from .exactnum import (
     DEFAULT_TABLE,
     AtomTable,
     DilationIndex,
+    _count,
     _exp,
 )
 
@@ -325,12 +326,8 @@ def norm_lower_bound(
     norm; long slowly varying packets (small width) push almost
     periodic multipliers toward their sup norm.
     """
-    if trials < 1:
-        raise InvalidParameter("need at least one trial")
-    if trials > _MAX_TRIALS:
-        raise InvalidParameter(f"{trials} trials exceed {_MAX_TRIALS}")
-    if seed < 0:
-        raise InvalidParameter("seed must be non-negative")
+    trials = _count(trials, "trials", 1, _MAX_TRIALS)
+    seed = _count(seed, "seed", 0)
     sample = np.array(sample_widths_centers(np.random.default_rng(seed), trials))
     # the trials in chunks of near-equal length, none a lone trial split
     # off (its Gram sum would switch to numpy's pairwise order), so every
@@ -511,7 +508,7 @@ def wot_compression_demo(
     without building a scaled key.  Translation steps are the sorted
     terms of ``compress``, one element per step, at shift 0.
     """
-    schedule = [int(n) for n in schedule]
+    schedule = [_count(n, "compression step", -math.inf) for n in schedule]
     if len(schedule) < 2:
         raise ScheduleTooShort(
             f"need at least two compression steps, got {len(schedule)}"

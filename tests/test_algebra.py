@@ -512,6 +512,8 @@ def test_support_predicate_refuses_a_dilation_term_before_any_sign(table):
     assert support_predicate(x, "bph", table)
     with pytest.raises(IndeterminateSign):
         support_predicate(x, "aph", table)
+    # under a guard of 0 the sign of 10^-12 is read
+    assert support_predicate(x, "aph", table.with_guard(0.0))
 
 
 def test_l1_norm(table):

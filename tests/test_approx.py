@@ -14,6 +14,7 @@ from trisemi import (
     InvalidParameter,
     NotFound,
     AxisMismatch,
+    PacketSum,
     BasisTooShort,
     BFSpec,
     D,
@@ -34,6 +35,7 @@ from trisemi import (
     cesaro_mean,
     gauge,
     mul,
+    norm_lower_bound,
     parse_element,
     parse_frequency,
     rational_basis,
@@ -41,6 +43,7 @@ from trisemi import (
     recurrence_search,
     section_weights,
     support_basis,
+    wot_compression_demo,
 )
 from trisemi.approx import bf_kernel_many
 
@@ -331,10 +334,44 @@ def test_gauge_respects_the_grading_sum(table):
 
 
 def test_cesaro_mean_and_the_kernel_refuse_too_few_panels_or_order(table):
-    with pytest.raises(InvalidParameter, match="two quadrature panels"):
+    with pytest.raises(InvalidParameter, match=r"quadrature panels must be an integer in \[2, "):
         cesaro_mean(Element.d(ONE), "translation", ONE, 30.0, 1, table)
-    with pytest.raises(InvalidParameter, match="at least 1"):
+    with pytest.raises(InvalidParameter, match=r"kernel order m must be an integer in \[1, inf\]"):
         bf_kernel_many(rational_basis([ONE]), 0, [0.5], table)
+
+
+@pytest.mark.parametrize(
+    "what, call",
+    [
+        pytest.param("scan limit", lambda: recurrence_search([1.0], 0.05, math.inf), id="limit-inf"),
+        pytest.param("scan limit", lambda: recurrence_search([1.0], 0.05, math.nan), id="limit-nan"),
+        pytest.param("scan limit", lambda: recurrence_search([1.0], 0.05, 44.9), id="limit-44.9"),
+        pytest.param("scan limit", lambda: recurrence_schedule([1.0], 0.05, 100.0), id="limit-100.0"),
+        pytest.param(
+            "quadrature panels",
+            lambda: cesaro_mean(Element.d(ONE), "translation", ONE, 30.0, 2.5),
+            id="steps-2.5",
+        ),
+        pytest.param("section order m", lambda: BFSpec(1.5), id="order-1.5"),
+        pytest.param("section order m", lambda: BFSpec(math.nan), id="order-nan"),
+        pytest.param(
+            "kernel order m", lambda: bf_kernel_many(rational_basis([ONE]), 1.0, [0.5]), id="kernel-1.0"
+        ),
+        pytest.param("trials", lambda: norm_lower_bound(Element.m(ONE), 2.5), id="trials-2.5"),
+        pytest.param("seed", lambda: norm_lower_bound(Element.m(ONE), 2, 0.5), id="seed-0.5"),
+        pytest.param(
+            "compression step",
+            lambda: wot_compression_demo(
+                Element.m(ONE), PacketSum.single(), PacketSum.single(), "translation", [1.7, 2.2]
+            ),
+            id="schedule-1.7",
+        ),
+    ],
+)
+def test_a_count_must_be_an_integer_in_its_range(what, call):
+    # no count is rounded, and a NaN or infinite one is refused like any other
+    with pytest.raises(InvalidParameter, match=rf"^{what} must be an integer in \[.*\], got "):
+        call()
 
 
 def test_cesaro_single_fiber_is_exact(table):

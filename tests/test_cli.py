@@ -254,6 +254,8 @@ def test_invalid_parameter_exits_2_with_a_record(capsys, argv):
         # a divisor must be a nonzero scalar
         (["normalize", "M(1)/0"], "parse"),
         (["normalize", "M(1)/M(2)"], "parse"),
+        # lam = rho * e^{-710 t}: the split's e^{710} overflows
+        (["cert-jt", "--lam", "1e-308", "--t", "1"], "numeric-overflow"),
     ],
 )
 def test_degenerate_numbers_exit_2_with_one_record(capsys, argv, code):

@@ -309,7 +309,7 @@ def test_atom_values_are_read_only_by_evaluate():
     # a declared atom value reaches the exact layer through one door,
     # exactnum._evaluate: no twist, sign test or exact ratio reads one.
     # The table's memo of monomial values is read and written there too;
-    # the table's constructor only creates it empty
+    # the table's constructor and ``with_guard`` only create it empty
     package = Path(trisemi.__file__).resolve().parent
     found = []
     for path in sorted(package.glob("*.py")):
@@ -319,13 +319,14 @@ def test_atom_values_are_read_only_by_evaluate():
             (evaluate,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_evaluate"]
             allowed = {id(n) for n in ast.walk(evaluate)}
             (table,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "AtomTable"]
-            (init,) = [n for n in table.body if isinstance(n, ast.FunctionDef) and n.name == "__init__"]
-            created = [
-                n for n in ast.walk(init)
-                if isinstance(n, ast.Assign) and getattr(n.targets[0], "attr", None) == "_monomial_values"
-            ]
-            assert [ast.unparse(n) for n in created] == ["self._monomial_values = {}"]
-            allowed.add(id(created[0].targets[0]))
+            for name, owner in (("__init__", "self"), ("with_guard", "table")):
+                (method,) = [n for n in table.body if isinstance(n, ast.FunctionDef) and n.name == name]
+                created = [
+                    n for n in ast.walk(method)
+                    if isinstance(n, ast.Assign) and getattr(n.targets[0], "attr", None) == "_monomial_values"
+                ]
+                assert [ast.unparse(n) for n in created] == [f"{owner}._monomial_values = {{}}"]
+                allowed.add(id(created[0].targets[0]))
         found += [
             f"{path.name}:{node.lineno}: {node.attr}"
             for node in ast.walk(tree)
@@ -334,6 +335,29 @@ def test_atom_values_are_read_only_by_evaluate():
             and id(node) not in allowed
         ]
     assert not found, "atom values or the memo read outside exactnum._evaluate:\n" + "\n".join(found)
+
+
+def test_the_sign_guard_is_read_from_the_atom_table():
+    # the guard travels with the values it guards: no function takes one
+    # beside a table, so index_sign's two inputs cannot come apart
+    package = Path(trisemi.__file__).resolve().parent
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        methods = {
+            id(m): f"{c.name}.{m.name}"
+            for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+            for m in c.body if isinstance(m, functions)
+        }
+        found += [
+            f"{path.name}:{node.lineno}: {methods.get(id(node), getattr(node, 'name', 'lambda'))}"
+            for node in ast.walk(tree)
+            if isinstance(node, functions)
+            and "guard" in [a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)]
+            and methods.get(id(node)) != "AtomTable.with_guard"
+        ]
+    assert not found, "functions that take a guard beside the table:\n" + "\n".join(found)
 
 
 def _is_default_table_call(node: ast.AST) -> bool:

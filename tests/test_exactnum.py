@@ -161,7 +161,7 @@ def test_freq_sign_guard_band():
     # |sqrt2 - 1393/985| ~ 3.6e-7: resolvable at 1e-9, ambiguous at 1e-6
     assert index_sign(near, table) == 1
     with pytest.raises(IndeterminateSign):
-        index_sign(near, table, guard=1e-6)
+        index_sign(near, table.with_guard(1e-6))
     assert index_sign(Frequency.zero(), table) == 0
     assert type(Frequency.zero().numeric(table)) is float
 
@@ -181,9 +181,9 @@ def test_sign_decisions_respect_the_rounding_bound(table):
         want = rng.choice((-1, 1)) * Fraction(1, 10 ** rng.randint(4, 8))
         x = Frequency.atom("s2", a) + Frequency.atom("s3", b) + Frequency.rational(want - a * s2 - b * s3)
         assert sum(q * values[k.base] for k, q in x.terms) == want
-        for guard in (exactnum.DEFAULT_GUARD, 0.0):
+        for guarded in (table, table.with_guard(0.0)):
             try:
-                sign = index_sign(x, table, guard)
+                sign = index_sign(x, guarded)
             except IndeterminateSign:
                 continue
             decided += 1
@@ -196,7 +196,7 @@ def test_sign_decisions_respect_the_rounding_bound(table):
     for k in range(4, 16):
         for want in (Fraction(1, 10**k), -Fraction(1, 10**k)):
             t = DilationIndex.single("h", 10**12) + DilationIndex.unit(want - 10**12 * h)
-            assert index_sign(t, dil, guard=0.0) == (1 if want > 0 else -1)
+            assert index_sign(t, dil.with_guard(0.0)) == (1 if want > 0 else -1)
 
 
 def test_dilation_sign():
@@ -225,6 +225,49 @@ def test_atom_table_names_the_kind_of_a_bad_value(value):
     with pytest.raises(InvalidParameter) as info:
         AtomTable({"a": value}, {})
     assert str(info.value) == "atom 'a' must have a positive finite value"
+
+
+def test_one_and_unit_are_reserved_with_value_1():
+    for atoms, dilation in (({"ONE": 2.0}, None), (None, {"UNIT": 2.0})):
+        with pytest.raises(InvalidParameter, match="ONE and UNIT are reserved with value 1"):
+            AtomTable(atoms, dilation)
+
+
+@pytest.mark.parametrize("guard", [math.nan, math.inf, -math.inf, -1.0])
+def test_with_guard_refuses_a_guard_that_is_not_finite_and_non_negative(table, guard):
+    with pytest.raises(InvalidParameter) as info:
+        table.with_guard(guard)
+    assert str(info.value) == f"sign guard must be finite and non-negative, got {guard!r}"
+    assert table.guard == exactnum.DEFAULT_GUARD
+
+
+def test_with_guard_swaps_the_guard_and_nothing_else(table, rng):
+    assert exactnum.DEFAULT_TABLE.guard == exactnum.DEFAULT_GUARD == table.guard
+    near = Frequency.atom("s2") + Frequency.rational(Fraction(-1393, 985))
+    assert index_sign(near, table) == 1
+    strict, loose = table.with_guard(1e-6), table.with_guard(0)
+    assert (strict.guard, loose.guard, table.guard) == (1e-6, 0, exactnum.DEFAULT_GUARD)
+    with pytest.raises(IndeterminateSign):
+        index_sign(near, strict)
+    assert index_sign(near, loose) == index_sign(near, table) == 1
+    with pytest.raises(AttributeError):
+        table.guard = 0.0
+    # the same read-only values, read bit for bit as the source reads them
+    assert (loose.atoms, loose.dilation) == (table.atoms, table.dilation)
+    for _ in range(200):
+        f = random_frequency(rng, max_parts=3).scale_exp(random_dilation(rng))
+        t = random_dilation(rng)
+        for x in (f, t):
+            got, want = exactnum._evaluate(x, loose), exactnum._evaluate(x, table)
+            assert [v.hex() for v in got] == [v.hex() for v in want]
+    # a copy is checked and warned about no more than its source was
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        twins = AtomTable({"a": 1.5, "b": 3.0}, {})
+        warned = len(caught)
+        twins.with_guard(0.0)
+    assert warned and len(caught) == warned
+    assert {w.category for w in caught} == {AtomCollisionWarning}
 
 
 def test_bohr_character_extends_linearly():
@@ -1305,8 +1348,8 @@ def test_a_factored_scalar_minus_itself_is_the_zero_scalar():
 def test_index_sign_refuses_a_dilation_index_inside_the_guard(table):
     tiny = DilationIndex.unit(Fraction(1, 10**12))
     with pytest.raises(IndeterminateSign, match="dilation value 1.000e-12"):
-        index_sign(tiny, table, 1e-9)
-    assert index_sign(tiny, table, 1e-13) == 1
+        index_sign(tiny, table.with_guard(1e-9))
+    assert index_sign(tiny, table.with_guard(1e-13)) == 1
 
 
 def _stepwise_conj(c: Scalar) -> Scalar:
