@@ -89,7 +89,6 @@ _LAZY_MODULES = {
     "approx": (
         "BFSpec",
         "RationalBasis",
-        "bf_kernel",
         "bf_report",
         "bochner_fejer",
         "cesaro_mean",
@@ -123,13 +122,11 @@ _LAZY_MODULES = {
     "l2sim": (
         "ConvergenceReport",
         "GaussianPacket",
-        "LRVector",
         "PacketSum",
         "apply_element",
         "apply_word",
         "column_norms",
         "fourier_conjugation_check",
-        "lr_apply",
         "norm_lower_bound",
         "relation_residual",
         "wot_compression_demo",

@@ -261,10 +261,6 @@ def cesaro_mean(
 # ---------------------------------------------------------- summation kernel
 
 
-def bf_kernel(basis: RationalBasis, m: int, t: float, table: AtomTable = DEFAULT_TABLE) -> float:
-    return float(bf_kernel_many(basis, m, [t], table)[0])
-
-
 def bf_kernel_many(basis: RationalBasis, m: int, ts, table: AtomTable = DEFAULT_TABLE):
     if _count(m, "kernel order m", 1) > len(basis):
         raise BasisTooShort(f"kernel order {m} exceeds basis length {len(basis)}")

@@ -35,6 +35,7 @@ from .exactnum import (
     _ratio,
     DEFAULT_TABLE,
 )
+from .exprs import rational_text
 
 # ---------------------------------------------------------------- AP points
 
@@ -87,8 +88,8 @@ class APPoint:
     def describe(self) -> dict:
         if self.at_infinity:
             return {"kind": "infinity"}
-        angles = {base: str(angle) for base, angle in self.char.angles}
-        return {"kind": "finite", "decay": str(self.decay), "angles": angles}
+        angles = {base: rational_text(angle) for base, angle in self.char.angles}
+        return {"kind": "finite", "decay": rational_text(self.decay), "angles": angles}
 
 
 # ----------------------------------------------------------- dilation points

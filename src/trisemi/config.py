@@ -15,8 +15,11 @@ Config files are INI text with three sections::
     seed = 0
 
 All sections are optional; an empty file yields the default table (ONE
-and UNIT only), group mode Z, guard 1e-9, seed 0.  ``AtomTable.with_guard``
-puts the guard on the table and refuses a NaN, infinite or negative one.
+and UNIT only), group mode Z, guard 1e-9, seed 0.  Atom and dilation
+names are read as written, so ``S2`` and ``s2`` are two atoms and ``ONE``
+is the reserved one; ``[options]`` keys are read in any case.
+``AtomTable.with_guard`` puts the guard on the table and refuses a NaN,
+infinite or negative one.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ def load_config(path: str | None = None) -> RunConfig:
     if path is None:
         return RunConfig()
     parser = configparser.ConfigParser()
+    parser.optionxform = str  # atom and dilation names keep their case
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)
@@ -81,7 +85,11 @@ def load_config(path: str | None = None) -> RunConfig:
     guard = table.guard
     seed = 0
     if parser.has_section("options"):
-        opts = dict(parser.items("options"))
+        opts = {}
+        for name, raw in parser.items("options"):
+            if name.lower() in opts:
+                raise ParseError(f"config [options] key {name!r} repeats a key in another case")
+            opts[name.lower()] = raw
         group = opts.pop("group", group).strip()
         if "guard" in opts:
             try:

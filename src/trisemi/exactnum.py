@@ -47,6 +47,7 @@ from __future__ import annotations
 import cmath
 import math
 import operator
+import sys
 import warnings
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
@@ -91,7 +92,11 @@ def _count(n, what: str, low: int, high: float = math.inf) -> int:
             return k
     except TypeError:
         pass
-    raise InvalidParameter(f"{what} must be an integer in [{low}, {high}], got {n!r}")
+    try:
+        got = repr(n)
+    except ValueError:  # an int past the digit limit of int/str conversion
+        got = f"an integer of over {sys.get_int_max_str_digits()} digits"
+    raise InvalidParameter(f"{what} must be an integer in [{low}, {high}], got {got}")
 
 
 def _merged(items: Iterable[tuple], is_zero=not_, acc: dict | None = None) -> dict:

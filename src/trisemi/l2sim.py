@@ -5,10 +5,11 @@ amp * exp(-a(x-b)^2 + icx); all three generator semigroups act on the
 packet parameters in closed form, and inner products come from one
 analytic Gaussian integral, so there is no grid and no interpolation
 error.  On top of the packets sit the concrete demonstrations: word
-versus normal form residuals, Rayleigh-quotient norm bounds, the left
-regular representation with its column norm identity, weak operator
-compressions along recurrence schedules, and the Fourier conjugation
-swapping multiplications with translations.
+versus normal form residuals, Rayleigh-quotient norm bounds, the column
+norm identity of the left regular picture (read on the one vector that
+it needs, delta_e (x) xi), weak operator compressions along recurrence
+schedules, and the Fourier conjugation swapping multiplications with
+translations.
 """
 
 from __future__ import annotations
@@ -353,73 +354,6 @@ def norm_lower_bound(
 # ------------------------------------------------- left regular representation
 
 
-class LRVector:
-    """Finitely supported vector over the grading group with packet fibers."""
-
-    __slots__ = ("components",)
-
-    def __init__(self, components=None):
-        comps = {}
-        for key, ps in (components or {}).items():
-            if len(ps):
-                comps[key] = ps
-        self.components = comps
-
-    @classmethod
-    def delta(cls, key, xi: PacketSum) -> "LRVector":
-        return cls({key: xi})
-
-    def norm_sq(self) -> float:
-        return sum(ps.norm_sq() for ps in self.components.values())
-
-    def add_component(self, key, ps: PacketSum):
-        if key in self.components:
-            self.components[key] = self.components[key] + ps
-        else:
-            self.components[key] = ps
-
-
-def _lr_axis(grading) -> Axis:
-    """The grading of the left regular picture: translation or dilation."""
-    axis = Axis.parse(grading)
-    if axis is Axis.MULTIPLICATION:
-        raise InvalidParameter(f"no left regular picture along {axis.grading}")
-    return axis
-
-
-def lr_apply(
-    x: Element,
-    v: LRVector,
-    grading: Axis | str = Axis.TRANSLATION,
-    table: AtomTable = DEFAULT_TABLE,
-) -> LRVector:
-    """Act on the left regular representation along the chosen grading.
-
-    A term supported at group index s sends the fiber at u to the fiber
-    at s + u, twisted by the action at -(s + u); translation twists are
-    pure phases, dilation twists rescale both function axes.
-    """
-    axis = _lr_axis(grading)
-    axis.check_support(x)
-    out = LRVector()
-    translation = axis is Axis.TRANSLATION
-    for key, coeff in x.sorted_terms():
-        lam, mu, _t = key
-        s = axis.index(key)
-        z = coeff.numeric(table)
-        lam_n = lam.numeric(table)
-        mu_n = mu.numeric(table)
-        for u, xi in v.components.items():
-            target = s + u
-            w = target.numeric(table)
-            if translation:
-                moved = xi.modulate(lam_n).scale(z * cmath.exp(1j * lam_n * w))
-            else:
-                moved = xi.translate(mu_n * _exp(w)).modulate(lam_n * _exp(-w)).scale(z)
-            out.add_component(target, moved)
-    return out
-
-
 def column_norms(
     x: Element,
     xi: PacketSum,
@@ -428,18 +362,35 @@ def column_norms(
 ) -> tuple[float, float]:
     """Both sides of the column norm identity, independently computed.
 
-    Left: the squared norm of x acting on the delta vector at the group
-    identity.  Right: the sum over fibers s of the squared norm of the
+    Left: the squared norm of x acting on the delta vector delta_e (x) xi
+    of the left regular picture, one fiber per group index.  A term at
+    index s sends xi to the fiber at s, twisted by the action at -s: on E
+    the phase e^{i lam s}, on H a translation by mu e^s and a modulation
+    by lam e^-s.  Terms landing on one fiber add in first-seen order.
+    Right: the sum over those fibers s of the squared norm of the
     coefficient part at s, conjugated exactly by the grading unitary at s,
     applied to the packet directly.
     """
-    axis = _lr_axis(grading)
-    lhs = lr_apply(x, LRVector.delta(axis.index_type.zero(), xi), axis, table).norm_sq()
-
-    rhs = 0.0
+    axis = Axis.parse(grading)
+    if axis is Axis.MULTIPLICATION:
+        raise InvalidParameter(f"no left regular picture along {axis.grading}")
+    axis.check_support(x)
     # fibers in canonical key order: a set would sum in string-hash order,
     # which differs between processes
-    for s in dict.fromkeys(axis.index(key) for key, _ in x.sorted_terms()):
+    fibers = {}
+    for key, coeff in x.sorted_terms():
+        lam, mu, _t = key
+        s = axis.index(key)
+        z, lam_n, mu_n, w = (v.numeric(table) for v in (coeff, lam, mu, s))
+        if axis is Axis.TRANSLATION:
+            moved = xi.modulate(lam_n).scale(z * cmath.exp(1j * lam_n * w))
+        else:
+            moved = xi.translate(mu_n * _exp(w)).modulate(lam_n * _exp(-w)).scale(z)
+        fibers[s] = fibers[s] + moved if s in fibers else moved
+    lhs = sum(ps.norm_sq() for ps in fibers.values())
+
+    rhs = 0.0
+    for s in fibers:
         twisted = conjugate(coeff_map(x, axis, s), axis.generator(s))
         rhs += apply_element(twisted, xi, table).norm_sq()
     return lhs, rhs

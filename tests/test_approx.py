@@ -29,7 +29,6 @@ from trisemi import (
     Sc,
     Scalar,
     V,
-    bf_kernel,
     bf_report,
     bochner_fejer,
     cesaro_mean,
@@ -203,12 +202,12 @@ def test_bf_basis_too_short():
 def test_bf_kernel_values(table):
     basis = rational_basis([ONE])
     # m = 1: the kernel collapses to the constant 1
-    assert bf_kernel(basis, 1, 0.37, table) == pytest.approx(1.0)
+    assert bf_kernel_many(basis, 1, [0.37], table)[0] == pytest.approx(1.0)
     two = rational_basis([ONE, SQRT2])
     # K(0) multiplies (m!)^2 over the first m basis vectors
-    assert bf_kernel(two, 2, 0.0, table) == pytest.approx(16.0)
+    assert bf_kernel_many(two, 2, [0.0], table)[0] == pytest.approx(16.0)
     with pytest.raises(BasisTooShort):
-        bf_kernel(basis, 2, 0.0, table)
+        bf_kernel_many(basis, 2, [0.0], table)
     ts = [0.1 * k for k in range(-30, 31)]
     values = bf_kernel_many(two, 2, ts, table)
     assert min(values) >= -1e-9  # nonnegative up to roundoff
@@ -372,6 +371,20 @@ def test_a_count_must_be_an_integer_in_its_range(what, call):
     # no count is rounded, and a NaN or infinite one is refused like any other
     with pytest.raises(InvalidParameter, match=rf"^{what} must be an integer in \[.*\], got "):
         call()
+
+
+def test_a_count_too_long_to_print_is_refused_by_name():
+    # repr() of an int past the digit limit of int/str conversion raises
+    # ValueError: the refusal names the argument and the limit instead
+    huge = 10**5000
+    order = r"^section order m must be an integer in \[1, 20000\], got "
+    limit = r"^scan limit must be an integer in \[1, 100000000\], got "
+    calls = ((order, lambda: BFSpec(huge)), (limit, lambda: recurrence_search([1.0], 0.1, huge)))
+    for prefix, call in calls:
+        with pytest.raises(InvalidParameter, match=prefix + "an integer of over 4300 digits$"):
+            call()
+    with pytest.raises(InvalidParameter, match=order + "0$"):
+        BFSpec(0)
 
 
 def test_cesaro_single_fiber_is_exact(table):

@@ -256,6 +256,9 @@ def test_invalid_parameter_exits_2_with_a_record(capsys, argv):
         (["normalize", "M(1)/M(2)"], "parse"),
         # lam = rho * e^{-710 t}: the split's e^{710} overflows
         (["cert-jt", "--lam", "1e-308", "--t", "1"], "numeric-overflow"),
+        # a decay or an angle whose denominator is too long to print
+        (["char-eval", "--family", "d1", "--y", "1e-5000", "M(1)"], "numeric-overflow"),
+        (["char-eval", "--family", "d1", "--angles", "s2=1e-5000", "M(1)"], "numeric-overflow"),
     ],
 )
 def test_degenerate_numbers_exit_2_with_one_record(capsys, argv, code):
@@ -544,6 +547,39 @@ def test_runs_in_one_process_share_no_state():
     forwards = outputs(order)
     assert forwards == outputs(reversed(order))
     assert [forwards[i][0] for i in order] == [0, 0, 0, 0, 2]
+
+
+def test_config_atom_and_dilation_names_keep_their_case(tmp_path, capsys):
+    cfg = tmp_path / "case.ini"
+    cfg.write_text("[atoms]\nS2 = 1.4142135623730951\n\n[dilation]\nH = 0.5\n")
+    table = load_config(str(cfg)).table
+    assert (set(table.atoms), set(table.dilation)) == ({"ONE", "S2"}, {"UNIT", "H"})
+    assert run(["--json", "--config", str(cfg), "support", "--algebra", "aph", "M(S2)*V(H)"]) == 0
+    assert json.loads(out_of(capsys)[0])["member"] is True
+
+
+@pytest.mark.parametrize("text", ["[atoms]\nONE = 2\n", "[dilation]\nUNIT = 2\n"])
+def test_config_one_and_unit_are_the_reserved_names(tmp_path, capsys, text):
+    cfg = tmp_path / "reserved.ini"
+    cfg.write_text(text)
+    assert run(["--json", "--config", str(cfg), "normalize", "M(1)"]) == 2
+    out, err = out_of(capsys)
+    assert out == ""
+    assert json.loads(err) == {
+        "error": {"code": "parse", "message": "ONE and UNIT are reserved with value 1"},
+    }
+
+
+def test_config_option_keys_are_read_in_any_case_and_names_are_not(tmp_path):
+    cfg = tmp_path / "keys.ini"
+    s3, s2 = 1.7320508075688772, 1.4142135623730951
+    cfg.write_text(f"[atoms]\ns2 = {s3!r}\nS2 = {s2!r}\n\n[options]\nSEED = 4\nGroup = R\n")
+    loaded = load_config(str(cfg))
+    assert (loaded.seed, loaded.group) == (4, "R")
+    assert loaded.table.atoms == {"ONE": 1.0, "s2": s3, "S2": s2}
+    cfg.write_text("[options]\nseed = 1\nSeed = 2\n")
+    with pytest.raises(ParseError, match="'Seed' repeats a key in another case"):
+        load_config(str(cfg))
 
 
 def test_load_config_missing_file():

@@ -72,7 +72,7 @@ _EXPORTS = {
     "exprs": """dil_text element_text freq_text parse_dilation parse_element
         parse_frequency scalar_text""",
     "config": "RunConfig load_config",
-    "approx": """BFSpec RationalBasis bf_kernel bf_report bochner_fejer
+    "approx": """BFSpec RationalBasis bf_report bochner_fejer
         cesaro_mean gauge rational_basis recurrence_schedule recurrence_search
         section_weights support_basis""",
     "characters": """APPoint DiscPoint TripleCharacter
@@ -80,9 +80,9 @@ _EXPORTS = {
     "ideals": """CommutatorCertificate IdealId TelescopeCertificate
         certificate_dict certificate_residual commutator_certificate in_ideal
         jt_reduce quotient_defect verify_certificate""",
-    "l2sim": """ConvergenceReport GaussianPacket LRVector PacketSum
+    "l2sim": """ConvergenceReport GaussianPacket PacketSum
         apply_element apply_word column_norms fourier_conjugation_check
-        lr_apply norm_lower_bound relation_residual wot_compression_demo
+        norm_lower_bound relation_residual wot_compression_demo
         wot_limit""",
 }
 _LAZY_MODULES = ("approx", "characters", "ideals", "l2sim")
@@ -176,6 +176,38 @@ def test_benchmark_imports_resolve():
             except ImportError:
                 missing.append(f"{file}: from {module} import {name}")
     assert not missing, "benchmark imports that do not resolve:\n" + "\n".join(missing)
+
+
+def _identifiers(path: Path) -> set[str]:
+    """The identifiers a module reads or imports: names, attribute names
+    and the names of import aliases, by an ast scan."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name.rpartition(".")[2])
+    return found
+
+
+def test_every_exported_name_has_a_reader_outside_the_tests():
+    # a public name that only the tests read is dead API: the package
+    # itself, the benchmark (its own tests excluded) or the README's
+    # code, a fenced block or an inline span, must read it
+    root = Path(__file__).resolve().parent.parent
+    package = Path(trisemi.__file__).resolve().parent
+    read = set().union(
+        *(_identifiers(path) for path in package.glob("*.py") if path.name != "__init__.py"),
+        *(_identifiers(path) for path in (root / "perfbench").glob("*.py")),
+    )
+    for span in re.findall(r"```.*?```|`[^`]+`", (root / "README.md").read_text(), re.S):
+        read.update(re.findall(r"[A-Za-z_]\w*", span))
+    unread = sorted(
+        name for names in _EXPORTS.values() for name in names.split() if name not in read
+    )
+    assert not unread, f"exported names that nothing outside the tests reads: {unread}"
 
 
 def _unused_imports(path: Path) -> list[str]:

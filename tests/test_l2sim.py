@@ -11,6 +11,7 @@ from scipy.integrate import quad
 from trisemi import (
     AtomTable,
     AxisMap,
+    AxisMismatch,
     DilationIndex,
     DivergentPacket,
     Element,
@@ -28,7 +29,6 @@ from trisemi import (
     apply_word,
     column_norms,
     fourier_conjugation_check,
-    lr_apply,
     mul,
     norm_lower_bound,
     relation_residual,
@@ -336,14 +336,11 @@ def test_norm_lower_bound_in_chunks_is_the_single_pass_bound(table, monkeypatch)
 
 
 def test_lr_apply_and_column_norms(table):
-    from trisemi import LRVector
-
     x = Element.m(ONE) + Element.d(ONE)
     xi = PacketSum.single()
-    v = lr_apply(x, LRVector.delta(Frequency.zero(), xi), table=table)
-    # one fiber per translation level in the support
-    assert set(v.components) == {Frequency.zero(), ONE}
     lhs, rhs = column_norms(x, xi, grading="translation", table=table)
+    # one unit fiber per translation level in the support, 0 and 1
+    assert math.isclose(lhs, 2 * xi.norm_sq(), rel_tol=1e-12)
     assert math.isclose(lhs, rhs, rel_tol=1e-9)
     lhs2, rhs2 = column_norms(x, xi, grading="dilation", table=table)
     assert math.isclose(lhs2, rhs2, rel_tol=1e-9)
@@ -357,6 +354,8 @@ def test_column_norms_take_axis_letters_and_refuse_multiplication(table):
     assert column_norms(y, xi, "h", table) == column_norms(y, xi, "dilation", table)
     with pytest.raises(InvalidParameter):
         column_norms(x, xi, grading="multiplication", table=table)
+    with pytest.raises(AxisMismatch, match="no dilation support"):
+        column_norms(mul(Element.m(ONE), Element.v(DilationIndex.unit(1))), xi, "translation", table)
 
 
 def test_wot_limit_translation_keeps_the_zero_dilation_fiber():
