@@ -375,19 +375,12 @@ class AlgebraId(Enum):
 
     @classmethod
     def parse(cls, name: "AlgebraId | str") -> "AlgebraId":
-        """An algebra, its value, its member name in any case, or one of
-        the run-together aliases."""
+        """An algebra, its value, or its member name, in any case and
+        with _ or - between words."""
         return _parse_name(cls, _ALGEBRA_NAMES, "algebra", name)
 
 
-_ALGEBRA_NAMES = {
-    **{name: a for a in AlgebraId for name in (a.value, a.name.lower().replace("_", "-"))},
-    "bphg": AlgebraId.BPH_G,
-    "aphg": AlgebraId.APH_G_PLUS,
-    "aphgplus": AlgebraId.APH_G_PLUS,
-    "aphadj": AlgebraId.APH_G_PLUS_ADJOINT,
-    "aphgplusadjoint": AlgebraId.APH_G_PLUS_ADJOINT,
-}
+_ALGEBRA_NAMES = {n: a for a in AlgebraId for n in (a.value, a.name.lower().replace("_", "-"))}
 
 
 # per algebra, the cone of each key component (lam, mu, t): 0 must vanish,

@@ -109,8 +109,7 @@ class RationalBasis:
         return [b.numeric(table) for b in self.basis]
 
 
-def rational_basis(freqs: list[Frequency] | list[DilationIndex]) -> RationalBasis:
-    return RationalBasis(list(freqs))
+rational_basis = RationalBasis
 
 
 # --------------------------------------------------------- weighted sections
@@ -247,8 +246,6 @@ def cesaro_mean(
 
     entries = [(axis.strip(key), coeff) for key, coeff in x.terms.items()]
     deltas = [axis.index(key).numeric(table) - s_num for key in x.terms]
-    if not entries:
-        return Element.zero()
     from . import _kernels
 
     weights = _kernels.phase_mean_weights(deltas, float(T), int(steps))

@@ -54,10 +54,6 @@ __all__ = ["run"]
 # ------------------------------------------------------------ serialization
 
 
-def _rat(q) -> str:
-    return rational_text(Fraction(q))
-
-
 def _cnum(z: complex) -> dict:
     z = complex(z)
     return {"re": z.real, "im": z.imag}
@@ -215,7 +211,7 @@ def _cmd_bf(args, cfg):
     axis = Axis.parse(args.grading)
     rows = []
     for entry in report:
-        weights = {axis.index_text(idx): _rat(w) for idx, w in entry["weights"].items()}
+        weights = {axis.index_text(idx): rational_text(w) for idx, w in entry["weights"].items()}
         rows.append({"m": entry["m"], "weights": weights, "l1_error": entry["l1_error"]})
     return {"grading": axis.grading, "rows": rows}
 
@@ -298,7 +294,7 @@ def _cmd_auto_apply(args, cfg):
     )
     out = _element_payload(automorphism(args.expr, cfg.table), cfg)
     out["t"] = dil_text(args.t)
-    out["theta"] = _rat(args.theta)
+    out["theta"] = rational_text(args.theta)
     return out
 
 

@@ -1073,13 +1073,7 @@ class Scalar:
 
     @classmethod
     def from_number(cls, z) -> "Scalar":
-        if isinstance(z, Scalar):
-            return z
-        if isinstance(z, QI):
-            return cls(PhaseSum.gaussian(z))
-        if isinstance(z, complex):
-            return cls.gaussian(z.real, z.imag)
-        return cls.from_rational(z)
+        return z if isinstance(z, Scalar) else cls.from_rational(z)
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -1211,7 +1205,10 @@ class Scalar:
             den = f.numeric(table)
             if abs(den) < 1e-300:
                 raise NumericOverflow("denominator numerically vanishes")
-            value /= den**m
+            den **= m
+            if not den or not cmath.isfinite(den):
+                raise NumericOverflow("a power of a denominator leaves the double range")
+            value /= den
         return value
 
     def modulus(self, table: "AtomTable") -> float:
@@ -1290,10 +1287,6 @@ class AtomTable:
                     AtomCollisionWarning,
                     stacklevel=3,
                 )
-
-    @classmethod
-    def default(cls) -> "AtomTable":
-        return DEFAULT_TABLE
 
     def atom_value(self, name: str) -> float:
         try:

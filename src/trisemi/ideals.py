@@ -151,28 +151,12 @@ class TelescopeCertificate:
     Each item (sign, kappa, mu) contributes sign * e^{i kappa x} *
     (e^{i mu x} - e^{i mu e^t x}); kappa None means multiplier one.
     The combination reproduces e^{i lam x} - e^{i x} within the
-    numeric residual policy.
+    numeric residual policy, read off the items by ``certificate_residual``.
     """
 
     lam: float
     t: float
     items: tuple
-
-    def expand(self) -> dict:
-        """Frequency to coefficient map of the expanded combination."""
-        out: dict = {}
-        growth = math.exp(self.t)
-        for sign, kappa, mu in self.items:
-            base = 0.0 if kappa is None else kappa
-            for freq, c in ((base + mu, sign), (base + mu * growth, -sign)):
-                out[freq] = out.get(freq, 0.0) + c
-        return out
-
-    def target(self) -> dict:
-        out: dict = {}
-        for freq, c in ((self.lam, 1.0), (1.0, -1.0)):
-            out[freq] = out.get(freq, 0.0) + c
-        return out
 
 
 Certificate = CommutatorCertificate | TelescopeCertificate
@@ -241,12 +225,18 @@ def _merge_tolerant(entries: list) -> float:
 
 
 def certificate_residual(cert: Certificate) -> float:
+    """0 or inf for a commutator pair; for a telescope, the largest merged
+    coefficient of its items, expanded in one pass, minus the target."""
     if isinstance(cert, CommutatorCertificate):
         d = Element.d(cert.s)
         achieved = mul(cert.f, d) - mul(d, cert.f)
         return 0.0 if achieved == cert.target else math.inf
-    entries = [(f, c) for f, c in cert.expand().items()]
-    entries += [(f, -c) for f, c in cert.target().items()]
+    growth = _exp(cert.t)
+    entries = [(cert.lam, -1.0), (1.0, 1.0)]
+    for sign, kappa, mu in cert.items:
+        base = 0.0 if kappa is None else kappa
+        c = float(sign)  # a cluster of int signs would sum, and print, as an int
+        entries += [(base + mu, c), (base + mu * growth, -c)]
     return _merge_tolerant(entries)
 
 

@@ -383,7 +383,10 @@ def column_norms(
         s = axis.index(key)
         z, lam_n, mu_n, w = (v.numeric(table) for v in (coeff, lam, mu, s))
         if axis is Axis.TRANSLATION:
-            moved = xi.modulate(lam_n).scale(z * cmath.exp(1j * lam_n * w))
+            phase = 1j * lam_n * w
+            if not cmath.isfinite(phase):
+                raise NumericOverflow("a twist phase lam*s leaves the double range")
+            moved = xi.modulate(lam_n).scale(z * cmath.exp(phase))
         else:
             moved = xi.translate(mu_n * _exp(w)).modulate(lam_n * _exp(-w)).scale(z)
         fibers[s] = fibers[s] + moved if s in fibers else moved

@@ -146,6 +146,9 @@ def test_zero_denominator_exits_2_with_a_parse_record(capsys, text):
 _TINY = ["support", "--algebra", "aph", "M(1/1000000000000)*V(1)"]
 # 10^400, beyond the double range; the parser has no power operator
 _HUGE = "1" + "0" * 400
+_BIG = "1" + "0" * 200
+# a factor of modulus about 10^-200: its square underflows to 0
+_NEAR_ZERO = f"(1 - exp(i*1/{_BIG}))"
 # past the interpreter's 4300-digit limit on int/str conversion
 _LONG = "7" * 5000
 
@@ -183,6 +186,8 @@ _LONG = "7" * 5000
         ["kernel", "--freqs", "1", "--m", "1", "--t", "abc"],
         ["bf", "--m", "x", "M(1)"],
         ["sim-residuals", "--lam", "abc"],
+        # the run-together algebra spellings are not names
+        ["support", "--algebra", "aphg", "M(1)"],
     ],
 )
 def test_invalid_parameter_exits_2_with_a_record(capsys, argv):
@@ -259,6 +264,15 @@ def test_invalid_parameter_exits_2_with_a_record(capsys, argv):
         # a decay or an angle whose denominator is too long to print
         (["char-eval", "--family", "d1", "--y", "1e-5000", "M(1)"], "numeric-overflow"),
         (["char-eval", "--family", "d1", "--angles", "s2=1e-5000", "M(1)"], "numeric-overflow"),
+        # a twist phase lam*s past the double range
+        (["sim-column-identity", f"M({_BIG})*D({_BIG})"], "numeric-overflow"),
+        # a denominator power past the double range: its square
+        # underflows to 0, or overflows
+        (["normalize", f"M(1)/{_NEAR_ZERO}/{_NEAR_ZERO}"], "numeric-overflow"),
+        (["mul", f"M(1)/{_NEAR_ZERO}", f"M(1)/{_NEAR_ZERO}"], "numeric-overflow"),
+        (["normalize", f"M(1)/(1 + {_BIG}*exp(i*1))/(1 + {_BIG}*exp(i*1))"], "numeric-overflow"),
+        # a denominator below 1e-300 itself
+        (["normalize", f"M(1)/(1 - exp(i*1/1{'0' * 305}))"], "numeric-overflow"),
     ],
 )
 def test_degenerate_numbers_exit_2_with_one_record(capsys, argv, code):
@@ -293,6 +307,66 @@ def test_support_accepts_every_algebra_name_its_help_lists(capsys, name, value, 
 def test_a_dilation_beyond_the_double_range_is_signed_exactly(capsys, argv, key, want):
     assert run(["--json", *argv]) == 0
     assert json.loads(out_of(capsys)[0])[key] == want
+
+
+# extreme operands for every subcommand: in the numeric flags, and in
+# elements built from them
+_EXTREMES = ["0", _BIG, "-" + _BIG, "1/" + _BIG, "1e308", "1e-308", "5e-324", "nan", "inf",
+             "1e400", "709", "710", "-745"]
+_ON_VALUE = [
+    "gauge --theta {v} M(1)*D(1)", "cesaro --index {v} --T 1 D(1)",
+    "cesaro --index 1 --T {v} D(1)", "cesaro --index 1 --T 1 --steps {v} D(1)",
+    "kernel --freqs {v} --m 1 --t {v}", "kernel --freqs 1 --m {v} --t 1",
+    "recurrence --freqs {v} --eps 0.1 --limit 10", "recurrence --eps {v} --limit 10",
+    "recurrence --eps 0.1 --limit {v}", "char-eval --family d1 --y {v} M(1)",
+    "char-eval --family d1 --angles s2={v} M(1)", "char-eval --family d3 --w {v} V(1)",
+    "ideal-test --ideal jt --t {v} M(1)", "cert-commutator --lam {v} --s {v}",
+    "cert-jt --lam {v} --t 1", "cert-jt --lam 2 --t {v}", "auto-apply --t {v} M(1)*D(1)*V(1)",
+    "auto-apply --theta {v} M(1)*D(1)*V(1)", "flip-check --k1 {v} --k2 1",
+    "flip-check --k1 1 --k2 {v}", "sim-residuals --lam {v}", "sim-residuals --mu {v}",
+    "sim-residuals --t {v}", "sim-fourier --lam {v}", "sim-fourier --dual --lam {v}",
+    "sim-norm-bound --trials {v} M(1)", "sim-wot --mode translation --schedule {v} M(1)*D(1)",
+    "bf --m {v} D(1)", "--guard {v} normalize M(1)",
+]
+_ELEMENTS = ["M({a})*D({a})", "D({a})*V(1)", "M(1)*V({a})", "V({a})", "exp(i*{a})*M(1)",
+             "M(1)/(1 - exp(i*1/{a}))", "M(1)/(1 - exp(i*1/{a}))/(1 - exp(i*1/{a}))"]
+_ON_ELEMENT = [
+    "normalize", "adjoint", "coeff --axis E --index 1", "support --algebra aph", "bf --m 1",
+    "gauge --theta 1", "cesaro --index 1 --T 1", "char-eval --family d1",
+    "ideal-test --ideal cp", "auto-apply --t 1", "sim-norm-bound --trials 3 --seed 0",
+    "sim-wot --mode translation --schedule 1,2", "sim-wot --mode dilation-in --schedule 1,2",
+    "sim-column-identity", "sim-column-identity --grading H",
+]
+
+
+def _extreme_argvs():
+    for a in _EXTREMES:
+        for template in _ON_VALUE:
+            yield [word.format(v=a) for word in template.split()]
+        for template in _ELEMENTS:
+            x = template.format(a=a)
+            yield ["mul", x, x]
+            for command in _ON_ELEMENT:
+                yield [*command.split(), x]
+
+
+def test_no_extreme_operand_ends_in_a_traceback():
+    failed = []
+    # a few of these argvs print NaN after a numpy overflow warning; a
+    # process started from a shell prints such a warning and goes on
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for argv in _extreme_argvs():
+            for flags in ([], ["--json"]):
+                try:
+                    with contextlib.redirect_stdout(io.StringIO()), \
+                            contextlib.redirect_stderr(io.StringIO()):
+                        code = run([*flags, *argv])
+                except BaseException as exc:  # SystemExit included
+                    code = repr(exc)
+                if code not in (0, 2):
+                    failed.append(f"{code}: {[*flags, *argv]}")
+    assert not failed, "\n".join(failed)
 
 
 def test_help_exits_0(capsys):

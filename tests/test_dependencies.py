@@ -392,13 +392,8 @@ def test_the_sign_guard_is_read_from_the_atom_table():
     assert not found, "functions that take a guard beside the table:\n" + "\n".join(found)
 
 
-def _is_default_table_call(node: ast.AST) -> bool:
-    return (
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Attribute)
-        and node.func.attr == "default"
-        and getattr(node.func.value, "id", None) == "AtomTable"
-    )
+def _is_fresh_table_call(node: ast.AST) -> bool:
+    return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "AtomTable"
 
 
 def test_each_default_table_and_name_set_has_one_owner():
@@ -413,9 +408,9 @@ def test_each_default_table_and_name_set_has_one_owner():
         for node in ast.walk(tree)
         if isinstance(node, ast.BoolOp)
         and isinstance(node.op, ast.Or)
-        and any(_is_default_table_call(v) for v in node.values)
+        and any(_is_fresh_table_call(v) for v in node.values)
     ]
-    assert not fresh, "table or AtomTable.default():\n" + "\n".join(fresh)
+    assert not fresh, "table or AtomTable():\n" + "\n".join(fresh)
     build = next(
         node for node in ast.walk(trees["cli.py"])
         if isinstance(node, ast.FunctionDef) and node.name == "_build_parser"

@@ -80,14 +80,14 @@ def test_scalar_field_inverse(a):
 @settings(max_examples=40)
 @given(small_scalars(), small_scalars())
 def test_scalar_numeric_is_a_homomorphism(a, b):
-    table = AtomTable.default()
+    table = exactnum.DEFAULT_TABLE
     za, zb = a.numeric(table), b.numeric(table)
     assert (a * b).numeric(table) == pytest.approx(za * zb, abs=1e-12)
     assert (a + b).numeric(table) == pytest.approx(za + zb, abs=1e-12)
 
 
 def test_rational_angle_matches_cmath():
-    table = AtomTable.default()
+    table = exactnum.DEFAULT_TABLE
     for q in (Fraction(1, 3), Fraction(-7, 2), Fraction(0), Fraction(5)):
         got = Scalar.rational_angle(q).numeric(table)
         assert got == pytest.approx(cmath.exp(1j * float(q)), abs=1e-15)

@@ -15,11 +15,14 @@ from trisemi import (
     IdealId,
     InvalidScale,
     NotInAmbient,
+    NumericOverflow,
     PhaseExponent,
     Scalar,
+    TelescopeCertificate,
     TripleCharacter,
     adjoint,
     certificate_dict,
+    certificate_residual,
     commutator_certificate,
     eval_character,
     in_ideal,
@@ -247,6 +250,30 @@ def test_jt_reduce_randomized():
         lam = rng.uniform(0.1, 10.0)
         t = rng.uniform(0.1, 3.0)
         assert verify_certificate(jt_reduce(lam, t))
+
+
+@pytest.mark.parametrize("gap, merged", [(5e-10, True), (1e-8, False)])
+def test_a_hand_built_telescope_merges_frequencies_within_the_tolerance(gap, merged):
+    # two bare steps from 1: the first ends at e^t, the second starts gap
+    # past it and ends at lam, so the target's two frequencies cancel and
+    # only the middle pair is left, merged or apart
+    t = 0.5
+    growth = math.exp(t)
+    mu = growth + gap
+    cert = TelescopeCertificate(lam=mu * growth, t=t, items=((-1, None, 1.0), (-1, None, mu)))
+    residual = certificate_residual(cert)
+    if merged:
+        assert residual < 1e-9
+        assert verify_certificate(cert)
+    else:
+        assert residual >= 1
+        assert not verify_certificate(cert)
+
+
+def test_a_telescope_step_past_the_double_range_is_numeric_overflow():
+    cert = TelescopeCertificate(lam=2.0, t=800.0, items=((-1, None, 1.0),))
+    with pytest.raises(NumericOverflow):
+        certificate_residual(cert)
 
 
 def test_certificate_serialization():
